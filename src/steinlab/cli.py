@@ -1,11 +1,13 @@
 """Command-line front door.
 
-Subcommands configure one experiment each, run it, write a JSON report to
-``--out`` (or stdout) and a one-line human summary to stderr. Exit status is
-0 when every certified check passes, 2 when a bound or validation check is
-violated, and 1 for usage or configuration errors. All randomness flows
-from ``--seed``; re-running with the same arguments gives byte-identical
-output regardless of ``STEIN_LAB_THREADS``.
+``degree-count``, ``color-match`` and ``nonlinear`` build one model each and
+run it through :func:`steinlab.experiment.run_experiment`; ``sweep`` builds
+its rows with the same model constructors. Each subcommand writes a JSON
+report (CSV for ``sweep``) to ``--out`` or stdout and a one-line summary to
+stderr. Exit status is 0 when every certified check passes, 2 when a bound
+or validation check is violated, and 1 for usage or configuration errors.
+All randomness flows from ``--seed``; re-running with the same arguments
+gives byte-identical output regardless of ``STEIN_LAB_THREADS``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ import numpy as np
 
 from . import coloring, degrees, nonlinear, validation
 from .errors import SteinLabError, TooLarge
+from .experiment import run_experiment
 from .report import stable_json
+from .specs import read_spec
 from .stein import SteinSolution, grid_points
 from .testfuncs import SmoothTestFunction, parse_test_function
 
@@ -111,7 +115,9 @@ def build_parser() -> _Parser:
     stn.add_argument("--p", type=int, default=None)
     stn.add_argument("--extent", type=float, default=2.0)
     stn.add_argument("--grid-points", type=int, default=21)
-    stn.add_argument("--fd-step", type=float, default=1e-3)
+    stn.add_argument("--fd-step", type=float, default=1e-3,
+                     help="finite-difference step of the PDE residual and "
+                          "of the order-1 and order-2 derivative stencils")
     stn.add_argument("--gh-nodes", type=int, default=40)
     stn.add_argument("--tol", type=float, default=1e-3)
     stn.add_argument("--out", default=None)
@@ -154,94 +160,90 @@ def _resolve_h(raw: str | None, p: int) -> SmoothTestFunction:
 # Subcommand drivers
 # ---------------------------------------------------------------------------
 
-def _run_degree(args) -> int:
-    if args.pi is not None:
-        cfg = degrees.ErdosRenyiConfig(args.n, args.pi, tuple(args.degrees),
-                                       check_pd=not args.oracle)
-    else:
-        cfg = degrees.ErdosRenyiConfig.from_c(args.n, args.c,
-                                              tuple(args.degrees),
-                                              check_pd=not args.oracle)
-    if args.oracle:
-        lam, sigma, _ = degrees.theoretical_moments(cfg)
-        exact_lam, exact_sigma = degrees.brute_force_moments(cfg)
-        scale = max(np.abs(exact_lam).max(), np.abs(exact_sigma).max(), 1.0)
-        worst = max(np.abs(lam - exact_lam).max(),
-                    np.abs(sigma - exact_sigma).max()) / scale
-        match = bool(worst <= 1e-12)
-        payload = {
-            "experiment": "degree-count-oracle",
-            "config": {"n": cfg.n, "pi": cfg.pi, "degrees": list(cfg.degrees)},
-            "lambda_formula": lam, "lambda_exact": exact_lam,
-            "sigma_formula": sigma, "sigma_exact": exact_sigma,
-            "max_rel_diff": worst, "match": match,
-        }
-        _emit(stable_json(payload), args.out)
-        print(f"degree-count oracle: max relative difference {worst:.3g} "
-              f"[{'MATCH' if match else 'MISMATCH'}]", file=sys.stderr)
-        return EXIT_OK if match else EXIT_VIOLATION
-    h = _resolve_h(args.h, cfg.p)
-    report = degrees.run_degree_experiment(cfg, h, args.samples,
-                                           seed=args.seed,
-                                           chunk_size=args.chunk_size)
-    _emit(report.to_json(), args.out)
+def _run_model(args, model):
+    """Run one model through the experiment driver; summary to stderr."""
+    h = _resolve_h(args.h, model.p)
+    report = run_experiment(model, h, args.samples, seed=args.seed,
+                            chunk_size=args.chunk_size)
     print(report.summary(), file=sys.stderr)
+    return report
+
+
+def _run_single(args, model) -> int:
+    report = _run_model(args, model)
+    _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_VIOLATION
+
+
+def _run_oracle(model, config: dict, exact, out_path) -> int:
+    """Compare the model's closed-form moments against the exact
+    ``(lam, sigma)`` from enumeration."""
+    (lam, sigma), (exact_lam, exact_sigma) = (model.lam, model.sigma), exact
+    scale = max(np.abs(exact_lam).max(), np.abs(exact_sigma).max(), 1.0)
+    worst = max(np.abs(lam - exact_lam).max(),
+                np.abs(sigma - exact_sigma).max()) / scale
+    match = bool(worst <= 1e-12)
+    payload = {
+        "experiment": f"{model.name}-oracle", "config": config,
+        "lambda_formula": lam, "lambda_exact": exact_lam,
+        "sigma_formula": sigma, "sigma_exact": exact_sigma,
+        "max_rel_diff": worst, "match": match,
+    }
+    _emit(stable_json(payload), out_path)
+    print(f"{model.name} oracle: max relative difference {worst:.3g} "
+          f"[{'MATCH' if match else 'MISMATCH'}]", file=sys.stderr)
+    return EXIT_OK if match else EXIT_VIOLATION
+
+
+def _degree_config(args, n: int, check_pd: bool = True):
+    if args.pi is not None:
+        return degrees.ErdosRenyiConfig(n, args.pi, tuple(args.degrees),
+                                        check_pd=check_pd)
+    return degrees.ErdosRenyiConfig.from_c(n, args.c, tuple(args.degrees),
+                                           check_pd=check_pd)
+
+
+def _color_model(args, spec: str):
+    graph = coloring.parse_graph_spec(spec, seed=args.seed)
+    cfg = coloring.ColoringConfig(tuple(args.colors))
+    return coloring.ColoringModel(graph, cfg, spec)
+
+
+def _run_degree(args) -> int:
+    cfg = _degree_config(args, args.n, check_pd=not args.oracle)
+    model = degrees.DegreeCountModel(cfg)
+    if args.oracle:
+        return _run_oracle(
+            model, {"n": cfg.n, "pi": cfg.pi, "degrees": list(cfg.degrees)},
+            degrees.brute_force_moments(cfg), args.out)
+    return _run_single(args, model)
 
 
 def _run_color(args) -> int:
-    graph = coloring.parse_graph_spec(args.graph, seed=args.seed)
-    cfg = coloring.ColoringConfig(tuple(args.colors))
+    model = _color_model(args, args.graph)
     if args.oracle:
-        lam, sigma = coloring.theoretical_moments(graph, cfg)
-        exact = coloring.brute_force_moments(graph, cfg)
-        scale = max(np.abs(exact[0]).max(), np.abs(exact[1]).max(), 1.0)
-        worst = max(np.abs(lam - exact[0]).max(),
-                    np.abs(sigma - exact[1]).max()) / scale
-        match = bool(worst <= 1e-12)
-        payload = {
-            "experiment": "color-match-oracle",
-            "config": {"graph": args.graph, "colors": list(cfg.probs)},
-            "lambda_formula": lam, "lambda_exact": exact[0],
-            "sigma_formula": sigma, "sigma_exact": exact[1],
-            "max_rel_diff": worst, "match": match,
-        }
-        _emit(stable_json(payload), args.out)
-        print(f"color-match oracle: max relative difference {worst:.3g} "
-              f"[{'MATCH' if match else 'MISMATCH'}]", file=sys.stderr)
-        return EXIT_OK if match else EXIT_VIOLATION
-    h = _resolve_h(args.h, cfg.p)
-    report = coloring.run_color_experiment(graph, cfg, h, args.samples,
-                                           seed=args.seed,
-                                           chunk_size=args.chunk_size,
-                                           graph_name=args.graph)
-    _emit(report.to_json(), args.out)
-    print(report.summary(), file=sys.stderr)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+        return _run_oracle(
+            model, {"graph": args.graph, "colors": list(model.cfg.probs)},
+            coloring.brute_force_moments(model.g, model.cfg)[:2], args.out)
+    return _run_single(args, model)
 
 
-def _parse_model(raw: str, psi: nonlinear.PsiFunction):
-    kind, _, rest = raw.partition(":")
-    kv = dict(part.split("=") for part in rest.split(",") if part)
+def _parse_model(raw: str, psi: nonlinear.PsiFunction, inner: int):
+    kind = raw.partition(":")[0]
     if kind == "gauss":
-        return nonlinear.GaussianSumConfig(int(kv["n"]), psi,
-                                           rho=float(kv.get("rho", "0")))
+        kv = read_spec(raw, {"n": int, "rho": float}, required=("n",))
+        return nonlinear.GaussianSumModel(nonlinear.GaussianSumConfig(
+            kv["n"], psi, rho=kv.get("rho", 0.0)))
     if kind == "multinomial":
-        return nonlinear.MultinomialSumConfig(int(kv["n"]), int(kv["k"]), psi)
+        kv = read_spec(raw, {"n": int, "k": int}, required=("n", "k"))
+        return nonlinear.MultinomialSumModel(
+            nonlinear.MultinomialSumConfig(kv["n"], kv["k"], psi), inner)
     raise _UsageError(f"unknown model {raw!r}")
 
 
 def _run_nonlinear(args) -> int:
     psi = nonlinear.parse_psi(args.psi, normalize=not args.raw_psi)
-    model = _parse_model(args.model, psi)
-    h = _resolve_h(args.h, 1)
-    report = nonlinear.run_nonlinear_experiment(
-        model, h, args.samples, seed=args.seed,
-        chunk_size=args.chunk_size, inner=args.inner,
-    )
-    _emit(report.to_json(), args.out)
-    print(report.summary(), file=sys.stderr)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+    return _run_single(args, _parse_model(args.model, psi, args.inner))
 
 
 def _run_stein(args) -> int:
@@ -251,13 +253,11 @@ def _run_stein(args) -> int:
                           f"dimension {h.p}")
     sol = SteinSolution(h, gh_nodes=args.gh_nodes)
     grid = grid_points(h.p, args.extent, args.grid_points)
-    residual = float(np.max(sol.pde_residual(grid, fd_step=args.fd_step)))
     norms = h.derivative_norms()
-    violations = {}
-    for k in (1, 2, 3):
-        violations[f"order_{k}"] = sol.derivative_violation(
-            grid, k, norm_k=norms.order(k)
-        )
+    checks = sol.run_checks(grid, norms, fd_step=args.fd_step)
+    residual = checks["max_pde_residual"]
+    violations = {f"order_{k}": checks[f"derivative_violation_{k}"]
+                  for k in (1, 2, 3)}
     ok = residual <= args.tol and all(v <= args.tol
                                       for v in violations.values())
     payload = {
@@ -301,46 +301,32 @@ def _run_validate(args) -> int:
 
 
 def _run_sweep(args) -> int:
+    if args.experiment == "degree-count":
+        if args.degrees is None:
+            raise _UsageError("sweep degree-count needs --degrees")
+        if args.c is None and args.pi is None:
+            raise _UsageError("sweep degree-count needs --c or --pi")
+
+        def build(n):
+            return degrees.DegreeCountModel(_degree_config(args, n))
+    else:
+        if args.colors is None:
+            raise _UsageError("sweep color-match needs --colors")
+        family = args.graph_family
+        kind, _, rest = family.partition(":")
+        if family != "cycle" and kind != "regular":
+            raise _UsageError(f"unknown graph family {family!r}")
+
+        def build(n):
+            spec = (f"cycle:{n}" if family == "cycle" else
+                    ",".join(filter(None, [f"regular:n={n}", rest])))
+            return _color_model(args, spec)
     rows = []
     all_passed = True
     for n in args.n:
-        if args.experiment == "degree-count":
-            if args.degrees is None:
-                raise _UsageError("sweep degree-count needs --degrees")
-            if args.c is None and args.pi is None:
-                raise _UsageError("sweep degree-count needs --c or --pi")
-            cfg = (degrees.ErdosRenyiConfig(n, args.pi, tuple(args.degrees))
-                   if args.pi is not None else
-                   degrees.ErdosRenyiConfig.from_c(n, args.c,
-                                                   tuple(args.degrees)))
-            h = _resolve_h(args.h, cfg.p)
-            report = degrees.run_degree_experiment(
-                cfg, h, args.samples, seed=args.seed,
-                chunk_size=args.chunk_size)
-        else:
-            if args.colors is None:
-                raise _UsageError("sweep color-match needs --colors")
-            family = args.graph_family
-            if family == "cycle":
-                graph = coloring.cycle_graph(n)
-                name = f"cycle:{n}"
-            elif family.startswith("regular"):
-                kv = dict(part.split("=")
-                          for part in family.partition(":")[2].split(",")
-                          if part)
-                graph = coloring.random_regular_graph(n, int(kv["d"]),
-                                                      seed=args.seed)
-                name = f"regular:n={n},d={kv['d']}"
-            else:
-                raise _UsageError(f"unknown graph family {family!r}")
-            cfg = coloring.ColoringConfig(tuple(args.colors))
-            h = _resolve_h(args.h, cfg.p)
-            report = coloring.run_color_experiment(
-                graph, cfg, h, args.samples, seed=args.seed,
-                chunk_size=args.chunk_size, graph_name=name)
+        report = _run_model(args, build(n))
         all_passed = all_passed and report.passed
         rows.append((n, report.bound.total, report.gap, report.gap_stderr))
-        print(report.summary(), file=sys.stderr)
     lines = ["n,bound,gap,gap_stderr"]
     lines += [f"{n},{bound!r},{gap!r},{sem!r}" for n, bound, gap, sem in rows]
     _emit("\n".join(lines) + "\n", args.out)

@@ -19,13 +19,12 @@ from math import fsum
 import numpy as np
 
 from .bounds import LocalDepStats, bound_multivariate_local
-from .errors import AsymmetricNeighborhoods, NotPositiveDefinite, TooLarge
+from .errors import (AsymmetricNeighborhoods, BadSpec, NotPositiveDefinite,
+                     TooLarge)
 from .harness import Accumulator, StreamConfig, parallel_mc
-from .linalg import inverse_sqrt, jacobi_eigh, max_abs_norm, spectral_max_abs
-from .report import ExperimentReport
-from .testfuncs import GaussianExpectation, phi_h
+from .linalg import inverse_sqrt, jacobi_eigh, max_abs_norm
+from .specs import read_spec
 
-GAP_STREAM_STRIDE = 1 << 48
 BRUTE_FORCE_MAX_COLORINGS = 10_000_000
 
 
@@ -147,9 +146,9 @@ def parse_graph_spec(spec: str, seed: int = 0) -> RegularGraph:
     if kind == "matching":
         return matching_graph(int(rest))
     if kind == "regular":
-        kv = dict(part.split("=") for part in rest.split(","))
-        return random_regular_graph(int(kv["n"]), int(kv["d"]), seed=seed)
-    raise ValueError(f"unknown graph spec {spec!r}")
+        kv = read_spec(spec, {"n": int, "d": int}, required=("n", "d"))
+        return random_regular_graph(kv["n"], kv["d"], seed=seed)
+    raise BadSpec(f"unknown graph spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,43 +352,29 @@ def spectral_checks(g: RegularGraph, cfg: ColoringConfig) -> dict:
     }
 
 
-def run_color_experiment(g: RegularGraph, cfg: ColoringConfig, h,
-                         samples: int, seed: int = 0, chunk_size: int = 2048,
-                         graph_name: str = "regular",
-                         expectation: GaussianExpectation | None = None
-                         ) -> ExperimentReport:
-    """Local-dependence bound for the coloring counts and the empirical gap."""
-    if h.p != cfg.p:
-        raise ValueError(f"test function has p={h.p}, config has p={cfg.p}")
-    lam, sigma = theoretical_moments(g, cfg)
-    isqrt = inverse_sqrt(sigma)
-    norms = h.derivative_norms()
-    phi, _ = phi_h(h, expectation or GaussianExpectation())
-    stats = local_dep_stats(g, cfg, samples, seed=seed, chunk_size=chunk_size)
-    bound = bound_multivariate_local(stats, norms.d1, norms.d2, norms.d3)
-    bound.seed = seed
+class ColoringModel:
+    """Monochromatic edge counts for
+    :func:`steinlab.experiment.run_experiment`, certified by the multivariate
+    local-dependence bound."""
 
-    gap_cfg = StreamConfig(seed, chunk_size, base=GAP_STREAM_STRIDE)
+    name = "color-match"
 
-    def gap_task(rng, size):
-        w = sample_counts(g, cfg, rng, size)
-        vals = h.evaluate((w - lam) @ isqrt.T)
-        return Accumulator().add(vals)
+    def __init__(self, g: RegularGraph, cfg: ColoringConfig,
+                 graph_name: str = "regular"):
+        self.g, self.cfg, self.p = g, cfg, cfg.p
+        self.lam, self.sigma = theoretical_moments(g, cfg)
+        self.config = {"graph": graph_name, "n": g.n, "d": g.d,
+                       "edges": g.num_edges, "colors": list(cfg.probs)}
 
-    acc = parallel_mc(gap_task, gap_cfg, samples)
-    gap = abs(float(acc.mean) - phi)
-    gap_sem = float(acc.sem)
-    passed = gap <= bound.total + 3.0 * gap_sem
-    return ExperimentReport(
-        experiment="color-match",
-        config={"graph": graph_name, "n": g.n, "d": g.d,
-                "edges": g.num_edges, "colors": list(cfg.probs),
-                "h": h.spec_string()},
-        lam=lam, sigma=sigma,
-        sigma_isqrt_max_norm=max_abs_norm(isqrt),
-        sigma_isqrt_spectral_norm=spectral_max_abs(isqrt),
-        bound=bound, gap=gap, gap_stderr=gap_sem, passed=passed,
-        seed=seed, samples=samples, chunk_size=chunk_size,
-        extras={"phi_h": phi, "spectral": spectral_checks(g, cfg),
-                "t1": stats.t1, "t3_total": float(np.sum(stats.t3))},
-    )
+    def bound(self, norms, samples: int, seed: int, chunk_size: int):
+        stats = local_dep_stats(self.g, self.cfg, samples, seed=seed,
+                                chunk_size=chunk_size)
+        return (bound_multivariate_local(stats, norms.d1, norms.d2, norms.d3),
+                stats)
+
+    def sample_w(self, rng, size: int) -> np.ndarray:
+        return sample_counts(self.g, self.cfg, rng, size)
+
+    def extras(self, stats) -> dict:
+        return {"spectral": spectral_checks(self.g, self.cfg),
+                "t1": stats.t1, "t3_total": float(np.sum(stats.t3))}

@@ -19,15 +19,11 @@ from math import comb, fsum
 import numpy as np
 
 from .bounds import (MultivariateCouplingStats, bound_multivariate_size_bias)
-from .errors import NotPositiveDefinite, TooLarge
-from .harness import Accumulator, StreamConfig, parallel_mc
-from .linalg import inverse_sqrt, max_abs_norm, spectral_max_abs
-from .report import ExperimentReport
+from .errors import InvariantViolation, TooLarge
+from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
+from .linalg import inverse_sqrt, max_abs_norm
 from .sizebias import CoupledPairSampler
-from .testfuncs import GaussianExpectation, phi_h
 
-# Stream-index strides keeping the estimation passes independent.
-GAP_STREAM_STRIDE = 1 << 48
 BRUTE_FORCE_MAX_N = 5
 
 
@@ -111,11 +107,14 @@ class GraphSample:
 
     def validate(self):
         u, v = self.edges[:, 0], self.edges[:, 1]
-        assert np.all(u < v), "self-loop or unsorted pair"
+        if not np.all(u < v):
+            raise InvariantViolation("self-loop or unsorted pair")
         codes = u * self.n + v
-        assert len(np.unique(codes)) == len(codes), "duplicate edge"
+        if len(np.unique(codes)) != len(codes):
+            raise InvariantViolation("duplicate edge")
         deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
-        assert np.array_equal(deg, self.degrees), "degree array inconsistent"
+        if not np.array_equal(deg, self.degrees):
+            raise InvariantViolation("degree array inconsistent")
 
     def neighbors(self, vertex: int) -> np.ndarray:
         u, v = self.edges[:, 0], self.edges[:, 1]
@@ -257,8 +256,10 @@ def couple_degree(graph: GraphSample, cfg: ErdosRenyiConfig, i: int,
     modified = GraphSample(cfg.n, edges, deg)
     w = graph.degree_counts(cfg.degrees)
     wi = modified.degree_counts(cfg.degrees)
-    assert deg[vertex] == cfg.degrees[i]
-    assert np.allclose(wi - w, d_w)
+    if deg[vertex] != cfg.degrees[i]:
+        raise InvariantViolation("chosen vertex missed the target degree")
+    if not np.allclose(wi - w, d_w):
+        raise InvariantViolation("count change disagrees with the coupling")
     return DegreeCouplingDraw(graph, vertex, modified, w, wi)
 
 
@@ -512,8 +513,7 @@ def estimate_coupling_stats(cfg: ErdosRenyiConfig, samples: int, seed: int = 0,
     absolute cross moments come from one coupling draw per graph and
     coordinate.
     """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
+    require_samples(samples)
     p = cfg.p
     stream_cfg = StreamConfig(seed, chunk_size)
 
@@ -602,52 +602,30 @@ def isqrt_norm_bound_check(cfg: ErdosRenyiConfig) -> dict:
             "max_norm": lhs, "cap": float(rhs), "B": b_const}
 
 
-def run_degree_experiment(cfg: ErdosRenyiConfig, h, samples: int,
-                          seed: int = 0, chunk_size: int = 512,
-                          expectation: GaussianExpectation | None = None
-                          ) -> ExperimentReport:
-    """Estimate the multivariate size-bias bound and the empirical gap.
+class DegreeCountModel:
+    """Degree counts in G(n, pi) for
+    :func:`steinlab.experiment.run_experiment`, certified by the multivariate
+    size-bias bound."""
 
-    The gap is ``|mean h(Sigma^{-1/2}(W - lambda)) - E h(Z)|`` over fresh
-    graph samples; the run passes when it does not exceed the bound plus
-    three standard errors.
-    """
-    if h.p != cfg.p:
-        raise ValueError(f"test function has p={h.p}, config has p={cfg.p}")
-    lam, sigma, b_const = theoretical_moments(cfg)
-    isqrt = inverse_sqrt(sigma)
-    norms = h.derivative_norms()
-    phi, _ = phi_h(h, expectation or GaussianExpectation())
-    stats = estimate_coupling_stats(cfg, samples, seed=seed,
-                                    chunk_size=chunk_size)
-    bound = bound_multivariate_size_bias(stats, norms.d2, norms.d3)
-    bound.seed = seed
+    name = "degree-count"
 
-    gap_cfg = StreamConfig(seed, chunk_size, base=GAP_STREAM_STRIDE)
+    def __init__(self, cfg: ErdosRenyiConfig):
+        self.cfg = cfg
+        self.p = cfg.p
+        self.lam, self.sigma, _ = theoretical_moments(cfg)
+        self.config = {"n": cfg.n, "pi": cfg.pi, "c": cfg.c,
+                       "degrees": list(cfg.degrees)}
 
-    def gap_task(rng, size):
-        chunk = _GraphChunk(rng, size, cfg)
-        w = chunk.degree_count_matrix(cfg.degrees)
-        vals = h.evaluate((w - lam) @ isqrt.T)
-        return Accumulator().add(vals)
+    def bound(self, norms, samples: int, seed: int, chunk_size: int):
+        stats = estimate_coupling_stats(self.cfg, samples, seed=seed,
+                                        chunk_size=chunk_size)
+        return bound_multivariate_size_bias(stats, norms.d2, norms.d3), stats
 
-    acc = parallel_mc(gap_task, gap_cfg, samples)
-    gap = abs(float(acc.mean) - phi)
-    gap_sem = float(acc.sem)
-    passed = gap <= bound.total + 3.0 * gap_sem
-    return ExperimentReport(
-        experiment="degree-count",
-        config={"n": cfg.n, "pi": cfg.pi, "c": cfg.c,
-                "degrees": list(cfg.degrees), "h": h.spec_string()},
-        lam=lam, sigma=sigma,
-        sigma_isqrt_max_norm=max_abs_norm(isqrt),
-        sigma_isqrt_spectral_norm=spectral_max_abs(isqrt),
-        bound=bound, gap=gap, gap_stderr=gap_sem, passed=passed,
-        seed=seed, samples=samples, chunk_size=chunk_size,
-        extras={
-            "phi_h": phi,
-            "isqrt_norm_bound": isqrt_norm_bound_check(cfg),
-            "var_cond": stats.var_cond,
-            "abs_cross_total": float(np.sum(stats.abs_cross)),
-        },
-    )
+    def sample_w(self, rng, size: int) -> np.ndarray:
+        return _GraphChunk(rng, size, self.cfg).degree_count_matrix(
+            self.cfg.degrees)
+
+    def extras(self, stats) -> dict:
+        return {"isqrt_norm_bound": isqrt_norm_bound_check(self.cfg),
+                "var_cond": stats.var_cond,
+                "abs_cross_total": float(np.sum(stats.abs_cross))}

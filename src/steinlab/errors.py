@@ -51,3 +51,11 @@ class NonfiniteNorm(SteinLabError):
 
 class AsymmetricNeighborhoods(SteinLabError):
     """A dependency-neighborhood structure is not symmetric."""
+
+
+class BadSpec(SteinLabError, ValueError):
+    """A ``kind:key=value,...`` spec string is malformed or incomplete."""
+
+
+class InvariantViolation(SteinLabError):
+    """A sampled object broke an invariant its construction guarantees."""

@@ -20,6 +20,10 @@ from .linalg import whiten
 _MASK64 = (1 << 64) - 1
 # Auxiliary streams (pilot draws etc.) live far away from chunk indices.
 AUX_STREAM_BASE = 1 << 62
+# The gap pass of an experiment starts here, clear of its statistics pass.
+GAP_STREAM_STRIDE = 1 << 48
+# Fewest draws an experiment accepts; the pass rule needs usable stderrs.
+MIN_SAMPLES = 100
 
 ENV_THREADS = "STEIN_LAB_THREADS"
 
@@ -172,6 +176,12 @@ class Accumulator:
         m4 = self.central_moment(4)
         s2 = self.variance
         return np.sqrt(np.maximum(m4 - s2**2, 0.0) / self.count)
+
+
+def require_samples(samples: int) -> None:
+    """Reject a sample count below :data:`MIN_SAMPLES`."""
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
 
 
 def merge_results(a, b):

@@ -18,14 +18,10 @@ from math import lgamma, log
 import numpy as np
 
 from .bounds import UnivariateCouplingStats, bound_univariate_size_bias
-from .errors import (InfeasibleAdjustment, NotPositiveDefinite,
-                     TiltedSamplerFailure, ZeroMass)
+from .errors import (InfeasibleAdjustment, InvariantViolation,
+                     NotPositiveDefinite, TiltedSamplerFailure, ZeroMass)
 from .harness import Accumulator, StreamConfig, parallel_mc
-from .report import ExperimentReport
 from .sizebias import CoupledPairSampler, DiscreteDistribution
-from .testfuncs import GaussianExpectation, phi_h
-
-GAP_STREAM_STRIDE = 1 << 48
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +496,8 @@ class MultinomialSumCoupler(CoupledPairSampler):
             raise IndexError("univariate coupler only has coordinate 0")
         counts = self.draw_counts(rng, size)
         moved = self.couple_counts(counts, rng)
-        assert np.array_equal(moved.sum(axis=1), counts.sum(axis=1)), \
-            "ball conservation violated"
+        if not np.array_equal(moved.sum(axis=1), counts.sum(axis=1)):
+            raise InvariantViolation("ball conservation violated")
         w = self.psi(counts).sum(axis=1)
         wstar = self.psi(moved).sum(axis=1)
         return w[:, None], wstar[:, None]
@@ -529,30 +525,24 @@ def estimate_nonlinear_stats(coupler, samples: int, seed: int = 0,
     cfg = StreamConfig(seed, chunk_size)
     gaussian = isinstance(coupler, GaussianSumCoupler)
 
-    if gaussian:
-        def task(rng, size):
+    def task(rng, size):
+        if gaussian:
             u = coupler.draw_u(rng, size)
             idx = rng.integers(coupler.cfg.n, size=size)
-            y = coupler.tilted.sample(rng, size)
-            adjusted = coupler.adjust(u, idx, y)
-            w = coupler.psi(u).sum(axis=1)
-            wstar = coupler.psi(adjusted).sum(axis=1)
+            moved = coupler.adjust(u, idx, coupler.tilted.sample(rng, size))
             cond = coupler.cond_exp_given_u(u)
-            return (Accumulator(max_power=4).add(cond),
-                    Accumulator().add((wstar - w) ** 2))
-    else:
-        def task(rng, size):
-            counts = coupler.draw_counts(rng, size)
-            moved = coupler.couple_counts(counts, rng)
-            w = coupler.psi(counts).sum(axis=1)
-            wstar = coupler.psi(moved).sum(axis=1)
-            tiled = np.repeat(counts, inner, axis=0)
+        else:
+            u = coupler.draw_counts(rng, size)
+            moved = coupler.couple_counts(u, rng)
+            tiled = np.repeat(u, inner, axis=0)
             moved_inner = coupler.couple_counts(tiled, rng)
             delta = (coupler.psi(moved_inner).sum(axis=1)
                      - coupler.psi(tiled).sum(axis=1))
             cond = delta.reshape(size, inner).mean(axis=1)
-            return (Accumulator(max_power=4).add(cond),
-                    Accumulator().add((wstar - w) ** 2))
+        w = coupler.psi(u).sum(axis=1)
+        wstar = coupler.psi(moved).sum(axis=1)
+        return (Accumulator(max_power=4).add(cond),
+                Accumulator().add((wstar - w) ** 2))
 
     cond_acc, sq_acc = parallel_mc(task, cfg, samples)
     if gaussian:
@@ -569,65 +559,58 @@ def estimate_nonlinear_stats(coupler, samples: int, seed: int = 0,
     )
 
 
-def run_nonlinear_experiment(model_cfg, h, samples: int, seed: int = 0,
-                             chunk_size: int = 8192, inner: int = 32,
-                             expectation: GaussianExpectation | None = None
-                             ) -> ExperimentReport:
-    """Univariate size-bias bound for a nonlinear sum and its empirical gap."""
-    if h.p != 1:
-        raise ValueError("nonlinear sums are univariate; need a 1-d h")
-    gaussian = isinstance(model_cfg, GaussianSumConfig)
-    if gaussian:
-        coupler = GaussianSumCoupler(model_cfg)
-        lam, sigma_sq = gaussian_moments(model_cfg)
-        model_echo = {
-            "model": "gauss", "n": model_cfg.n,
-            "rho": model_cfg.rho, "psi": model_cfg.psi.name,
-            "psi_scale": model_cfg.psi.scale,
-            "max_offdiag": model_cfg.max_offdiag,
-            "max_row_sum": model_cfg.max_row_sum,
-            "offdiag_below_third": bool(model_cfg.max_offdiag < 1.0 / 3.0),
-        }
-    else:
-        coupler = MultinomialSumCoupler(model_cfg)
-        lam, sigma_sq = multinomial_moments(model_cfg)
-        model_echo = {
-            "model": "multinomial", "n": model_cfg.n, "k": model_cfg.k,
-            "psi": model_cfg.psi.name, "psi_scale": model_cfg.psi.scale,
-            "inner_draws": inner,
-        }
-    if sigma_sq <= 0:
-        raise ValueError("degenerate sum: variance is zero")
-    norms = h.derivative_norms()
-    phi, _ = phi_h(h, expectation or GaussianExpectation())
-    stats = estimate_nonlinear_stats(coupler, samples, seed=seed,
-                                     chunk_size=chunk_size, inner=inner)
-    bound = bound_univariate_size_bias(stats, norms.h, norms.d1)
-    bound.seed = seed
+class _SumModel:
+    """Nonlinear sums for :func:`steinlab.experiment.run_experiment`,
+    certified by the univariate size-bias bound."""
 
-    sigma = np.sqrt(sigma_sq)
-    gap_cfg = StreamConfig(seed, chunk_size, base=GAP_STREAM_STRIDE)
+    name = "nonlinear-sum"
+    p = 1
 
-    def gap_task(rng, size):
-        if gaussian:
-            w = coupler.psi(coupler.draw_u(rng, size)).sum(axis=1)
-        else:
-            w = coupler.psi(coupler.draw_counts(rng, size)).sum(axis=1)
-        return Accumulator().add(h.evaluate(((w - lam) / sigma)[:, None]))
+    def __init__(self, coupler, lam: float, sigma_sq: float, **stats_options):
+        if sigma_sq <= 0:
+            raise ValueError("degenerate sum: variance is zero")
+        self.coupler = coupler
+        self.stats_options = stats_options
+        self.lam = np.array([lam])
+        self.sigma = np.array([[sigma_sq]])
 
-    acc = parallel_mc(gap_task, gap_cfg, samples)
-    gap = abs(float(acc.mean) - phi)
-    gap_sem = float(acc.sem)
-    passed = gap <= bound.total + 3.0 * gap_sem
-    model_echo["h"] = h.spec_string()
-    return ExperimentReport(
-        experiment="nonlinear-sum",
-        config=model_echo,
-        lam=np.array([lam]), sigma=np.array([[sigma_sq]]),
-        sigma_isqrt_max_norm=float(1.0 / sigma),
-        sigma_isqrt_spectral_norm=float(1.0 / sigma),
-        bound=bound, gap=gap, gap_stderr=gap_sem, passed=passed,
-        seed=seed, samples=samples, chunk_size=chunk_size,
-        extras={"phi_h": phi, "var_cond": stats.var_cond,
-                "mean_sq_diff": stats.mean_sq_diff},
-    )
+    def bound(self, norms, samples: int, seed: int, chunk_size: int):
+        stats = estimate_nonlinear_stats(self.coupler, samples, seed=seed,
+                                         chunk_size=chunk_size,
+                                         **self.stats_options)
+        return bound_univariate_size_bias(stats, norms.h, norms.d1), stats
+
+    def sample_w(self, rng, size: int) -> np.ndarray:
+        return self.coupler.psi(self._draw(rng, size)).sum(axis=1)[:, None]
+
+    def extras(self, stats) -> dict:
+        return {"var_cond": stats.var_cond,
+                "mean_sq_diff": stats.mean_sq_diff}
+
+
+class GaussianSumModel(_SumModel):
+    """``W = sum psi(U_i)`` with jointly Gaussian arguments."""
+
+    def __init__(self, cfg: GaussianSumConfig):
+        super().__init__(GaussianSumCoupler(cfg), *gaussian_moments(cfg))
+        self._draw = self.coupler.draw_u
+        self.config = {"model": "gauss", "n": cfg.n, "rho": cfg.rho,
+                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale,
+                       "max_offdiag": cfg.max_offdiag,
+                       "max_row_sum": cfg.max_row_sum,
+                       "offdiag_below_third": cfg.max_offdiag < 1.0 / 3.0}
+
+
+class MultinomialSumModel(_SumModel):
+    """``W = sum psi(U_i)`` over multinomial cell counts; ``inner`` fresh
+    couplings per sample estimate the conditional mean."""
+
+    def __init__(self, cfg: MultinomialSumConfig, inner: int = 32):
+        if inner < 1:
+            raise ValueError(f"inner draws must be at least 1, got {inner}")
+        super().__init__(MultinomialSumCoupler(cfg), *multinomial_moments(cfg),
+                         inner=inner)
+        self._draw = self.coupler.draw_counts
+        self.config = {"model": "multinomial", "n": cfg.n, "k": cfg.k,
+                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale,
+                       "inner_draws": inner}

@@ -105,8 +105,9 @@ class SteinSolution:
     # g evaluation --------------------------------------------------------
 
     def _smooth_mean(self, centers: np.ndarray, sigma: float,
-                     max_block: int = 4_000_000) -> np.ndarray:
-        """``E h(c + sigma Z)`` on the pruned tensor rule."""
+                     max_block: int = 1_000_000) -> np.ndarray:
+        """``E h(c + sigma Z)`` on the pruned tensor rule; ``max_block``
+        tensor points at a time bound each worker's temporaries."""
         m = centers.shape[0]
         nq = self._gh_z.shape[0]
         block = max(1, max_block // nq)
@@ -183,26 +184,7 @@ class SteinSolution:
         Derivatives of ``g`` are central finite differences with step
         ``fd_step``.
         """
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        m, p = w.shape
-        points = [w]
-        for i in range(p):
-            e = np.zeros(p)
-            e[i] = fd_step
-            points.append(w + e)
-            points.append(w - e)
-        stacked = np.concatenate(points, axis=0)
-        vals = self.g(stacked)
-        g0 = vals[:m]
-        lap = np.zeros(m)
-        dot = np.zeros(m)
-        for i in range(p):
-            up = vals[(1 + 2 * i) * m:(2 + 2 * i) * m]
-            dn = vals[(2 + 2 * i) * m:(3 + 2 * i) * m]
-            lap += (up - 2.0 * g0 + dn) / fd_step**2
-            dot += w[:, i] * (up - dn) / (2.0 * fd_step)
-        rhs = self.h_eval(w) - self.phi
-        return np.abs(lap - dot - rhs)
+        return self._checks(w, fd_step, {})[0]
 
     def derivative_violation(self, grid, k: int, norm_k: float | None = None,
                              fd_step: float | None = None) -> float:
@@ -217,26 +199,7 @@ class SteinSolution:
             fd_step = FD_STEP_THIRD if k == 3 else FD_STEP_LOW_ORDER
         if norm_k is None:
             raise ValueError("norm_k is required (certified ||D^k h||)")
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        m, p = grid.shape
-        stencils = []
-        offsets: dict[tuple, int] = {}
-        for axes in itertools.combinations_with_replacement(range(p), k):
-            stencil = _fd_stencil(axes, fd_step, p)
-            for off in stencil:
-                offsets.setdefault(off, len(offsets))
-            stencils.append(stencil)
-        offset_arr = np.array(sorted(offsets, key=offsets.get), dtype=float)
-        points = (grid[:, None, :] + offset_arr[None, :, :]).reshape(-1, p)
-        vals = self.g(points).reshape(m, len(offsets))
-        worst = -np.inf
-        for stencil in stencils:
-            deriv = np.zeros(m)
-            for off, coeff in stencil.items():
-                deriv += coeff * vals[:, offsets[off]]
-            worst = max(worst, float(np.max(np.abs(deriv))) - norm_k / k)
-        return worst
-
+        return self._checks(grid, None, {k: fd_step})[1][k] - norm_k / k
 
     def run_checks(self, grid, norms=None, fd_step: float = FD_STEP_LOW_ORDER,
                    fd_step_third: float = FD_STEP_THIRD) -> dict:
@@ -248,47 +211,53 @@ class SteinSolution:
         """
         if norms is None:
             raise ValueError("norms are required (certified sup-norms)")
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        m, p = grid.shape
-        offsets: dict[tuple, int] = {(0.0,) * p: 0}
-        residual_plan = []
-        for i in range(p):
-            up = [0.0] * p
-            up[i] = fd_step
-            dn = [0.0] * p
-            dn[i] = -fd_step
-            for off in (tuple(up), tuple(dn)):
-                offsets.setdefault(off, len(offsets))
-            residual_plan.append((offsets[tuple(up)], offsets[tuple(dn)]))
-        stencil_sets = {1: [], 2: [], 3: []}
-        for k in (1, 2, 3):
-            step = fd_step_third if k == 3 else fd_step
-            for axes in itertools.combinations_with_replacement(range(p), k):
-                stencil = _fd_stencil(axes, step, p)
-                for off in stencil:
-                    offsets.setdefault(off, len(offsets))
-                stencil_sets[k].append(stencil)
-        offset_arr = np.array(sorted(offsets, key=offsets.get), dtype=float)
-        points = (grid[:, None, :] + offset_arr[None, :, :]).reshape(-1, p)
-        vals = self.g(points).reshape(m, len(offsets))
-        g0 = vals[:, 0]
-        lap = np.zeros(m)
-        dot = np.zeros(m)
-        for i, (up, dn) in enumerate(residual_plan):
-            lap += (vals[:, up] - 2.0 * g0 + vals[:, dn]) / fd_step**2
-            dot += grid[:, i] * (vals[:, up] - vals[:, dn]) / (2.0 * fd_step)
-        residual = np.abs(lap - dot - (self.h_eval(grid) - self.phi))
+        residual, sups = self._checks(
+            grid, fd_step, {1: fd_step, 2: fd_step, 3: fd_step_third})
         out = {"max_pde_residual": float(np.max(residual))}
         for k in (1, 2, 3):
-            worst = -np.inf
-            for stencil in stencil_sets[k]:
+            out[f"derivative_violation_{k}"] = sups[k] - norms.order(k) / k
+        return out
+
+    def _checks(self, grid, residual_step, steps: dict):
+        """Offset table, one ``g`` batch, stencil contraction: the path
+        behind every check. Returns the residual per grid point (``None``
+        without ``residual_step``) and ``{k: max |fd d^k g|}`` over the grid
+        and all order-``k`` multi-indices, with step ``steps[k]``."""
+        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        m, p = grid.shape
+        # the keys of a first-order stencil are the +step and -step shifts
+        shifts = ([_fd_stencil((i,), residual_step, p) for i in range(p)]
+                  if residual_step is not None else [])
+        stencil_sets = {
+            k: [_fd_stencil(axes, step, p) for axes in
+                itertools.combinations_with_replacement(range(p), k)]
+            for k, step in steps.items()}
+        offsets: dict[tuple, int] = {(0.0,) * p: 0} if shifts else {}
+        for stencil in itertools.chain(shifts, *stencil_sets.values()):
+            for off in stencil:
+                offsets.setdefault(off, len(offsets))
+        offset_arr = np.array(list(offsets), dtype=float)
+        points = (grid[:, None, :] + offset_arr[None, :, :]).reshape(-1, p)
+        vals = self.g(points).reshape(m, len(offsets))
+        residual = None
+        if shifts:
+            g0 = vals[:, 0]
+            lap = np.zeros(m)
+            dot = np.zeros(m)
+            for i, shift in enumerate(shifts):
+                up, dn = (vals[:, offsets[off]] for off in shift)
+                lap += (up - 2.0 * g0 + dn) / residual_step**2
+                dot += grid[:, i] * (up - dn) / (2.0 * residual_step)
+            residual = np.abs(lap - dot - (self.h_eval(grid) - self.phi))
+        sups = {}
+        for k, stencils in stencil_sets.items():
+            sups[k] = -np.inf
+            for stencil in stencils:
                 deriv = np.zeros(m)
                 for off, coeff in stencil.items():
                     deriv += coeff * vals[:, offsets[off]]
-                worst = max(worst,
-                            float(np.max(np.abs(deriv))) - norms.order(k) / k)
-            out[f"derivative_violation_{k}"] = worst
-        return out
+                sups[k] = max(sups[k], float(np.max(np.abs(deriv))))
+        return residual, sups
 
 
 def _fd_stencil(axes, step: float, p: int):

@@ -82,6 +82,22 @@ class TestExperiments:
         payload = json.loads(out)
         assert payload["config"]["model"] == "gauss"
 
+    def test_nonlinear_multinomial(self, capsys):
+        code, out, _ = _run(["nonlinear", "--model", "multinomial:n=10,k=2",
+                             "--psi", "square", "--inner", "4",
+                             "--samples", "1000", "--seed", "2"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["model"] == "multinomial"
+        assert payload["config"]["inner_draws"] == 4
+
+    def test_degree_count_custom_h(self, capsys):
+        code, out, _ = _run(["degree-count", "--n", "20", "--c", "2",
+                             "--degrees", "1,2", "--h", "cosine:a=0.3,0.2",
+                             "--samples", "1000", "--seed", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["h"] == "cosine:a=0.3,0.2:b=0.0"
+
     def test_validate_couplings_subset(self, capsys):
         code, out, _ = _run(["validate-couplings", "--which",
                              "bernoulli-sum,exchangeable-pair",
@@ -119,6 +135,40 @@ class TestSweep:
                             capsys)
         assert code == 0
         assert out.startswith("n,bound,gap")
+
+    @staticmethod
+    def _single_run(argv, capsys):
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        report = json.loads(out)
+        return f"{report['bound']['total']!r},{report['gap']!r}"
+
+    def test_degree_sweep_pi_rows_match_single_runs(self, capsys):
+        code, out, _ = _run(["sweep", "degree-count", "--n", "12,20",
+                             "--pi", "0.15", "--degrees", "1,2",
+                             "--samples", "1000", "--seed", "5"], capsys)
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        for n, row in zip((12, 20), rows):
+            single = self._single_run(
+                ["degree-count", "--n", str(n), "--pi", "0.15",
+                 "--degrees", "1,2", "--samples", "1000", "--seed", "5",
+                 "--chunk-size", "512"], capsys)
+            assert row.startswith(f"{n},{single},")
+
+    def test_color_sweep_regular_rows_match_single_runs(self, capsys):
+        code, out, _ = _run(["sweep", "color-match", "--n", "20,30",
+                             "--colors", "0.5,0.5",
+                             "--graph-family", "regular:d=3",
+                             "--samples", "1000", "--seed", "5"], capsys)
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        for n, row in zip((20, 30), rows):
+            single = self._single_run(
+                ["color-match", "--graph", f"regular:n={n},d=3",
+                 "--colors", "0.5,0.5", "--samples", "1000", "--seed", "5",
+                 "--chunk-size", "512"], capsys)
+            assert row.startswith(f"{n},{single},")
 
     def test_missing_flags_are_usage_errors(self, capsys):
         code, _, _ = _run(["sweep", "degree-count", "--n", "16"], capsys)
@@ -169,3 +219,35 @@ class TestUsageErrors:
         code, _, err = _run(["degree-count", "--n", "10", "--pi", "1.5",
                              "--degrees", "1"], capsys)
         assert code == 1 and "error" in err
+
+    DEGREE = ["degree-count", "--n", "20", "--c", "2", "--degrees", "1,2"]
+    COLOR = ["color-match", "--graph", "cycle:16", "--colors", "0.5,0.5"]
+    GAUSS = ["nonlinear", "--model", "gauss:rho=0.1,n=20", "--psi", "square"]
+    MULTI = ["nonlinear", "--model", "multinomial:n=10,k=2", "--psi",
+             "square", "--samples", "200"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (DEGREE + ["--samples", "1"], "at least 100 samples, got 1"),
+        (COLOR + ["--samples", "0"], "at least 100 samples, got 0"),
+        (COLOR + ["--samples", "1"], "at least 100 samples, got 1"),
+        (GAUSS + ["--samples", "0"], "at least 100 samples, got 0"),
+        (GAUSS + ["--samples", "1"], "at least 100 samples, got 1"),
+        (MULTI + ["--inner", "0"], "at least 1, got 0"),
+        (MULTI + ["--inner", "-1"], "at least 1, got -1"),
+        (DEGREE + ["--h", "cosine:a=1"], "dimension 1, expected 2"),
+        (["nonlinear", "--model", "gauss:rho=0.1", "--psi", "square"],
+         "'gauss:rho=0.1' is missing key 'n'"),
+        (["nonlinear", "--model", "gauss:n", "--psi", "square"],
+         "'n' is not key=value"),
+        (["nonlinear", "--model", "gauss:n=ten", "--psi", "square"],
+         "n='ten' is not a valid int"),
+        (["color-match", "--graph", "regular:n=20", "--colors", "0.5,0.5"],
+         "'regular:n=20' is missing key 'd'"),
+        (["sweep", "color-match", "--n", "20", "--colors", "0.5,0.5",
+          "--graph-family", "regular"], "'regular:n=20' is missing key 'd'"),
+    ])
+    def test_rejected_input_names_the_problem(self, argv, message, capsys):
+        code, out, err = _run(argv, capsys)
+        assert code == 1
+        assert message in err and "Traceback" not in err
+        assert out == ""

@@ -6,6 +6,7 @@ import pytest
 from steinlab import coloring as cm
 from steinlab.errors import (AsymmetricNeighborhoods, NotPositiveDefinite,
                              TooLarge)
+from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
 from steinlab.testfuncs import SmoothTestFunction
 
@@ -188,12 +189,14 @@ class TestExperiment:
         g = cm.cycle_graph(16)
         cfg = cm.ColoringConfig((0.5, 0.5))
         h = SmoothTestFunction("cosine", p=2, a=(0.0, 0.0))
-        rep = cm.run_color_experiment(g, cfg, h, samples=500, seed=1)
+        rep = run_experiment(cm.ColoringModel(g, cfg), h, samples=500,
+                             seed=1, chunk_size=2048)
         assert rep.bound.total == 0.0 and rep.gap <= 1e-12 and rep.passed
 
     def test_small_run_passes(self):
         g = cm.random_regular_graph(40, 3, seed=3)
         cfg = cm.ColoringConfig((0.4, 0.6))
         h = SmoothTestFunction("cosine", p=2, a=(0.5, 0.5))
-        rep = cm.run_color_experiment(g, cfg, h, samples=5000, seed=2)
+        rep = run_experiment(cm.ColoringModel(g, cfg), h, samples=5000,
+                             seed=2, chunk_size=2048)
         assert rep.passed and rep.bound.total > 0

@@ -9,7 +9,8 @@ import pytest
 import oracles
 from steinlab import degrees as dg
 from steinlab.bounds import covariance_identity_check
-from steinlab.errors import NotPositiveDefinite, TooLarge
+from steinlab.errors import InvariantViolation, NotPositiveDefinite, TooLarge
+from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
 from steinlab.linalg import inverse_sqrt, max_abs_norm
 from steinlab.sizebias import verify_characterization
@@ -89,6 +90,12 @@ class TestSampling:
         rng = StreamConfig(5).stream(1)
         for _ in range(20):
             dg.sample_graph(cfg, rng).validate()
+
+    def test_duplicate_edge_rejected(self):
+        # degrees agree with the edge list, so only the duplicate is wrong
+        g = dg.GraphSample(3, np.array([[0, 1], [0, 1]]), np.array([2, 2, 0]))
+        with pytest.raises(InvariantViolation, match="duplicate edge"):
+            g.validate()
 
     def test_decode_roundtrip(self):
         for n in (2, 3, 7, 50):
@@ -300,7 +307,8 @@ class TestExperiment:
     def test_constant_h_gives_zero_bound_and_gap(self):
         cfg = dg.ErdosRenyiConfig.from_c(12, 2.0, (1, 2))
         h = SmoothTestFunction("cosine", p=2, a=(0.0, 0.0))
-        rep = dg.run_degree_experiment(cfg, h, samples=500, seed=1)
+        rep = run_experiment(dg.DegreeCountModel(cfg), h, samples=500,
+                             seed=1, chunk_size=512)
         assert rep.bound.total == 0.0
         assert rep.gap <= 1e-12
         assert rep.passed
@@ -308,7 +316,8 @@ class TestExperiment:
     def test_small_run_passes(self):
         cfg = dg.ErdosRenyiConfig.from_c(30, 2.0, (1, 2))
         h = SmoothTestFunction("cosine", p=2, a=(0.5, 0.5))
-        rep = dg.run_degree_experiment(cfg, h, samples=4000, seed=3)
+        rep = run_experiment(dg.DegreeCountModel(cfg), h, samples=4000,
+                             seed=3, chunk_size=512)
         assert rep.passed
         assert rep.bound.total > 0
         payload = rep.to_jsonable()

@@ -8,6 +8,7 @@ import oracles
 from steinlab import nonlinear as nl
 from steinlab.errors import (InfeasibleAdjustment, NotPositiveDefinite,
                              ZeroMass)
+from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
 from steinlab.sizebias import DiscreteDistribution, verify_characterization
 from steinlab.testfuncs import SmoothTestFunction
@@ -264,7 +265,8 @@ class TestExperiment:
         totals = {}
         for n in (100, 400):
             cfg = nl.GaussianSumConfig(n, nl.parse_psi("square"), rho=0.0)
-            rep = nl.run_nonlinear_experiment(cfg, h, samples=20_000, seed=16)
+            rep = run_experiment(nl.GaussianSumModel(cfg), h,
+                                 samples=20_000, seed=16, chunk_size=8192)
             assert rep.passed
             totals[n] = rep.bound.total
         assert 1.6 <= totals[100] / totals[400] <= 2.4
@@ -273,15 +275,16 @@ class TestExperiment:
         cfg = nl.MultinomialSumConfig(30, 2, nl.parse_psi("square",
                                                           normalize=False))
         h = SmoothTestFunction("cosine", p=1, a=(1.0,))
-        rep = nl.run_nonlinear_experiment(cfg, h, samples=8000, seed=17,
-                                          inner=16)
+        rep = run_experiment(nl.MultinomialSumModel(cfg, inner=16), h,
+                             samples=8000, seed=17, chunk_size=8192)
         assert rep.passed
         assert rep.config["inner_draws"] == 16
 
     def test_report_echoes_correlation_summary(self):
         cfg = nl.GaussianSumConfig(12, nl.parse_psi("exp"), rho=0.1)
         h = SmoothTestFunction("cosine", p=1, a=(0.5,))
-        rep = nl.run_nonlinear_experiment(cfg, h, samples=4000, seed=18)
+        rep = run_experiment(nl.GaussianSumModel(cfg), h, samples=4000,
+                             seed=18, chunk_size=8192)
         assert rep.config["max_offdiag"] == pytest.approx(0.1)
         assert rep.config["offdiag_below_third"] is True
         assert rep.passed

@@ -251,6 +251,9 @@ def _run_stein(args) -> int:
     if args.p is not None and args.p != h.p:
         raise _UsageError(f"--p {args.p} disagrees with the test function "
                           f"dimension {h.p}")
+    if args.grid_points < 1:
+        raise _UsageError(f"--grid-points must be at least 1, got "
+                          f"{args.grid_points}")
     sol = SteinSolution(h, gh_nodes=args.gh_nodes)
     grid = grid_points(h.p, args.extent, args.grid_points)
     norms = h.derivative_norms()

@@ -19,8 +19,8 @@ from math import fsum
 import numpy as np
 
 from .bounds import LocalDepStats, bound_multivariate_local
-from .errors import (AsymmetricNeighborhoods, BadSpec, NotPositiveDefinite,
-                     TooLarge)
+from .errors import (AsymmetricNeighborhoods, BadSpec, GraphNotFound,
+                     NotPositiveDefinite, TooLarge)
 from .harness import Accumulator, StreamConfig, parallel_mc
 from .linalg import inverse_sqrt, jacobi_eigh, max_abs_norm
 from .specs import read_spec
@@ -131,7 +131,10 @@ def random_regular_graph(n: int, d: int, seed: int = 0,
         if len(np.unique(codes)) != len(codes):
             continue
         return _finish_graph(n, d, zip(a.tolist(), b.tolist()))
-    raise RuntimeError(f"no simple {d}-regular graph found in {max_tries} tries")
+    raise GraphNotFound(
+        f"regular:n={n},d={d}: no simple graph found in {max_tries} tries of "
+        f"the pairing model, whose success rate falls like exp(-d^2/4); d is "
+        f"too large or too close to n")
 
 
 def parse_graph_spec(spec: str, seed: int = 0) -> RegularGraph:

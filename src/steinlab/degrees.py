@@ -5,9 +5,16 @@ the vertices of that degree in a graph where every pair is an edge
 independently with probability ``pi``. The mean vector and covariance have
 exact closed forms; a size-bias coupling is realized by forcing a uniformly
 chosen vertex to have degree ``d_i`` through uniform edge insertions or
-deletions, and the inner conditional expectation of the count change given
-the graph is available exactly, which removes all nested Monte Carlo from
-the conditional-variance estimate.
+deletions (Goldstein & Rinott 1996), and the inner conditional expectation of
+the count change given the graph is available exactly, which removes all
+nested Monte Carlo from the conditional-variance estimate.
+
+All Monte Carlo work runs through one chunk kernel over a flat edge list
+``(gid, u, v)`` plus a per-graph degree array: graphs are sampled by
+geometric skips over the pair codes, the exact conditional expectation is a
+contraction of small per-graph degree histograms, and the coupling is one
+vectorised edge move per graph. Time and memory are linear in the chunk's
+edges and vertices. Scalar reference versions live in the test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from math import comb, fsum
 import numpy as np
 
 from .bounds import (MultivariateCouplingStats, bound_multivariate_size_bias)
-from .errors import InvariantViolation, TooLarge
+from .errors import TooLarge
 from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
 from .linalg import inverse_sqrt, max_abs_norm
 from .sizebias import CoupledPairSampler
@@ -94,302 +101,199 @@ def theoretical_moments(cfg: ErdosRenyiConfig):
 
 
 # ---------------------------------------------------------------------------
-# Graph samples
+# The chunk kernel
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GraphSample:
-    """A realized graph: sorted edge pairs ``u < v`` plus its degree array."""
-
-    n: int
-    edges: np.ndarray      # (E, 2) ints with u < v
-    degrees: np.ndarray    # (n,) ints
-
-    def validate(self):
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        if not np.all(u < v):
-            raise InvariantViolation("self-loop or unsorted pair")
-        codes = u * self.n + v
-        if len(np.unique(codes)) != len(codes):
-            raise InvariantViolation("duplicate edge")
-        deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
-        if not np.array_equal(deg, self.degrees):
-            raise InvariantViolation("degree array inconsistent")
-
-    def neighbors(self, vertex: int) -> np.ndarray:
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        return np.concatenate([v[u == vertex], u[v == vertex]])
-
-    def degree_counts(self, degrees) -> np.ndarray:
-        return np.array([(self.degrees == d).sum() for d in degrees],
-                        dtype=float)
-
-
-def _pair_count(n: int) -> int:
-    return n * (n - 1) // 2
-
 
 def _decode_pair_codes(codes: np.ndarray, n: int):
     """Invert the row-major upper-triangle code ``t = offset(u) + (v - u - 1)``."""
-    t = codes.astype(np.int64)
-    b = 2 * n - 1
-    u = np.floor((b - np.sqrt(b * b - 8.0 * t.astype(float))) / 2.0).astype(np.int64)
-    u = np.clip(u, 0, n - 2)
-    for _ in range(2):  # fix float rounding at offset boundaries
-        off = u * (2 * n - u - 1) // 2
-        u = np.where(t < off, u - 1, u)
-        u = np.clip(u, 0, n - 2)
-        off = u * (2 * n - u - 1) // 2
-        nxt = (u + 1) * (2 * n - u - 2) // 2
-        u = np.where((t >= nxt) & (u < n - 2), u + 1, u)
-    off = u * (2 * n - u - 1) // 2
-    v = t - off + u + 1
-    return u, v
+    rows = np.arange(n, dtype=np.int64)
+    offset = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(offset, codes, side="right") - 1
+    return u, codes - offset[u] + u + 1
 
 
-def _distinct_codes(rng: np.random.Generator, npop: int, m: int) -> np.ndarray:
-    """``m`` distinct uniform draws from ``range(npop)``, set-uniform."""
-    if m == 0:
-        return np.empty(0, dtype=np.int64)
-    if npop <= 8192 or 8 * m >= npop:
-        return rng.permutation(npop)[:m].astype(np.int64)
-    # Rejection: keep first occurrences in draw order until m are collected.
-    out = np.empty(0, dtype=np.int64)
-    while out.size < m:
-        need = m - out.size
-        draw = rng.integers(0, npop, size=need + need // 8 + 16, dtype=np.int64)
-        _, first = np.unique(draw, return_index=True)
-        fresh = draw[np.sort(first)]
-        if out.size:
-            fresh = fresh[~np.isin(fresh, out)]
-        out = np.concatenate([out, fresh])
-    return out[:m]
+def _bernoulli_positions(rng: np.random.Generator, total: int,
+                         pi: float) -> np.ndarray:
+    """Sorted indices of the successes among ``total`` Bernoulli(pi) trials.
 
-
-def sample_graph(cfg: ErdosRenyiConfig, rng: np.random.Generator) -> GraphSample:
-    """One draw of the graph: every pair is an edge independently w.p. pi."""
-    npairs = _pair_count(cfg.n)
-    m = int(rng.binomial(npairs, cfg.pi))
-    codes = _distinct_codes(rng, npairs, m)
-    u, v = _decode_pair_codes(codes, cfg.n)
-    deg = (np.bincount(u, minlength=cfg.n)
-           + np.bincount(v, minlength=cfg.n))
-    return GraphSample(cfg.n, np.stack([u, v], axis=1), deg)
-
-
-# ---------------------------------------------------------------------------
-# The coupling
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DegreeCouplingDraw:
-    """One coupling draw: the graph, the chosen vertex, and both counts."""
-
-    graph: GraphSample
-    vertex: int
-    modified: GraphSample
-    w: np.ndarray
-    wi: np.ndarray
-
-
-def _coupling_delta(rng, deg_row, edge_u, edge_v, n, degrees, i):
-    """Vertex choice plus count changes for one graph and coordinate i.
-
-    Returns ``(V, touched, added, dW)`` where ``touched`` are the other
-    endpoints of inserted/removed edges and ``added`` says which.
+    The gaps between successes are i.i.d. geometric, so they are drawn
+    directly (Batagelj & Brandes 2005); each block draws as many gaps as
+    the trials still left are expected to hold.
     """
-    d_i = degrees[i]
-    vertex = int(rng.integers(n))
-    dv = int(deg_row[vertex])
-    delta = dv - d_i
-    darr = np.asarray(degrees)
-    if delta == 0:
-        return vertex, np.empty(0, dtype=np.int64), False, np.zeros(len(degrees))
-    nb = np.concatenate([edge_v[edge_u == vertex], edge_u[edge_v == vertex]])
-    if delta > 0:
-        sel = rng.permutation(dv)[:delta]
-        touched = nb[sel]
-        added = False
-        old = deg_row[touched]
-        new = old - 1
-    else:
-        mask = np.ones(n, dtype=bool)
-        mask[vertex] = False
-        mask[nb] = False
-        cand = np.flatnonzero(mask)
-        sel = rng.permutation(cand.size)[:-delta]
-        touched = cand[sel]
-        added = True
-        old = deg_row[touched]
-        new = old + 1
-    d_w = ((new[:, None] == darr).sum(axis=0)
-           - (old[:, None] == darr).sum(axis=0)).astype(float)
-    d_w += (darr == d_i).astype(float) - (darr == dv).astype(float)
-    return vertex, touched, added, d_w
+    blocks = []
+    last = -1
+    while last < total:
+        gaps = rng.geometric(pi, size=int((total - 1 - last) * pi) + 1)
+        blocks.append(last + np.cumsum(gaps))
+        last = int(blocks[-1][-1])
+    pos = np.concatenate(blocks)
+    return pos[:np.searchsorted(pos, total)]
 
 
-def couple_degree(graph: GraphSample, cfg: ErdosRenyiConfig, i: int,
-                  rng: np.random.Generator) -> DegreeCouplingDraw:
-    """Force a uniformly chosen vertex to degree ``d_i``.
+def _rank_in_group(g: np.ndarray) -> np.ndarray:
+    """Position of each entry within its run of equal values in sorted ``g``."""
+    return np.arange(g.size) - np.searchsorted(g, g)
 
-    Edges at the vertex are removed uniformly when its degree is too high,
-    or edges to uniformly chosen non-neighbors inserted when too low. The
-    modified graph then has the conditional law of the original given that
-    the chosen vertex has degree ``d_i``.
+
+def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
+    """Uniform ``need[b]``-subsets of the non-neighbours of ``vertex[b]``.
+
+    Graph b gets ``need[b] = d_i - D(vertex[b])`` new neighbours when that
+    is positive; ``nb_keys`` holds ``b * n + x`` for each neighbour x of
+    ``vertex[b]``. Returns ``b * n + x`` for every chosen x.
+
+    While ``2 d_i <= n - 1``, the neighbours and the vertices already taken
+    (fewer than d_i) fill less than half of the n - 1 other vertices, so
+    uniform draws from those, rejecting neighbours and repeats, are accepted
+    with probability above 1/2 and the work is O(need). Larger targets, up
+    to d_i = n - 1, enumerate the candidates instead at O(n) = O(d_i) cost.
     """
-    vertex, touched, added, d_w = _coupling_delta(
-        rng, graph.degrees, graph.edges[:, 0], graph.edges[:, 1],
-        cfg.n, cfg.degrees, i
-    )
-    edges = graph.edges
-    if touched.size:
-        pairs = np.stack([np.minimum(touched, vertex),
-                          np.maximum(touched, vertex)], axis=1)
-        if added:
-            edges = np.concatenate([edges, pairs], axis=0)
-        else:
-            codes = edges[:, 0] * cfg.n + edges[:, 1]
-            drop = pairs[:, 0] * cfg.n + pairs[:, 1]
-            edges = edges[~np.isin(codes, drop)]
-    deg = (np.bincount(edges[:, 0], minlength=cfg.n)
-           + np.bincount(edges[:, 1], minlength=cfg.n))
-    modified = GraphSample(cfg.n, edges, deg)
-    w = graph.degree_counts(cfg.degrees)
-    wi = modified.degree_counts(cfg.degrees)
-    if deg[vertex] != cfg.degrees[i]:
-        raise InvariantViolation("chosen vertex missed the target degree")
-    if not np.allclose(wi - w, d_w):
-        raise InvariantViolation("count change disagrees with the coupling")
-    return DegreeCouplingDraw(graph, vertex, modified, w, wi)
+    size = vertex.size
+    if 2 * d_i > n - 1:
+        rows = np.flatnonzero(need > 0)
+        local = np.full(size, -1)
+        local[rows] = np.arange(rows.size)
+        row, x = np.divmod(nb_keys, n)
+        row = local[row]
+        cand = np.ones((rows.size, n), dtype=bool)
+        cand[row[row >= 0], x[row >= 0]] = False
+        cand[np.arange(rows.size), vertex[rows]] = False
+        order = np.argsort(np.where(cand, rng.random(cand.shape), 2.0), axis=1)
+        pick = np.arange(n) < need[rows, None]
+        return rows[np.nonzero(pick)[0]] * n + order[pick]
+    left = np.maximum(need, 0)
+    taken = np.empty(0, dtype=np.int64)
+    while left.any():
+        # accepted draws keep first occurrences, in draw order, per graph
+        g = np.repeat(np.arange(size), 2 * left)
+        x = rng.integers(n - 1, size=g.size)
+        key = g * n + x + (x >= vertex[g])
+        key = key[~(np.isin(key, nb_keys) | np.isin(key, taken))]
+        _, first = np.unique(key, return_index=True)
+        key = key[np.sort(first)]
+        g = key // n
+        key = key[_rank_in_group(g) < left[g]]
+        left -= np.bincount(key // n, minlength=size)
+        taken = np.concatenate([taken, key])
+    return taken
 
-
-def cond_exp_given_graph(graph: GraphSample, cfg: ErdosRenyiConfig,
-                         i: int, j: int) -> float:
-    """Exact ``E[W^i_j - W_j | graph]`` over the coupling's randomness.
-
-    Averages over the uniform vertex choice and the uniform edge
-    insertions/removals: a neighbor of an over-degree vertex loses its edge
-    with probability ``(D(v) - d_i) / D(v)``, a non-neighbor of an
-    under-degree vertex gains one with probability
-    ``(d_i - D(v)) / (n - 1 - D(v))``, and the chosen vertex itself moves to
-    degree ``d_i`` deterministically.
-    """
-    n = cfg.n
-    d_i, d_j = cfg.degrees[i], cfg.degrees[j]
-    deg = graph.degrees
-    total = 0.0
-    for v in range(n):
-        dv = int(deg[v])
-        if dv != d_i:
-            nb = graph.neighbors(v)
-            if dv > d_i:
-                gain = int(np.sum(deg[nb] == d_j + 1))
-                lose = int(np.sum(deg[nb] == d_j))
-                total += (gain - lose) * (dv - d_i) / dv
-            else:
-                nn_total = n - 1 - dv
-                nn_at = lambda t: (
-                    int(np.sum(deg == t)) - int(dv == t)
-                    - int(np.sum(deg[nb] == t))
-                ) if t >= 0 else 0
-                gain = nn_at(d_j - 1)
-                lose = nn_at(d_j)
-                total += (gain - lose) * (d_i - dv) / nn_total
-        # the chosen vertex itself: after coupling its degree is d_i
-        total += float(d_i == d_j) - float(dv == d_j)
-    return total / n
-
-
-# ---------------------------------------------------------------------------
-# Vectorized chunk kernel
-# ---------------------------------------------------------------------------
 
 class _GraphChunk:
-    """A batch of independent graph draws in flat-edge representation."""
+    """``size`` independent G(n, pi) draws as one flat edge list.
 
-    __slots__ = ("size", "n", "counts", "offsets", "u", "v", "deg")
+    Edge k joins ``u[k] < v[k]`` in graph ``gid[k]``; edges are sorted by
+    graph, then by pair code, and ``deg[b]`` is the degree array of graph b.
+    The chunk is one run of Bernoulli(pi) trials over the concatenated pair
+    codes of its graphs, so every pair of every graph is an edge
+    independently with probability pi.
+    """
+
+    __slots__ = ("size", "n", "gid", "u", "v", "deg")
 
     def __init__(self, rng, size, cfg):
         n = cfg.n
-        npairs = _pair_count(n)
-        counts = rng.binomial(npairs, cfg.pi, size=size)
-        codes = np.empty(int(counts.sum()), dtype=np.int64)
-        pos = 0
-        for b in range(size):
-            m = int(counts[b])
-            codes[pos:pos + m] = _distinct_codes(rng, npairs, m)
-            pos += m
+        npairs = n * (n - 1) // 2
+        self.gid, codes = np.divmod(
+            _bernoulli_positions(rng, size * npairs, cfg.pi), npairs)
+        self.u, self.v = _decode_pair_codes(codes, n)
         self.size = size
         self.n = n
-        self.counts = counts
-        self.offsets = np.concatenate([[0], np.cumsum(counts)])
-        self.u, self.v = _decode_pair_codes(codes, n)
-        gid = np.repeat(np.arange(size), counts)
-        flat = np.bincount(gid * n + self.u, minlength=size * n)
-        flat += np.bincount(gid * n + self.v, minlength=size * n)
+        flat = np.bincount(self.gid * n + self.u, minlength=size * n)
+        flat += np.bincount(self.gid * n + self.v, minlength=size * n)
         self.deg = flat.reshape(size, n)
-
-    @property
-    def gid(self):
-        return np.repeat(np.arange(self.size), self.counts)
 
     def degree_count_matrix(self, degrees) -> np.ndarray:
         return np.stack(
             [(self.deg == d).sum(axis=1) for d in degrees], axis=1
         ).astype(float)
 
-    def edge_slice(self, b):
-        lo, hi = self.offsets[b], self.offsets[b + 1]
-        return self.u[lo:hi], self.v[lo:hi]
+    def cond_exp(self, degrees) -> np.ndarray:
+        """Exact ``E[W^i_j - W_j | graph]`` for every graph, (size, p, p).
 
+        The coupling averages over the uniform vertex V and the uniform
+        edge choices: when ``D(V) = a > d_i`` each neighbour of V loses its
+        edge with probability ``(a - d_i) / a``; when ``a < d_i`` each
+        non-neighbour gains one with probability ``(d_i - a) / (n - 1 - a)``;
+        and V itself moves to degree d_i. Summed over V this needs only,
+        per graph, the number of vertices of each degree a and the number
+        of edges from a degree-a vertex to a degree-t neighbour, for t in
+        ``d_j - 1, d_j, d_j + 1``.
+        """
+        size, n, p = self.size, self.n, len(degrees)
+        top = max(int(self.deg.max(initial=0)), max(degrees)) + 2
+        a = np.arange(top)
+        count = np.bincount(
+            (np.arange(size)[:, None] * top + self.deg).ravel(),
+            minlength=size * top).reshape(size, top).astype(float)
+        tvals = sorted({t for d in degrees for t in (d - 1, d, d + 1)
+                        if t >= 0})
+        width = len(tvals) + 1  # the last slot collects every other t
+        slot = np.full(top, len(tvals))
+        slot[tvals] = np.arange(len(tvals))
+        deg_u = self.deg[self.gid, self.u]
+        deg_v = self.deg[self.gid, self.v]
+        flat = np.bincount((self.gid * top + deg_u) * width + slot[deg_v],
+                           minlength=size * top * width)
+        flat += np.bincount((self.gid * top + deg_v) * width + slot[deg_u],
+                            minlength=size * top * width)
+        edges_to = flat.reshape(size, top, width).astype(float)
+        zero = np.zeros((size, top))
 
-def _cond_exp_chunk(chunk: _GraphChunk, degrees) -> np.ndarray:
-    """Exact ``E[W^i_j - W_j | graph]`` for every graph in the chunk."""
-    size, n = chunk.size, chunk.n
-    deg = chunk.deg
-    gid = chunk.gid
-    deg_u = deg[gid, chunk.u]
-    deg_v = deg[gid, chunk.v]
-    tvals = set()
-    for d in degrees:
-        tvals.update(t for t in (d - 1, d, d + 1) if t >= 0)
-    base_u = gid * n + chunk.u
-    base_v = gid * n + chunk.v
-    nbr = {}
-    cnt = {}
-    for t in sorted(tvals):
-        flat = np.bincount(base_u, weights=(deg_v == t).astype(float),
-                           minlength=size * n)
-        flat += np.bincount(base_v, weights=(deg_u == t).astype(float),
-                            minlength=size * n)
-        nbr[t] = flat.reshape(size, n)
-        cnt[t] = (deg == t).sum(axis=1).astype(float)
-    p = len(degrees)
-    out = np.empty((size, p, p))
-    zero = np.zeros((size, n))
-    for i, d_i in enumerate(degrees):
-        over = deg > d_i
-        under = deg < d_i
-        w_over = np.where(over, (deg - d_i) / np.maximum(deg, 1), 0.0)
-        w_under = np.where(under, (d_i - deg) / (n - 1 - deg), 0.0)
-        n_not_i = (deg != d_i).sum(axis=1).astype(float)
-        for j, d_j in enumerate(degrees):
-            a_plus = nbr.get(d_j + 1, zero)
-            a_zero = nbr[d_j]
-            term1 = (w_over * (a_plus - a_zero)).sum(axis=1)
-            nn_zero = cnt[d_j][:, None] - (deg == d_j) - nbr[d_j]
-            if d_j - 1 >= 0:
-                nn_minus = (cnt[d_j - 1][:, None] - (deg == d_j - 1)
-                            - nbr[d_j - 1])
-            else:
-                nn_minus = zero
-            term2 = (w_under * (nn_minus - nn_zero)).sum(axis=1)
-            if i == j:
-                fixed = n_not_i
-            else:
-                fixed = -cnt[d_j]
-            out[:, i, j] = (term1 + term2 + fixed) / n
-    return out
+        def neighbours(t):  # degree-t neighbours of the degree-a vertices
+            return edges_to[:, :, slot[t]] if t >= 0 else zero
+
+        def non_neighbours(t):
+            if t < 0:
+                return zero
+            return count * (count[:, t, None] - (a == t)) - neighbours(t)
+
+        out = np.empty((size, p, p))
+        for i, d_i in enumerate(degrees):
+            drop = np.where(a > d_i, (a - d_i) / np.maximum(a, 1), 0.0)
+            link = np.where(a < d_i, (d_i - a) / np.maximum(n - 1 - a, 1), 0.0)
+            for j, d_j in enumerate(degrees):
+                moved = ((neighbours(d_j + 1) - neighbours(d_j)) @ drop
+                         + (non_neighbours(d_j - 1) - non_neighbours(d_j))
+                         @ link)
+                out[:, i, j] = (moved + n * (i == j) - count[:, d_j]) / n
+        return out
+
+    def couple(self, rng, i: int, degrees) -> np.ndarray:
+        """One coupling draw per graph: ``W^i - W``, shape (size, p).
+
+        A uniformly chosen vertex V is forced to degree ``d_i``: when its
+        degree is too high the incident edges with the lowest random keys
+        go, a uniform subset; when too low, edges to a uniform subset of
+        its non-neighbours come in.
+        """
+        size, n = self.size, self.n
+        d_i = degrees[i]
+        vertex = rng.integers(n, size=size)
+        dv = self.deg[np.arange(size), vertex]
+        delta = dv - d_i
+        at_v = vertex[self.gid]
+        inc = np.flatnonzero((self.u == at_v) | (self.v == at_v))
+        g_inc = self.gid[inc]
+        nb = np.where(self.u[inc] == at_v[inc], self.v[inc], self.u[inc])
+
+        over = delta[g_inc] > 0
+        g_del, x_del = g_inc[over], nb[over]
+        order = np.lexsort((rng.random(g_del.size), g_del))
+        g_del, x_del = g_del[order], x_del[order]
+        keep = _rank_in_group(g_del) < delta[g_del]
+        g_add, x_add = np.divmod(
+            _non_neighbours(rng, n, d_i, vertex, -delta, g_inc * n + nb), n)
+
+        g = np.concatenate([g_del[keep], g_add])
+        old = self.deg[g, np.concatenate([x_del[keep], x_add])]
+        new = old + np.sign(-delta[g])
+        darr = np.asarray(degrees)
+        d_w = (darr == d_i).astype(float) - (dv[:, None] == darr)
+        for k, d in enumerate(degrees):
+            d_w[:, k] += np.bincount(
+                g, weights=(new == d).astype(float) - (old == d),
+                minlength=size)
+        return d_w
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +303,10 @@ def _cond_exp_chunk(chunk: _GraphChunk, degrees) -> np.ndarray:
 class DegreeCountCoupler(CoupledPairSampler):
     """Coupled pair sampler ``(W, W^i)`` for the degree-count vector.
 
-    Batches are drawn through a dense pair-indicator kernel whenever the
-    (sub-batch x pair-count) footprint is affordable: the uniform edge
-    choices at the picked vertex become a rank threshold on per-slot random
-    keys, so a whole batch is coupled without a Python loop.
+    A batch is one :class:`_GraphChunk`: W counts its degrees and W^i adds
+    one coupling draw per graph, so time and memory are linear in the
+    batch's edges and vertices.
     """
-
-    _DENSE_BUDGET = 1 << 25  # bools per sub-batch
-    _DENSE_MAX_N = 1024
 
     def __init__(self, cfg: ErdosRenyiConfig):
         self.cfg = cfg
@@ -414,89 +314,11 @@ class DegreeCountCoupler(CoupledPairSampler):
         lam, sigma, _ = theoretical_moments(cfg)
         self.mean_vector = lam
         self.sigma = sigma
-        n = cfg.n
-        if n <= self._DENSE_MAX_N:
-            others = np.empty((n, n - 1), dtype=np.int64)
-            codes = np.empty((n, n - 1), dtype=np.int64)
-            for v in range(n):
-                other = np.concatenate([np.arange(v), np.arange(v + 1, n)])
-                others[v] = other
-                lo = np.minimum(other, v)
-                hi = np.maximum(other, v)
-                codes[v] = lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
-            self._others = others
-            self._codes = codes
-            incidence = np.zeros((_pair_count(n), n), dtype=np.float32)
-            all_u, all_v = _decode_pair_codes(np.arange(_pair_count(n)), n)
-            incidence[np.arange(_pair_count(n)), all_u] = 1.0
-            incidence[np.arange(_pair_count(n)), all_v] = 1.0
-            self._incidence = incidence
-        else:
-            self._others = None
 
     def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        cfg = self.cfg
-        if self._others is None:
-            return self._sparse_draw_batch(i, size, rng)
-        npairs = _pair_count(cfg.n)
-        sub = max(1, min(size, self._DENSE_BUDGET // max(npairs, 1)))
-        w = np.empty((size, self.p))
-        wi = np.empty((size, self.p))
-        pos = 0
-        while pos < size:
-            take = min(sub, size - pos)
-            w_sub, wi_sub = self._dense_draw(i, take, rng)
-            w[pos:pos + take] = w_sub
-            wi[pos:pos + take] = wi_sub
-            pos += take
-        return w, wi
-
-    def _dense_draw(self, i: int, size: int, rng: np.random.Generator):
-        cfg = self.cfg
-        n = cfg.n
-        d_i = cfg.degrees[i]
-        darr = np.asarray(cfg.degrees)
-        bits = rng.random((size, _pair_count(n))) < cfg.pi
-        deg = np.rint(bits.astype(np.float32) @ self._incidence).astype(np.int64)
-        w = np.stack([(deg == d).sum(axis=1) for d in darr], axis=1).astype(float)
-        vertex = rng.integers(n, size=size)
-        keys = rng.random((size, n - 1))
-        rows = np.arange(size)
-        nbmask = bits[rows[:, None], self._codes[vertex]]
-        dv = deg[rows, vertex]
-        delta = dv - d_i
-        need = np.abs(delta)
-        eligible = np.where((delta > 0)[:, None], nbmask, ~nbmask)
-        masked = np.where(eligible, keys, np.inf)
-        order = np.argsort(masked, axis=1)
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order,
-                          np.broadcast_to(np.arange(n - 1), order.shape), axis=1)
-        chosen = (ranks < need[:, None]) & eligible
-        udeg = deg[rows[:, None], self._others[vertex]]
-        newdeg = udeg + np.where(delta > 0, -1, 1)[:, None]
-        d_w = np.zeros((size, self.p))
-        for k, d_j in enumerate(darr):
-            d_w[:, k] = (
-                (chosen & (newdeg == d_j)).sum(axis=1).astype(float)
-                - (chosen & (udeg == d_j)).sum(axis=1).astype(float)
-                + float(d_i == d_j)
-                - (dv == d_j).astype(float)
-            )
-        return w, w + d_w
-
-    def _sparse_draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        cfg = self.cfg
-        chunk = _GraphChunk(rng, size, cfg)
-        w = chunk.degree_count_matrix(cfg.degrees)
-        wi = w.copy()
-        for b in range(size):
-            eu, ev = chunk.edge_slice(b)
-            _, _, _, d_w = _coupling_delta(
-                rng, chunk.deg[b], eu, ev, cfg.n, cfg.degrees, i
-            )
-            wi[b] += d_w
-        return w, wi
+        chunk = _GraphChunk(rng, size, self.cfg)
+        w = chunk.degree_count_matrix(self.cfg.degrees)
+        return w, w + chunk.couple(rng, i, self.cfg.degrees)
 
 
 def degree_coupler(cfg: ErdosRenyiConfig) -> DegreeCountCoupler:
@@ -519,15 +341,11 @@ def estimate_coupling_stats(cfg: ErdosRenyiConfig, samples: int, seed: int = 0,
 
     def task(rng, size):
         chunk = _GraphChunk(rng, size, cfg)
-        cond = _cond_exp_chunk(chunk, cfg.degrees)
+        cond = chunk.cond_exp(cfg.degrees)
         cross = np.empty((size, p, p, p))
-        for b in range(size):
-            eu, ev = chunk.edge_slice(b)
-            for i in range(p):
-                _, _, _, d_w = _coupling_delta(
-                    rng, chunk.deg[b], eu, ev, cfg.n, cfg.degrees, i
-                )
-                cross[b, i] = np.abs(np.outer(d_w, d_w))
+        for i in range(p):
+            d_w = chunk.couple(rng, i, cfg.degrees)
+            cross[:, i] = np.abs(d_w[:, :, None] * d_w[:, None, :])
         return (Accumulator(shape=(p, p), max_power=4).add(cond),
                 Accumulator(shape=(p, p, p)).add(cross))
 

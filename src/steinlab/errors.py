@@ -57,5 +57,9 @@ class BadSpec(SteinLabError, ValueError):
     """A ``kind:key=value,...`` spec string is malformed or incomplete."""
 
 
+class GraphNotFound(SteinLabError):
+    """A random-graph sampler gave up before finding a valid graph."""
+
+
 class InvariantViolation(SteinLabError):
     """A sampled object broke an invariant its construction guarantees."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionalUnavailable, ZeroMean
-from .harness import Accumulator, StreamConfig, parallel_mc
+from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
 
 # Stream-index stride separating the estimation passes for different
 # coordinates under one master seed.
@@ -343,6 +343,7 @@ def verify_characterization(sampler: CoupledPairSampler, g_suite=None,
     per-draw difference ``W_i G(W) - lambda_i G(W^i)`` and reports its mean
     over its standard error. Validation passes when all ``|z| <= 4``.
     """
+    require_samples(samples)
     cfg = StreamConfig(seed, chunk_size)
     lam = np.asarray(sampler.mean_vector, dtype=float)
     if g_suite is None:

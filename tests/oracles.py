@@ -5,9 +5,12 @@ outcomes), independent of the production sampling paths it checks.
 """
 
 import itertools
+from dataclasses import dataclass
 from math import comb, fsum
 
 import numpy as np
+
+from steinlab.errors import InvariantViolation
 
 
 def convolve_laws(laws):
@@ -189,6 +192,130 @@ def degree_construction_law(n, pi, degree_values, i):
                           for d in degree_values)
                 law[w] = law.get(w, 0.0) + pv * weight
     return law
+
+
+# ---------------------------------------------------------------------------
+# Degree counts: scalar reference versions of the chunk kernel
+# ---------------------------------------------------------------------------
+
+@dataclass
+class GraphSample:
+    """A realized graph: sorted edge pairs ``u < v`` plus its degree array."""
+
+    n: int
+    edges: np.ndarray      # (E, 2) ints with u < v
+    degrees: np.ndarray    # (n,) ints
+
+    def validate(self):
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        if not np.all(u < v):
+            raise InvariantViolation("self-loop or unsorted pair")
+        codes = u * self.n + v
+        if len(np.unique(codes)) != len(codes):
+            raise InvariantViolation("duplicate edge")
+        deg = np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
+        if not np.array_equal(deg, self.degrees):
+            raise InvariantViolation("degree array inconsistent")
+
+    def neighbors(self, vertex: int) -> np.ndarray:
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        return np.concatenate([v[u == vertex], u[v == vertex]])
+
+    def degree_counts(self, degrees) -> np.ndarray:
+        return np.array([(self.degrees == d).sum() for d in degrees],
+                        dtype=float)
+
+
+def graph_from_edges(n, edges) -> GraphSample:
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    deg = (np.bincount(edges[:, 0], minlength=n)
+           + np.bincount(edges[:, 1], minlength=n))
+    return GraphSample(n, edges, deg)
+
+
+def sample_graph(cfg, rng) -> GraphSample:
+    """One draw of G(n, pi): one uniform per pair, kept when below pi."""
+    u, v = np.triu_indices(cfg.n, 1)
+    keep = rng.random(u.size) < cfg.pi
+    return graph_from_edges(cfg.n, np.stack([u[keep], v[keep]], axis=1))
+
+
+@dataclass
+class DegreeCouplingDraw:
+    """One coupling draw: the graph, the chosen vertex, and both counts."""
+
+    graph: GraphSample
+    vertex: int
+    modified: GraphSample
+    w: np.ndarray
+    wi: np.ndarray
+
+
+def couple_degree(graph: GraphSample, cfg, i: int, rng) -> DegreeCouplingDraw:
+    """Force a uniformly chosen vertex to degree ``d_i``.
+
+    Edges at the vertex are removed uniformly when its degree is too high,
+    or edges to uniformly chosen non-neighbors inserted when too low. The
+    modified graph then has the conditional law of the original given that
+    the chosen vertex has degree ``d_i``.
+    """
+    n, d_i = cfg.n, cfg.degrees[i]
+    vertex = int(rng.integers(n))
+    dv = int(graph.degrees[vertex])
+    edges = graph.edges
+    if dv > d_i:
+        incident = np.flatnonzero((edges[:, 0] == vertex)
+                                  | (edges[:, 1] == vertex))
+        edges = np.delete(edges, rng.choice(incident, dv - d_i,
+                                            replace=False), axis=0)
+    elif dv < d_i:
+        others = np.setdiff1d(np.arange(n),
+                              np.append(graph.neighbors(vertex), vertex))
+        add = rng.choice(others, d_i - dv, replace=False)
+        edges = np.concatenate([edges, np.stack(
+            [np.minimum(add, vertex), np.maximum(add, vertex)], axis=1)])
+    modified = graph_from_edges(n, edges)
+    if modified.degrees[vertex] != d_i:
+        raise InvariantViolation("chosen vertex missed the target degree")
+    return DegreeCouplingDraw(graph, vertex, modified,
+                              graph.degree_counts(cfg.degrees),
+                              modified.degree_counts(cfg.degrees))
+
+
+def cond_exp_given_graph(graph: GraphSample, cfg, i: int, j: int) -> float:
+    """Exact ``E[W^i_j - W_j | graph]`` over the coupling's randomness.
+
+    Averages over the uniform vertex choice and the uniform edge
+    insertions/removals: a neighbor of an over-degree vertex loses its edge
+    with probability ``(D(v) - d_i) / D(v)``, a non-neighbor of an
+    under-degree vertex gains one with probability
+    ``(d_i - D(v)) / (n - 1 - D(v))``, and the chosen vertex itself moves to
+    degree ``d_i`` deterministically.
+    """
+    n = cfg.n
+    d_i, d_j = cfg.degrees[i], cfg.degrees[j]
+    deg = graph.degrees
+    total = 0.0
+    for v in range(n):
+        dv = int(deg[v])
+        if dv != d_i:
+            nb = graph.neighbors(v)
+            if dv > d_i:
+                gain = int(np.sum(deg[nb] == d_j + 1))
+                lose = int(np.sum(deg[nb] == d_j))
+                total += (gain - lose) * (dv - d_i) / dv
+            else:
+                nn_total = n - 1 - dv
+                nn_at = lambda t: (
+                    int(np.sum(deg == t)) - int(dv == t)
+                    - int(np.sum(deg[nb] == t))
+                ) if t >= 0 else 0
+                gain = nn_at(d_j - 1)
+                lose = nn_at(d_j)
+                total += (gain - lose) * (d_i - dv) / nn_total
+        # the chosen vertex itself: after coupling its degree is d_i
+        total += float(d_i == d_j) - float(dv == d_j)
+    return total / n
 
 
 # ---------------------------------------------------------------------------

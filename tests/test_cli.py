@@ -245,6 +245,14 @@ class TestUsageErrors:
          "'regular:n=20' is missing key 'd'"),
         (["sweep", "color-match", "--n", "20", "--colors", "0.5,0.5",
           "--graph-family", "regular"], "'regular:n=20' is missing key 'd'"),
+        (["validate-couplings", "--which", "bernoulli-sum", "--samples", "0"],
+         "at least 100 samples, got 0"),
+        (["validate-couplings", "--which", "bernoulli-sum", "--samples", "1"],
+         "at least 100 samples, got 1"),
+        (["color-match", "--graph", "regular:n=7,d=6", "--colors", "0.5,0.5"],
+         "regular:n=7,d=6: no simple graph found in 2000 tries"),
+        (["stein-check", "--h", "cosine:a=1", "--grid-points", "0"],
+         "--grid-points must be at least 1, got 0"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

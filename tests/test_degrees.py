@@ -2,6 +2,7 @@
 expectations, enumeration oracles and the end-to-end experiment."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,30 +76,41 @@ class TestBruteForceOracle:
                                                        check_pd=False))
 
 
+def _chunk_graphs(chunk):
+    """The chunk's graphs as scalar-oracle graph samples."""
+    return [oracles.GraphSample(chunk.n,
+                                np.stack([chunk.u[chunk.gid == b],
+                                          chunk.v[chunk.gid == b]], axis=1),
+                                chunk.deg[b])
+            for b in range(chunk.size)]
+
+
 class TestSampling:
     def test_edge_count_mean(self):
         """n=100, pi=0.02: mean edge count is C(100,2) * 0.02 = 99."""
         cfg = dg.ErdosRenyiConfig(100, 0.02, (1,), check_pd=False)
-        rng = StreamConfig(3).stream(0)
         m = 4000
-        counts = [dg.sample_graph(cfg, rng).edges.shape[0] for _ in range(m)]
+        chunk = dg._GraphChunk(StreamConfig(3).stream(0), m, cfg)
+        counts = np.bincount(chunk.gid, minlength=m)
         se = np.sqrt(4950 * 0.02 * 0.98 / m)
         assert abs(np.mean(counts) - 99.0) <= 4.0 * se
 
     def test_graph_internally_consistent(self):
         cfg = dg.ErdosRenyiConfig(40, 0.12, (1, 2), check_pd=False)
-        rng = StreamConfig(5).stream(1)
-        for _ in range(20):
-            dg.sample_graph(cfg, rng).validate()
+        chunk = dg._GraphChunk(StreamConfig(5).stream(1), 20, cfg)
+        assert np.all(np.diff(chunk.gid) >= 0)
+        for g in _chunk_graphs(chunk):
+            g.validate()
 
     def test_duplicate_edge_rejected(self):
         # degrees agree with the edge list, so only the duplicate is wrong
-        g = dg.GraphSample(3, np.array([[0, 1], [0, 1]]), np.array([2, 2, 0]))
+        g = oracles.GraphSample(3, np.array([[0, 1], [0, 1]]),
+                                np.array([2, 2, 0]))
         with pytest.raises(InvariantViolation, match="duplicate edge"):
             g.validate()
 
     def test_decode_roundtrip(self):
-        for n in (2, 3, 7, 50):
+        for n in (2, 3, 7, 50, 1000):
             codes = np.arange(n * (n - 1) // 2)
             u, v = dg._decode_pair_codes(codes, n)
             assert np.all(u < v)
@@ -111,16 +123,16 @@ class TestCoupling:
         cfg = dg.ErdosRenyiConfig(4, 0.5, (2,), check_pd=False)
         # the 4-cycle is 2-regular
         edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
-        g = dg.GraphSample(4, edges, np.full(4, 2))
-        draw = dg.couple_degree(g, cfg, 0, StreamConfig(0).stream(0))
+        g = oracles.GraphSample(4, edges, np.full(4, 2))
+        draw = oracles.couple_degree(g, cfg, 0, StreamConfig(0).stream(0))
         np.testing.assert_array_equal(draw.w, draw.wi)
         assert draw.modified.edges.shape == edges.shape
 
     def test_empty_graph_gets_one_edge(self):
         cfg = dg.ErdosRenyiConfig(5, 0.3, (1,), check_pd=False)
-        g = dg.GraphSample(5, np.empty((0, 2), dtype=int),
-                           np.zeros(5, dtype=int))
-        draw = dg.couple_degree(g, cfg, 0, StreamConfig(1).stream(0))
+        g = oracles.GraphSample(5, np.empty((0, 2), dtype=int),
+                                np.zeros(5, dtype=int))
+        draw = oracles.couple_degree(g, cfg, 0, StreamConfig(1).stream(0))
         assert draw.modified.edges.shape[0] == 1
         assert draw.modified.degrees[draw.vertex] == 1
 
@@ -128,12 +140,12 @@ class TestCoupling:
         """K_3 forced to degree 1: either incident edge goes, w.p. 1/2."""
         cfg = dg.ErdosRenyiConfig(3, 0.5, (1,), check_pd=False)
         edges = np.array([[0, 1], [0, 2], [1, 2]])
-        g = dg.GraphSample(3, edges, np.full(3, 2))
+        g = oracles.GraphSample(3, edges, np.full(3, 2))
         rng = StreamConfig(2).stream(0)
         m = 20000
         kept = []
         for _ in range(m):
-            draw = dg.couple_degree(g, cfg, 0, rng)
+            draw = oracles.couple_degree(g, cfg, 0, rng)
             assert draw.modified.edges.shape[0] == 2
             assert draw.modified.degrees[draw.vertex] == 1
             kept.append(draw.modified.degrees.sum())
@@ -145,45 +157,85 @@ class TestCoupling:
         cfg = dg.ErdosRenyiConfig(18, 0.15, (1, 3), check_pd=False)
         rng = StreamConfig(7).stream(0)
         for _ in range(150):
-            g = dg.sample_graph(cfg, rng)
+            g = oracles.sample_graph(cfg, rng)
             i = int(rng.integers(2))
-            draw = dg.couple_degree(g, cfg, i, rng)
+            draw = oracles.couple_degree(g, cfg, i, rng)
             draw.modified.validate()
             assert draw.modified.degrees[draw.vertex] == cfg.degrees[i]
             cap = abs(int(g.degrees[draw.vertex]) - cfg.degrees[i]) + 1
             assert np.all(np.abs(draw.wi - draw.w) <= cap)
 
-    def test_dense_and_sparse_draws_same_law(self):
-        """The vectorized batch kernel agrees with the per-graph path."""
-        cfg = dg.ErdosRenyiConfig.from_c(16, 2.0, (1, 2), check_pd=False)
-        coupler = dg.degree_coupler(cfg)
-        m = 60_000
-        w_d, wi_d = coupler.draw_batch(0, m, StreamConfig(11).stream(0))
-        w_s, wi_s = coupler._sparse_draw_batch(0, m, StreamConfig(12).stream(0))
-        for a, b in ((w_d, w_s), (wi_d, wi_s)):
-            se = np.sqrt(a.var(axis=0) / m + b.var(axis=0) / m)
+    @pytest.mark.parametrize("n,pi,degrees,i", [
+        (16, 2.0 / 15, (1, 2), 0),   # deletions, insertions by rejection
+        (10, 0.5, (2, 8), 1),        # insertions by enumeration
+    ], ids=["sparse", "dense"])
+    def test_kernel_and_scalar_oracle_same_law(self, n, pi, degrees, i):
+        """The batch kernel's (W, W^i) agrees with the scalar reference."""
+        cfg = dg.ErdosRenyiConfig(n, pi, degrees, check_pd=False)
+        m_kernel, m_oracle = 60_000, 6_000
+        w_k, wi_k = dg.degree_coupler(cfg).draw_batch(
+            i, m_kernel, StreamConfig(11).stream(0))
+        rng = StreamConfig(12).stream(0)
+        draws = [oracles.couple_degree(oracles.sample_graph(cfg, rng), cfg,
+                                       i, rng) for _ in range(m_oracle)]
+        w_o = np.array([d.w for d in draws])
+        wi_o = np.array([d.wi for d in draws])
+        for a, b in ((w_k, w_o), (wi_k, wi_o)):
+            se = np.sqrt(a.var(axis=0) / m_kernel + b.var(axis=0) / m_oracle)
             assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se)
+
+    @pytest.mark.parametrize("degrees,i", [
+        ((1,), 0),    # deletions, and insertions by rejection
+        ((3,), 0),    # d_i = n - 1: insertions by enumeration
+        ((0, 2), 1),  # deletions, and enumerated insertions
+    ])
+    def test_kernel_law_matches_construction_oracle(self, degrees, i):
+        """Empirical law of W^i at n = 4 against the exact enumeration."""
+        cfg = dg.ErdosRenyiConfig(4, 0.5, degrees, check_pd=False)
+        law = oracles.degree_construction_law(4, 0.5, degrees, i)
+        m = 100_000
+        _, wi = dg.degree_coupler(cfg).draw_batch(
+            i, m, StreamConfig(37).stream(0))
+        values, counts = np.unique(wi, axis=0, return_counts=True)
+        seen = {tuple(map(float, v)): int(c) for v, c in zip(values, counts)}
+        assert set(seen) <= set(law)
+        for value, prob in law.items():
+            z = (seen.get(value, 0) - m * prob) / np.sqrt(m * prob * (1 - prob))
+            assert abs(z) <= 4.5, (value, z)
+
+    def test_batch_memory_linear(self):
+        """A batch at n = 400 needs memory linear in its edges and vertices;
+        a float32 pair-by-vertex table alone would take 127 MB."""
+        cfg = dg.ErdosRenyiConfig.from_c(400, 2, (1, 2))
+        tracemalloc.start()
+        try:
+            dg.degree_coupler(cfg).draw_batch(0, 1024,
+                                              StreamConfig(41).stream(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestConditionalExpectation:
     def test_all_at_target_gives_zero(self):
         cfg = dg.ErdosRenyiConfig(4, 0.5, (2,), check_pd=False)
         edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
-        g = dg.GraphSample(4, edges, np.full(4, 2))
-        assert dg.cond_exp_given_graph(g, cfg, 0, 0) == 0.0
+        g = oracles.GraphSample(4, edges, np.full(4, 2))
+        assert oracles.cond_exp_given_graph(g, cfg, 0, 0) == 0.0
 
     def test_empty_graph_worked_case(self):
         """Empty triangle, force degree 1, count degree 0: always -2."""
         cfg = dg.ErdosRenyiConfig(3, 0.5, (1, 0), check_pd=False)
-        g = dg.GraphSample(3, np.empty((0, 2), dtype=int),
-                           np.zeros(3, dtype=int))
-        assert dg.cond_exp_given_graph(g, cfg, 0, 1) == -2.0
+        g = oracles.GraphSample(3, np.empty((0, 2), dtype=int),
+                                np.zeros(3, dtype=int))
+        assert oracles.cond_exp_given_graph(g, cfg, 0, 1) == -2.0
 
     def test_empty_graph_zero_case(self):
         cfg = dg.ErdosRenyiConfig(3, 0.5, (0,), check_pd=False)
-        g = dg.GraphSample(3, np.empty((0, 2), dtype=int),
-                           np.zeros(3, dtype=int))
-        assert dg.cond_exp_given_graph(g, cfg, 0, 0) == 0.0
+        g = oracles.GraphSample(3, np.empty((0, 2), dtype=int),
+                                np.zeros(3, dtype=int))
+        assert oracles.cond_exp_given_graph(g, cfg, 0, 0) == 0.0
 
     def test_formula_equals_coupling_enumeration(self):
         """The closed-form conditional mean equals a brute-force average
@@ -191,27 +243,28 @@ class TestConditionalExpectation:
         cfg = dg.ErdosRenyiConfig(5, 0.4, (1, 2), check_pd=False)
         rng = StreamConfig(13).stream(0)
         for _ in range(12):
-            g = dg.sample_graph(cfg, rng)
+            g = oracles.sample_graph(cfg, rng)
             for i in range(2):
                 exact = _enumerate_cond_exp(g, cfg, i)
                 for j in range(2):
-                    formula = dg.cond_exp_given_graph(g, cfg, i, j)
+                    formula = oracles.cond_exp_given_graph(g, cfg, i, j)
                     np.testing.assert_allclose(formula, exact[j], atol=1e-12)
 
     def test_chunk_kernel_matches_reference(self):
-        cfg = dg.ErdosRenyiConfig(14, 0.2, (1, 3), check_pd=False)
-        chunk = dg._GraphChunk(StreamConfig(17).stream(0), 40, cfg)
-        cond = dg._cond_exp_chunk(chunk, cfg.degrees)
-        for b in range(40):
-            eu, ev = chunk.edge_slice(b)
-            g = dg.GraphSample(14, np.stack([eu, ev], axis=1), chunk.deg[b])
-            for i in range(2):
-                for j in range(2):
-                    ref = dg.cond_exp_given_graph(g, cfg, i, j)
+        """Degree-histogram form against the scalar per-vertex sum,
+        including degree 0, d = n - 1 and pi = 1/2."""
+        for n, pi, degrees in [(14, 0.2, (1, 3)), (30, 2.0 / 29, (0, 1, 2)),
+                               (12, 0.5, (0, 11)), (9, 0.5, (3, 5, 8))]:
+            cfg = dg.ErdosRenyiConfig(n, pi, degrees, check_pd=False)
+            chunk = dg._GraphChunk(StreamConfig(17).stream(n), 40, cfg)
+            cond = chunk.cond_exp(cfg.degrees)
+            for b, g in enumerate(_chunk_graphs(chunk)):
+                for i, j in itertools.product(range(len(degrees)), repeat=2):
+                    ref = oracles.cond_exp_given_graph(g, cfg, i, j)
                     np.testing.assert_allclose(cond[b, i, j], ref, atol=1e-12)
 
 
-def _enumerate_cond_exp(g: dg.GraphSample, cfg, i):
+def _enumerate_cond_exp(g: oracles.GraphSample, cfg, i):
     """Average count change over every (vertex, edge-subset) choice."""
     n = cfg.n
     d_i = cfg.degrees[i]
@@ -280,12 +333,12 @@ class TestEstimatedStatistics:
         m = 60_000
         rng = StreamConfig(19).stream(0)
         chunk = dg._GraphChunk(rng, 4000, cfg)
-        cond = dg._cond_exp_chunk(chunk, cfg.degrees).mean(axis=0)
+        cond = chunk.cond_exp(cfg.degrees).mean(axis=0)
         for i in range(2):
             w, wi = coupler.draw_batch(i, m, StreamConfig(23 + i).stream(0))
             diff = wi - w
             se = diff.std(axis=0) / np.sqrt(m) + 1e-12
-            se_cond = 4000**-0.5 * dg._cond_exp_chunk(chunk, cfg.degrees).std(axis=0)[i]
+            se_cond = 4000**-0.5 * chunk.cond_exp(cfg.degrees).std(axis=0)[i]
             assert np.all(np.abs(diff.mean(axis=0) - cond[i])
                           <= 4 * (se + se_cond))
 

@@ -17,10 +17,9 @@ from .sizebias import (CoupledPairSampler, DiscreteDistribution, IndexPicker,
                        couple_function_sum, couple_indicator_collection,
                        couple_sum_independent, size_bias_discrete,
                        verify_characterization)
-from .stein import SteinSolution, derivative_bound_check, ou_smoothing, \
-    pde_residual, solve_g
+from .stein import SteinSolution, ou_smoothing
 from .testfuncs import (GaussianExpectation, SmoothTestFunction,
-                        parse_test_function, phi_h)
+                        parse_test_function, phi_h, smoothed_mean)
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,8 @@ __all__ = [
     "bound_multivariate_size_bias", "bound_univariate_local",
     "bound_univariate_size_bias", "couple_function_sum",
     "couple_indicator_collection", "couple_sum_independent",
-    "covariance_identity_check", "derivative_bound_check", "estimate_gap",
-    "inverse_sqrt", "max_abs_norm", "ou_smoothing", "parallel_mc",
-    "parse_test_function", "pde_residual", "phi_h", "size_bias_discrete",
-    "solve_g", "verify_characterization", "whiten",
+    "covariance_identity_check", "estimate_gap", "inverse_sqrt",
+    "max_abs_norm", "ou_smoothing", "parallel_mc", "parse_test_function",
+    "phi_h", "size_bias_discrete", "smoothed_mean", "verify_characterization",
+    "whiten",
 ]

@@ -118,7 +118,10 @@ def build_parser() -> _Parser:
     stn.add_argument("--fd-step", type=float, default=1e-3,
                      help="finite-difference step of the PDE residual and "
                           "of the order-1 and order-2 derivative stencils")
-    stn.add_argument("--gh-nodes", type=int, default=40)
+    stn.add_argument("--gh-nodes", type=int, default=40,
+                     help="Gauss-Hermite nodes per axis for the Gaussian "
+                          "smoothing of product-logistic; cosine and "
+                          "gauss-radial use closed forms")
     stn.add_argument("--tol", type=float, default=1e-3)
     stn.add_argument("--out", default=None)
 

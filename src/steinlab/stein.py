@@ -6,8 +6,11 @@ function
     g(w) = -int_0^inf [ E h(w e^{-u} + sqrt(1 - e^{-2u}) Z) - phi ] du
 
 solves ``tr D^2 g(w) - w . grad g(w) = h(w) - phi`` and obeys the derivative
-bounds ``|d^k g| <= ||D^k h|| / k``. This module evaluates ``g`` by
-quadrature and verifies both facts pointwise with finite differences.
+bounds ``|d^k g| <= ||D^k h|| / k``. This module evaluates ``g`` as a
+one-dimensional integral over the smoothing time, whose integrand is the
+Gaussian smoothing ``E h(c + sigma Z)`` of ``testfuncs.smoothed_mean`` (a
+closed form for the built-in families), and verifies both facts pointwise
+with finite differences.
 
 The substitution ``s = e^{-u}`` turns the integral into
 ``-int_0^1 [E h(w s + sqrt(1-s^2) Z) - phi] ds / s``. We integrate in the
@@ -19,15 +22,13 @@ doubled until the values stabilize.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureNotConverged
-from .harness import thread_count
-from .testfuncs import (GaussianExpectation, SmoothTestFunction,
-                        gauss_hermite_mean, gauss_hermite_tensor, phi_h)
+from .testfuncs import (GaussianExpectation, SmoothTestFunction, phi_h,
+                        smoothed_mean)
 
 FD_STEP_LOW_ORDER = 1e-3   # finite-difference step for orders 1 and 2
 FD_STEP_THIRD = 5e-3       # order 3 trades truncation against quadrature noise
@@ -41,21 +42,20 @@ def _legendre_rule(n: int):
     return ang, w * (np.pi / 4.0)
 
 
-def ou_smoothing(h, w, u: float, cfg: GaussianExpectation | None = None,
-                 p: int | None = None):
+def ou_smoothing(h, w, u: float, cfg: GaussianExpectation | None = None):
     """``E h(w e^{-u} + sqrt(1 - e^{-2u}) Z)`` for each row of ``w``.
 
     ``u = 0`` returns ``h(w)`` exactly; as ``u -> inf`` the value tends to
-    the standard-normal mean of ``h``.
+    the standard-normal mean of ``h``. A raw callable ``h`` takes its
+    dimension from ``w``.
     """
     if u < 0:
         raise ValueError("smoothing time u must be nonnegative")
-    h_eval, p = _as_evaluator(h, p)
     nodes = (cfg or GaussianExpectation()).nodes
     w = np.atleast_2d(np.asarray(w, dtype=float))
     shrink = np.exp(-u)
     sigma = np.sqrt(max(0.0, -np.expm1(-2.0 * u)))
-    return gauss_hermite_mean(h_eval, shrink * w, sigma, nodes)
+    return smoothed_mean(h, shrink * w, sigma, nodes)
 
 
 def _as_evaluator(h, p):
@@ -74,9 +74,12 @@ class SteinSolution:
     h : SmoothTestFunction or callable
         Test function. A raw callable needs ``p`` and ``phi`` supplied.
     phi : float, optional
-        ``E h(Z)``; computed by tensor quadrature when omitted.
+        ``E h(Z)``; computed by :func:`~steinlab.testfuncs.phi_h` when
+        omitted.
     gh_nodes : int
         Gauss-Hermite nodes per axis for the inner Gaussian expectation.
+        Only product-logistic and raw callables use it; cosine and
+        gauss-radial smooth in closed form.
     tol : float
         Quadrature refinement tolerance on values of ``g``.
     """
@@ -84,6 +87,7 @@ class SteinSolution:
     def __init__(self, h, phi: float | None = None, p: int | None = None,
                  gh_nodes: int = 40, tol: float = 1e-8,
                  start_nodes: int = 32, max_nodes: int = 512):
+        self.h = h
         self.h_eval, self.p = _as_evaluator(h, p)
         self.gh_nodes = gh_nodes
         self.tol = tol
@@ -94,48 +98,16 @@ class SteinSolution:
         self.phi = float(phi)
         self.s_nodes: np.ndarray | None = None
         self.s_weights: np.ndarray | None = None
-        # Drop tensor nodes whose weights cannot move the sum at the
-        # requested tolerance: the discarded mass totals ~1e-14, orders
-        # below the quadrature tolerance.
-        z, wq = gauss_hermite_tensor(gh_nodes, self.p)
-        keep = wq > 1e-15
-        self._gh_z = z[keep]
-        self._gh_w = wq[keep]
 
     # g evaluation --------------------------------------------------------
-
-    def _smooth_mean(self, centers: np.ndarray, sigma: float,
-                     max_block: int = 1_000_000) -> np.ndarray:
-        """``E h(c + sigma Z)`` on the pruned tensor rule; ``max_block``
-        tensor points at a time bound each worker's temporaries."""
-        m = centers.shape[0]
-        nq = self._gh_z.shape[0]
-        block = max(1, max_block // nq)
-        out = np.empty(m)
-        for lo in range(0, m, block):
-            hi = min(m, lo + block)
-            pts = centers[lo:hi][None, :, :] + sigma * self._gh_z[:, None, :]
-            vals = self.h_eval(pts.reshape(-1, self.p)).reshape(nq, hi - lo)
-            out[lo:hi] = self._gh_w @ vals
-        return out
 
     def _g_level(self, w: np.ndarray, n_leg: int):
         ang, wt = _legendre_rule(n_leg)
         s_nodes = np.cos(ang)
         s_weights = wt * np.tan(ang)
-        smooth = np.empty((n_leg, w.shape[0]))
-
-        def fill(q):
-            smooth[q] = self._smooth_mean(s_nodes[q] * w,
-                                          np.sqrt(1.0 - s_nodes[q] ** 2))
-
-        workers = min(thread_count(), n_leg)
-        if workers > 1 and w.shape[0] * self._gh_z.shape[0] > 1 << 20:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill, range(n_leg)))
-        else:
-            for q in range(n_leg):
-                fill(q)
+        smooth = np.stack([
+            smoothed_mean(self.h, s * w, np.sqrt(1.0 - s**2), self.gh_nodes)
+            for s in s_nodes])
         # canonical node-order contraction keeps the value reproducible
         total = s_weights @ (smooth - self.phi)
         return -total, s_nodes, s_weights
@@ -278,31 +250,6 @@ def _fd_stencil(axes, step: float, p: int):
             new[tuple(dn)] = new.get(tuple(dn), 0.0) - c / (2.0 * step)
         stencil = new
     return stencil
-
-
-def solve_g(h, w, phi: float | None = None, p: int | None = None,
-            gh_nodes: int = 40, tol: float = 1e-8) -> np.ndarray:
-    """Convenience wrapper: evaluate ``g`` at ``w`` for test function ``h``."""
-    return SteinSolution(h, phi=phi, p=p, gh_nodes=gh_nodes, tol=tol).g(w)
-
-
-def pde_residual(h, w, fd_step: float = FD_STEP_LOW_ORDER,
-                 phi: float | None = None, p: int | None = None,
-                 gh_nodes: int = 40, tol: float = 1e-8) -> np.ndarray:
-    """Convenience wrapper around :meth:`SteinSolution.pde_residual`."""
-    sol = SteinSolution(h, phi=phi, p=p, gh_nodes=gh_nodes, tol=tol)
-    return sol.pde_residual(w, fd_step=fd_step)
-
-
-def derivative_bound_check(h, grid, k: int, norm_k: float | None = None,
-                           fd_step: float | None = None,
-                           phi: float | None = None, p: int | None = None,
-                           gh_nodes: int = 40, tol: float = 1e-8) -> float:
-    """Convenience wrapper around :meth:`SteinSolution.derivative_violation`."""
-    if norm_k is None and isinstance(h, SmoothTestFunction):
-        norm_k = h.derivative_norms().order(k)
-    sol = SteinSolution(h, phi=phi, p=p, gh_nodes=gh_nodes, tol=tol)
-    return sol.derivative_violation(grid, k, norm_k=norm_k, fd_step=fd_step)
 
 
 def grid_points(p: int, extent: float = 2.0, per_axis: int = 21) -> np.ndarray:

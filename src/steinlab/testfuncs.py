@@ -3,15 +3,21 @@
 Three built-in families are provided, all with finite sup norm so they are
 usable by every bound evaluator:
 
-* ``cosine``: ``h(w) = cos(a . w + b)``. All derivative sup-norms and the
-  standard-normal expectation are available in closed form, which gives the
-  Monte Carlo harness exact ground truth.
+* ``cosine``: ``h(w) = cos(a . w + b)``. All derivative sup-norms are
+  available in closed form.
 * ``gauss-radial``: ``h(w) = exp(-|w|^2 / (2 s^2))``.
 * ``product-logistic``: ``h(w) = prod_i sigmoid(a_i w_i)``.
 
 The latter two are separable products, so a mixed-partial sup factors into
 per-axis one-dimensional sups, which are certified by a refining grid search
 (step halved until the change drops below 1e-8).
+
+:func:`smoothed_mean` is the one place that computes the Gaussian smoothing
+``E h(c + sigma Z)``, which gives both ``phi_h = E h(Z)`` and the Stein
+solution's integrand. For cosine and gauss-radial it is a closed form; for
+product-logistic it is a product of one-dimensional Gauss-Hermite sums. So
+the built-in families work in any dimension. Raw callables fall back to the
+tensor Gauss-Hermite rule, which is limited to ``p <= 4``.
 """
 
 from __future__ import annotations
@@ -23,9 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, UnsupportedDimension
-
-_MASK64 = (1 << 64) - 1
-
 
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature for standard-normal expectations
@@ -50,20 +53,17 @@ def _tensor_rule_cached(nodes: int, p: int):
 
 
 def gauss_hermite_tensor(nodes: int, p: int):
-    """Tensor-product rule over ``R^p``; supported for ``p <= 4``."""
+    """Tensor-product rule over ``R^p``; supported for ``p <= 4``.
+
+    Rules of up to 200k points are cached; larger ones are rebuilt per call.
+    """
     if p > 4:
         raise UnsupportedDimension(f"tensor quadrature supports p <= 4, got {p}")
     if nodes < 2:
         raise ValueError("need at least 2 nodes per axis")
     if nodes**p <= 200_000:
         return _tensor_rule_cached(nodes, p)
-    x, w = gauss_hermite_1d(nodes)
-    grids = np.meshgrid(*([x] * p), indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    weights = np.ones(1)
-    for _ in range(p):
-        weights = np.outer(weights, w).reshape(-1)
-    return points, weights
+    return _tensor_rule_cached.__wrapped__(nodes, p)
 
 
 def gauss_hermite_mean(f, centers: np.ndarray, sigma: float, nodes: int,
@@ -88,51 +88,13 @@ def gauss_hermite_mean(f, centers: np.ndarray, sigma: float, nodes: int,
 
 @dataclass(frozen=True)
 class GaussianExpectation:
-    """How to evaluate expectations under a standard p-variate normal."""
+    """Gauss-Hermite resolution for expectations under a standard normal."""
 
-    method: str = "gauss-hermite"
     nodes: int = 40
-    samples: int = 1_000_000
-    seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("gauss-hermite", "monte-carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "gauss-hermite" and self.nodes < 2:
+        if self.nodes < 2:
             raise ValueError("gauss-hermite needs nodes >= 2")
-        if self.method == "monte-carlo" and self.samples < 1000:
-            raise ValueError("monte-carlo needs samples >= 1000")
-
-    def expect(self, f, p: int):
-        """Return ``(E f(Z), error estimate)``.
-
-        The error estimate is the change from a half-resolution rule for
-        quadrature, or the standard error of the mean for Monte Carlo.
-        """
-        if self.method == "gauss-hermite":
-            z, w = gauss_hermite_tensor(self.nodes, p)
-            val = float(w @ f(z))
-            half = max(2, self.nodes // 2)
-            zh, wh = gauss_hermite_tensor(half, p)
-            return val, abs(val - float(wh @ f(zh)))
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([self.seed & _MASK64, 0x9E3779B9],
-                                          dtype=np.uint64))
-        )
-        total = 0.0
-        total_sq = 0.0
-        n = self.samples
-        block = 262_144
-        done = 0
-        while done < n:
-            take = min(block, n - done)
-            vals = f(rng.standard_normal((take, p)))
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals * vals))
-            done += take
-        mean = total / n
-        var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-        return mean, float(np.sqrt(var / n))
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +260,33 @@ class SmoothTestFunction:
             h_sup *= sups[i][0]
         return DerivativeNorms(h_sup, *norms)
 
-    # Closed-form normal expectation for the cosine family (ground truth).
+    # Gaussian smoothing ---------------------------------------------------
 
-    def phi_closed_form(self):
+    def smoothed_mean(self, centers, sigma: float, nodes: int) -> np.ndarray:
+        """``E h(c + sigma Z)`` for each row ``c`` of ``centers``.
+
+        cosine and gauss-radial are closed forms. product-logistic factors
+        into one ``nodes``-point Gauss-Hermite sum per axis: the tensor
+        rule's value without its ``nodes^p`` points.
+        """
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        if centers.shape[1] != self.p:
+            raise DimensionMismatch(
+                f"points have dimension {centers.shape[1]}, expected {self.p}"
+            )
+        a = np.asarray(self.a, dtype=float)
         if self.kind == "cosine":
-            a = np.asarray(self.a, dtype=float)
-            return float(np.exp(-0.5 * np.sum(a**2)) * np.cos(self.b))
+            return (np.cos(centers @ a + self.b)
+                    * np.exp(-0.5 * sigma**2 * float(a @ a)))
         if self.kind == "gauss-radial":
-            s = self.scale
-            return float((s / np.sqrt(1.0 + s * s)) ** self.p)
-        return 0.5**self.p  # sigmoid(a Z) has mean 1/2 by symmetry, any a
+            var = self.scale**2 + sigma**2
+            return ((self.scale**2 / var) ** (self.p / 2)
+                    * np.exp(-np.sum(centers**2, axis=1) / (2.0 * var)))
+        x, w = gauss_hermite_1d(nodes)
+        axis_means = np.zeros_like(centers)
+        for xk, wk in zip(x, w):
+            axis_means += wk * _sigmoid(a * (centers + sigma * xk))
+        return np.prod(axis_means, axis=1)
 
     def spec_string(self) -> str:
         if self.kind == "cosine":
@@ -317,18 +296,35 @@ class SmoothTestFunction:
         return "product-logistic:a=%s" % ",".join(repr(x) for x in self.a)
 
 
+def smoothed_mean(h, centers, sigma: float, nodes: int) -> np.ndarray:
+    """``E h(c + sigma Z)`` for each row ``c`` of ``centers``, Z standard normal.
+
+    A :class:`SmoothTestFunction` uses its own Gaussian expectation; a raw
+    callable, mapping an ``(m, p)`` batch to ``(m,)`` values, goes through
+    the tensor rule, so it needs ``p <= 4``.
+    """
+    if isinstance(h, SmoothTestFunction):
+        return h.smoothed_mean(centers, sigma, nodes)
+    return gauss_hermite_mean(h, centers, sigma, nodes)
+
+
 def phi_h(h, cfg: GaussianExpectation | None = None, p: int | None = None):
     """``E h(Z)`` with Z standard p-variate normal, plus an error estimate.
 
     ``h`` may be a :class:`SmoothTestFunction` or any callable mapping a
-    ``(m, p)`` batch to ``(m,)`` values (then ``p`` must be given).
+    ``(m, p)`` batch to ``(m,)`` values (then ``p`` must be given). The
+    error estimate is the change from a half-resolution rule; it is 0 for
+    the closed forms.
     """
-    cfg = cfg or GaussianExpectation()
+    nodes = (cfg or GaussianExpectation()).nodes
     if isinstance(h, SmoothTestFunction):
-        return cfg.expect(h.evaluate, h.p)
-    if p is None:
+        p = h.p
+    elif p is None:
         raise DimensionMismatch("p is required when h is a raw callable")
-    return cfg.expect(h, p)
+    origin = np.zeros((1, p))
+    val = float(smoothed_mean(h, origin, 1.0, nodes)[0])
+    half = float(smoothed_mean(h, origin, 1.0, max(2, nodes // 2))[0])
+    return val, abs(val - half)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,18 @@ class TestExperiments:
         assert code == 0
         assert json.loads(out)["config"]["h"] == "cosine:a=0.3,0.2:b=0.0"
 
+    @pytest.mark.parametrize("argv", [
+        ["degree-count", "--n", "200", "--c", "2", "--degrees", "0,1,2,3,4",
+         "--samples", "2000"],
+        ["stein-check", "--h", "cosine:a=0.5,0.5,0.5,0.5,0.5",
+         "--grid-points", "3"],
+    ], ids=["degree-count", "stein-check"])
+    def test_five_dimensional_builtin_h(self, argv, capsys):
+        """Built-in h smooth without a tensor rule, so p = 5 runs."""
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
     def test_validate_couplings_subset(self, capsys):
         code, out, _ = _run(["validate-couplings", "--which",
                              "bernoulli-sum,exchangeable-pair",

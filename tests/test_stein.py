@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from steinlab.errors import QuadratureNotConverged
-from steinlab.stein import (SteinSolution, derivative_bound_check,
-                            grid_points, ou_smoothing, pde_residual, solve_g)
+from steinlab.stein import SteinSolution, grid_points, ou_smoothing
 from steinlab.testfuncs import SmoothTestFunction
 
 
@@ -25,39 +24,39 @@ def _square(x):
 class TestOuSmoothing:
     def test_no_smoothing_returns_h(self):
         w = np.array([[0.3], [-1.2]])
-        np.testing.assert_allclose(ou_smoothing(_square, w, 0.0, p=1),
+        np.testing.assert_allclose(ou_smoothing(_square, w, 0.0),
                                    w[:, 0] ** 2, atol=1e-12)
 
     def test_full_smoothing_returns_phi(self):
         w = np.array([[5.0]])
-        out = ou_smoothing(_square, w, 50.0, p=1)
+        out = ou_smoothing(_square, w, 50.0)
         np.testing.assert_allclose(out, 1.0, atol=1e-10)
 
     def test_quadratic_closed_form(self):
         """E (w e^{-u} + sigma Z)^2 = w^2 e^{-2u} + 1 - e^{-2u}."""
-        out = ou_smoothing(_square, np.array([[2.0]]), np.log(2.0), p=1)
+        out = ou_smoothing(_square, np.array([[2.0]]), np.log(2.0))
         np.testing.assert_allclose(out, 1.75, atol=1e-12)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            ou_smoothing(_square, np.array([[0.0]]), -1.0, p=1)
+            ou_smoothing(_square, np.array([[0.0]]), -1.0)
 
 
 class TestClosedFormSolutions:
     def test_linear(self):
         w = np.array([[1.5], [0.25], [-2.0]])
-        np.testing.assert_allclose(solve_g(_linear, w, phi=0.0, p=1),
+        np.testing.assert_allclose(SteinSolution(_linear, phi=0.0, p=1).g(w),
                                    -w[:, 0], atol=1e-6)
 
     def test_quadratic(self):
         w = np.array([[1.5], [-0.5], [2.0]])
-        np.testing.assert_allclose(solve_g(_square, w, phi=1.0, p=1),
+        np.testing.assert_allclose(SteinSolution(_square, phi=1.0, p=1).g(w),
                                    -(w[:, 0] ** 2 - 1.0) / 2.0, atol=1e-6)
 
     def test_constant_h_gives_zero(self):
         h = SmoothTestFunction("cosine", p=1, a=(0.0,), b=0.5)
         w = np.array([[0.7], [-1.1]])
-        np.testing.assert_allclose(solve_g(h, w), 0.0, atol=1e-12)
+        np.testing.assert_allclose(SteinSolution(h).g(w), 0.0, atol=1e-12)
 
     def test_non_convergence_raises(self):
         sol = SteinSolution(_square, phi=1.0, p=1, tol=1e-16,
@@ -74,16 +73,18 @@ class TestClosedFormSolutions:
 
 class TestResidual:
     def test_linear_residual_small(self):
-        res = pde_residual(_linear, np.array([[0.8], [-1.3]]), phi=0.0, p=1)
+        sol = SteinSolution(_linear, phi=0.0, p=1)
+        res = sol.pde_residual(np.array([[0.8], [-1.3]]))
         assert np.max(res) < 1e-6
 
     def test_quadratic_residual_small(self):
-        res = pde_residual(_square, np.array([[1.5]]), phi=1.0, p=1)
+        sol = SteinSolution(_square, phi=1.0, p=1)
+        res = sol.pde_residual(np.array([[1.5]]))
         assert np.max(res) < 1e-6
 
     def test_constant_residual_exact(self):
         h = SmoothTestFunction("cosine", p=1, a=(0.0,), b=0.0)
-        res = pde_residual(h, np.array([[0.5]]))
+        res = SteinSolution(h).pde_residual(np.array([[0.5]]))
         assert np.max(res) < 1e-13
 
     @pytest.mark.parametrize("h", [
@@ -93,35 +94,43 @@ class TestResidual:
     ], ids=lambda h: h.spec_string())
     def test_builtin_residual_1d(self, h):
         grid = grid_points(1, 2.0, 21)
-        res = pde_residual(h, grid)
+        res = SteinSolution(h).pde_residual(grid)
         assert float(np.max(res)) <= 1e-3
 
-    def test_builtin_residual_2d(self):
-        h = SmoothTestFunction("cosine", p=2, a=(1.0, 0.5))
+    @pytest.mark.parametrize("h", [
+        SmoothTestFunction("cosine", p=2, a=(1.0, 0.5)),
+        SmoothTestFunction("gauss-radial", p=2, scale=1.2),
+        SmoothTestFunction("product-logistic", p=2, a=(1.0, 2.0)),
+    ], ids=lambda h: h.spec_string())
+    def test_builtin_residual_2d(self, h):
         grid = grid_points(2, 2.0, 9)
-        assert float(np.max(pde_residual(h, grid))) <= 1e-3
+        assert float(np.max(SteinSolution(h).pde_residual(grid))) <= 1e-3
 
 
 class TestDerivativeBound:
     def test_constant_no_violation(self):
         h = SmoothTestFunction("cosine", p=1, a=(0.0,))
         grid = grid_points(1, 2.0, 9)
-        assert derivative_bound_check(h, grid, 1) <= 0.0
+        assert SteinSolution(h).derivative_violation(
+            grid, 1, norm_k=h.derivative_norms().d1) <= 0.0
 
     def test_quadratic_bound_is_tight(self):
         """|g''| = 1 against the cap ||D^2 h|| / 2 = 1: violation ~ 0."""
         grid = grid_points(1, 2.0, 9)
-        v = derivative_bound_check(_square, grid, 2, norm_k=2.0,
-                                   phi=1.0, p=1)
+        v = SteinSolution(_square, phi=1.0, p=1).derivative_violation(
+            grid, 2, norm_k=2.0)
         assert abs(v) <= 1e-4
 
     def test_cosine_first_derivative(self):
         h = SmoothTestFunction("cosine", p=1, a=(1.0,))
         grid = grid_points(1, 2.0, 21)
-        assert derivative_bound_check(h, grid, 1) <= 1e-3
+        assert SteinSolution(h).derivative_violation(
+            grid, 1, norm_k=h.derivative_norms().d1) <= 1e-3
 
     def test_all_orders_cosine_2d(self):
         h = SmoothTestFunction("cosine", p=2, a=(1.0, 0.5))
         grid = grid_points(2, 2.0, 7)
+        sol, norms = SteinSolution(h), h.derivative_norms()
         for k in (1, 2, 3):
-            assert derivative_bound_check(h, grid, k) <= 1e-3
+            assert sol.derivative_violation(grid, k,
+                                            norm_k=norms.order(k)) <= 1e-3

@@ -2,7 +2,8 @@
 
 The cosine family has closed forms for everything, so it anchors the other
 checks. Finite-difference mixed partials on a grid must never beat the
-certified sup-norms by more than 1e-6.
+certified sup-norms by more than 1e-6. The Gaussian smoothing of every
+built-in family is checked against the tensor Gauss-Hermite rule.
 """
 
 import itertools
@@ -12,8 +13,8 @@ import pytest
 
 from steinlab.errors import DimensionMismatch, UnsupportedDimension
 from steinlab.testfuncs import (GaussianExpectation, SmoothTestFunction,
-                                gauss_hermite_tensor, parse_test_function,
-                                phi_h)
+                                gauss_hermite_mean, gauss_hermite_tensor,
+                                parse_test_function, phi_h, smoothed_mean)
 
 BUILTINS_1D = [
     SmoothTestFunction("cosine", p=1, a=(1.0,)),
@@ -99,22 +100,28 @@ class TestPhiH:
     @pytest.mark.parametrize("h", BUILTINS_1D + BUILTINS_2D,
                              ids=lambda h: h.spec_string())
     def test_quadrature_matches_closed_form(self, h):
+        """Tensor quadrature of ``h`` reproduces the built-in ``E h(Z)``."""
         val, _ = phi_h(h, GaussianExpectation(nodes=40))
-        np.testing.assert_allclose(val, h.phi_closed_form(), atol=1e-9)
+        quad = gauss_hermite_mean(h.evaluate, np.zeros((1, h.p)), 1.0, 40)
+        np.testing.assert_allclose(val, quad[0], atol=1e-9)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_quadrature_vs_monte_carlo(self, p):
-        """The two evaluation methods agree within 4 MC standard errors."""
+        """``E h(c + sigma Z)`` agrees with a plain Monte Carlo mean within
+        4 standard errors."""
         funcs = [
             SmoothTestFunction("cosine", p=p, a=tuple([0.8] * p)),
             SmoothTestFunction("gauss-radial", p=p, scale=1.0),
             SmoothTestFunction("product-logistic", p=p, a=tuple([1.0] * p)),
         ]
+        center = np.array([0.3, -0.2, 0.5][:p])
+        sigma = 0.8
+        z = np.random.default_rng(3).standard_normal((1_000_000, p))
         for h in funcs:
-            quad, _ = phi_h(h, GaussianExpectation(nodes=40))
-            mc, sem = phi_h(h, GaussianExpectation(method="monte-carlo",
-                                                   samples=1_000_000, seed=3))
-            assert abs(quad - mc) <= 4.0 * sem
+            exact = smoothed_mean(h, center, sigma, 40)[0]
+            vals = h.evaluate(center + sigma * z)
+            sem = vals.std(ddof=1) / np.sqrt(vals.size)
+            assert abs(exact - vals.mean()) <= 4.0 * sem
 
     def test_tensor_dimension_cap(self):
         with pytest.raises(UnsupportedDimension):
@@ -123,6 +130,36 @@ class TestPhiH:
     def test_raw_callable_needs_p(self):
         with pytest.raises(DimensionMismatch):
             phi_h(lambda x: x[:, 0])
+
+
+SMOOTHING_CASES = BUILTINS_1D + BUILTINS_2D + [
+    SmoothTestFunction("cosine", p=3, a=(0.5, -1.0, 0.25), b=0.3),
+    SmoothTestFunction("gauss-radial", p=3, scale=0.8),
+    SmoothTestFunction("product-logistic", p=3, a=(1.0, -0.5, 2.0)),
+]
+
+
+class TestSmoothedMean:
+    """Closed and factored forms of ``E h(c + sigma Z)`` against the tensor
+    Gauss-Hermite rule; with ``sigma = 0`` they return ``h(c)``."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("h", SMOOTHING_CASES,
+                             ids=lambda h: h.spec_string())
+    def test_matches_tensor_rule(self, h, sigma):
+        centers = np.random.default_rng(h.p).uniform(-2.5, 2.5, (7, h.p))
+        centers[0] = 0.0
+        got = smoothed_mean(h, centers, sigma, 40)
+        oracle = gauss_hermite_mean(h.evaluate, centers, sigma, 40)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
+        if sigma == 0.0:
+            np.testing.assert_allclose(got, h.evaluate(centers),
+                                       rtol=0, atol=1e-15)
+
+    def test_dimension_mismatch(self):
+        h = SmoothTestFunction("gauss-radial", p=2)
+        with pytest.raises(DimensionMismatch):
+            smoothed_mean(h, np.zeros((3, 3)), 0.5, 40)
 
 
 class TestParsing:
@@ -157,5 +194,3 @@ class TestValidation:
     def test_config_invariants(self):
         with pytest.raises(ValueError):
             GaussianExpectation(nodes=1)
-        with pytest.raises(ValueError):
-            GaussianExpectation(method="monte-carlo", samples=10)

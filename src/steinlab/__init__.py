@@ -13,9 +13,9 @@ from .bounds import (BoundReport, LocalDepStats, MultivariateCouplingStats,
 from .harness import Accumulator, StreamConfig, estimate_gap, parallel_mc
 from .linalg import inverse_sqrt, max_abs_norm, whiten
 from .report import ExperimentReport
-from .sizebias import (CoupledPairSampler, DiscreteDistribution, IndexPicker,
-                       couple_function_sum, couple_indicator_collection,
-                       couple_sum_independent, size_bias_discrete,
+from .sizebias import (CoupledPairSampler, DiscreteDistribution,
+                       FunctionSumCoupler, IndependentSumCoupler, IndexPicker,
+                       IndicatorCollectionCoupler, size_bias_discrete,
                        verify_characterization)
 from .stein import SteinSolution, ou_smoothing
 from .testfuncs import (GaussianExpectation, SmoothTestFunction,
@@ -25,13 +25,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Accumulator", "BoundReport", "CoupledPairSampler",
-    "DiscreteDistribution", "ExperimentReport", "GaussianExpectation",
-    "IndexPicker", "LocalDepStats", "MultivariateCouplingStats",
-    "SmoothTestFunction", "SteinSolution", "StreamConfig",
-    "UnivariateCouplingStats", "bound_multivariate_local",
+    "DiscreteDistribution", "ExperimentReport", "FunctionSumCoupler",
+    "GaussianExpectation", "IndependentSumCoupler", "IndexPicker",
+    "IndicatorCollectionCoupler", "LocalDepStats",
+    "MultivariateCouplingStats", "SmoothTestFunction", "SteinSolution",
+    "StreamConfig", "UnivariateCouplingStats", "bound_multivariate_local",
     "bound_multivariate_size_bias", "bound_univariate_local",
-    "bound_univariate_size_bias", "couple_function_sum",
-    "couple_indicator_collection", "couple_sum_independent",
+    "bound_univariate_size_bias",
     "covariance_identity_check", "estimate_gap", "inverse_sqrt",
     "max_abs_norm", "ou_smoothing", "parallel_mc", "parse_test_function",
     "phi_h", "size_bias_discrete", "smoothed_mean", "verify_characterization",

@@ -103,8 +103,6 @@ def build_parser() -> _Parser:
                      choices=["square", "exp", "indicator"])
     non.add_argument("--raw-psi", action="store_true",
                      help="skip scaling psi to unit Gaussian mean")
-    non.add_argument("--inner", type=int, default=32,
-                     help="inner draws for the multinomial conditional mean")
     non.add_argument("--h", default=None)
     _add_common(non, chunk_default=8192)
 
@@ -231,7 +229,7 @@ def _run_color(args) -> int:
     return _run_single(args, model)
 
 
-def _parse_model(raw: str, psi: nonlinear.PsiFunction, inner: int):
+def _parse_model(raw: str, psi: nonlinear.PsiFunction):
     kind = raw.partition(":")[0]
     if kind == "gauss":
         kv = read_spec(raw, {"n": int, "rho": float}, required=("n",))
@@ -240,13 +238,13 @@ def _parse_model(raw: str, psi: nonlinear.PsiFunction, inner: int):
     if kind == "multinomial":
         kv = read_spec(raw, {"n": int, "k": int}, required=("n", "k"))
         return nonlinear.MultinomialSumModel(
-            nonlinear.MultinomialSumConfig(kv["n"], kv["k"], psi), inner)
+            nonlinear.MultinomialSumConfig(kv["n"], kv["k"], psi))
     raise _UsageError(f"unknown model {raw!r}")
 
 
 def _run_nonlinear(args) -> int:
     psi = nonlinear.parse_psi(args.psi, normalize=not args.raw_psi)
-    return _run_single(args, _parse_model(args.model, psi, args.inner))
+    return _run_single(args, _parse_model(args.model, psi))
 
 
 def _run_stein(args) -> int:

@@ -19,8 +19,8 @@ from math import fsum
 import numpy as np
 
 from .bounds import LocalDepStats, bound_multivariate_local
-from .errors import (AsymmetricNeighborhoods, BadSpec, GraphNotFound,
-                     NotPositiveDefinite, TooLarge)
+from .errors import (AsymmetricNeighborhoods, BadSpec, NotPositiveDefinite,
+                     TooLarge)
 from .harness import Accumulator, StreamConfig, parallel_mc
 from .linalg import inverse_sqrt, jacobi_eigh, max_abs_norm
 from .specs import read_spec
@@ -111,30 +111,46 @@ def matching_graph(n: int) -> RegularGraph:
     return _finish_graph(n, 1, [(2 * k, 2 * k + 1) for k in range(n // 2)])
 
 
-def random_regular_graph(n: int, d: int, seed: int = 0,
-                         max_tries: int = 2000) -> RegularGraph:
-    """Pairing-model d-regular graph, rejecting self-loops and multi-edges."""
+def random_regular_graph(n: int, d: int, seed: int = 0) -> RegularGraph:
+    """Random simple d-regular graph, for every even n*d with 0 < d < n.
+
+    For ``2d < n``: the circulant graph joining each vertex to its ``d // 2``
+    nearest vertices on each side (and to the opposite one when d is odd),
+    then ``10 |E|`` random degree-preserving switches ``{a, b}, {c, e} ->
+    {a, e}, {c, b}``, each skipped if it would make a loop or a repeated
+    edge. Larger d take the complement of such a graph of degree
+    ``n - 1 - d``. Not uniform over d-regular graphs; the bound needs none.
+    """
     if n * d % 2:
         raise ValueError("n*d must be even")
-    if d >= n:
-        raise ValueError("need d < n")
+    if not 0 < d < n:
+        raise ValueError("need 0 < d < n")
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, 0xD1CE], dtype=np.uint64))
     )
-    for _ in range(max_tries):
-        stubs = rng.permutation(np.repeat(np.arange(n), d))
-        a = stubs[0::2]
-        b = stubs[1::2]
-        if np.any(a == b):
+    sparse = min(d, n - 1 - d)
+    edges = [(v, (v + k) % n) for k in range(1, sparse // 2 + 1)
+             for v in range(n)]
+    if sparse % 2:
+        edges += [(v, v + n // 2) for v in range(n // 2)]
+    edges = [(min(e), max(e)) for e in edges]
+    present = set(edges)
+    steps = 10 * len(edges)
+    picks = rng.integers(max(len(edges), 1), size=(steps, 2)).tolist()
+    flips = (rng.random(steps) < 0.5).tolist()
+    for (i, j), flip in zip(picks, flips):
+        (a, b), (c, e) = edges[i], edges[j]
+        if flip:
+            c, e = e, c
+        first, second = (min(a, e), max(a, e)), (min(c, b), max(c, b))
+        if a == e or c == b or first in present or second in present:
             continue
-        codes = np.minimum(a, b) * n + np.maximum(a, b)
-        if len(np.unique(codes)) != len(codes):
-            continue
-        return _finish_graph(n, d, zip(a.tolist(), b.tolist()))
-    raise GraphNotFound(
-        f"regular:n={n},d={d}: no simple graph found in {max_tries} tries of "
-        f"the pairing model, whose success rate falls like exp(-d^2/4); d is "
-        f"too large or too close to n")
+        present -= {edges[i], edges[j]}
+        present |= {first, second}
+        edges[i], edges[j] = first, second
+    if sparse != d:
+        present = set(itertools.combinations(range(n), 2)) - present
+    return _finish_graph(n, d, present)
 
 
 def parse_graph_spec(spec: str, seed: int = 0) -> RegularGraph:

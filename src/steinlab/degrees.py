@@ -321,10 +321,6 @@ class DegreeCountCoupler(CoupledPairSampler):
         return w, w + chunk.couple(rng, i, self.cfg.degrees)
 
 
-def degree_coupler(cfg: ErdosRenyiConfig) -> DegreeCountCoupler:
-    return DegreeCountCoupler(cfg)
-
-
 def estimate_coupling_stats(cfg: ErdosRenyiConfig, samples: int, seed: int = 0,
                             chunk_size: int = 512) -> MultivariateCouplingStats:
     """Monte Carlo coupling statistics for the multivariate size-bias bound.

@@ -33,10 +33,6 @@ class ConditionalUnavailable(SteinLabError):
     """A supplied conditional-law procedure rejected the requested index."""
 
 
-class TiltedSamplerFailure(SteinLabError):
-    """The tilted-marginal sampler could not produce a draw."""
-
-
 class InfeasibleAdjustment(SteinLabError):
     """A resampled cell count cannot be reconciled with the ball budget."""
 
@@ -55,10 +51,6 @@ class AsymmetricNeighborhoods(SteinLabError):
 
 class BadSpec(SteinLabError, ValueError):
     """A ``kind:key=value,...`` spec string is malformed or incomplete."""
-
-
-class GraphNotFound(SteinLabError):
-    """A random-graph sampler gave up before finding a valid graph."""
 
 
 class InvariantViolation(SteinLabError):

@@ -30,7 +30,7 @@ def run_experiment(model, h, samples: int, seed: int = 0,
         raise ValueError(f"test function has p={h.p}, model has p={model.p}")
     isqrt = inverse_sqrt(model.sigma)
     norms = h.derivative_norms()
-    phi, _ = phi_h(h)
+    phi = phi_h(h)
     bound, stats = model.bound(norms, samples, seed, chunk_size)
     bound.seed = seed
     gap_cfg = StreamConfig(seed, chunk_size).offset(GAP_STREAM_STRIDE)

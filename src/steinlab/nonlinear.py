@@ -8,18 +8,20 @@ law given the new value. For jointly Gaussian arguments with unit variances
 the conditional move is the linear update ``Y_j = U_j + rho_jI (y - U_I)``;
 for equiprobable multinomial cell counts it is a uniform per-ball transfer
 between cells. Both feed the univariate size-bias bound.
+The tilted Gaussian laws of the named psi and both couplers' conditional
+means ``E[W* - W | U]`` are exact, so only the draws of U are Monte Carlo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log
+from math import comb, lgamma, log
 
 import numpy as np
 
 from .bounds import UnivariateCouplingStats, bound_univariate_size_bias
 from .errors import (InfeasibleAdjustment, InvariantViolation,
-                     NotPositiveDefinite, TiltedSamplerFailure, ZeroMass)
+                     NotPositiveDefinite, ZeroMass)
 from .harness import Accumulator, StreamConfig, parallel_mc
 from .sizebias import CoupledPairSampler, DiscreteDistribution
 
@@ -86,117 +88,98 @@ def parse_psi(name: str, normalize: bool = True) -> PsiFunction:
 # Tilted marginals
 # ---------------------------------------------------------------------------
 
+# Chebyshev coefficients of g on x in (-1, 1], where erfc(z) = s exp(-z^2 + g)
+# with s = 2 / (2 + z) and x = 2 s - 1. The first term carries the usual
+# factor 1/2; the terms dropped after these 25 sum to less than 3e-16.
+_ERFC_CHEB = np.array([
+    -1.3026537197817094, 0.6419697923564902, 0.019476473204185836,
+    -0.009561514786808632, -0.0009465953444820369, 0.00036683949785276145,
+    4.252332480690777e-05, -2.0278578112534242e-05, -1.6242900046470256e-06,
+    1.3036558355805232e-06, 1.5626441722066142e-08, -8.523809591492654e-08,
+    6.5290544390988515e-09, 5.059343495551469e-09, -9.91364156493033e-10,
+    -2.273651222931836e-10, 9.646791102015527e-11, 2.3940380830391146e-12,
+    -6.886027526497553e-12, 8.944879273090725e-13, 3.130921399342958e-13,
+    -1.1270822361367252e-13, 3.810905255189232e-16, 7.106097613609237e-15,
+    -1.5230282014571043e-15])
+
+
+def _normal_sf(t):
+    """Standard-normal survival ``P(Z > t)`` from :data:`_ERFC_CHEB` by
+    Clenshaw's recurrence, numpy only; absolute error below 1e-15."""
+    t = np.asarray(t, dtype=float)
+    z = np.abs(t) * np.sqrt(0.5)
+    s = 2.0 / (2.0 + z)
+    x2 = 4.0 * s - 2.0
+    d = dd = 0.0
+    for coef in _ERFC_CHEB[:0:-1]:
+        d, dd = x2 * d - dd + coef, d
+    half = 0.5 * s * np.exp(0.5 * (_ERFC_CHEB[0] + x2 * d) - dd - z * z)
+    return np.where(t < 0, 1.0 - half, half)
+
+
+# Mean and second moment of the psi-tilted standard normal, per psi name.
+_GAUSSIAN_TILT_MOMENTS = {"square": (0.0, 3.0), "exp": (1.0, 2.0),
+                          "indicator": (float(np.sqrt(2.0 / np.pi)), 1.0)}
+
+
 class TiltedSampler:
     """Law proportional to ``psi(u) d(base)(u)``.
 
-    Continuous standard-normal bases use inverse CDF on an adaptive grid
-    extended until the truncated tail mass is below 1e-10 of the total;
-    finite bases are tilted exactly. ``mass`` is the normalizer
-    ``E psi(U)``, also the summand's mean, hence the index-picker weight.
+    On the standard-normal base ``psi`` must be a named
+    :class:`PsiFunction`, and each name has an exact tilted law: ``square``
+    (density ``u^2 phi(u)``) is a random sign times a chi variable with 3
+    degrees of freedom, ``exp`` is N(1, 1) and ``indicator`` is the
+    half-normal ``|Z|``. A finite base is tilted exactly for any callable
+    ``psi``. ``mass`` is the normalizer ``E psi(U)``, also the summand's
+    mean, hence the index-picker weight.
     """
 
-    def __init__(self, psi, base="normal", points_per_unit: int = 4096,
-                 start_halfwidth: float = 10.0, max_halfwidth: float = 40.0):
+    def __init__(self, psi, base="normal"):
         self.psi = psi
         if isinstance(base, DiscreteDistribution):
-            self._init_discrete(psi, base)
+            raw = np.asarray(psi(base.values)) * base.probs
+            total = float(raw.sum())
+            if total <= 0:
+                raise ZeroMass("psi puts no mass under the base law")
+            self.discrete = DiscreteDistribution(base.values, raw / total)
+            self.mass = total
             return
-        if base != "normal":
-            raise ValueError("base must be 'normal' or a DiscreteDistribution")
-        half = start_halfwidth
-        while True:
-            k = int(np.ceil(half * points_per_unit))
-            grid = np.linspace(-half, half, 2 * k + 1)
-            centers = 0.5 * (grid[1:] + grid[:-1])
-            # midpoint cell masses: exact to O(h^2) even across jumps of psi
-            # that sit on grid nodes (the indicator family)
-            dens = (np.asarray(psi(centers))
-                    * np.exp(-centers**2 / 2.0) / np.sqrt(2 * np.pi))
-            if not np.all(np.isfinite(dens)):
-                raise TiltedSamplerFailure(
-                    "tilted density overflows; psi grows too fast"
-                )
-            cell = dens * np.diff(grid)
-            total = float(cell.sum())
-            edge = max(float(dens[0]), float(dens[-1])) * (2.0 / points_per_unit)
-            if total > 0 and edge <= 1e-10 * total:
-                break
-            if half >= max_halfwidth:
-                if total <= 0:
-                    raise ZeroMass("psi puts no mass under the base law")
-                break
-            half = min(half + 4.0, max_halfwidth)
-        if total <= 0:
-            raise ZeroMass("psi puts no mass under the base law")
+        if base != "normal" or not isinstance(psi, PsiFunction):
+            raise ValueError("base must be a DiscreteDistribution, or 'normal' "
+                             "with a named psi: square, exp, indicator")
         self.discrete = None
-        self.grid = grid
-        self.mass = total
-        self._cdf = np.concatenate([[0.0], np.cumsum(cell)]) / total
-        self._cdf[-1] = 1.0
-        weights = cell / total
-        self._qweights = weights
-        self._qcenters = centers
-        self.mean = float(np.dot(weights, centers))
-        self.moment2 = float(np.dot(weights, centers**2))
-
-    def _init_discrete(self, psi, base: DiscreteDistribution):
-        raw = np.asarray(psi(base.values)) * base.probs
-        total = float(raw.sum())
-        if total <= 0:
-            raise ZeroMass("psi puts no mass under the base law")
-        self.discrete = DiscreteDistribution(base.values, raw / total)
-        self.mass = total
-        self.grid = None
-        self.mean = self.discrete.mean
-        self.moment2 = self.discrete.moment(2)
+        self.mass = psi.gaussian_mean()
+        self.mean, self.moment2 = _GAUSSIAN_TILT_MOMENTS[psi.name]
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.discrete is not None:
             return self.discrete.sample(rng, size)
-        return np.interp(rng.random(size), self._cdf, self.grid)
-
-    # Expectations under the tilted law ---------------------------------
-
-    def expect(self, f) -> float:
-        if self.discrete is not None:
-            return float(np.dot(self.discrete.probs, f(self.discrete.values)))
-        return float(np.dot(self._qweights, f(self._qcenters)))
+        if self.psi.name == "exp":
+            return 1.0 + rng.standard_normal(size)
+        if self.psi.name == "indicator":
+            return np.abs(rng.standard_normal(size))
+        # square: a 3-d normal's length (chi_3) is independent of its signs
+        z = rng.standard_normal((size, 3))
+        return np.copysign(np.sqrt((z * z).sum(axis=1)), z[:, 0])
 
     def mgf(self, c):
-        """``E e^{c y}`` under the tilted law, vectorized over ``c``."""
+        """``E e^{c y}`` under the exp tilt N(1, 1), vectorized over ``c``."""
         c = np.asarray(c, dtype=float)
-        flat = np.round(c.reshape(-1), 12)
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        if self.discrete is not None:
-            vals = np.array([
-                float(np.dot(self.discrete.probs,
-                             np.exp(u * self.discrete.values)))
-                for u in uniq
-            ])
-        else:
-            vals = np.array([
-                float(np.dot(self._qweights, np.exp(u * self._qcenters)))
-                for u in uniq
-            ])
-        return vals[inverse].reshape(c.shape)
+        return np.exp(c + 0.5 * c * c)
 
     def survival(self, t):
-        """``P(y > t)`` under the tilted law, vectorized."""
-        if self.discrete is not None:
-            vals = self.discrete.values
-            out = np.empty(np.shape(t))
-            flat = np.asarray(t, dtype=float).reshape(-1)
-            cum = np.cumsum(self.discrete.probs)
-            idx = np.searchsorted(vals, flat, side="right")
-            out = np.where(idx == 0, 1.0, 1.0 - cum[np.minimum(idx, len(cum)) - 1])
-            return out.reshape(np.shape(t))
+        """``P(y > t)`` under the indicator tilt, the half-normal law."""
         t = np.asarray(t, dtype=float)
-        return 1.0 - np.interp(t, self.grid, self._cdf, left=0.0, right=1.0)
+        out = np.ones_like(t)
+        pos = t > 0
+        out[pos] = 2.0 * _normal_sf(t[pos])
+        return out
 
-    def affine_mean(self, psi: PsiFunction, a, c):
-        """``E psi(a + c y)`` under the tilted law, closed form per family."""
+    def affine_mean(self, a, c):
+        """``E psi(a + c y)`` under the Gaussian tilt, closed form per name."""
         a = np.asarray(a, dtype=float)
         c = np.asarray(c, dtype=float)
+        psi = self.psi
         if psi.name == "square":
             return psi.scale * (a**2 + 2 * a * c * self.mean
                                 + c**2 * self.moment2)
@@ -209,11 +192,6 @@ class TiltedSampler:
         neg = 1.0 - pos
         return psi.scale * np.where(c > 0, pos,
                                     np.where(c < 0, neg, (a > 0).astype(float)))
-
-
-def tilted_marginal_sampler(psi, base="normal",
-                            points_per_unit: int = 4096) -> TiltedSampler:
-    return TiltedSampler(psi, base, points_per_unit)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +251,7 @@ def gaussian_moments(cfg: GaussianSumConfig):
 class GaussianSumCoupler(CoupledPairSampler):
     """Size-bias coupling via the Gaussian conditional linear update."""
 
-    def __init__(self, cfg: GaussianSumConfig,
-                 points_per_unit: int = 4096):
+    def __init__(self, cfg: GaussianSumConfig):
         self.cfg = cfg
         self.psi = cfg.psi
         corr = cfg.corr_matrix
@@ -282,7 +259,7 @@ class GaussianSumCoupler(CoupledPairSampler):
             self._chol = np.linalg.cholesky(corr)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefinite("correlation matrix is not PD") from exc
-        self.tilted = TiltedSampler(cfg.psi, "normal", points_per_unit)
+        self.tilted = TiltedSampler(cfg.psi, "normal")
         self.p = 1
         # identical psi across coordinates: the index is uniform and the
         # total mean is n * E psi(U_1)
@@ -300,41 +277,47 @@ class GaussianSumCoupler(CoupledPairSampler):
         out[rows, idx] = y
         return out
 
+    def couple_u(self, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One size-bias move per row: a uniform index is redrawn from the
+        tilted law and the other coordinates follow linearly."""
+        size = u.shape[0]
+        idx = rng.integers(self.cfg.n, size=size)
+        return self.adjust(u, idx, self.tilted.sample(rng, size))
+
     def draw_batch(self, i: int, size: int, rng: np.random.Generator):
         if i != 0:
             raise IndexError("univariate coupler only has coordinate 0")
         u = self.draw_u(rng, size)
-        idx = rng.integers(self.cfg.n, size=size)
-        y = self.tilted.sample(rng, size)
-        adjusted = self.adjust(u, idx, y)
+        adjusted = self.couple_u(u, rng)
         w = self.psi(u).sum(axis=1)
         wstar = self.psi(adjusted).sum(axis=1)
         return w[:, None], wstar[:, None]
 
-    def cond_exp_given_u(self, u: np.ndarray, block: int = 1 << 22) -> np.ndarray:
+    def cond_exp_given_u(self, u: np.ndarray,
+                         block: int = 1 << 16) -> np.ndarray:
         """Exact ``E[W* - W | U]`` using the tilted affine moments.
 
         The square family reduces to matrix products; the others evaluate
-        the affine moment on (i, j) pairs, in blocks to bound memory.
+        the affine moment on (i, j) pairs, in blocks of about ``block``
+        pairs, small enough to stay in cache.
         """
         u = np.atleast_2d(u)
         b, n = u.shape
         corr = self.cfg.corr_matrix
         psi = self.psi
         tilt = self.tilted
-        m1 = float(tilt.affine_mean(psi, 0.0, 1.0))
+        m1 = float(tilt.affine_mean(0.0, 1.0))
         w = psi(u).sum(axis=1)
         base = n * m1 - w
         if psi.name == "square":
             proj = u @ corr
             r2 = (corr**2).sum(axis=0)
             ui2 = u**2
-            mu1, mu2 = tilt.mean, tilt.moment2
+            # the square tilt is symmetric, so only its second moment enters
             cross = (
                 -2.0 * u * (proj - u)
                 + ui2 * (r2 - 1.0)
-                + 2.0 * mu1 * ((proj - u) - u * (r2 - 1.0))
-                + (r2 - 1.0) * mu2
+                + (r2 - 1.0) * tilt.moment2
             )
             return (base + psi.scale * cross.sum(axis=1)) / n
         if psi.name == "exp" and self.cfg.rho is not None and n > 1:
@@ -352,16 +335,12 @@ class GaussianSumCoupler(CoupledPairSampler):
             ub = u[lo:hi]
             a = ub[:, :, None] - corr[None, :, :] * ub[:, None, :]
             c = np.broadcast_to(corr, a.shape)
-            vals = tilt.affine_mean(psi, a, c)
+            vals = tilt.affine_mean(a, c)
             cur = psi(ub)
             cross = vals.sum(axis=1) - cur.sum(axis=1)[:, None] \
                 - (vals[:, np.arange(n), np.arange(n)] - cur)
             out[lo:hi] = (base[lo:hi] + cross.sum(axis=1)) / n
         return out
-
-
-def couple_gaussian_sum(cfg: GaussianSumConfig) -> GaussianSumCoupler:
-    return GaussianSumCoupler(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +470,61 @@ class MultinomialSumCoupler(CoupledPairSampler):
         moved = _move_balls(counts, idx, new_count, rng)
         return moved
 
+    def cond_exp_given_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Exact ``E[W* - W | U]`` per row of cell counts: with ``N`` a row's
+        histogram of counts, ``G`` the :meth:`_transfer_table` and ``q`` the
+        tilted law, ``n E[W* | U] = N^T G N - diag(G) . N + n E_q psi(Y)``.
+        """
+        counts = np.asarray(counts)
+        size = counts.shape[0]
+        top = int(counts.max(initial=0)) + 1
+        hist = np.bincount((np.arange(size)[:, None] * top + counts).ravel(),
+                           minlength=size * top).reshape(size, top)
+        present = np.flatnonzero(hist.any(axis=0))
+        hist = hist[:, present].astype(float)
+        table = self._transfer_table(present)
+        pairs = ((hist @ table) * hist).sum(axis=1) - hist @ np.diag(table)
+        tilt = self.tilted.discrete
+        e_psi_y = float(np.dot(tilt.probs, self.psi(tilt.values)))
+        return pairs / self.cfg.n + e_psi_y - self.psi(counts).sum(axis=1)
+
+    def _transfer_table(self, present: np.ndarray) -> np.ndarray:
+        """``G[a, v]``, for counts ``a, v`` in ``present``: the mean new psi
+        of a cell holding v when the picked cell, holding a, is reset to y.
+
+        For ``y < a`` the cell gains ``Bin(a - y, 1 / (n - 1))`` balls; for
+        ``y >= a`` it keeps ``J ~ Hypergeom(v, R - v, K - y)`` of them, with
+        ``R = K - a`` and K balls in all. Then ``sum_y q_y P(J = j) =
+        C(v, j) H(R - v, j)``, where ``H(u, j) = sum_m q_{K-m} C(u, m - j) /
+        C(R, m)`` follows Pascal's rule ``H(u + 1, j) = H(u, j) + H(u, j+1)``.
+        """
+        n, balls = self.cfg.n, self.cfg.balls
+        q = self.tilted.discrete.probs
+        top = int(present[-1]) + 1
+        k = np.arange(top)
+        psi_at = np.asarray(self.psi(np.arange(2 * top - 1)), dtype=float)
+        binom = np.array([[comb(s, g) for g in range(top)]
+                          for s in range(top)], dtype=float)
+        # gains, by spill s: P(G = g) = C(s, g) p^g (1 - p)^(s - g)
+        p = 1.0 / (n - 1)
+        spill = binom * p**k * (1.0 - p) ** np.maximum(k[:, None] - k, 0)
+        gain = psi_at[present[:, None] + k] @ spill.T        # [v, s]
+        y_of = present[:, None] - k                          # y = a - s
+        picked = np.where((k >= 1) & (y_of >= 0),
+                          q[np.maximum(y_of, 0)], 0.0)
+        table = picked @ gain.T                              # [a, v]
+        kept_psi = binom * psi_at[:top]                      # C(v, j) psi(j)
+        column = {v: c for c, v in enumerate(present.tolist())}
+        for row, a in enumerate(present.tolist()):
+            rest = balls - a
+            choose = [comb(rest, m) for m in range(rest + 1)]
+            h = q[a:][::-1] / np.array(choose, dtype=float)
+            for v in range(rest, int(present[0]) - 1, -1):   # u = rest - v
+                if v in column:
+                    table[row, column[v]] += kept_psi[v, :v + 1] @ h
+                h = h[:-1] + h[1:]
+        return table
+
     def draw_batch(self, i: int, size: int, rng: np.random.Generator):
         if i != 0:
             raise IndexError("univariate coupler only has coordinate 0")
@@ -503,54 +537,33 @@ class MultinomialSumCoupler(CoupledPairSampler):
         return w[:, None], wstar[:, None]
 
 
-def couple_multinomial_sum(cfg: MultinomialSumConfig) -> MultinomialSumCoupler:
-    return MultinomialSumCoupler(cfg)
-
-
 # ---------------------------------------------------------------------------
 # End-to-end experiment (univariate size-bias bound)
 # ---------------------------------------------------------------------------
 
-def estimate_nonlinear_stats(coupler, samples: int, seed: int = 0,
-                             chunk_size: int = 8192,
-                             inner: int = 32) -> UnivariateCouplingStats:
-    """Coupling statistics for the univariate bound.
+def estimate_nonlinear_stats(model, samples: int, seed: int = 0,
+                             chunk_size: int = 8192
+                             ) -> UnivariateCouplingStats:
+    """Coupling statistics for the univariate bound of a nonlinear sum.
 
-    For Gaussian sums the inner conditional expectation given U is exact
-    (closed-form affine moments). For multinomial sums it is a nested Monte
-    Carlo mean over ``inner`` fresh couplings per configuration; the
-    resulting variance estimate is biased upward by the unaveraged inner
-    noise, which only enlarges the bound.
+    ``model`` supplies ``draw(rng, size)``, the rows U; ``couple(u, rng)``,
+    one size-bias move per row; ``cond_exp(u)``, the exact
+    ``E[W* - W | U]`` per row; ``psi``; and the exact ``lam`` and ``sigma``.
     """
     cfg = StreamConfig(seed, chunk_size)
-    gaussian = isinstance(coupler, GaussianSumCoupler)
 
     def task(rng, size):
-        if gaussian:
-            u = coupler.draw_u(rng, size)
-            idx = rng.integers(coupler.cfg.n, size=size)
-            moved = coupler.adjust(u, idx, coupler.tilted.sample(rng, size))
-            cond = coupler.cond_exp_given_u(u)
-        else:
-            u = coupler.draw_counts(rng, size)
-            moved = coupler.couple_counts(u, rng)
-            tiled = np.repeat(u, inner, axis=0)
-            moved_inner = coupler.couple_counts(tiled, rng)
-            delta = (coupler.psi(moved_inner).sum(axis=1)
-                     - coupler.psi(tiled).sum(axis=1))
-            cond = delta.reshape(size, inner).mean(axis=1)
-        w = coupler.psi(u).sum(axis=1)
-        wstar = coupler.psi(moved).sum(axis=1)
+        u = model.draw(rng, size)
+        moved = model.couple(u, rng)
+        cond = model.cond_exp(u)
+        w = model.psi(u).sum(axis=1)
+        wstar = model.psi(moved).sum(axis=1)
         return (Accumulator(max_power=4).add(cond),
                 Accumulator().add((wstar - w) ** 2))
 
     cond_acc, sq_acc = parallel_mc(task, cfg, samples)
-    if gaussian:
-        lam, sigma_sq = gaussian_moments(coupler.cfg)
-    else:
-        lam, sigma_sq = multinomial_moments(coupler.cfg)
     return UnivariateCouplingStats(
-        lam=lam, sigma_sq=sigma_sq,
+        lam=float(model.lam[0]), sigma_sq=float(model.sigma[0, 0]),
         var_cond=float(cond_acc.variance),
         mean_sq_diff=float(sq_acc.mean),
         var_cond_sem=float(cond_acc.variance_sem),
@@ -561,27 +574,29 @@ def estimate_nonlinear_stats(coupler, samples: int, seed: int = 0,
 
 class _SumModel:
     """Nonlinear sums for :func:`steinlab.experiment.run_experiment`,
-    certified by the univariate size-bias bound."""
+    certified by the univariate size-bias bound; ``draw``, ``couple`` and
+    ``cond_exp`` are coupler methods for :func:`estimate_nonlinear_stats`.
+    """
 
     name = "nonlinear-sum"
     p = 1
 
-    def __init__(self, coupler, lam: float, sigma_sq: float, **stats_options):
+    def __init__(self, psi, draw, couple, cond_exp, lam: float,
+                 sigma_sq: float):
         if sigma_sq <= 0:
             raise ValueError("degenerate sum: variance is zero")
-        self.coupler = coupler
-        self.stats_options = stats_options
+        self.psi = psi
+        self.draw, self.couple, self.cond_exp = draw, couple, cond_exp
         self.lam = np.array([lam])
         self.sigma = np.array([[sigma_sq]])
 
     def bound(self, norms, samples: int, seed: int, chunk_size: int):
-        stats = estimate_nonlinear_stats(self.coupler, samples, seed=seed,
-                                         chunk_size=chunk_size,
-                                         **self.stats_options)
+        stats = estimate_nonlinear_stats(self, samples, seed=seed,
+                                         chunk_size=chunk_size)
         return bound_univariate_size_bias(stats, norms.h, norms.d1), stats
 
     def sample_w(self, rng, size: int) -> np.ndarray:
-        return self.coupler.psi(self._draw(rng, size)).sum(axis=1)[:, None]
+        return self.psi(self.draw(rng, size)).sum(axis=1)[:, None]
 
     def extras(self, stats) -> dict:
         return {"var_cond": stats.var_cond,
@@ -592,8 +607,9 @@ class GaussianSumModel(_SumModel):
     """``W = sum psi(U_i)`` with jointly Gaussian arguments."""
 
     def __init__(self, cfg: GaussianSumConfig):
-        super().__init__(GaussianSumCoupler(cfg), *gaussian_moments(cfg))
-        self._draw = self.coupler.draw_u
+        coupler = GaussianSumCoupler(cfg)
+        super().__init__(cfg.psi, coupler.draw_u, coupler.couple_u,
+                         coupler.cond_exp_given_u, *gaussian_moments(cfg))
         self.config = {"model": "gauss", "n": cfg.n, "rho": cfg.rho,
                        "psi": cfg.psi.name, "psi_scale": cfg.psi.scale,
                        "max_offdiag": cfg.max_offdiag,
@@ -602,15 +618,12 @@ class GaussianSumModel(_SumModel):
 
 
 class MultinomialSumModel(_SumModel):
-    """``W = sum psi(U_i)`` over multinomial cell counts; ``inner`` fresh
-    couplings per sample estimate the conditional mean."""
+    """``W = sum psi(U_i)`` over multinomial cell counts."""
 
-    def __init__(self, cfg: MultinomialSumConfig, inner: int = 32):
-        if inner < 1:
-            raise ValueError(f"inner draws must be at least 1, got {inner}")
-        super().__init__(MultinomialSumCoupler(cfg), *multinomial_moments(cfg),
-                         inner=inner)
-        self._draw = self.coupler.draw_counts
+    def __init__(self, cfg: MultinomialSumConfig):
+        coupler = MultinomialSumCoupler(cfg)
+        super().__init__(cfg.psi, coupler.draw_counts, coupler.couple_counts,
+                         coupler.cond_exp_given_counts,
+                         *multinomial_moments(cfg))
         self.config = {"model": "multinomial", "n": cfg.n, "k": cfg.k,
-                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale,
-                       "inner_draws": inner}
+                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale}

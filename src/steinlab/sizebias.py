@@ -285,23 +285,6 @@ def independent_adjuster(u, idx, y, rng):
     return u.copy()
 
 
-# Spec-facing construction helpers ------------------------------------------
-
-def couple_sum_independent(components) -> IndependentSumCoupler:
-    return IndependentSumCoupler(list(components))
-
-
-def couple_indicator_collection(joint_sampler, conditional_given_one,
-                                coordinate_sets, means) -> IndicatorCollectionCoupler:
-    return IndicatorCollectionCoupler(joint_sampler, conditional_given_one,
-                                      coordinate_sets, means)
-
-
-def couple_function_sum(u_sampler, psis, tilted_samplers,
-                        adjuster=independent_adjuster) -> FunctionSumCoupler:
-    return FunctionSumCoupler(u_sampler, psis, tilted_samplers, adjuster)
-
-
 # ---------------------------------------------------------------------------
 # Statistical verification of the characterizing identity
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ class SteinSolution:
         self.start_nodes = start_nodes
         self.max_nodes = max_nodes
         if phi is None:
-            phi, _ = phi_h(h, GaussianExpectation(nodes=gh_nodes), p=self.p)
+            phi = phi_h(h, GaussianExpectation(nodes=gh_nodes), p=self.p)
         self.phi = float(phi)
         self.s_nodes: np.ndarray | None = None
         self.s_weights: np.ndarray | None = None

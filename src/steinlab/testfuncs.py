@@ -267,7 +267,8 @@ class SmoothTestFunction:
 
         cosine and gauss-radial are closed forms. product-logistic factors
         into one ``nodes``-point Gauss-Hermite sum per axis: the tensor
-        rule's value without its ``nodes^p`` points.
+        rule's value without its ``nodes^p`` points. Each axis sum is taken
+        once per distinct coordinate value, since grids repeat them.
         """
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
         if centers.shape[1] != self.p:
@@ -283,9 +284,13 @@ class SmoothTestFunction:
             return ((self.scale**2 / var) ** (self.p / 2)
                     * np.exp(-np.sum(centers**2, axis=1) / (2.0 * var)))
         x, w = gauss_hermite_1d(nodes)
-        axis_means = np.zeros_like(centers)
-        for xk, wk in zip(x, w):
-            axis_means += wk * _sigmoid(a * (centers + sigma * xk))
+        axis_means = np.empty_like(centers)
+        for j in range(self.p):
+            values, inverse = np.unique(centers[:, j], return_inverse=True)
+            mean = np.zeros_like(values)
+            for xk, wk in zip(x, w):
+                mean += wk * _sigmoid(a[j] * (values + sigma * xk))
+            axis_means[:, j] = mean[inverse]
         return np.prod(axis_means, axis=1)
 
     def spec_string(self) -> str:
@@ -309,22 +314,17 @@ def smoothed_mean(h, centers, sigma: float, nodes: int) -> np.ndarray:
 
 
 def phi_h(h, cfg: GaussianExpectation | None = None, p: int | None = None):
-    """``E h(Z)`` with Z standard p-variate normal, plus an error estimate.
+    """``E h(Z)`` with Z standard p-variate normal.
 
     ``h`` may be a :class:`SmoothTestFunction` or any callable mapping a
-    ``(m, p)`` batch to ``(m,)`` values (then ``p`` must be given). The
-    error estimate is the change from a half-resolution rule; it is 0 for
-    the closed forms.
+    ``(m, p)`` batch to ``(m,)`` values (then ``p`` must be given).
     """
     nodes = (cfg or GaussianExpectation()).nodes
     if isinstance(h, SmoothTestFunction):
         p = h.p
     elif p is None:
         raise DimensionMismatch("p is required when h is a raw callable")
-    origin = np.zeros((1, p))
-    val = float(smoothed_mean(h, origin, 1.0, nodes)[0])
-    half = float(smoothed_mean(h, origin, 1.0, max(2, nodes // 2))[0])
-    return val, abs(val - half)
+    return float(smoothed_mean(h, np.zeros((1, p)), 1.0, nodes)[0])
 
 
 # ---------------------------------------------------------------------------

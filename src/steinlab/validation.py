@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nonlinear
-from .degrees import ErdosRenyiConfig, degree_coupler
+from .degrees import DegreeCountCoupler, ErdosRenyiConfig
 from .sizebias import (CoupledPairSampler, DiscreteDistribution,
                        FunctionSumCoupler, IndependentSumCoupler,
                        IndicatorCollectionCoupler, independent_adjuster,
@@ -77,24 +77,24 @@ def build_registry() -> dict:
             DiscreteDistribution([0.0, 1.0, 2.0], [0.2, 0.5, 0.3]),
             DiscreteDistribution([1.0, 4.0], [0.6, 0.4]),
         ]),
-        "degree-count": lambda: degree_coupler(
+        "degree-count": lambda: DegreeCountCoupler(
             ErdosRenyiConfig.from_c(20, 2.0, (1, 2))
         ),
-        "gauss-square": lambda: nonlinear.couple_gaussian_sum(
+        "gauss-square": lambda: nonlinear.GaussianSumCoupler(
             nonlinear.GaussianSumConfig(8, nonlinear.parse_psi("square"), rho=0.2)
         ),
-        "gauss-exp": lambda: nonlinear.couple_gaussian_sum(
+        "gauss-exp": lambda: nonlinear.GaussianSumCoupler(
             nonlinear.GaussianSumConfig(8, nonlinear.parse_psi("exp"), rho=0.15)
         ),
-        "gauss-indicator": lambda: nonlinear.couple_gaussian_sum(
+        "gauss-indicator": lambda: nonlinear.GaussianSumCoupler(
             nonlinear.GaussianSumConfig(8, nonlinear.parse_psi("indicator"),
                                         rho=0.2)
         ),
-        "multinomial-square": lambda: nonlinear.couple_multinomial_sum(
+        "multinomial-square": lambda: nonlinear.MultinomialSumCoupler(
             nonlinear.MultinomialSumConfig(
                 6, 2, nonlinear.parse_psi("square", normalize=False))
         ),
-        "multinomial-exp": lambda: nonlinear.couple_multinomial_sum(
+        "multinomial-exp": lambda: nonlinear.MultinomialSumCoupler(
             nonlinear.MultinomialSumConfig(
                 6, 2, nonlinear.parse_psi("exp", normalize=False))
         ),

@@ -6,6 +6,7 @@ outcomes), independent of the production sampling paths it checks.
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, fsum
 
 import numpy as np
@@ -322,9 +323,9 @@ def cond_exp_given_graph(graph: GraphSample, cfg, i: int, j: int) -> float:
 # Multinomial occupancy W law
 # ---------------------------------------------------------------------------
 
-def multinomial_w_law(n_cells, balls, psi):
-    """Exact law of ``sum psi(counts)`` over all occupancy vectors."""
-    law = {}
+def occupancy_law(n_cells, balls):
+    """Every occupancy vector of ``balls`` balls in ``n_cells`` equiprobable
+    cells, with its probability, as ``(counts, prob)`` pairs."""
     for counts in itertools.product(range(balls + 1), repeat=n_cells):
         if sum(counts) != balls:
             continue
@@ -333,7 +334,60 @@ def multinomial_w_law(n_cells, balls, psi):
         for c in counts:
             weight *= comb(remaining, c)
             remaining -= c
-        weight *= (1.0 / n_cells) ** balls
+        yield counts, weight * (1.0 / n_cells) ** balls
+
+
+def multinomial_w_law(n_cells, balls, psi):
+    """Exact law of ``sum psi(counts)`` over all occupancy vectors."""
+    law = {}
+    for counts, weight in occupancy_law(n_cells, balls):
         w = float(fsum(float(psi(np.array([c]))[0]) for c in counts))
         law[w] = law.get(w, 0.0) + weight
     return law
+
+
+def multinomial_cond_exp(counts, psi):
+    """``E[W* - W | U = counts]`` for the multinomial size-bias coupling,
+    summed term by term over the picked cell I, its new count y and every
+    other cell j.
+
+    y has the psi-tilted Binomial(K, 1/n) law. For y >= U_I the y - U_I
+    missing balls are pulled uniformly without replacement from the other
+    cells, so cell j loses a hypergeometric number; for y < U_I each
+    spilled ball lands in a uniform other cell, so cell j gains a binomial
+    number. Probabilities come from exact integer binomial coefficients.
+    """
+    counts = [int(c) for c in counts]
+    n, balls = len(counts), sum(counts)
+
+    def f(x):
+        return float(psi(np.array([x]))[0])
+
+    raw = [comb(balls, y) * (n - 1) ** (balls - y) / n**balls * f(y)
+           for y in range(balls + 1)]
+    mass = fsum(raw)
+    q = [x / mass for x in raw]
+
+    @lru_cache(maxsize=None)
+    def other_cell(a, v):
+        """Mean new psi of a cell holding v when the picked cell holds a."""
+        terms = []
+        for y, qy in enumerate(q):
+            if qy == 0.0:
+                continue
+            if y >= a:
+                pulled, rest = y - a, balls - a
+                terms += [qy * comb(v, lost) * comb(rest - v, pulled - lost)
+                          / comb(rest, pulled) * f(v - lost)
+                          for lost in range(min(v, pulled) + 1)]
+            else:
+                spill, p = a - y, 1.0 / (n - 1)
+                terms += [qy * comb(spill, got) * p**got
+                          * (1.0 - p) ** (spill - got) * f(v + got)
+                          for got in range(spill + 1)]
+        return fsum(terms)
+
+    total = n * fsum(qy * f(y) for y, qy in enumerate(q))
+    pairs = fsum(other_cell(counts[i], counts[j])
+                 for i in range(n) for j in range(n) if j != i)
+    return (total + pairs) / n - fsum(f(c) for c in counts)

@@ -14,7 +14,7 @@ from steinlab.bounds import (LocalDepStats, MultivariateCouplingStats,
                              covariance_identity_check)
 from steinlab.errors import NonfiniteNorm, NotPositiveDefinite
 from steinlab.linalg import inverse_sqrt, max_abs_norm
-from steinlab.sizebias import DiscreteDistribution, couple_sum_independent
+from steinlab.sizebias import DiscreteDistribution, IndependentSumCoupler
 
 
 def _uni_stats(var_cond=0.04, msd=0.1, lam=1.0, sigma_sq=1.0):
@@ -221,7 +221,7 @@ class TestMultivariateLocal:
 class TestCovarianceIdentity:
     def test_two_fair_coins(self):
         """lam E(W* - W) = Var W = 1/2 for two fair coins."""
-        coupler = couple_sum_independent(
+        coupler = IndependentSumCoupler(
             [DiscreteDistribution.bernoulli(0.5)] * 2)
         res = covariance_identity_check(coupler, np.array([[0.5]]),
                                         samples=200_000, seed=6)
@@ -242,7 +242,7 @@ class TestCovarianceIdentity:
         assert res.max_abs_z == 0.0
 
     def test_wrong_target_flagged(self):
-        coupler = couple_sum_independent(
+        coupler = IndependentSumCoupler(
             [DiscreteDistribution.bernoulli(0.5)] * 2)
         res = covariance_identity_check(coupler, np.array([[5.0]]),
                                         samples=100_000, seed=6)

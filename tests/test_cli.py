@@ -84,12 +84,11 @@ class TestExperiments:
 
     def test_nonlinear_multinomial(self, capsys):
         code, out, _ = _run(["nonlinear", "--model", "multinomial:n=10,k=2",
-                             "--psi", "square", "--inner", "4",
+                             "--psi", "square",
                              "--samples", "1000", "--seed", "2"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["config"]["model"] == "multinomial"
-        assert payload["config"]["inner_draws"] == 4
 
     def test_degree_count_custom_h(self, capsys):
         code, out, _ = _run(["degree-count", "--n", "20", "--c", "2",
@@ -103,7 +102,8 @@ class TestExperiments:
          "--samples", "2000"],
         ["stein-check", "--h", "cosine:a=0.5,0.5,0.5,0.5,0.5",
          "--grid-points", "3"],
-    ], ids=["degree-count", "stein-check"])
+        ["stein-check", "--h", "logistic:a=1,1,1,1,1", "--grid-points", "3"],
+    ], ids=["degree-count", "stein-check", "stein-check-logistic"])
     def test_five_dimensional_builtin_h(self, argv, capsys):
         """Built-in h smooth without a tensor rule, so p = 5 runs."""
         code, out, _ = _run(argv, capsys)
@@ -244,8 +244,9 @@ class TestUsageErrors:
         (COLOR + ["--samples", "1"], "at least 100 samples, got 1"),
         (GAUSS + ["--samples", "0"], "at least 100 samples, got 0"),
         (GAUSS + ["--samples", "1"], "at least 100 samples, got 1"),
-        (MULTI + ["--inner", "0"], "at least 1, got 0"),
-        (MULTI + ["--inner", "-1"], "at least 1, got -1"),
+        (MULTI + ["--inner", "4"], "unrecognized arguments: --inner 4"),
+        (["color-match", "--graph", "regular:n=10,d=0", "--colors", "0.5,0.5"],
+         "need 0 < d < n"),
         (DEGREE + ["--h", "cosine:a=1"], "dimension 1, expected 2"),
         (["nonlinear", "--model", "gauss:rho=0.1", "--psi", "square"],
          "'gauss:rho=0.1' is missing key 'n'"),
@@ -261,8 +262,8 @@ class TestUsageErrors:
          "at least 100 samples, got 0"),
         (["validate-couplings", "--which", "bernoulli-sum", "--samples", "1"],
          "at least 100 samples, got 1"),
-        (["color-match", "--graph", "regular:n=7,d=6", "--colors", "0.5,0.5"],
-         "regular:n=7,d=6: no simple graph found in 2000 tries"),
+        (["color-match", "--graph", "regular:n=7,d=3", "--colors", "0.5,0.5"],
+         "n*d must be even"),
         (["stein-check", "--h", "cosine:a=1", "--grid-points", "0"],
          "--grid-points must be at least 1, got 0"),
     ])

@@ -17,6 +17,9 @@ class TestGraphBuilders:
         (cm.complete_graph(5), 4, 10),
         (cm.matching_graph(6), 1, 3),
         (cm.random_regular_graph(16, 3, seed=2), 3, 24),
+        (cm.random_regular_graph(200, 6, seed=2), 6, 600),
+        (cm.random_regular_graph(200, 8, seed=2), 8, 800),
+        (cm.random_regular_graph(7, 6, seed=2), 6, 21),
     ])
     def test_regularity_and_neighborhoods(self, graph, expected_d,
                                           expected_edges):

@@ -173,7 +173,7 @@ class TestCoupling:
         """The batch kernel's (W, W^i) agrees with the scalar reference."""
         cfg = dg.ErdosRenyiConfig(n, pi, degrees, check_pd=False)
         m_kernel, m_oracle = 60_000, 6_000
-        w_k, wi_k = dg.degree_coupler(cfg).draw_batch(
+        w_k, wi_k = dg.DegreeCountCoupler(cfg).draw_batch(
             i, m_kernel, StreamConfig(11).stream(0))
         rng = StreamConfig(12).stream(0)
         draws = [oracles.couple_degree(oracles.sample_graph(cfg, rng), cfg,
@@ -194,7 +194,7 @@ class TestCoupling:
         cfg = dg.ErdosRenyiConfig(4, 0.5, degrees, check_pd=False)
         law = oracles.degree_construction_law(4, 0.5, degrees, i)
         m = 100_000
-        _, wi = dg.degree_coupler(cfg).draw_batch(
+        _, wi = dg.DegreeCountCoupler(cfg).draw_batch(
             i, m, StreamConfig(37).stream(0))
         values, counts = np.unique(wi, axis=0, return_counts=True)
         seen = {tuple(map(float, v)): int(c) for v, c in zip(values, counts)}
@@ -209,7 +209,7 @@ class TestCoupling:
         cfg = dg.ErdosRenyiConfig.from_c(400, 2, (1, 2))
         tracemalloc.start()
         try:
-            dg.degree_coupler(cfg).draw_batch(0, 1024,
+            dg.DegreeCountCoupler(cfg).draw_batch(0, 1024,
                                               StreamConfig(41).stream(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -329,7 +329,7 @@ class TestEstimatedStatistics:
     def test_cond_mean_matches_draw_mean(self):
         """Averaged exact conditional means agree with raw draw means."""
         cfg = dg.ErdosRenyiConfig.from_c(20, 2.0, (1, 2))
-        coupler = dg.degree_coupler(cfg)
+        coupler = dg.DegreeCountCoupler(cfg)
         m = 60_000
         rng = StreamConfig(19).stream(0)
         chunk = dg._GraphChunk(rng, 4000, cfg)
@@ -344,14 +344,14 @@ class TestEstimatedStatistics:
 
     def test_covariance_identity(self):
         cfg = dg.ErdosRenyiConfig.from_c(30, 2.0, (1, 2))
-        coupler = dg.degree_coupler(cfg)
+        coupler = dg.DegreeCountCoupler(cfg)
         res = covariance_identity_check(coupler, coupler.sigma,
                                         samples=40_000, seed=29)
         assert res.max_abs_z <= 4.0
 
     def test_characterization_quick(self):
         cfg = dg.ErdosRenyiConfig.from_c(20, 2.0, (1, 2))
-        res = verify_characterization(dg.degree_coupler(cfg),
+        res = verify_characterization(dg.DegreeCountCoupler(cfg),
                                       samples=100_000, seed=31)
         assert res.max_abs_z <= 4.0
 

@@ -129,7 +129,7 @@ class TestEstimateGap:
             return np.full((size, 1), 3.0)
 
         gap, sem = estimate_gap(sample_w, lam, np.eye(1), h.evaluate,
-                                phi_h(h)[0], 5000,
+                                phi_h(h), 5000,
                                 StreamConfig(seed=1, chunk_size=1000))
         np.testing.assert_allclose(gap, 1.0 - np.exp(-0.5), atol=1e-12)
         assert sem == 0.0
@@ -152,6 +152,6 @@ class TestEstimateGap:
             return rng.standard_normal((size, 2))
 
         gap, sem = estimate_gap(sample_w, np.zeros(2), np.eye(2), h.evaluate,
-                                phi_h(h)[0], 200_000,
+                                phi_h(h), 200_000,
                                 StreamConfig(seed=3))
         assert gap <= 4.0 * sem

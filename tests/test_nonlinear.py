@@ -1,7 +1,10 @@
 """Nonlinear sums: tilted marginals, both couplers, exact moments."""
 
+from math import fsum
+
 import numpy as np
 import pytest
+from scipy import special
 from scipy import stats as sps
 
 import oracles
@@ -15,17 +18,14 @@ from steinlab.testfuncs import SmoothTestFunction
 
 
 class TestTiltedSampler:
-    def test_flat_psi_recovers_base(self):
-        """psi = 1: the tilted law is the base law (KS test vs normal)."""
-        flat = nl.PsiFunction("indicator", 1.0)
-        tilt = nl.tilted_marginal_sampler(lambda u: np.ones_like(u))
-        draws = tilt.sample(StreamConfig(1).stream(0), 100_000)
-        stat, pvalue = sps.kstest(draws, "norm")
-        assert pvalue > 1e-4
+    def test_normal_sf_matches_scipy(self):
+        t = np.linspace(-40.0, 40.0, 400_001)
+        np.testing.assert_allclose(nl._normal_sf(t), special.ndtr(-t),
+                                   rtol=0, atol=1e-15)
 
     def test_square_tilt_moments(self):
         """u^2-tilted normal has mean 0 and variance E Z^4 / E Z^2 = 3."""
-        tilt = nl.tilted_marginal_sampler(nl.parse_psi("square"))
+        tilt = nl.TiltedSampler(nl.parse_psi("square"), "normal")
         assert abs(tilt.mean) < 1e-9
         np.testing.assert_allclose(tilt.moment2, 3.0, atol=1e-7)
         draws = tilt.sample(StreamConfig(2).stream(0), 200_000)
@@ -33,7 +33,7 @@ class TestTiltedSampler:
         assert abs(draws.var() - 3.0) <= 4 * np.sqrt(12.0 / 200_000) + 1e-3
 
     def test_indicator_tilt_is_half_normal(self):
-        tilt = nl.tilted_marginal_sampler(nl.parse_psi("indicator"))
+        tilt = nl.TiltedSampler(nl.parse_psi("indicator"), "normal")
         np.testing.assert_allclose(tilt.mass, 1.0, atol=1e-8)
         np.testing.assert_allclose(tilt.mean, np.sqrt(2.0 / np.pi),
                                    atol=1e-7)
@@ -42,16 +42,37 @@ class TestTiltedSampler:
 
     def test_exp_tilt_is_shifted_normal(self):
         """e^u-tilting a standard normal shifts it to N(1, 1)."""
-        tilt = nl.tilted_marginal_sampler(nl.parse_psi("exp"))
+        tilt = nl.TiltedSampler(nl.parse_psi("exp"), "normal")
         np.testing.assert_allclose(tilt.mean, 1.0, atol=1e-8)
         np.testing.assert_allclose(tilt.moment2 - tilt.mean**2, 1.0,
                                    atol=1e-7)
         np.testing.assert_allclose(tilt.mgf(0.5), np.exp(0.5 + 0.125),
                                    atol=1e-6)
+        c = np.array([-2.0, -0.1, 0.0, 0.3, 1.5])
+        np.testing.assert_allclose(tilt.mgf(c), np.exp(c + c * c / 2),
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("name,cdf", [
+        ("indicator", sps.halfnorm.cdf),
+        ("exp", sps.norm(loc=1.0).cdf),
+        ("square", lambda y: 0.5 + 0.5 * np.sign(y) * sps.maxwell.cdf(
+            np.abs(y))),
+    ], ids=["indicator", "exp", "square"])
+    def test_gaussian_tilt_draws_follow_law(self, name, cdf):
+        """KS test of the draws: half-normal, N(1, 1), and a fair random
+        sign times a Maxwell (chi_3) length."""
+        tilt = nl.TiltedSampler(nl.parse_psi(name), "normal")
+        draws = tilt.sample(StreamConfig(1).stream(0), 100_000)
+        assert sps.kstest(draws, cdf).pvalue > 1e-4
+
+    def test_raw_callable_on_normal_base_rejected(self):
+        with pytest.raises(ValueError, match="square, exp, indicator"):
+            nl.TiltedSampler(lambda u: np.ones_like(u), "normal")
 
     def test_zero_mass_rejected(self):
+        base = DiscreteDistribution([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
         with pytest.raises(ZeroMass):
-            nl.tilted_marginal_sampler(lambda u: np.zeros_like(u))
+            nl.TiltedSampler(lambda u: np.zeros_like(u), base)
 
     def test_discrete_tilt_is_exact_size_bias(self):
         base = DiscreteDistribution([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
@@ -62,17 +83,21 @@ class TestTiltedSampler:
         np.testing.assert_allclose(tilt.mass, base.mean, rtol=1e-14)
 
     def test_survival_consistent_with_draws(self):
-        tilt = nl.tilted_marginal_sampler(nl.parse_psi("square"))
+        tilt = nl.TiltedSampler(nl.parse_psi("indicator"), "normal")
         draws = tilt.sample(StreamConfig(4).stream(0), 200_000)
         for t in (-2.0, 0.0, 1.5):
             emp = float(np.mean(draws > t))
             assert abs(emp - tilt.survival(t)) <= 4 * np.sqrt(0.25 / 200_000)
+        t = np.linspace(-3.0, 30.0, 3301)
+        exact = np.where(t > 0, special.erfc(t / np.sqrt(2)), 1.0)
+        np.testing.assert_allclose(tilt.survival(t), exact, rtol=0,
+                                   atol=1e-15)
 
 
 class TestGaussianCoupler:
     def test_identity_correlation_leaves_others(self):
         cfg = nl.GaussianSumConfig(5, nl.parse_psi("square"), rho=0.0)
-        coupler = nl.couple_gaussian_sum(cfg)
+        coupler = nl.GaussianSumCoupler(cfg)
         rng = StreamConfig(5).stream(0)
         u = coupler.draw_u(rng, 100)
         idx = rng.integers(5, size=100)
@@ -88,7 +113,7 @@ class TestGaussianCoupler:
         """rho = 0.5: given the resampled value y, the other coordinate is
         N(0.5 y, 0.75)."""
         cfg = nl.GaussianSumConfig(2, nl.parse_psi("square"), rho=0.5)
-        coupler = nl.couple_gaussian_sum(cfg)
+        coupler = nl.GaussianSumCoupler(cfg)
         rng = StreamConfig(6).stream(0)
         m = 200_000
         u = coupler.draw_u(rng, m)
@@ -107,7 +132,7 @@ class TestGaussianCoupler:
                          [0.3, 1.0, 0.4],
                          [-0.2, 0.4, 1.0]])
         cfg = nl.GaussianSumConfig(3, nl.parse_psi("square"), corr=corr)
-        coupler = nl.couple_gaussian_sum(cfg)
+        coupler = nl.GaussianSumCoupler(cfg)
         m = 300_000
         u = coupler.draw_u(StreamConfig(7).stream(0), m)
         y_val = -0.8
@@ -128,7 +153,7 @@ class TestGaussianCoupler:
         bad = corr.copy()
         bad[0, 1] = bad[1, 0] = 1.5
         with pytest.raises(NotPositiveDefinite):
-            nl.couple_gaussian_sum(
+            nl.GaussianSumCoupler(
                 nl.GaussianSumConfig(2, nl.parse_psi("square"), corr=bad))
 
     @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
@@ -136,7 +161,7 @@ class TestGaussianCoupler:
         """The closed-form conditional mean agrees with brute-force inner
         Monte Carlo on a handful of fixed configurations."""
         cfg = nl.GaussianSumConfig(4, nl.parse_psi(name), rho=0.25)
-        coupler = nl.couple_gaussian_sum(cfg)
+        coupler = nl.GaussianSumCoupler(cfg)
         rng = StreamConfig(8).stream(0)
         u = coupler.draw_u(rng, 6)
         exact = coupler.cond_exp_given_u(u)
@@ -153,7 +178,7 @@ class TestGaussianCoupler:
     def test_mean_identity(self):
         """E W* = E W^2 / lambda for the coupled pair."""
         cfg = nl.GaussianSumConfig(6, nl.parse_psi("square"), rho=0.2)
-        coupler = nl.couple_gaussian_sum(cfg)
+        coupler = nl.GaussianSumCoupler(cfg)
         lam, var = nl.gaussian_moments(cfg)
         m = 400_000
         w, ws = coupler.draw_batch(0, m, StreamConfig(9).stream(0))
@@ -167,7 +192,7 @@ class TestGaussianMoments:
     def test_against_monte_carlo(self, name):
         cfg = nl.GaussianSumConfig(5, nl.parse_psi(name), rho=0.3)
         lam, var = nl.gaussian_moments(cfg)
-        coupler = nl.couple_gaussian_sum(cfg)
+        coupler = nl.GaussianSumCoupler(cfg)
         m = 400_000
         w = coupler.psi(coupler.draw_u(StreamConfig(10).stream(0), m)).sum(axis=1)
         assert abs(w.mean() - lam) <= 5 * w.std() / np.sqrt(m)
@@ -183,7 +208,7 @@ class TestMultinomialCoupler:
     def test_ball_conservation(self):
         cfg = nl.MultinomialSumConfig(5, 3, nl.parse_psi("square",
                                                          normalize=False))
-        coupler = nl.couple_multinomial_sum(cfg)
+        coupler = nl.MultinomialSumCoupler(cfg)
         rng = StreamConfig(11).stream(0)
         counts = coupler.draw_counts(rng, 5000)
         moved = coupler.couple_counts(counts, rng)
@@ -201,7 +226,7 @@ class TestMultinomialCoupler:
 
         cfg = nl.MultinomialSumConfig(2, 1, nl.parse_psi("square",
                                                          normalize=False))
-        coupler = nl.couple_multinomial_sum(cfg)
+        coupler = nl.MultinomialSumCoupler(cfg)
         coupler.psi = Identity()
         coupler.tilted = nl.TiltedSampler(coupler.psi, cfg.cell_marginal())
         coupler.mean_vector = np.array([2 * coupler.tilted.mass])
@@ -214,7 +239,7 @@ class TestMultinomialCoupler:
         from the occupancy law (3 balls in 3 cells)."""
         psi = nl.parse_psi("square", normalize=False)
         cfg = nl.MultinomialSumConfig(3, 1, psi)
-        coupler = nl.couple_multinomial_sum(cfg)
+        coupler = nl.MultinomialSumCoupler(cfg)
         w_law = oracles.multinomial_w_law(3, 3, psi)
         target = oracles.size_biased_law(w_law)
         m = 300_000
@@ -233,6 +258,36 @@ class TestMultinomialCoupler:
         np.testing.assert_allclose(lam, mean, rtol=1e-10)
         np.testing.assert_allclose(var, second - mean**2, rtol=1e-9)
 
+    @pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (10, 2), (100, 2)])
+    @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
+    def test_cond_exp_matches_oracle(self, name, n, k):
+        """The histogram kernel equals the term-by-term scalar sum to 1e-12
+        relative to W."""
+        psi = nl.parse_psi(name, normalize=False)
+        coupler = nl.MultinomialSumCoupler(nl.MultinomialSumConfig(n, k, psi))
+        counts = coupler.draw_counts(StreamConfig(21).stream(n),
+                                     1 if n == 100 else 4)
+        got = coupler.cond_exp_given_counts(counts)
+        want = [oracles.multinomial_cond_exp(row, psi) for row in counts]
+        scale = max(1.0, float(psi(counts).sum(axis=1).max()))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
+    @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
+    def test_cond_exp_averages_to_variance_over_mean(self, name, n, k):
+        """E[W* - W] = E W^2 / lambda - lambda = sigma^2 / lambda, summed
+        exactly over every occupancy vector."""
+        psi = nl.parse_psi(name, normalize=False)
+        coupler = nl.MultinomialSumCoupler(nl.MultinomialSumConfig(n, k, psi))
+        occupancy = list(oracles.occupancy_law(n, n * k))
+        counts = np.array([c for c, _ in occupancy])
+        probs = np.array([p for _, p in occupancy])
+        law = oracles.multinomial_w_law(n, n * k, psi)
+        lam = fsum(w * p for w, p in law.items())
+        var = fsum(w * w * p for w, p in law.items()) - lam**2
+        mean_cond = fsum(probs * coupler.cond_exp_given_counts(counts))
+        np.testing.assert_allclose(mean_cond, var / lam, rtol=1e-12)
+
     def test_infeasible_adjustment_raises(self):
         counts = np.array([[2, 1, 1]])
         with pytest.raises(InfeasibleAdjustment):
@@ -244,7 +299,7 @@ class TestCharacterization:
     @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
     def test_gaussian_couplers(self, name):
         cfg = nl.GaussianSumConfig(8, nl.parse_psi(name), rho=0.2)
-        res = verify_characterization(nl.couple_gaussian_sum(cfg),
+        res = verify_characterization(nl.GaussianSumCoupler(cfg),
                                       samples=150_000, seed=14)
         assert res.max_abs_z <= 4.0, (name, res.max_abs_z)
 
@@ -252,7 +307,7 @@ class TestCharacterization:
     def test_multinomial_couplers(self, name):
         cfg = nl.MultinomialSumConfig(6, 2, nl.parse_psi(name,
                                                          normalize=False))
-        res = verify_characterization(nl.couple_multinomial_sum(cfg),
+        res = verify_characterization(nl.MultinomialSumCoupler(cfg),
                                       samples=150_000, seed=15)
         assert res.max_abs_z <= 4.0, (name, res.max_abs_z)
 
@@ -275,10 +330,9 @@ class TestExperiment:
         cfg = nl.MultinomialSumConfig(30, 2, nl.parse_psi("square",
                                                           normalize=False))
         h = SmoothTestFunction("cosine", p=1, a=(1.0,))
-        rep = run_experiment(nl.MultinomialSumModel(cfg, inner=16), h,
+        rep = run_experiment(nl.MultinomialSumModel(cfg), h,
                              samples=8000, seed=17, chunk_size=8192)
         assert rep.passed
-        assert rep.config["inner_draws"] == 16
 
     def test_report_echoes_correlation_summary(self):
         cfg = nl.GaussianSumConfig(12, nl.parse_psi("exp"), rho=0.1)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 from steinlab.errors import ConditionalUnavailable, ZeroMean
-from steinlab.sizebias import (DiscreteDistribution, IndexPicker,
-                               couple_function_sum,
-                               couple_indicator_collection,
-                               couple_sum_independent, size_bias_discrete,
+from steinlab.sizebias import (DiscreteDistribution, FunctionSumCoupler,
+                               IndependentSumCoupler, IndexPicker,
+                               IndicatorCollectionCoupler,
+                               independent_adjuster, size_bias_discrete,
                                verify_characterization)
 from steinlab.validation import (discrete_function_sum_coupler,
                                  exchangeable_pair_coupler)
@@ -122,7 +122,7 @@ class TestIndependentSumCoupler:
         """Empirical W* frequencies match the enumerated law at 4 sigma."""
         comps = [DiscreteDistribution([0.0, 1.0, 2.0], [0.3, 0.4, 0.3]),
                  DiscreteDistribution.bernoulli(0.6)]
-        coupler = couple_sum_independent(comps)
+        coupler = IndependentSumCoupler(comps)
         law = oracles.independent_sum_construction_law(
             [oracles.discrete_law(c) for c in comps])
         rng = np.random.default_rng(4)
@@ -134,7 +134,7 @@ class TestIndependentSumCoupler:
 
     def test_zero_mean_rejected(self):
         with pytest.raises(ZeroMean):
-            couple_sum_independent([DiscreteDistribution([0.0], [1.0])])
+            IndependentSumCoupler([DiscreteDistribution([0.0], [1.0])])
 
 
 class TestIndicatorCollectionCoupler:
@@ -169,8 +169,8 @@ class TestIndicatorCollectionCoupler:
         def given_one(beta, rng, size):
             return np.ones((size, 3))
 
-        coupler = couple_indicator_collection(joint, given_one,
-                                              [[0, 1, 2]], [1.0, 1.0, 1.0])
+        coupler = IndicatorCollectionCoupler(joint, given_one,
+                                             [[0, 1, 2]], [1.0, 1.0, 1.0])
         w, wi = coupler.draw_batch(0, 100, np.random.default_rng(0))
         np.testing.assert_array_equal(w, wi)
 
@@ -181,8 +181,8 @@ class TestIndicatorCollectionCoupler:
         def given_one(beta, rng, size):
             return np.zeros((size, 2))
 
-        coupler = couple_indicator_collection(joint, given_one,
-                                              [[0, 1]], [0.5, 0.5])
+        coupler = IndicatorCollectionCoupler(joint, given_one,
+                                             [[0, 1]], [0.5, 0.5])
         with pytest.raises(ConditionalUnavailable):
             coupler.draw_batch(0, 10, np.random.default_rng(0))
 
@@ -222,7 +222,8 @@ class TestFunctionSumCoupler:
         import steinlab.nonlinear as nl
         const = lambda u: np.full(np.shape(u), 2.0)
         tilted = [nl.TiltedSampler(const, base)] * 3
-        coupler = couple_function_sum(u_sampler, [const] * 3, tilted)
+        coupler = FunctionSumCoupler(u_sampler, [const] * 3, tilted,
+                                     independent_adjuster)
         w, wstar = coupler.draw_batch(0, 50, np.random.default_rng(1))
         np.testing.assert_array_equal(w, 6.0)
         np.testing.assert_array_equal(wstar, 6.0)
@@ -230,14 +231,14 @@ class TestFunctionSumCoupler:
 
 class TestVerifyCharacterization:
     def test_single_bernoulli_near_zero(self):
-        coupler = couple_sum_independent([DiscreteDistribution.bernoulli(0.4)])
+        coupler = IndependentSumCoupler([DiscreteDistribution.bernoulli(0.4)])
         res = verify_characterization(coupler, samples=50_000, seed=1)
         assert res.max_abs_z <= 4.0
 
     def test_broken_sampler_flagged(self):
         """Skipping the resampling step must blow up some z-score."""
         comps = [DiscreteDistribution.bernoulli(0.2) for _ in range(5)]
-        good = couple_sum_independent(comps)
+        good = IndependentSumCoupler(comps)
 
         class Broken:
             p = 1
@@ -253,7 +254,7 @@ class TestVerifyCharacterization:
     def test_mean_recovers_variance_identity(self):
         """With G(w) = w the check statistic estimates lam E(W*-W) = Var W."""
         comps = [DiscreteDistribution.bernoulli(0.5)] * 2
-        coupler = couple_sum_independent(comps)
+        coupler = IndependentSumCoupler(comps)
         rng = np.random.default_rng(11)
         w, ws = coupler.draw_batch(0, 400_000, rng)
         lam = coupler.mean_vector[0]

@@ -9,19 +9,24 @@ deletions (Goldstein & Rinott 1996), and the inner conditional expectation of
 the count change given the graph is available exactly, which removes all
 nested Monte Carlo from the conditional-variance estimate.
 
-All Monte Carlo work runs through one chunk kernel over a flat edge list
-``(gid, u, v)`` plus a per-graph degree array: graphs are sampled by
-geometric skips over the pair codes, the exact conditional expectation is a
-contraction of small per-graph degree histograms, and the coupling is one
-vectorised edge move per graph. Time and memory are linear in the chunk's
-edges and vertices. Scalar reference versions live in the test suite.
+All Monte Carlo work runs through one chunk kernel over a flat int32 edge
+list ``(gid, u, v)`` plus an int32 per-graph degree array: graphs are
+sampled by geometric skips over the pair codes, the exact conditional
+expectation is a contraction of small per-graph degree histograms, and the
+coupling is one vectorised edge move per graph. Time is linear in a chunk's
+edges and vertices. Memory is capped: a chunk's graphs run in sub-batches
+of at most :data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots
+(``n (1 + c/2)`` per graph), about 8 stored bytes each, and the statistics
+pass, the gap pass and the coupler share that one sub-batch loop. Scalar
+reference versions live in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
-from math import comb, fsum
+from math import comb, exp, fsum, log, log1p
 
 import numpy as np
 
@@ -29,9 +34,16 @@ from .bounds import (MultivariateCouplingStats, bound_multivariate_size_bias)
 from .errors import TooLarge
 from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
 from .linalg import inverse_sqrt, max_abs_norm
-from .sizebias import CoupledPairSampler
+from .sizebias import CoupledPairSampler, log_binomial
 
 BRUTE_FORCE_MAX_N = 5
+# Vertex plus expected edge slots, n (1 + c/2) per graph, that one sub-batch
+# of a chunk's graphs may hold; at 8 stored bytes per slot (int32 arrays) a
+# sub-batch of 2**23 slots keeps 64 MB, and its transients about as much.
+SUB_BATCH_SLOTS = 1 << 23
+# Vertices per group of graphs that building a chunk and its conditional
+# means work through at a time, so that their int64 transients stay small.
+_GROUP_VERTICES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,18 @@ class ErdosRenyiConfig:
 
 
 def degree_probability(n: int, pi: float, d: int) -> float:
-    """``P(Binomial(n-1, pi) = d)``, the chance a fixed vertex has degree d."""
-    return comb(n - 1, d) * pi**d * (1.0 - pi) ** (n - 1 - d)
+    """``P(Binomial(n-1, pi) = d)``, the chance a fixed vertex has degree d.
+
+    The exact binomial coefficient is used while it fits a float; past that
+    (n - 1 >= 1030, d far from 0 and n - 1) the probability is formed in
+    log space. The exact form is kept where it works because ``lgamma(n)``
+    loses about ``n log n`` ulps, 5e-12 relative at n = 5000.
+    """
+    coeff = comb(n - 1, d)
+    if coeff <= sys.float_info.max:
+        return coeff * pi**d * (1.0 - pi) ** (n - 1 - d)
+    return exp(log_binomial(n - 1, d)[0] + d * log(pi)
+               + (n - 1 - d) * log1p(-pi))
 
 
 def theoretical_moments(cfg: ErdosRenyiConfig):
@@ -118,16 +140,35 @@ def _bernoulli_positions(rng: np.random.Generator, total: int,
 
     The gaps between successes are i.i.d. geometric, so they are drawn
     directly (Batagelj & Brandes 2005); each block draws as many gaps as
-    the trials still left are expected to hold.
+    the trials still left are expected to hold. The running sum is taken in
+    place, and a second block, when one is needed, is appended.
     """
-    blocks = []
+    pos = None
     last = -1
     while last < total:
         gaps = rng.geometric(pi, size=int((total - 1 - last) * pi) + 1)
-        blocks.append(last + np.cumsum(gaps))
-        last = int(blocks[-1][-1])
-    pos = np.concatenate(blocks)
+        np.cumsum(gaps, out=gaps)
+        gaps += last
+        pos = gaps if pos is None else np.concatenate([pos, gaps])
+        last = int(gaps[-1])
     return pos[:np.searchsorted(pos, total)]
+
+
+def _graph_groups(size: int, n: int, keys: np.ndarray, per_graph: int):
+    """Split a chunk into groups of about :data:`_GROUP_VERTICES` vertices.
+
+    Yields ``(rows, edges)``: a slice of the chunk's graphs and the slice of
+    the edge list they own. ``keys`` are sorted per-edge keys, those of
+    graph b in ``[b * per_graph, (b + 1) * per_graph)``: success positions
+    (``per_graph`` pairs per graph) or graph ids (``per_graph`` = 1).
+    """
+    per = max(1, _GROUP_VERTICES // n)
+    starts = list(range(0, size, per))
+    cuts = np.searchsorted(
+        keys, np.array(starts + [size], dtype=np.int64) * per_graph).tolist()
+    for k, start in enumerate(starts):
+        yield (slice(start, min(start + per, size)),
+               slice(cuts[k], cuts[k + 1]))
 
 
 def _rank_in_group(g: np.ndarray) -> np.ndarray:
@@ -183,9 +224,13 @@ class _GraphChunk:
 
     Edge k joins ``u[k] < v[k]`` in graph ``gid[k]``; edges are sorted by
     graph, then by pair code, and ``deg[b]`` is the degree array of graph b.
-    The chunk is one run of Bernoulli(pi) trials over the concatenated pair
-    codes of its graphs, so every pair of every graph is an edge
-    independently with probability pi.
+    ``gid``, ``u``, ``v`` and ``deg`` are int32, so a chunk stores 12 bytes
+    per edge and 4 per vertex; the int64 success positions live only while
+    the chunk is built, and pair codes only while a group of its graphs is
+    decoded. The chunk is one
+    run of Bernoulli(pi) trials over the concatenated pair codes of its
+    graphs, so every pair of every graph is an edge independently with
+    probability pi.
     """
 
     __slots__ = ("size", "n", "gid", "u", "v", "deg")
@@ -193,14 +238,23 @@ class _GraphChunk:
     def __init__(self, rng, size, cfg):
         n = cfg.n
         npairs = n * (n - 1) // 2
-        self.gid, codes = np.divmod(
-            _bernoulli_positions(rng, size * npairs, cfg.pi), npairs)
-        self.u, self.v = _decode_pair_codes(codes, n)
+        pos = _bernoulli_positions(rng, size * npairs, cfg.pi)
         self.size = size
         self.n = n
-        flat = np.bincount(self.gid * n + self.u, minlength=size * n)
-        flat += np.bincount(self.gid * n + self.v, minlength=size * n)
-        self.deg = flat.reshape(size, n)
+        self.gid = np.empty(pos.size, dtype=np.int32)
+        self.u = np.empty_like(self.gid)
+        self.v = np.empty_like(self.gid)
+        self.deg = np.empty((size, n), dtype=np.int32)
+        for rows, edges in _graph_groups(size, n, pos, npairs):
+            gid, codes = np.divmod(pos[edges], npairs)
+            u, v = _decode_pair_codes(codes, n)
+            self.gid[edges], self.u[edges], self.v[edges] = gid, u, v
+            local = (gid - rows.start) * n
+            cells = (rows.stop - rows.start) * n
+            self.deg[rows] = np.bincount(local + u,
+                                         minlength=cells).reshape(-1, n)
+            self.deg[rows] += np.bincount(local + v,
+                                          minlength=cells).reshape(-1, n)
 
     def degree_count_matrix(self, degrees) -> np.ndarray:
         return np.stack(
@@ -222,21 +276,27 @@ class _GraphChunk:
         size, n, p = self.size, self.n, len(degrees)
         top = max(int(self.deg.max(initial=0)), max(degrees)) + 2
         a = np.arange(top)
-        count = np.bincount(
-            (np.arange(size)[:, None] * top + self.deg).ravel(),
-            minlength=size * top).reshape(size, top).astype(float)
         tvals = sorted({t for d in degrees for t in (d - 1, d, d + 1)
                         if t >= 0})
         width = len(tvals) + 1  # the last slot collects every other t
         slot = np.full(top, len(tvals))
         slot[tvals] = np.arange(len(tvals))
-        deg_u = self.deg[self.gid, self.u]
-        deg_v = self.deg[self.gid, self.v]
-        flat = np.bincount((self.gid * top + deg_u) * width + slot[deg_v],
-                           minlength=size * top * width)
-        flat += np.bincount((self.gid * top + deg_v) * width + slot[deg_u],
-                            minlength=size * top * width)
-        edges_to = flat.reshape(size, top, width).astype(float)
+        count = np.empty((size, top))
+        edges_to = np.empty((size, top, width))
+        for rows, edges in _graph_groups(size, n, self.gid, 1):
+            block = self.deg[rows]
+            local = self.gid[edges] - rows.start
+            count[rows] = np.bincount(
+                (np.arange(len(block))[:, None] * top + block).ravel(),
+                minlength=len(block) * top).reshape(-1, top)
+            deg_u = block[local, self.u[edges]]
+            deg_v = block[local, self.v[edges]]
+            local = local * top
+            flat = np.bincount((local + deg_u) * width + slot[deg_v],
+                               minlength=len(block) * top * width)
+            flat += np.bincount((local + deg_v) * width + slot[deg_u],
+                                minlength=flat.size)
+            edges_to[rows] = flat.reshape(-1, top, width)
         zero = np.zeros((size, top))
 
         def neighbours(t):  # degree-t neighbours of the degree-a vertices
@@ -271,10 +331,11 @@ class _GraphChunk:
         vertex = rng.integers(n, size=size)
         dv = self.deg[np.arange(size), vertex]
         delta = dv - d_i
-        at_v = vertex[self.gid]
+        at_v = vertex.astype(np.int32)[self.gid]
         inc = np.flatnonzero((self.u == at_v) | (self.v == at_v))
-        g_inc = self.gid[inc]
-        nb = np.where(self.u[inc] == at_v[inc], self.v[inc], self.u[inc])
+        del at_v
+        g_inc = self.gid[inc].astype(np.int64)
+        nb = np.where(self.u[inc] == vertex[g_inc], self.v[inc], self.u[inc])
 
         over = delta[g_inc] > 0
         g_del, x_del = g_inc[over], nb[over]
@@ -300,12 +361,33 @@ class _GraphChunk:
 # Coupler object and statistics estimation
 # ---------------------------------------------------------------------------
 
+def _sub_batch_sizes(size: int, n: int, c: float) -> list[int]:
+    """Graphs per sub-batch for a chunk of ``size`` graphs: as many as
+    :data:`SUB_BATCH_SLOTS` holds at ``n (1 + c/2)`` slots per graph (at
+    least one), all full but the last. Only ``(size, n, c)`` enter, so a
+    chunk's stream is used the same way at any thread count."""
+    per = max(1, int(SUB_BATCH_SLOTS // (n * (1.0 + c / 2.0))))
+    full, rest = divmod(size, per)
+    return [per] * full + ([rest] if rest else [])
+
+
+def _over_sub_batches(rng, size: int, cfg: ErdosRenyiConfig, work):
+    """``work(chunk)`` for each sub-batch :class:`_GraphChunk` of a chunk's
+    ``size`` graphs, in order, all drawn from the chunk's stream ``rng``.
+
+    Yields the results; each sub-batch is freed before the next is built,
+    so a chunk's memory is capped by the budget, not by its size.
+    """
+    for part in _sub_batch_sizes(size, cfg.n, cfg.c):
+        yield work(_GraphChunk(rng, part, cfg))
+
+
 class DegreeCountCoupler(CoupledPairSampler):
     """Coupled pair sampler ``(W, W^i)`` for the degree-count vector.
 
-    A batch is one :class:`_GraphChunk`: W counts its degrees and W^i adds
-    one coupling draw per graph, so time and memory are linear in the
-    batch's edges and vertices.
+    A batch is a run of :class:`_GraphChunk` sub-batches: W counts their
+    degrees and W^i adds one coupling draw per graph, so time is linear in
+    the batch's edges and vertices, and memory in a sub-batch's.
     """
 
     def __init__(self, cfg: ErdosRenyiConfig):
@@ -316,9 +398,14 @@ class DegreeCountCoupler(CoupledPairSampler):
         self.sigma = sigma
 
     def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        chunk = _GraphChunk(rng, size, self.cfg)
-        w = chunk.degree_count_matrix(self.cfg.degrees)
-        return w, w + chunk.couple(rng, i, self.cfg.degrees)
+        degrees = self.cfg.degrees
+
+        def pair(chunk):
+            w = chunk.degree_count_matrix(degrees)
+            return w, w + chunk.couple(rng, i, degrees)
+
+        w, wi = zip(*_over_sub_batches(rng, size, self.cfg, pair))
+        return np.concatenate(w), np.concatenate(wi)
 
 
 def estimate_coupling_stats(cfg: ErdosRenyiConfig, samples: int, seed: int = 0,
@@ -336,14 +423,20 @@ def estimate_coupling_stats(cfg: ErdosRenyiConfig, samples: int, seed: int = 0,
     stream_cfg = StreamConfig(seed, chunk_size)
 
     def task(rng, size):
-        chunk = _GraphChunk(rng, size, cfg)
-        cond = chunk.cond_exp(cfg.degrees)
-        cross = np.empty((size, p, p, p))
-        for i in range(p):
-            d_w = chunk.couple(rng, i, cfg.degrees)
-            cross[:, i] = np.abs(d_w[:, :, None] * d_w[:, None, :])
-        return (Accumulator(shape=(p, p), max_power=4).add(cond),
-                Accumulator(shape=(p, p, p)).add(cross))
+        def terms(chunk):
+            cond = chunk.cond_exp(cfg.degrees)
+            cross = np.empty((chunk.size, p, p, p))
+            for i in range(p):
+                d_w = chunk.couple(rng, i, cfg.degrees)
+                cross[:, i] = np.abs(d_w[:, :, None] * d_w[:, None, :])
+            return cond, cross
+
+        cond_acc = Accumulator(shape=(p, p), max_power=4)
+        cross_acc = Accumulator(shape=(p, p, p))
+        for cond, cross in _over_sub_batches(rng, size, cfg, terms):
+            cond_acc.add(cond)
+            cross_acc.add(cross)
+        return cond_acc, cross_acc
 
     cond_acc, cross_acc = parallel_mc(task, stream_cfg, samples)
     lam, sigma, _ = theoretical_moments(cfg)
@@ -436,8 +529,10 @@ class DegreeCountModel:
         return bound_multivariate_size_bias(stats, norms.d2, norms.d3), stats
 
     def sample_w(self, rng, size: int) -> np.ndarray:
-        return _GraphChunk(rng, size, self.cfg).degree_count_matrix(
-            self.cfg.degrees)
+        degrees = self.cfg.degrees
+        return np.concatenate(list(_over_sub_batches(
+            rng, size, self.cfg,
+            lambda chunk: chunk.degree_count_matrix(degrees))))
 
     def extras(self, stats) -> dict:
         return {"isqrt_norm_bound": isqrt_norm_bound_check(self.cfg),

@@ -15,7 +15,7 @@ means ``E[W* - W | U]`` are exact, so only the draws of U are Monte Carlo.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lgamma, log
+from math import lgamma, log
 
 import numpy as np
 
@@ -503,25 +503,34 @@ class MultinomialSumCoupler(CoupledPairSampler):
         top = int(present[-1]) + 1
         k = np.arange(top)
         psi_at = np.asarray(self.psi(np.arange(2 * top - 1)), dtype=float)
-        binom = np.array([[comb(s, g) for g in range(top)]
-                          for s in range(top)], dtype=float)
-        # gains, by spill s: P(G = g) = C(s, g) p^g (1 - p)^(s - g)
-        p = 1.0 / (n - 1)
-        spill = binom * p**k * (1.0 - p) ** np.maximum(k[:, None] - k, 0)
+        # binomial coefficients in log space: C(s, g) overflows a float
+        # once s >= 1030
+        log_fact = np.array([lgamma(x + 1.0) for x in range(balls + 1)])
+        drop = k[:, None] - k                                # s - g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_binom = np.where(drop >= 0, log_fact[:top, None]
+                                 - log_fact[:top] - log_fact[np.abs(drop)],
+                                 -np.inf)                    # log C(s, g)
+            # gains, by spill s: P(G = g) = C(s, g) p^g (1 - p)^(s - g)
+            p = 1.0 / (n - 1)
+            spill = np.exp(log_binom + k * log(p)
+                           + np.where(drop > 0, drop * np.log1p(-p), 0.0))
         gain = psi_at[present[:, None] + k] @ spill.T        # [v, s]
         y_of = present[:, None] - k                          # y = a - s
         picked = np.where((k >= 1) & (y_of >= 0),
                           q[np.maximum(y_of, 0)], 0.0)
         table = picked @ gain.T                              # [a, v]
-        kept_psi = binom * psi_at[:top]                      # C(v, j) psi(j)
         column = {v: c for c, v in enumerate(present.tolist())}
         for row, a in enumerate(present.tolist()):
             rest = balls - a
-            choose = [comb(rest, m) for m in range(rest + 1)]
-            h = q[a:][::-1] / np.array(choose, dtype=float)
+            # q_{K-m} / C(R, m) for m = 0..R
+            h = q[a:][::-1] * np.exp(log_fact[:rest + 1] + log_fact[rest::-1]
+                                     - log_fact[rest])
             for v in range(rest, int(present[0]) - 1, -1):   # u = rest - v
                 if v in column:
-                    table[row, column[v]] += kept_psi[v, :v + 1] @ h
+                    with np.errstate(divide="ignore"):
+                        kept = np.exp(log_binom[v, :v + 1] + np.log(h))
+                    table[row, column[v]] += psi_at[:v + 1] @ kept
                 h = h[:-1] + h[1:]
         return table
 

@@ -18,6 +18,7 @@ seeded stream, so concurrent draws on distinct streams are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lgamma
 
 import numpy as np
 
@@ -27,6 +28,14 @@ from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
 # Stream-index stride separating the estimation passes for different
 # coordinates under one master seed.
 COORD_STREAM_STRIDE = 1 << 32
+
+
+def log_binomial(n: int, k) -> np.ndarray:
+    """``log C(n, k)`` for each entry of ``k``, by ``lgamma``: finite where
+    the float of ``math.comb(n, k)`` overflows (n >= 1030)."""
+    top = lgamma(n + 1.0)
+    return np.array([top - lgamma(j + 1.0) - lgamma(n - j + 1.0)
+                     for j in np.ravel(k).tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -77,11 +86,13 @@ class DiscreteDistribution:
 
     @classmethod
     def binomial(cls, n: int, p: float) -> "DiscreteDistribution":
-        from math import comb
-
+        """Binomial(n, p), its pmf formed in log space so that any n works."""
         k = np.arange(n + 1)
-        pmf = np.array([comb(n, int(j)) for j in k], dtype=float)
-        pmf *= p**k * (1.0 - p) ** (n - k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_pmf = (log_binomial(n, k)
+                       + np.where(k > 0, k * np.log(p), 0.0)
+                       + np.where(k < n, (n - k) * np.log1p(-p), 0.0))
+        pmf = np.exp(log_pmf - log_pmf.max())
         pmf /= pmf.sum()
         return cls(k.astype(float), pmf)
 

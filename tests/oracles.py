@@ -355,7 +355,9 @@ def multinomial_cond_exp(counts, psi):
     missing balls are pulled uniformly without replacement from the other
     cells, so cell j loses a hypergeometric number; for y < U_I each
     spilled ball lands in a uniform other cell, so cell j gains a binomial
-    number. Probabilities come from exact integer binomial coefficients.
+    number. Probabilities come from exact integer binomial coefficients,
+    divided as integers before any float multiplies them, so that they stay
+    finite past 1030 balls.
     """
     counts = [int(c) for c in counts]
     n, balls = len(counts), sum(counts)
@@ -377,13 +379,14 @@ def multinomial_cond_exp(counts, psi):
                 continue
             if y >= a:
                 pulled, rest = y - a, balls - a
-                terms += [qy * comb(v, lost) * comb(rest - v, pulled - lost)
-                          / comb(rest, pulled) * f(v - lost)
+                terms += [qy * (comb(v, lost) * comb(rest - v, pulled - lost)
+                                / comb(rest, pulled)) * f(v - lost)
                           for lost in range(min(v, pulled) + 1)]
             else:
-                spill, p = a - y, 1.0 / (n - 1)
-                terms += [qy * comb(spill, got) * p**got
-                          * (1.0 - p) ** (spill - got) * f(v + got)
+                # each spilled ball lands in this cell w.p. 1 / (n - 1)
+                spill = a - y
+                terms += [qy * (comb(spill, got) * (n - 2) ** (spill - got)
+                                / (n - 1) ** spill) * f(v + got)
                           for got in range(spill + 1)]
         return fsum(terms)
 

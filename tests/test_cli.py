@@ -90,6 +90,13 @@ class TestExperiments:
         payload = json.loads(out)
         assert payload["config"]["model"] == "multinomial"
 
+    def test_multinomial_past_float_binomials(self, capsys):
+        """1200 balls, where C(1200, k) overflows a float."""
+        code, out, err = _run(["nonlinear", "--model", "multinomial:n=600,k=2",
+                               "--psi", "square", "--samples", "200"], capsys)
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["config"]["model"] == "multinomial"
+
     def test_degree_count_custom_h(self, capsys):
         code, out, _ = _run(["degree-count", "--n", "20", "--c", "2",
                              "--degrees", "1,2", "--h", "cosine:a=0.3,0.2",
@@ -266,6 +273,9 @@ class TestUsageErrors:
          "n*d must be even"),
         (["stein-check", "--h", "cosine:a=1", "--grid-points", "0"],
          "--grid-points must be at least 1, got 0"),
+        # P(degree 200) is 1e-316: finite now, but the covariance is singular
+        (["degree-count", "--n", "100000", "--c", "2", "--degrees", "1,200"],
+         "fail the relative threshold"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -41,6 +41,16 @@ class TestTheoreticalMoments:
         with pytest.raises(ValueError):
             dg.ErdosRenyiConfig(4, 0.5, (4,))
 
+    def test_degree_probability_past_float_binomials(self):
+        """C(1099, 550) overflows a float; the log-space form still gives
+        P(Bin(1099, 1/2) = 550) = C(1099, 550) / 2**1099, and the law sums
+        to one."""
+        from math import comb
+        got = dg.degree_probability(1100, 0.5, 550)
+        np.testing.assert_allclose(got, comb(1099, 550) / 2**1099, rtol=1e-11)
+        total = sum(dg.degree_probability(1100, 0.5, d) for d in range(1100))
+        np.testing.assert_allclose(total, 1.0, rtol=1e-11)
+
     def test_singular_covariance_rejected_at_construction(self):
         # two vertices: the two counts always sum to 2, so Sigma is singular
         with pytest.raises(NotPositiveDefinite):
@@ -215,6 +225,72 @@ class TestCoupling:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestSubBatches:
+    """A chunk's graphs run in sub-batches of at most ``SUB_BATCH_SLOTS``
+    vertex-plus-edge slots."""
+
+    def test_default_budget(self):
+        """The benchmark sizes, n = 200 and n = 5000 at the CLI's 512-graph
+        chunks, stay one sub-batch, so their bytes match the unsplit
+        kernel; n = 10**6 runs 4 graphs at a time."""
+        for n, chunk, parts in [(200, 512, [512]), (5000, 512, [512]),
+                                (10**6, 512, [4] * 128),
+                                (10**6, 10, [4, 4, 2])]:
+            cfg = dg.ErdosRenyiConfig.from_c(n, 2.0, (1, 2), check_pd=False)
+            assert dg._sub_batch_sizes(chunk, cfg.n, cfg.c) == parts
+
+    CFG = dg.ErdosRenyiConfig.from_c(200, 2.0, (1, 2))
+    SPLIT = 3000  # 7 graphs of 400 slots each
+
+    def test_split_run_same_bytes_at_any_thread_count(self, monkeypatch):
+        monkeypatch.setattr(dg, "SUB_BATCH_SLOTS", self.SPLIT)
+        assert dg._sub_batch_sizes(512, self.CFG.n, self.CFG.c)[:2] == [7, 7]
+        h = SmoothTestFunction("cosine", p=2, a=(0.5, 0.5))
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STEIN_LAB_THREADS", threads)
+            reports.append(run_experiment(
+                dg.DegreeCountModel(self.CFG), h, samples=2000, seed=4,
+                chunk_size=512).to_json())
+        assert reports[0] == reports[1]
+
+    def test_split_statistics_agree_with_unsplit(self, monkeypatch):
+        whole = dg.estimate_coupling_stats(self.CFG, 4000, seed=6)
+        monkeypatch.setattr(dg, "SUB_BATCH_SLOTS", self.SPLIT)
+        split = dg.estimate_coupling_stats(self.CFG, 4000, seed=6)
+        assert not np.array_equal(split.var_cond, whole.var_cond)
+        for a, b, se_a, se_b in [
+                (split.var_cond, whole.var_cond,
+                 split.var_cond_sem, whole.var_cond_sem),
+                (split.abs_cross, whole.abs_cross,
+                 split.abs_cross_sem, whole.abs_cross_sem)]:
+            assert np.all(np.abs(a - b) <= 3 * np.hypot(se_a, se_b) + 1e-12)
+
+    def test_chunk_memory_per_slot(self):
+        """Building a chunk at n = 5000 (64 graphs), its conditional means
+        and a coupling draw each peak under 20 traced bytes per
+        edge-plus-vertex slot. The int32 chunk stores about 8; an int64 edge
+        list stores 16 and peaks at 22 to 32."""
+        cfg = dg.ErdosRenyiConfig.from_c(5000, 2, (1, 2))
+        rng = StreamConfig(43).stream(0)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            chunk = dg._GraphChunk(rng, 64, cfg)
+            peaks["build"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            chunk.cond_exp(cfg.degrees)
+            peaks["cond_exp"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            chunk.couple(rng, 0, cfg.degrees)
+            peaks["couple"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slots = chunk.gid.size + chunk.deg.size
+        per_slot = {step: peak / slots for step, peak in peaks.items()}
+        assert max(per_slot.values()) < 20, per_slot
 
 
 class TestConditionalExpectation:

@@ -272,6 +272,19 @@ class TestMultinomialCoupler:
         scale = max(1.0, float(psi(counts).sum(axis=1).max()))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("name", ["square", "indicator"])
+    def test_cond_exp_matches_oracle_past_float_binomials(self, name):
+        """1030 balls: C(1030, 515) overflows a float, so the kernel weighs
+        in log space and the oracle divides exact integer binomials."""
+        psi = nl.parse_psi(name, normalize=False)
+        cfg = nl.MultinomialSumConfig(515, 2, psi)
+        coupler = nl.MultinomialSumCoupler(cfg)
+        counts = coupler.draw_counts(StreamConfig(21).stream(515), 1)
+        got = coupler.cond_exp_given_counts(counts)
+        want = [oracles.multinomial_cond_exp(row, psi) for row in counts]
+        scale = max(1.0, float(psi(counts).sum(axis=1).max()))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2)])
     @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
     def test_cond_exp_averages_to_variance_over_mean(self, name, n, k):

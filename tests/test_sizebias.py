@@ -76,6 +76,28 @@ class TestSizeBiasDiscrete:
         np.testing.assert_array_equal(out, [0.0, 0.0, 1.0, 1.0])
 
 
+class TestBinomial:
+    def test_small_n_matches_exact_coefficients(self):
+        from math import comb
+        law = DiscreteDistribution.binomial(40, 0.3)
+        exact = [comb(40, k) * 0.3**k * 0.7 ** (40 - k) for k in range(41)]
+        np.testing.assert_allclose(law.probs, exact, rtol=1e-12, atol=0)
+
+    def test_past_float_binomials(self):
+        """C(2000, 1000) overflows a float; the log-space pmf keeps the
+        mean np and the variance np(1 - p)."""
+        law = DiscreteDistribution.binomial(2000, 0.3)
+        assert np.all(np.isfinite(law.probs))
+        np.testing.assert_allclose(law.mean, 600.0, rtol=1e-10)
+        np.testing.assert_allclose(law.moment(2) - law.mean**2, 420.0,
+                                   rtol=1e-8)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_p(self, p):
+        law = DiscreteDistribution.binomial(5, p)
+        assert law.mean == 5 * p
+
+
 class TestIndexPicker:
     def test_probabilities_proportional(self):
         picker = IndexPicker((1.0, 3.0))

@@ -31,9 +31,9 @@ from math import comb, exp, fsum, log, log1p
 import numpy as np
 
 from .bounds import (MultivariateCouplingStats, bound_multivariate_size_bias)
-from .errors import TooLarge
+from .errors import NotPositiveDefinite, TooLarge
 from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
-from .linalg import inverse_sqrt, max_abs_norm
+from .linalg import DEFAULT_PD_TOL, inverse_sqrt, max_abs_norm
 from .sizebias import CoupledPairSampler, log_binomial
 
 BRUTE_FORCE_MAX_N = 5
@@ -68,7 +68,11 @@ class ErdosRenyiConfig:
         object.__setattr__(self, "degrees", degs)
         if self.check_pd:
             _, sigma, _ = theoretical_moments(self)
-            inverse_sqrt(sigma)  # raises NotPositiveDefinite if unusable
+            try:
+                inverse_sqrt(sigma)
+            except NotPositiveDefinite as exc:
+                raise NotPositiveDefinite(
+                    _singular_message(self.degrees, sigma, exc)) from exc
 
     @classmethod
     def from_c(cls, n: int, c: float, degrees, check_pd: bool = True):
@@ -82,6 +86,21 @@ class ErdosRenyiConfig:
     @property
     def p(self) -> int:
         return len(self.degrees)
+
+
+def _singular_message(degrees, sigma, exc) -> str:
+    """Why the covariance of the degree counts cannot be whitened: the
+    degree whose count barely varies, if there is one."""
+    var = np.diag(sigma)
+    low = int(np.argmin(var))
+    if var[low] <= DEFAULT_PD_TOL * var.max():
+        d = degrees[low]
+        return (f"the count of degree {d} has variance {var[low]:.3g} "
+                f"against {var.max():.3g}, so the covariance is singular; "
+                f"leave degree {d} out of --degrees")
+    return (f"{exc}: the counts of degrees "
+            f"{', '.join(map(str, degrees))} are nearly dependent; "
+            f"leave one of them out of --degrees")
 
 
 def degree_probability(n: int, pi: float, d: int) -> float:

@@ -41,6 +41,10 @@ class TooLarge(SteinLabError):
     """An exact-enumeration oracle was asked for an instance beyond its cap."""
 
 
+class NonfiniteMoment(SteinLabError):
+    """A model moment overflows a float."""
+
+
 class NonfiniteNorm(SteinLabError):
     """A bound evaluator received an infinite or NaN derivative norm."""
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import UnivariateCouplingStats, bound_univariate_size_bias
 from .errors import (InfeasibleAdjustment, InvariantViolation,
-                     NotPositiveDefinite, ZeroMass)
+                     NonfiniteMoment, NotPositiveDefinite, ZeroMass)
 from .harness import Accumulator, StreamConfig, parallel_mc
 from .sizebias import CoupledPairSampler, DiscreteDistribution
 
@@ -104,22 +104,66 @@ _ERFC_CHEB = np.array([
 
 
 def _normal_sf(t):
-    """Standard-normal survival ``P(Z > t)`` from :data:`_ERFC_CHEB` by
-    Clenshaw's recurrence, numpy only; absolute error below 1e-15."""
+    """Standard-normal survival ``P(Z > t)`` in a fresh array, numpy only;
+    absolute error below 1e-15.
+
+    The tail ``P(Z > |t|)`` comes from :data:`_ERFC_CHEB` by Clenshaw's
+    recurrence. Each step is ``x2 d - dd + coef``, evaluated in that order
+    on three rotating buffers, so no step allocates; ``1 -`` the tail is
+    taken in place where t < 0.
+    """
     t = np.asarray(t, dtype=float)
-    z = np.abs(t) * np.sqrt(0.5)
-    s = 2.0 / (2.0 + z)
-    x2 = 4.0 * s - 2.0
-    d = dd = 0.0
-    for coef in _ERFC_CHEB[:0:-1]:
-        d, dd = x2 * d - dd + coef, d
-    half = 0.5 * s * np.exp(0.5 * (_ERFC_CHEB[0] + x2 * d) - dd - z * z)
-    return np.where(t < 0, 1.0 - half, half)
+    z = np.abs(t.ravel())     # 1-d, so that the in-place steps apply
+    z *= np.sqrt(0.5)
+    s = 2.0 + z
+    np.divide(2.0, s, out=s)
+    x2 = 4.0 * s
+    x2 -= 2.0
+    # from d = dd = 0 the first step gives d = coef exactly, and the second
+    # subtracts a zero, so both are taken directly
+    dd = np.full_like(x2, _ERFC_CHEB[-1])
+    d = x2 * _ERFC_CHEB[-1]
+    d += _ERFC_CHEB[-2]
+    nxt = np.empty_like(x2)
+    for coef in _ERFC_CHEB[-3:0:-1]:
+        np.multiply(x2, d, out=nxt)
+        nxt -= dd
+        nxt += coef
+        d, dd, nxt = nxt, d, dd
+    # tail = 0.5 s exp(0.5 (c0 + x2 d) - dd - z^2)
+    tail = np.multiply(x2, d, out=nxt)
+    tail += _ERFC_CHEB[0]
+    tail *= 0.5
+    tail -= dd
+    z *= z
+    tail -= z
+    np.exp(tail, out=tail)
+    s *= 0.5
+    tail *= s
+    tail = tail.reshape(t.shape)
+    below = t < 0
+    if below.any():
+        np.subtract(1.0, tail, out=tail, where=below)
+    return tail
 
 
-# Mean and second moment of the psi-tilted standard normal, per psi name.
-_GAUSSIAN_TILT_MOMENTS = {"square": (0.0, 3.0), "exp": (1.0, 2.0),
-                          "indicator": (float(np.sqrt(2.0 / np.pi)), 1.0)}
+def _psi_on_support(psi, dist: DiscreteDistribution) -> np.ndarray:
+    """``psi`` at each value of ``dist``, and 0 where its probability is 0:
+    ``e^u`` is inf past u = 709, and inf * 0 would make every moment nan."""
+    out = np.zeros(len(dist.values))
+    live = dist.probs > 0
+    out[live] = psi(dist.values[live])
+    return out
+
+
+# Mean and second moment of the psi-tilted standard normal y, and E psi(y)
+# for the unscaled psi, per psi name.
+_GAUSSIAN_TILT_MOMENTS = {
+    "square": (0.0, 3.0, 3.0), "exp": (1.0, 2.0, float(np.exp(1.5))),
+    "indicator": (float(np.sqrt(2.0 / np.pi)), 1.0, 1.0)}
+
+# (i, j) pairs per block of GaussianSumCoupler.cond_exp_given_u
+_PAIR_BLOCK = 1 << 16
 
 
 class TiltedSampler:
@@ -131,13 +175,14 @@ class TiltedSampler:
     degrees of freedom, ``exp`` is N(1, 1) and ``indicator`` is the
     half-normal ``|Z|``. A finite base is tilted exactly for any callable
     ``psi``. ``mass`` is the normalizer ``E psi(U)``, also the summand's
-    mean, hence the index-picker weight.
+    mean, hence the index-picker weight. On the normal base ``psi_mean`` is
+    ``E psi(y)`` under the tilt, the picked summand's conditional mean.
     """
 
     def __init__(self, psi, base="normal"):
         self.psi = psi
         if isinstance(base, DiscreteDistribution):
-            raw = np.asarray(psi(base.values)) * base.probs
+            raw = _psi_on_support(psi, base) * base.probs
             total = float(raw.sum())
             if total <= 0:
                 raise ZeroMass("psi puts no mass under the base law")
@@ -149,7 +194,8 @@ class TiltedSampler:
                              "with a named psi: square, exp, indicator")
         self.discrete = None
         self.mass = psi.gaussian_mean()
-        self.mean, self.moment2 = _GAUSSIAN_TILT_MOMENTS[psi.name]
+        self.mean, self.moment2, psi_mean = _GAUSSIAN_TILT_MOMENTS[psi.name]
+        self.psi_mean = psi.scale * psi_mean
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.discrete is not None:
@@ -168,30 +214,15 @@ class TiltedSampler:
         return np.exp(c + 0.5 * c * c)
 
     def survival(self, t):
-        """``P(y > t)`` under the indicator tilt, the half-normal law."""
+        """``P(y > t)`` under the indicator tilt, the half-normal law: 1 for
+        t <= 0, and the tail is evaluated only at the positive t."""
         t = np.asarray(t, dtype=float)
         out = np.ones_like(t)
         pos = t > 0
-        out[pos] = 2.0 * _normal_sf(t[pos])
+        tail = _normal_sf(t[pos])
+        tail *= 2.0
+        out[pos] = tail
         return out
-
-    def affine_mean(self, a, c):
-        """``E psi(a + c y)`` under the Gaussian tilt, closed form per name."""
-        a = np.asarray(a, dtype=float)
-        c = np.asarray(c, dtype=float)
-        psi = self.psi
-        if psi.name == "square":
-            return psi.scale * (a**2 + 2 * a * c * self.mean
-                                + c**2 * self.moment2)
-        if psi.name == "exp":
-            return psi.scale * np.exp(a) * self.mgf(c)
-        # indicator: P(a + c y > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            thresh = np.where(c != 0, -a / np.where(c != 0, c, 1.0), 0.0)
-        pos = self.survival(thresh)
-        neg = 1.0 - pos
-        return psi.scale * np.where(c > 0, pos,
-                                    np.where(c < 0, neg, (a > 0).astype(float)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +324,27 @@ class GaussianSumCoupler(CoupledPairSampler):
         wstar = self.psi(adjusted).sum(axis=1)
         return w[:, None], wstar[:, None]
 
-    def cond_exp_given_u(self, u: np.ndarray,
-                         block: int = 1 << 16) -> np.ndarray:
-        """Exact ``E[W* - W | U]`` using the tilted affine moments.
+    def cond_exp_given_u(self, u: np.ndarray) -> np.ndarray:
+        """Exact ``E[W* - W | U]`` from the tilted law of the picked
+        coordinate.
 
-        The square family reduces to matrix products; the others evaluate
-        the affine moment on (i, j) pairs, in blocks of about ``block``
-        pairs, small enough to stay in cache.
+        Picking i moves coordinate j to ``a + c y`` with ``a = U_j - c U_i``,
+        ``c = corr[j, i]`` and y tilted. The square family reduces to matrix
+        products, and exp with equal correlations to one factor per row.
+        Otherwise the pair means ``E psi(a + c y)`` are formed on (i, j)
+        pairs in blocks of about :data:`_PAIR_BLOCK` pairs: ``e^a mgf(c)``
+        for exp, and for the indicator the half-normal tail at
+        ``t = -a / c``, complemented where c < 0 and replaced by
+        ``1{a > 0}`` where c = 0. Everything that depends only on ``corr``
+        is formed once per call.
         """
         u = np.atleast_2d(u)
         b, n = u.shape
         corr = self.cfg.corr_matrix
         psi = self.psi
         tilt = self.tilted
-        m1 = float(tilt.affine_mean(0.0, 1.0))
         w = psi(u).sum(axis=1)
-        base = n * m1 - w
+        base = n * tilt.psi_mean - w
         if psi.name == "square":
             proj = u @ corr
             r2 = (corr**2).sum(axis=0)
@@ -327,18 +363,42 @@ class GaussianSumCoupler(CoupledPairSampler):
             factor = np.exp(-rho * u) * float(tilt.mgf(rho)) - 1.0
             cross = ((srow[:, None] - vals) * factor).sum(axis=1)
             return (base + cross) / n
-        # generic pairwise path, blocked over the batch
+        if psi.name == "exp":
+            mgf = tilt.mgf(corr)
+
+            def pair_means(a):
+                vals = np.exp(a)
+                vals *= psi.scale
+                vals *= mgf
+                return vals
+        else:
+            neg = corr < 0
+            zero = ~((corr > 0) | neg)
+            divisor = np.where(zero, 1.0, corr)
+            has_neg, has_zero = bool(neg.any()), bool(zero.any())
+
+            def pair_means(a):
+                t = np.negative(a)
+                t /= divisor
+                vals = tilt.survival(t)
+                if has_neg:
+                    np.subtract(1.0, vals, out=vals, where=neg)
+                if has_zero:
+                    np.copyto(vals, a > 0, where=zero)
+                vals *= psi.scale
+                return vals
+
         out = np.empty(b)
-        rows_per_block = max(1, block // max(n * n, 1))
+        diag = np.arange(n)
+        rows_per_block = max(1, _PAIR_BLOCK // (n * n))
         for lo in range(0, b, rows_per_block):
             hi = min(b, lo + rows_per_block)
             ub = u[lo:hi]
-            a = ub[:, :, None] - corr[None, :, :] * ub[:, None, :]
-            c = np.broadcast_to(corr, a.shape)
-            vals = tilt.affine_mean(a, c)
+            a = ub[:, :, None] - corr * ub[:, None, :]
+            vals = pair_means(a)
             cur = psi(ub)
             cross = vals.sum(axis=1) - cur.sum(axis=1)[:, None] \
-                - (vals[:, np.arange(n), np.arange(n)] - cur)
+                - (vals[:, diag, diag] - cur)
             out[lo:hi] = (base[lo:hi] + cross.sum(axis=1)) / n
         return out
 
@@ -360,6 +420,13 @@ class MultinomialSumConfig:
             raise ValueError("need at least 2 cells")
         if self.k < 1 or int(self.k) != self.k:
             raise ValueError("k must be a positive integer")
+        marg = self.cell_marginal()
+        with np.errstate(over="ignore"):
+            second = np.dot(_psi_on_support(self.psi, marg) ** 2, marg.probs)
+        if not np.isfinite(second):
+            raise NonfiniteMoment(
+                f"psi = {self.psi.name} overflows a float on {self.balls} "
+                f"balls: E psi(U_1)^2 is not finite; use fewer balls (n*k)")
 
     @property
     def balls(self) -> int:
@@ -388,7 +455,7 @@ def _joint_cell_pmf(balls: int, n: int):
 def multinomial_moments(cfg: MultinomialSumConfig):
     """Exact mean and variance of W by summing over the cell-count pmf."""
     marg = cfg.cell_marginal()
-    vals = np.asarray(cfg.psi(marg.values))
+    vals = _psi_on_support(cfg.psi, marg)
     mean1 = float(np.dot(vals, marg.probs))
     mom2 = float(np.dot(vals**2, marg.probs))
     lam = cfg.n * mean1
@@ -485,7 +552,7 @@ class MultinomialSumCoupler(CoupledPairSampler):
         table = self._transfer_table(present)
         pairs = ((hist @ table) * hist).sum(axis=1) - hist @ np.diag(table)
         tilt = self.tilted.discrete
-        e_psi_y = float(np.dot(tilt.probs, self.psi(tilt.values)))
+        e_psi_y = float(np.dot(tilt.probs, _psi_on_support(self.psi, tilt)))
         return pairs / self.cfg.n + e_psi_y - self.psi(counts).sum(axis=1)
 
     def _transfer_table(self, present: np.ndarray) -> np.ndarray:

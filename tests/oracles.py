@@ -7,7 +7,7 @@ outcomes), independent of the production sampling paths it checks.
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, fsum
+from math import comb, erfc, exp, fsum, sqrt
 
 import numpy as np
 
@@ -394,3 +394,41 @@ def multinomial_cond_exp(counts, psi):
     pairs = fsum(other_cell(counts[i], counts[j])
                  for i in range(n) for j in range(n) if j != i)
     return (total + pairs) / n - fsum(f(c) for c in counts)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian sums: conditional mean of the size-bias move
+# ---------------------------------------------------------------------------
+
+def gaussian_cond_exp(u, corr, psi):
+    """``E[W* - W | U = u]`` for ``W = sum psi(U_i)`` with ``U ~ N(0, corr)``,
+    summed term by term over the picked index i and every other index j.
+
+    Picking i redraws ``U_i`` as y from the psi-tilted normal and moves
+    ``U_j`` to ``a + c y`` with ``c = corr[j][i]`` and ``a = u_j - c u_i``.
+    The tilted laws are the half-normal (indicator), N(1, 1) (exp) and a
+    random sign times chi_3 (square), so ``E psi(a + c y)`` is
+    ``P(y > -a / c)`` from ``math.erfc`` (complemented for c < 0,
+    ``1{a > 0}`` for c = 0), ``e^{a + c + c^2 / 2}`` and ``a^2 + 3 c^2``.
+    """
+    u = [float(x) for x in u]
+    n = len(u)
+
+    def affine_mean(a, c):
+        if psi.name == "square":
+            return a * a + 3.0 * c * c
+        if psi.name == "exp":
+            return exp(a + c + 0.5 * c * c)
+        if c == 0.0:
+            return 1.0 if a > 0 else 0.0
+        t = -a / c
+        upper = 1.0 if t <= 0 else erfc(t / sqrt(2.0))
+        return upper if c > 0 else 1.0 - upper
+
+    total = fsum(affine_mean(0.0, 1.0)
+                 + fsum(affine_mean(u[j] - float(corr[j][i]) * u[i],
+                                    float(corr[j][i]))
+                        for j in range(n) if j != i)
+                 for i in range(n))
+    w = fsum(float(psi(np.array([x]))[0]) for x in u)
+    return psi.scale * total / n - w

@@ -97,6 +97,16 @@ class TestExperiments:
         assert code == 0 and "Traceback" not in err
         assert json.loads(out)["config"]["model"] == "multinomial"
 
+    def test_multinomial_exp_past_float_exp(self, capsys):
+        """800 balls with psi = exp: e^u overflows past u = 709, where the
+        cell-count probability is 0, so those values must add nothing."""
+        code, out, err = _run(["nonlinear", "--model", "multinomial:n=400,k=2",
+                               "--psi", "exp", "--samples", "200"], capsys)
+        assert code == 0 and "Traceback" not in err
+        payload = json.loads(out)
+        assert np.isfinite(payload["var_cond"])
+        assert np.isfinite(payload["sigma"][0][0])
+
     def test_degree_count_custom_h(self, capsys):
         code, out, _ = _run(["degree-count", "--n", "20", "--c", "2",
                              "--degrees", "1,2", "--h", "cosine:a=0.3,0.2",
@@ -195,11 +205,9 @@ class TestSweep:
 
 
 class TestDeterminism:
-    def test_same_argv_same_bytes(self, tmp_path):
-        """Identical seed and chunking give byte-identical reports even
-        when the thread cap changes."""
-        argv = ["degree-count", "--n", "16", "--c", "2", "--degrees", "1,2",
-                "--samples", "3000", "--seed", "11"]
+    @staticmethod
+    def _assert_same_bytes_at_thread_caps(argv, tmp_path):
+        """Run argv at STEIN_LAB_THREADS 1 and 8; the reports must match."""
         # The children import the same steinlab as this process: src/ in a
         # checkout, site-packages in an install. Only PATH, PYTHONPATH and
         # the thread cap are passed on, so no stray STEIN_LAB_THREADS or
@@ -226,6 +234,21 @@ class TestDeterminism:
         assert report["pass"] is True
         assert report["samples"] > report["chunk_size"]
         assert outputs[0] == outputs[1]
+
+    def test_same_argv_same_bytes(self, tmp_path):
+        """Identical seed and chunking give byte-identical reports even
+        when the thread cap changes."""
+        self._assert_same_bytes_at_thread_caps(
+            ["degree-count", "--n", "16", "--c", "2", "--degrees", "1,2",
+             "--samples", "3000", "--seed", "11"], tmp_path)
+
+    def test_gaussian_indicator_same_bytes(self, tmp_path):
+        """The pairwise indicator kernel's buffers are per call, so chunks
+        on concurrent workers give the same bytes as on one."""
+        self._assert_same_bytes_at_thread_caps(
+            ["nonlinear", "--model", "gauss:rho=0.1,n=16", "--psi",
+             "indicator", "--samples", "3000", "--chunk-size", "512",
+             "--seed", "11"], tmp_path)
 
 
 class TestUsageErrors:
@@ -275,7 +298,10 @@ class TestUsageErrors:
          "--grid-points must be at least 1, got 0"),
         # P(degree 200) is 1e-316: finite now, but the covariance is singular
         (["degree-count", "--n", "100000", "--c", "2", "--degrees", "1,200"],
-         "fail the relative threshold"),
+         "leave degree 200 out of --degrees"),
+        # 1000 balls in 2 cells: e^u at counts past 709 has probability > 0
+        (["nonlinear", "--model", "multinomial:n=2,k=500", "--psi", "exp",
+          "--samples", "200"], "psi = exp overflows a float on 1000 balls"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -175,6 +175,33 @@ class TestGaussianCoupler:
             se = delta.std() / np.sqrt(inner)
             assert abs(delta.mean() - exact[row]) <= 5 * se + 1e-8
 
+    @pytest.mark.parametrize("n,rho", [(6, 0.0), (6, 0.1), (6, -0.01),
+                                       (4, None), (260, 0.1)],
+                             ids=["rho=0", "rho=0.1", "rho=-0.01", "corr",
+                                  "blocks"])
+    @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
+    def test_cond_exp_matches_oracle(self, name, n, rho):
+        """The kernel equals the term-by-term scalar sum to 1e-12 relative
+        to W on every sign of the correlations: c > 0, c < 0 and c = 0
+        (rho = 0 and the zeros of the full matrix, which has all three).
+        At n = 260 each row is a block of its own."""
+        psi = nl.parse_psi(name)
+        if rho is None:
+            corr = np.array([[1.0, 0.3, -0.2, 0.0],
+                             [0.3, 1.0, 0.0, 0.25],
+                             [-0.2, 0.0, 1.0, -0.1],
+                             [0.0, 0.25, -0.1, 1.0]])
+            cfg = nl.GaussianSumConfig(n, psi, corr=corr)
+        else:
+            cfg = nl.GaussianSumConfig(n, psi, rho=rho)
+        coupler = nl.GaussianSumCoupler(cfg)
+        u = coupler.draw_u(StreamConfig(22).stream(n), 3)
+        got = coupler.cond_exp_given_u(u)
+        want = [oracles.gaussian_cond_exp(row, cfg.corr_matrix, psi)
+                for row in u]
+        scale = max(1.0, float(np.abs(psi(u).sum(axis=1)).max()))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
     def test_mean_identity(self):
         """E W* = E W^2 / lambda for the coupled pair."""
         cfg = nl.GaussianSumConfig(6, nl.parse_psi("square"), rho=0.2)

@@ -98,7 +98,8 @@ def build_parser() -> _Parser:
                           help="sums of nonnegative functions of Gaussian or "
                                "multinomial arguments")
     non.add_argument("--model", required=True,
-                     help="gauss:rho=0.1,n=200 | multinomial:n=100,k=2")
+                     help="gauss:rho=0.1,n=200 (pair covariance rho, "
+                          "-1/(n-1) < rho < 1) | multinomial:n=100,k=2")
     non.add_argument("--psi", required=True,
                      choices=["square", "exp", "indicator"])
     non.add_argument("--raw-psi", action="store_true",
@@ -110,7 +111,6 @@ def build_parser() -> _Parser:
                           help="verify the smoothing-equation solution "
                                "residual and derivative caps")
     stn.add_argument("--h", required=True)
-    stn.add_argument("--p", type=int, default=None)
     stn.add_argument("--extent", type=float, default=2.0)
     stn.add_argument("--grid-points", type=int, default=21)
     stn.add_argument("--fd-step", type=float, default=1e-3,
@@ -249,12 +249,11 @@ def _run_nonlinear(args) -> int:
 
 def _run_stein(args) -> int:
     h = parse_test_function(args.h)
-    if args.p is not None and args.p != h.p:
-        raise _UsageError(f"--p {args.p} disagrees with the test function "
-                          f"dimension {h.p}")
     if args.grid_points < 1:
         raise _UsageError(f"--grid-points must be at least 1, got "
                           f"{args.grid_points}")
+    if not args.fd_step > 0:
+        raise _UsageError(f"--fd-step must be positive, got {args.fd_step}")
     sol = SteinSolution(h, gh_nodes=args.gh_nodes)
     grid = grid_points(h.p, args.extent, args.grid_points)
     norms = h.derivative_norms()

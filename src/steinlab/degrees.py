@@ -57,7 +57,7 @@ class ErdosRenyiConfig:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("need at least 2 vertices")
+            raise ValueError(f"need n >= 2 vertices, got n = {self.n}")
         if not 0.0 < self.pi < 1.0:
             raise ValueError("edge probability must lie strictly in (0, 1)")
         degs = tuple(int(d) for d in self.degrees)
@@ -77,6 +77,8 @@ class ErdosRenyiConfig:
     @classmethod
     def from_c(cls, n: int, c: float, degrees, check_pd: bool = True):
         """Sparse parameterization ``pi = c / (n - 1)``."""
+        if n < 2:
+            raise ValueError(f"need n >= 2 vertices, got n = {n}")
         return cls(n, c / (n - 1), tuple(degrees), check_pd)
 
     @property

@@ -84,19 +84,17 @@ class StreamConfig:
 class Accumulator:
     """Streaming power sums with an associative, commutative merge.
 
-    Tracks ``count`` and ``sum(x**k)`` for ``k = 1..max_power`` (plus
-    ``sum |x|`` when requested) over batches of statistics of a fixed shape.
+    Tracks ``count`` and ``sum(x**k)`` for ``k = 1..max_power`` over
+    batches of statistics of a fixed shape.
     Merging adds the sums; commutativity is exact, associativity holds up to
     float rounding, which is why callers fold merges in canonical chunk order.
     """
 
-    def __init__(self, shape=(), max_power: int = 2, track_abs: bool = False):
+    def __init__(self, shape=(), max_power: int = 2):
         self.shape = tuple(shape)
         self.max_power = int(max_power)
-        self.track_abs = bool(track_abs)
         self.count = 0
         self.sums = [np.zeros(self.shape) for _ in range(self.max_power)]
-        self.abs_sum = np.zeros(self.shape) if track_abs else None
 
     def add(self, x) -> "Accumulator":
         x = np.asarray(x, dtype=float)
@@ -108,22 +106,14 @@ class Accumulator:
             if k > 0:
                 acc = acc * x
             self.sums[k] += acc.sum(axis=0)
-        if self.track_abs:
-            self.abs_sum += np.abs(x).sum(axis=0)
         return self
 
     def merge(self, other: "Accumulator") -> "Accumulator":
-        if (other.shape, other.max_power, other.track_abs) != (
-            self.shape,
-            self.max_power,
-            self.track_abs,
-        ):
+        if (other.shape, other.max_power) != (self.shape, self.max_power):
             raise ValueError("cannot merge accumulators with different layouts")
-        out = Accumulator(self.shape, self.max_power, self.track_abs)
+        out = Accumulator(self.shape, self.max_power)
         out.count = self.count + other.count
         out.sums = [a + b for a, b in zip(self.sums, other.sums)]
-        if self.track_abs:
-            out.abs_sum = self.abs_sum + other.abs_sum
         return out
 
     # Derived statistics -------------------------------------------------
@@ -142,17 +132,6 @@ class Accumulator:
     @property
     def sem(self):
         return np.sqrt(self.variance / self.count)
-
-    @property
-    def abs_mean(self):
-        return self.abs_sum / self.count
-
-    @property
-    def abs_sem(self):
-        # Var|X| <= E X^2 - (E|X|)^2.
-        n = self.count
-        v = (self.sums[1] - self.abs_sum**2 / n) / (n - 1)
-        return np.sqrt(np.maximum(v, 0.0) / n)
 
     def central_moment(self, k: int):
         if k > self.max_power:

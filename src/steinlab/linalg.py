@@ -1,9 +1,8 @@
-"""Small dense symmetric linear algebra: max norms, eigendecomposition,
-inverse square root, whitening.
+"""Small dense symmetric linear algebra: max norms, inverse square root,
+whitening.
 
-Everything here operates on dimensions of at most a few dozen (the bound
-evaluators never see more), so a dependency-free cyclic Jacobi
-eigendecomposition is both adequate and easy to trust.
+Eigendecompositions use ``numpy.linalg.eigh``, which reads one triangle
+only, so every matrix first passes :func:`symmetrize`.
 """
 
 from __future__ import annotations
@@ -45,51 +44,10 @@ def symmetrize(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def jacobi_eigh(a: np.ndarray, sweeps: int = 64, tol: float = 1e-14):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns ``(eigenvalues, vectors)`` with columns of ``vectors`` the
-    eigenvectors, unsorted. Robust at the small dimensions used here.
-    """
-    a = symmetrize(a)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-    scale = max(max_abs_norm(a), np.finfo(float).tiny)
-    for _ in range(sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.5 * tol * scale / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    return a.diagonal().copy(), v
-
-
 def inverse_sqrt(sigma: np.ndarray, tol: float = DEFAULT_PD_TOL) -> np.ndarray:
     """Symmetric inverse square root ``M`` with ``M @ sigma @ M = I``.
 
-    Computed by Jacobi eigendecomposition with eigenvalue
-    reciprocal-square-roots.
+    Computed by eigendecomposition with eigenvalue reciprocal-square-roots.
 
     Raises
     ------
@@ -97,7 +55,7 @@ def inverse_sqrt(sigma: np.ndarray, tol: float = DEFAULT_PD_TOL) -> np.ndarray:
         If any eigenvalue is at most ``tol`` times the largest one, which
         signals the matrix is unusable for whitening.
     """
-    vals, vecs = jacobi_eigh(sigma)
+    vals, vecs = np.linalg.eigh(symmetrize(sigma))
     top = float(np.max(vals)) if vals.size else 0.0
     if top <= 0.0 or np.any(vals <= tol * top):
         raise NotPositiveDefinite(
@@ -109,7 +67,7 @@ def inverse_sqrt(sigma: np.ndarray, tol: float = DEFAULT_PD_TOL) -> np.ndarray:
 
 def spectral_max_abs(sigma_isqrt: np.ndarray) -> float:
     """Largest absolute eigenvalue of a symmetric matrix (diagnostic norm)."""
-    vals, _ = jacobi_eigh(np.array(sigma_isqrt, dtype=float))
+    vals = np.linalg.eigvalsh(symmetrize(sigma_isqrt))
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 

@@ -5,8 +5,9 @@ The coupling follows the argument-vector recipe: pick a summand index with
 probability proportional to ``E psi_i(U_i)``, redraw that argument from its
 psi-tilted marginal, and move the remaining arguments to their conditional
 law given the new value. For jointly Gaussian arguments with unit variances
-the conditional move is the linear update ``Y_j = U_j + rho_jI (y - U_I)``;
-for equiprobable multinomial cell counts it is a uniform per-ball transfer
+and one pair covariance rho, valid for ``-1/(n-1) < rho < 1``, the
+conditional move is the linear update ``Y_j = U_j + rho (y - U_I)``; for
+equiprobable multinomial cell counts it is a uniform per-ball transfer
 between cells. Both feed the univariate size-bias bound.
 The tilted Gaussian laws of the named psi and both couplers' conditional
 means ``E[W* - W | U]`` are exact, so only the draws of U are Monte Carlo.
@@ -231,52 +232,40 @@ class TiltedSampler:
 
 @dataclass(frozen=True)
 class GaussianSumConfig:
-    """``W = sum psi(U_i)`` with ``U ~ N(0, corr)``, unit diagonal."""
+    """``W = sum psi(U_i)`` with each U_i standard normal and
+    ``Cov(U_i, U_j) = rho`` for i != j, a positive-definite law exactly when
+    ``-1/(n-1) < rho < 1``.
+    """
 
     n: int
     psi: PsiFunction
-    rho: float | None = None          # equicorrelated shortcut
-    corr: np.ndarray | None = None    # full correlation matrix
+    rho: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need n >= 1")
-        if (self.rho is None) == (self.corr is None):
-            raise ValueError("give exactly one of rho or corr")
-        if self.corr is not None:
-            corr = np.asarray(self.corr, dtype=float)
-            if corr.shape != (self.n, self.n):
-                raise ValueError("corr has the wrong shape")
-            if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-                raise ValueError("corr must have unit diagonal")
-            object.__setattr__(self, "corr", corr)
-
-    @property
-    def corr_matrix(self) -> np.ndarray:
-        if self.corr is not None:
-            return self.corr
-        m = np.full((self.n, self.n), float(self.rho))
-        np.fill_diagonal(m, 1.0)
-        return m
+        low = -1.0 / (self.n - 1) if self.n > 1 else -np.inf
+        if not low < self.rho < 1.0:
+            raise NotPositiveDefinite(
+                f"rho = {self.rho} at n = {self.n} is not positive definite: "
+                f"need -1/(n-1) < rho < 1, here {low:.6g} < rho < 1")
 
     @property
     def max_offdiag(self) -> float:
-        m = self.corr_matrix
-        if self.n == 1:
-            return 0.0
-        off = m[~np.eye(self.n, dtype=bool)]
-        return float(np.max(np.abs(off)))
+        return abs(self.rho) if self.n > 1 else 0.0
 
     @property
     def max_row_sum(self) -> float:
-        return float(np.max(np.abs(self.corr_matrix).sum(axis=1)))
+        return 1.0 + (self.n - 1) * abs(self.rho)
 
 
 def gaussian_moments(cfg: GaussianSumConfig):
     """Exact mean and variance of W from the pairwise covariance function."""
-    lam = cfg.n * cfg.psi.gaussian_mean()
-    cov = cfg.psi.gaussian_pair_cov(cfg.corr_matrix)
-    return float(lam), float(np.sum(cov))
+    psi, n = cfg.psi, cfg.n
+    lam = n * psi.gaussian_mean()
+    var = (n * psi.gaussian_pair_cov(1.0)
+           + n * (n - 1) * psi.gaussian_pair_cov(cfg.rho))
+    return float(lam), float(var)
 
 
 class GaussianSumCoupler(CoupledPairSampler):
@@ -285,11 +274,13 @@ class GaussianSumCoupler(CoupledPairSampler):
     def __init__(self, cfg: GaussianSumConfig):
         self.cfg = cfg
         self.psi = cfg.psi
-        corr = cfg.corr_matrix
-        try:
-            self._chol = np.linalg.cholesky(corr)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("correlation matrix is not PD") from exc
+        self.rho = float(cfg.rho)
+        # U = a Z + b (sum Z) 1 has unit variances and pair covariance
+        # 2 a b + n b^2 = rho when a = sqrt(1 - rho) and
+        # b = (sqrt(a^2 + n rho) - a) / n, written without the cancellation
+        self._a = np.sqrt(1.0 - self.rho)
+        self._b = self.rho / (np.sqrt(self._a**2 + cfg.n * self.rho)
+                              + self._a)
         self.tilted = TiltedSampler(cfg.psi, "normal")
         self.p = 1
         # identical psi across coordinates: the index is uniform and the
@@ -297,14 +288,16 @@ class GaussianSumCoupler(CoupledPairSampler):
         self.mean_vector = np.array([cfg.n * self.tilted.mass])
 
     def draw_u(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.standard_normal((size, self.cfg.n)) @ self._chol.T
+        u = rng.standard_normal((size, self.cfg.n))
+        total = u.sum(axis=1)
+        u *= self._a
+        u += (self._b * total)[:, None]
+        return u
 
     def adjust(self, u: np.ndarray, idx: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Linear conditional move of the unpicked coordinates."""
-        corr = self.cfg.corr_matrix
         rows = np.arange(u.shape[0])
-        shift = (y - u[rows, idx])[:, None]
-        out = u + corr[idx] * shift
+        out = u + self.rho * (y - u[rows, idx])[:, None]
         out[rows, idx] = y
         return out
 
@@ -326,81 +319,63 @@ class GaussianSumCoupler(CoupledPairSampler):
 
     def cond_exp_given_u(self, u: np.ndarray) -> np.ndarray:
         """Exact ``E[W* - W | U]`` from the tilted law of the picked
-        coordinate.
+        coordinate, in O(n) memory per row for any valid rho
+        (``-1/(n-1) < rho < 1``).
 
-        Picking i moves coordinate j to ``a + c y`` with ``a = U_j - c U_i``,
-        ``c = corr[j, i]`` and y tilted. The square family reduces to matrix
-        products, and exp with equal correlations to one factor per row.
-        Otherwise the pair means ``E psi(a + c y)`` are formed on (i, j)
-        pairs in blocks of about :data:`_PAIR_BLOCK` pairs: ``e^a mgf(c)``
-        for exp, and for the indicator the half-normal tail at
-        ``t = -a / c``, complemented where c < 0 and replaced by
-        ``1{a > 0}`` where c = 0. Everything that depends only on ``corr``
-        is formed once per call.
+        Picking i moves coordinate j to ``a + rho y`` with
+        ``a = U_j - rho U_i`` and y tilted. At rho = 0 only the picked
+        coordinate moves. The square family reduces to row sums, and exp to
+        one factor per row. For the indicator the half-normal tail at
+        ``t = -a / rho`` is summed over (i, j) pairs, complemented when
+        rho < 0, in blocks of at most about :data:`_PAIR_BLOCK` pairs:
+        whole rows while n^2 fits, else slices of i within one row.
         """
         u = np.atleast_2d(u)
         b, n = u.shape
-        corr = self.cfg.corr_matrix
+        rho = self.rho
         psi = self.psi
         tilt = self.tilted
+        # psi(u) is not held past this line: a live (b, n) array here made
+        # the pair loop's first call in each thread trim and re-fault its
+        # heap on every block (117k minor page faults against 1.1k at n = 64)
         w = psi(u).sum(axis=1)
         base = n * tilt.psi_mean - w
+        if rho == 0.0 or n == 1:
+            return base / n
         if psi.name == "square":
-            proj = u @ corr
-            r2 = (corr**2).sum(axis=0)
-            ui2 = u**2
-            # the square tilt is symmetric, so only its second moment enters
-            cross = (
-                -2.0 * u * (proj - u)
-                + ui2 * (r2 - 1.0)
-                + (r2 - 1.0) * tilt.moment2
-            )
-            return (base + psi.scale * cross.sum(axis=1)) / n
-        if psi.name == "exp" and self.cfg.rho is not None and n > 1:
-            rho = float(self.cfg.rho)
-            vals = psi(u)
-            srow = vals.sum(axis=1)
-            factor = np.exp(-rho * u) * float(tilt.mgf(rho)) - 1.0
-            cross = ((srow[:, None] - vals) * factor).sum(axis=1)
-            return (base + cross) / n
+            total = u.sum(axis=1)
+            sq = (u * u).sum(axis=1)
+            # picking i: sum_j!=i (a^2 - U_j^2) = -2 rho U_i (S - U_i)
+            # + rho^2 (n - 1) U_i^2, and the symmetric tilt adds
+            # rho^2 (n - 1) E y^2
+            spread = (n - 1) * rho * rho
+            cross = (-2.0 * rho * (total * total - sq)
+                     + spread * (sq + n * tilt.moment2))
+            return (base + psi.scale * cross) / n
         if psi.name == "exp":
-            mgf = tilt.mgf(corr)
-
-            def pair_means(a):
-                vals = np.exp(a)
-                vals *= psi.scale
-                vals *= mgf
-                return vals
+            factor = np.exp(-rho * u) * float(tilt.mgf(rho)) - 1.0
+            cross = ((w[:, None] - psi(u)) * factor).sum(axis=1)
+            return (base + cross) / n
+        # pair[r]: sum over j != i of the tilt's tail P(y > t) at
+        # t = U_i - U_j / rho
+        pair = np.zeros(b)
+        if n * n <= _PAIR_BLOCK:
+            rows, span = _PAIR_BLOCK // (n * n), n
         else:
-            neg = corr < 0
-            zero = ~((corr > 0) | neg)
-            divisor = np.where(zero, 1.0, corr)
-            has_neg, has_zero = bool(neg.any()), bool(zero.any())
-
-            def pair_means(a):
-                t = np.negative(a)
-                t /= divisor
-                vals = tilt.survival(t)
-                if has_neg:
-                    np.subtract(1.0, vals, out=vals, where=neg)
-                if has_zero:
-                    np.copyto(vals, a > 0, where=zero)
-                vals *= psi.scale
-                return vals
-
-        out = np.empty(b)
-        diag = np.arange(n)
-        rows_per_block = max(1, _PAIR_BLOCK // (n * n))
-        for lo in range(0, b, rows_per_block):
-            hi = min(b, lo + rows_per_block)
-            ub = u[lo:hi]
-            a = ub[:, :, None] - corr * ub[:, None, :]
-            vals = pair_means(a)
-            cur = psi(ub)
-            cross = vals.sum(axis=1) - cur.sum(axis=1)[:, None] \
-                - (vals[:, diag, diag] - cur)
-            out[lo:hi] = (base[lo:hi] + cross.sum(axis=1)) / n
-        return out
+            rows, span = 1, max(1, _PAIR_BLOCK // n)
+        for lo in range(0, b, rows):
+            ub = u[lo:lo + rows]
+            scaled = ub / rho
+            for i0 in range(0, n, span):
+                ui = ub[:, i0:i0 + span]
+                k = ui.shape[1]
+                surv = tilt.survival(ui[:, None, :] - scaled[:, :, None])
+                own = surv[:, np.arange(i0, i0 + k), np.arange(k)]
+                pair[lo:lo + rows] += (surv.sum(axis=(1, 2))
+                                       - own.sum(axis=1))
+        if rho < 0:
+            pair = n * (n - 1) - pair
+        return (base + psi.scale * pair - (n - 1) * w) / n
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,8 @@ class SmoothTestFunction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown test-function kind {self.kind!r}")
+        if self.p < 1:
+            raise DimensionMismatch(f"{self.kind} needs p >= 1, got p={self.p}")
         if self.kind in ("cosine", "product-logistic") and len(self.a) != self.p:
             raise DimensionMismatch(
                 f"{self.kind} needs len(a) == p; got {len(self.a)} vs {self.p}"

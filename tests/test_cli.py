@@ -20,17 +20,12 @@ def _run(argv, capsys):
 
 class TestSteinCheck:
     def test_smoke(self, capsys):
-        code, out, err = _run(["stein-check", "--h", "cosine:a=1", "--p", "1",
+        code, out, err = _run(["stein-check", "--h", "cosine:a=1",
                                "--grid-points", "9"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["pass"] is True
         assert payload["max_pde_residual"] <= 1e-3
-
-    def test_dimension_conflict_is_usage_error(self, capsys):
-        code, _, err = _run(["stein-check", "--h", "cosine:a=1", "--p", "2"],
-                            capsys)
-        assert code == 1 and "error" in err
 
 
 class TestOracleModes:
@@ -250,6 +245,14 @@ class TestDeterminism:
              "indicator", "--samples", "3000", "--chunk-size", "512",
              "--seed", "11"], tmp_path)
 
+    def test_gaussian_square_same_bytes(self, tmp_path):
+        """The O(n) sampler and the row-sum square kernel, at rho < 0, give
+        the same bytes on any number of workers."""
+        self._assert_same_bytes_at_thread_caps(
+            ["nonlinear", "--model", "gauss:rho=-0.002,n=300", "--psi",
+             "square", "--samples", "3000", "--chunk-size", "512",
+             "--seed", "11"], tmp_path)
+
 
 class TestUsageErrors:
     def test_bad_flag(self, capsys):
@@ -302,6 +305,19 @@ class TestUsageErrors:
         # 1000 balls in 2 cells: e^u at counts past 709 has probability > 0
         (["nonlinear", "--model", "multinomial:n=2,k=500", "--psi", "exp",
           "--samples", "200"], "psi = exp overflows a float on 1000 balls"),
+        # pair covariance rho is a law only for -1/(n-1) < rho < 1
+        (["nonlinear", "--model", "gauss:rho=1,n=64", "--psi", "square"],
+         "rho = 1.0 at n = 64 is not positive definite: "
+         "need -1/(n-1) < rho < 1, here -0.015873 < rho < 1"),
+        (["nonlinear", "--model", "gauss:rho=-0.5,n=64", "--psi", "square"],
+         "rho = -0.5 at n = 64 is not positive definite: "
+         "need -1/(n-1) < rho < 1, here -0.015873 < rho < 1"),
+        (["stein-check", "--h", "cosine:a=1", "--fd-step", "0",
+          "--grid-points", "3"], "--fd-step must be positive, got 0.0"),
+        (["degree-count", "--n", "1", "--c", "1", "--degrees", "0"],
+         "need n >= 2 vertices, got n = 1"),
+        (["stein-check", "--h", "gauss-radial:p=0", "--grid-points", "3"],
+         "gauss-radial needs p >= 1, got p=0"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -63,11 +63,6 @@ class TestAccumulator:
         np.testing.assert_allclose(acc.variance_sem, np.sqrt(2.0 / 100_000),
                                    rtol=0.1)
 
-    def test_abs_mean(self):
-        x = np.array([-1.0, 2.0, -3.0])
-        acc = Accumulator(track_abs=True).add(x)
-        assert acc.abs_mean == 2.0
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 1000))
     def test_merge_commutative_exact(self, seed):

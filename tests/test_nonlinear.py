@@ -1,5 +1,6 @@
 """Nonlinear sums: tilted marginals, both couplers, exact moments."""
 
+import tracemalloc
 from math import fsum
 
 import numpy as np
@@ -125,36 +126,49 @@ class TestGaussianCoupler:
         assert abs(other.var() - 0.75) <= 4 * np.sqrt(2 * 0.75**2 / m)
 
     def test_conditional_moments_general_matrix(self):
-        """Given I and y, the unpicked block has mean corr[-I, I] y and
-        covariance corr[-I,-I] - corr[-I,I] corr[I,-I]."""
-        rng0 = np.random.default_rng(0)
-        corr = np.array([[1.0, 0.3, -0.2],
-                         [0.3, 1.0, 0.4],
-                         [-0.2, 0.4, 1.0]])
-        cfg = nl.GaussianSumConfig(3, nl.parse_psi("square"), corr=corr)
+        """Given I and y, the unpicked block has mean rho y and covariance
+        C - rho^2 J, with C the pair-covariance-rho matrix and J all ones;
+        rho < 0 here."""
+        rho, y_val = -0.3, -0.8
+        cfg = nl.GaussianSumConfig(3, nl.parse_psi("square"), rho=rho)
         coupler = nl.GaussianSumCoupler(cfg)
         m = 300_000
         u = coupler.draw_u(StreamConfig(7).stream(0), m)
-        y_val = -0.8
         idx = np.full(m, 1)
         adjusted = coupler.adjust(u, idx, np.full(m, y_val))
         others = adjusted[:, [0, 2]]
-        mean_expected = corr[[0, 2], 1] * y_val
-        cov_expected = (corr[np.ix_([0, 2], [0, 2])]
-                        - np.outer(corr[[0, 2], 1], corr[1, [0, 2]]))
+        cov_expected = (np.array([[1.0, rho], [rho, 1.0]])
+                        - rho * rho * np.ones((2, 2)))
         se_mean = np.sqrt(np.diag(cov_expected) / m)
-        assert np.all(np.abs(others.mean(axis=0) - mean_expected)
+        assert np.all(np.abs(others.mean(axis=0) - rho * y_val)
                       <= 4 * se_mean)
         emp_cov = np.cov(others.T)
         assert np.all(np.abs(emp_cov - cov_expected) <= 4 * 2.0 / np.sqrt(m))
 
     def test_not_pd_rejected(self):
-        corr = np.array([[1.0, 0.9], [0.9, 1.0]])
-        bad = corr.copy()
-        bad[0, 1] = bad[1, 0] = 1.5
-        with pytest.raises(NotPositiveDefinite):
-            nl.GaussianSumCoupler(
-                nl.GaussianSumConfig(2, nl.parse_psi("square"), corr=bad))
+        """Pair covariance rho is a positive-definite law exactly for
+        -1/(n-1) < rho < 1, and the message states that range."""
+        for n, rho in [(2, 1.0), (2, 1.5), (2, -1.0), (3, -0.5),
+                       (64, -0.02), (1, 1.0), (4, float("nan"))]:
+            with pytest.raises(NotPositiveDefinite,
+                               match=r"-1/\(n-1\) < rho < 1"):
+                nl.GaussianSumConfig(n, nl.parse_psi("square"), rho=rho)
+
+    @pytest.mark.parametrize("n,rho", [(2, -0.999), (3, -0.499), (64, -0.0158),
+                                       (64, 0.999), (1, -5.0)])
+    def test_draws_have_unit_variance_and_pair_covariance(self, n, rho):
+        """U = a Z + b (sum Z) 1 has exactly the target law: checked on its
+        covariance, including rho near both ends of the range."""
+        coupler = nl.GaussianSumCoupler(
+            nl.GaussianSumConfig(n, nl.parse_psi("square"), rho=rho))
+        a, b = coupler._a, coupler._b
+        np.testing.assert_allclose([a * a + 2 * a * b + n * b * b,
+                                    2 * a * b + n * b * b], [1.0, rho],
+                                   rtol=0, atol=1e-12)
+        u = coupler.draw_u(StreamConfig(21).stream(0), 100_000)
+        cov = np.cov(u[:, :2].T) if n > 1 else np.var(u)
+        want = np.array([[1.0, rho], [rho, 1.0]]) if n > 1 else 1.0
+        np.testing.assert_allclose(cov, want, rtol=0, atol=0.02)
 
     @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
     def test_cond_exp_matches_nested_mc(self, name):
@@ -176,31 +190,54 @@ class TestGaussianCoupler:
             assert abs(delta.mean() - exact[row]) <= 5 * se + 1e-8
 
     @pytest.mark.parametrize("n,rho", [(6, 0.0), (6, 0.1), (6, -0.01),
-                                       (4, None), (260, 0.1)],
-                             ids=["rho=0", "rho=0.1", "rho=-0.01", "corr",
-                                  "blocks"])
+                                       (260, 0.1), (300, -0.003)],
+                             ids=["rho=0", "rho=0.1", "rho=-0.01", "blocks",
+                                  "negative-blocks"])
     @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
     def test_cond_exp_matches_oracle(self, name, n, rho):
         """The kernel equals the term-by-term scalar sum to 1e-12 relative
-        to W on every sign of the correlations: c > 0, c < 0 and c = 0
-        (rho = 0 and the zeros of the full matrix, which has all three).
-        At n = 260 each row is a block of its own."""
+        to W for rho > 0, rho < 0 and rho = 0. At n = 260 and 300 each row
+        is split into slices of the picked index."""
         psi = nl.parse_psi(name)
-        if rho is None:
-            corr = np.array([[1.0, 0.3, -0.2, 0.0],
-                             [0.3, 1.0, 0.0, 0.25],
-                             [-0.2, 0.0, 1.0, -0.1],
-                             [0.0, 0.25, -0.1, 1.0]])
-            cfg = nl.GaussianSumConfig(n, psi, corr=corr)
-        else:
-            cfg = nl.GaussianSumConfig(n, psi, rho=rho)
+        cfg = nl.GaussianSumConfig(n, psi, rho=rho)
         coupler = nl.GaussianSumCoupler(cfg)
         u = coupler.draw_u(StreamConfig(22).stream(n), 3)
         got = coupler.cond_exp_given_u(u)
-        want = [oracles.gaussian_cond_exp(row, cfg.corr_matrix, psi)
-                for row in u]
+        corr = np.full((n, n), rho)
+        np.fill_diagonal(corr, 1.0)
+        want = [oracles.gaussian_cond_exp(row, corr, psi) for row in u]
         scale = max(1.0, float(np.abs(psi(u).sum(axis=1)).max()))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_cond_exp_memory_is_linear_in_n(self):
+        """One indicator row at n = 2000 holds at most about _PAIR_BLOCK
+        pairs at a time, not n^2."""
+        cfg = nl.GaussianSumConfig(2000, nl.parse_psi("indicator"), rho=0.1)
+        coupler = nl.GaussianSumCoupler(cfg)
+        u = coupler.draw_u(StreamConfig(23).stream(0), 1)
+        tracemalloc.start()
+        try:
+            coupler.cond_exp_given_u(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
+    def test_large_n_coupler_memory(self):
+        """Building the coupler, drawing rows and the row-sum kernels of
+        square and exp hold no n x n array."""
+        n = 4000
+        tracemalloc.start()
+        try:
+            for name in ("square", "exp"):
+                coupler = nl.GaussianSumCoupler(
+                    nl.GaussianSumConfig(n, nl.parse_psi(name), rho=0.01))
+                u = coupler.draw_u(StreamConfig(24).stream(0), 16)
+                coupler.cond_exp_given_u(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
     def test_mean_identity(self):
         """E W* = E W^2 / lambda for the coupled pair."""

@@ -1,23 +1,24 @@
 """Normal-approximation bounds from size-bias couplings.
 
-A library and CLI that constructs size-bias couplings, Monte
-Carlo-estimates every term of four coupling-based bound theorems, certifies
-the resulting bound against the empirical distance to normality, and
-validates the closed-form moment formulas with exact enumeration oracles.
+A library and CLI that builds the size-bias couplings of three models
+(degree counts in a random graph, sums of functions of Gaussian variables
+and of multinomial cell counts) and the dependency neighborhoods of
+monochromatic edge counts, Monte Carlo-estimates every term of four
+coupling-based bound theorems, certifies the resulting bound against the
+empirical distance to normality, and validates the closed-form moment
+formulas with exact enumeration oracles.
 """
 
 from .bounds import (BoundReport, LocalDepStats, MultivariateCouplingStats,
                      UnivariateCouplingStats, bound_multivariate_local,
                      bound_multivariate_size_bias, bound_univariate_local,
-                     bound_univariate_size_bias, covariance_identity_check)
+                     bound_univariate_size_bias)
 from .harness import Accumulator, StreamConfig, estimate_gap, parallel_mc
 from .linalg import inverse_sqrt, max_abs_norm, whiten
 from .report import ExperimentReport
 from .sizebias import (CoupledPairSampler, DiscreteDistribution,
-                       FunctionSumCoupler, IndependentSumCoupler, IndexPicker,
-                       IndicatorCollectionCoupler, size_bias_discrete,
                        verify_characterization)
-from .stein import SteinSolution, ou_smoothing
+from .stein import SteinSolution
 from .testfuncs import (GaussianExpectation, SmoothTestFunction,
                         parse_test_function, phi_h, smoothed_mean)
 
@@ -25,15 +26,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Accumulator", "BoundReport", "CoupledPairSampler",
-    "DiscreteDistribution", "ExperimentReport", "FunctionSumCoupler",
-    "GaussianExpectation", "IndependentSumCoupler", "IndexPicker",
-    "IndicatorCollectionCoupler", "LocalDepStats",
-    "MultivariateCouplingStats", "SmoothTestFunction", "SteinSolution",
-    "StreamConfig", "UnivariateCouplingStats", "bound_multivariate_local",
-    "bound_multivariate_size_bias", "bound_univariate_local",
-    "bound_univariate_size_bias",
-    "covariance_identity_check", "estimate_gap", "inverse_sqrt",
-    "max_abs_norm", "ou_smoothing", "parallel_mc", "parse_test_function",
-    "phi_h", "size_bias_discrete", "smoothed_mean", "verify_characterization",
-    "whiten",
+    "DiscreteDistribution", "ExperimentReport", "GaussianExpectation",
+    "LocalDepStats", "MultivariateCouplingStats", "SmoothTestFunction",
+    "SteinSolution", "StreamConfig", "UnivariateCouplingStats",
+    "bound_multivariate_local", "bound_multivariate_size_bias",
+    "bound_univariate_local", "bound_univariate_size_bias", "estimate_gap",
+    "inverse_sqrt", "max_abs_norm", "parallel_mc", "parse_test_function",
+    "phi_h", "smoothed_mean", "verify_characterization", "whiten",
 ]

@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonfiniteNorm
-from .harness import Accumulator, StreamConfig, parallel_mc
 from .linalg import inverse_sqrt, max_abs_norm, spectral_max_abs, symmetrize
-from .sizebias import COORD_STREAM_STRIDE, CoupledPairSampler
 
 SQRT_HALF_PI = float(np.sqrt(np.pi / 2.0))
 
@@ -274,49 +272,3 @@ def bound_multivariate_local(stats: LocalDepStats, dh_norm: float,
         "dh_norm": dh_norm, "d2h_norm": d2h_norm, "d3h_norm": d3h_norm,
     }
     return _finish("multivariate-local-dependence", terms, inputs)
-
-
-# ---------------------------------------------------------------------------
-# Covariance identity check
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CovarianceIdentityResult:
-    estimates: np.ndarray   # lam_i * mean(W^i_j - W_j)
-    sems: np.ndarray        # lam_i * sem of the mean
-    target: np.ndarray
-    zscores: np.ndarray
-    samples: int
-    seed: int
-
-    @property
-    def max_abs_z(self) -> float:
-        return float(np.max(np.abs(self.zscores)))
-
-
-def covariance_identity_check(sampler: CoupledPairSampler, sigma_target,
-                              samples: int, seed: int = 0,
-                              chunk_size: int = 16384) -> CovarianceIdentityResult:
-    """Check ``lam_i E(W^i_j - W_j) = sigma_ij`` for every ``(i, j)``.
-
-    Returns standardized deviations from the target covariance; with a
-    correct coupler these are asymptotically standard normal.
-    """
-    cfg = StreamConfig(seed, chunk_size)
-    lam = np.asarray(sampler.mean_vector, dtype=float)
-    sigma_target = np.asarray(sigma_target, dtype=float)
-    p = sampler.p
-    est = np.empty((p, p))
-    sems = np.empty((p, p))
-    for i in range(p):
-        def task(rng, size, i=i):
-            w, wi = sampler.draw_batch(i, size, rng)
-            return Accumulator(shape=(p,)).add(wi - w)
-
-        acc = parallel_mc(task, cfg.offset(i * COORD_STREAM_STRIDE), samples)
-        est[i] = lam[i] * acc.mean
-        sems[i] = lam[i] * acc.sem
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sems > 0, (est - sigma_target) / np.where(sems > 0, sems, 1.0),
-                     np.where(est == sigma_target, 0.0, np.inf))
-    return CovarianceIdentityResult(est, sems, sigma_target, z, samples, seed)

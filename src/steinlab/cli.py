@@ -125,7 +125,7 @@ def build_parser() -> _Parser:
 
     val = subs.add_parser("validate-couplings",
                           help="re-check the coupling identity for every "
-                               "shipped sampler")
+                               "model coupler")
     val.add_argument("--which", default="all",
                      help="comma list of registry names, or 'all'")
     val.add_argument("--threshold", type=float, default=4.0)
@@ -150,8 +150,15 @@ def _default_h(p: int) -> SmoothTestFunction:
     return SmoothTestFunction("cosine", p=p, a=tuple([0.5] * p))
 
 
+def _parse_h(raw: str) -> SmoothTestFunction:
+    try:
+        return parse_test_function(raw)
+    except (SteinLabError, ValueError) as exc:
+        raise _UsageError(f"--h: {exc}") from None
+
+
 def _resolve_h(raw: str | None, p: int) -> SmoothTestFunction:
-    h = parse_test_function(raw) if raw else _default_h(p)
+    h = _parse_h(raw) if raw else _default_h(p)
     if h.p != p:
         raise _UsageError(f"test function has dimension {h.p}, expected {p}")
     return h
@@ -248,10 +255,13 @@ def _run_nonlinear(args) -> int:
 
 
 def _run_stein(args) -> int:
-    h = parse_test_function(args.h)
+    h = _parse_h(args.h)
     if args.grid_points < 1:
         raise _UsageError(f"--grid-points must be at least 1, got "
                           f"{args.grid_points}")
+    if args.gh_nodes < 2:
+        raise _UsageError(f"--gh-nodes must be at least 2, got "
+                          f"{args.gh_nodes}")
     if not args.fd_step > 0:
         raise _UsageError(f"--fd-step must be positive, got {args.fd_step}")
     sol = SteinSolution(h, gh_nodes=args.gh_nodes)

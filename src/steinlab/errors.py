@@ -13,10 +13,6 @@ class DimensionMismatch(SteinLabError):
     """Array shapes do not agree with the declared dimension."""
 
 
-class ZeroMean(SteinLabError):
-    """Size biasing requested for a distribution with mean zero."""
-
-
 class ZeroMass(SteinLabError):
     """A tilted distribution has zero total mass."""
 
@@ -27,10 +23,6 @@ class QuadratureNotConverged(SteinLabError):
 
 class UnsupportedDimension(SteinLabError):
     """Tensor-product quadrature requested in too high a dimension."""
-
-
-class ConditionalUnavailable(SteinLabError):
-    """A supplied conditional-law procedure rejected the requested index."""
 
 
 class InfeasibleAdjustment(SteinLabError):

@@ -176,8 +176,9 @@ class TiltedSampler:
     degrees of freedom, ``exp`` is N(1, 1) and ``indicator`` is the
     half-normal ``|Z|``. A finite base is tilted exactly for any callable
     ``psi``. ``mass`` is the normalizer ``E psi(U)``, also the summand's
-    mean, hence the index-picker weight. On the normal base ``psi_mean`` is
-    ``E psi(y)`` under the tilt, the picked summand's conditional mean.
+    mean, hence its weight when the coupling picks a summand. On the normal
+    base ``psi_mean`` is ``E psi(y)`` under the tilt, the picked summand's
+    conditional mean.
     """
 
     def __init__(self, psi, base="normal"):

@@ -1,17 +1,20 @@
-"""Size-biased distributions and joint coupling samplers.
+"""The coupled-pair interface and its statistical check.
 
 For a nonnegative variable W with law dF and mean lambda, the size-biased
 law is ``w dF(w) / lambda``; for a collection ``X`` the law biased in
 coordinate beta is ``x_beta dF(x) / lambda_beta``. A coupled pair sampler
 produces joint draws ``(W, W^i)`` whose second component follows the law
 biased in coordinate i, which is exactly what the coupling-based bound
-theorems consume. The characterizing identity
+theorems consume. The three model couplers (degree counts, Gaussian sums
+and multinomial sums) implement :class:`CoupledPairSampler`; the
+characterizing identity
 
     E[W_i G(W)] = lambda_i E[G(W^i)]
 
 is checked statistically by :func:`verify_characterization`.
+:class:`DiscreteDistribution` holds the finite laws the models draw from.
 
-Every sampler here is an immutable description; draws consume an explicit
+Every sampler is an immutable description; draws consume an explicit
 seeded stream, so concurrent draws on distinct streams are safe.
 """
 
@@ -22,7 +25,6 @@ from math import lgamma
 
 import numpy as np
 
-from .errors import ConditionalUnavailable, ZeroMean
 from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
 
 # Stream-index stride separating the estimation passes for different
@@ -39,7 +41,7 @@ def log_binomial(n: int, k) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Discrete distributions and exact size biasing
+# Discrete distributions
 # ---------------------------------------------------------------------------
 
 class DiscreteDistribution:
@@ -78,12 +80,6 @@ class DiscreteDistribution:
         idx = np.searchsorted(self._cum, rng.random(size), side="right")
         return self.values[idx]
 
-    # Common cases -------------------------------------------------------
-
-    @classmethod
-    def bernoulli(cls, p: float) -> "DiscreteDistribution":
-        return cls([0.0, 1.0], [1.0 - p, p])
-
     @classmethod
     def binomial(cls, n: int, p: float) -> "DiscreteDistribution":
         """Binomial(n, p), its pmf formed in log space so that any n works."""
@@ -95,45 +91,6 @@ class DiscreteDistribution:
         pmf = np.exp(log_pmf - log_pmf.max())
         pmf /= pmf.sum()
         return cls(k.astype(float), pmf)
-
-    @classmethod
-    def poisson_truncated(cls, lam: float, kmax: int) -> "DiscreteDistribution":
-        from math import factorial
-
-        k = np.arange(kmax + 1)
-        pmf = np.array([lam**int(j) / factorial(int(j)) for j in k])
-        pmf /= pmf.sum()
-        return cls(k.astype(float), pmf)
-
-
-def size_bias_discrete(d: DiscreteDistribution) -> DiscreteDistribution:
-    """The size-biased law ``prob(w) = w p(w) / mean``."""
-    lam = d.mean
-    if lam <= 0.0:
-        raise ZeroMean("cannot size bias a distribution with mean 0")
-    return DiscreteDistribution(d.values, d.values * d.probs / lam)
-
-
-@dataclass(frozen=True)
-class IndexPicker:
-    """Random index with probabilities proportional to the given weights."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ZeroMean("index weights must be nonnegative with positive sum")
-
-    @property
-    def probs(self) -> np.ndarray:
-        w = np.asarray(self.weights, dtype=float)
-        return w / w.sum()
-
-    def pick(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        cum = np.cumsum(self.probs)
-        cum[-1] = 1.0
-        return np.searchsorted(cum, rng.random(size), side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -154,146 +111,6 @@ class CoupledPairSampler:
     def draw_batch(self, i: int, size: int, rng: np.random.Generator):
         """Return ``(W, Wi)`` as ``(size, p)`` arrays."""
         raise NotImplementedError
-
-    def draw(self, i: int, rng: np.random.Generator):
-        w, wi = self.draw_batch(i, 1, rng)
-        return w[0], wi[0]
-
-
-class IndependentSumCoupler(CoupledPairSampler):
-    """Size-bias coupling for ``W = X_1 + ... + X_n`` with independent X.
-
-    A summand index is chosen with probability proportional to its mean and
-    replaced by a draw from its size-biased law; independence makes any
-    further conditional adjustment of the other summands vacuous.
-    """
-
-    def __init__(self, components: list[DiscreteDistribution]):
-        means = np.array([c.mean for c in components])
-        if means.sum() <= 0:
-            raise ZeroMean("total mean must be positive")
-        self.components = list(components)
-        self.biased = [size_bias_discrete(c) if c.mean > 0 else None
-                       for c in components]
-        self.picker = IndexPicker(tuple(means))
-        self.p = 1
-        self.mean_vector = np.array([means.sum()])
-
-    def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        if i != 0:
-            raise IndexError("univariate coupler only has coordinate 0")
-        k = len(self.components)
-        x = np.empty((size, k))
-        for j, comp in enumerate(self.components):
-            x[:, j] = comp.sample(rng, size)
-        idx = self.picker.pick(rng, size)
-        replaced = np.empty(size)
-        for j in range(k):
-            mask = idx == j
-            cnt = int(mask.sum())
-            if cnt:
-                replaced[mask] = self.biased[j].sample(rng, cnt)
-        w = x.sum(axis=1)
-        wstar = w - x[np.arange(size), idx] + replaced
-        return w[:, None], wstar[:, None]
-
-
-class IndicatorCollectionCoupler(CoupledPairSampler):
-    """Coupling for sums of 0/1 variables over coordinate sets A_1..A_p.
-
-    ``joint_sampler(rng, size)`` draws the indicator collection;
-    ``conditional_given_one(beta, rng, size)`` draws the collection from its
-    conditional law given ``X_beta = 1`` (indicators are size biased simply
-    by pinning the chosen one to 1). ``W^i_j`` sums the conditioned
-    collection over ``A_j``.
-    """
-
-    def __init__(self, joint_sampler, conditional_given_one,
-                 coordinate_sets, means):
-        self.joint_sampler = joint_sampler
-        self.conditional_given_one = conditional_given_one
-        self.sets = [np.asarray(s, dtype=int) for s in coordinate_sets]
-        self.means = np.asarray(means, dtype=float)
-        self.p = len(self.sets)
-        self.mean_vector = np.array(
-            [self.means[s].sum() for s in self.sets]
-        )
-        self.pickers = []
-        for s in self.sets:
-            if self.means[s].sum() <= 0:
-                raise ZeroMean(f"coordinate set {s} has zero total mean")
-            self.pickers.append(IndexPicker(tuple(self.means[s])))
-
-    def _sums(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([x[:, s].sum(axis=1) for s in self.sets], axis=1)
-
-    def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        x = self.joint_sampler(rng, size)
-        members = self.sets[i]
-        which = self.pickers[i].pick(rng, size)
-        xcond = np.empty_like(x, dtype=float)
-        for slot, beta in enumerate(members):
-            mask = which == slot
-            cnt = int(mask.sum())
-            if not cnt:
-                continue
-            redraw = np.asarray(self.conditional_given_one(int(beta), rng, cnt),
-                                dtype=float)
-            if not np.all(redraw[:, beta] == 1.0):
-                raise ConditionalUnavailable(
-                    f"conditional law for index {beta} did not pin X_beta = 1"
-                )
-            xcond[mask] = redraw
-        return self._sums(np.asarray(x, dtype=float)), self._sums(xcond)
-
-
-class FunctionSumCoupler(CoupledPairSampler):
-    """Coupling for ``W = sum_j psi_j(U_j)`` built on the argument vector.
-
-    Index ``I`` is chosen with probability proportional to ``E psi_i(U_i)``
-    (the tilted samplers' masses), ``Y_I`` is drawn from the psi-tilted
-    marginal, and the supplied adjuster produces the remaining coordinates
-    from their conditional law given ``U_I = Y_I``.
-    """
-
-    def __init__(self, u_sampler, psis, tilted_samplers, adjuster):
-        self.u_sampler = u_sampler
-        self.psis = list(psis)
-        self.tilted = list(tilted_samplers)
-        if len(self.tilted) != len(self.psis):
-            raise ValueError("need one tilted sampler per summand")
-        self.adjuster = adjuster
-        masses = np.array([t.mass for t in self.tilted])
-        if masses.sum() <= 0:
-            raise ZeroMean("all summands have zero mean")
-        self.picker = IndexPicker(tuple(masses))
-        self.p = 1
-        self.mean_vector = np.array([masses.sum()])
-
-    def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        if i != 0:
-            raise IndexError("univariate coupler only has coordinate 0")
-        u = self.u_sampler(rng, size)
-        idx = self.picker.pick(rng, size)
-        y = np.empty(size)
-        for j, tilt in enumerate(self.tilted):
-            mask = idx == j
-            cnt = int(mask.sum())
-            if cnt:
-                y[mask] = tilt.sample(rng, cnt)
-        adjusted = np.array(self.adjuster(u, idx, y, rng), dtype=float)
-        adjusted[np.arange(size), idx] = y
-        w = np.zeros(size)
-        wstar = np.zeros(size)
-        for j, psi in enumerate(self.psis):
-            w += psi(u[:, j])
-            wstar += psi(adjusted[:, j])
-        return w[:, None], wstar[:, None]
-
-
-def independent_adjuster(u, idx, y, rng):
-    """Conditional adjuster for independent arguments: leave others alone."""
-    return u.copy()
 
 
 # ---------------------------------------------------------------------------

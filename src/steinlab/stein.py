@@ -42,22 +42,6 @@ def _legendre_rule(n: int):
     return ang, w * (np.pi / 4.0)
 
 
-def ou_smoothing(h, w, u: float, cfg: GaussianExpectation | None = None):
-    """``E h(w e^{-u} + sqrt(1 - e^{-2u}) Z)`` for each row of ``w``.
-
-    ``u = 0`` returns ``h(w)`` exactly; as ``u -> inf`` the value tends to
-    the standard-normal mean of ``h``. A raw callable ``h`` takes its
-    dimension from ``w``.
-    """
-    if u < 0:
-        raise ValueError("smoothing time u must be nonnegative")
-    nodes = (cfg or GaussianExpectation()).nodes
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    shrink = np.exp(-u)
-    sigma = np.sqrt(max(0.0, -np.expm1(-2.0 * u)))
-    return smoothed_mean(h, shrink * w, sigma, nodes)
-
-
 def _as_evaluator(h, p):
     if isinstance(h, SmoothTestFunction):
         return h.evaluate, h.p

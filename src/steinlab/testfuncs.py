@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedDimension
+from .errors import BadSpec, DimensionMismatch, UnsupportedDimension
+from .specs import read_spec
 
 # ---------------------------------------------------------------------------
 # Gauss-Hermite quadrature for standard-normal expectations
@@ -333,27 +334,29 @@ def phi_h(h, cfg: GaussianExpectation | None = None, p: int | None = None):
 # CLI spec parsing: e.g. "cosine:a=1,0.5:b=0"
 # ---------------------------------------------------------------------------
 
+def float_list(raw: str) -> tuple:
+    return tuple(float(x) for x in raw.split(","))
+
+
+# Keys each test-function kind takes, with their types; ``a`` is a comma list.
+_SPEC_FIELDS = {
+    "cosine": {"a": float_list, "b": float},
+    "gauss-radial": {"p": int, "scale": float},
+    "product-logistic": {"a": float_list},
+}
+_SPEC_ALIASES = {"gaussradial": "gauss-radial", "logistic": "product-logistic"}
+
+
 def parse_test_function(spec: str) -> SmoothTestFunction:
-    parts = spec.strip().split(":")
-    kind = parts[0].strip().lower()
-    kv = {}
-    for part in parts[1:]:
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        kv[key.strip()] = value.strip()
-    if kind == "cosine":
-        if "a" not in kv:
-            raise ValueError("cosine spec needs a=...")
-        a = tuple(float(x) for x in kv["a"].split(","))
-        return SmoothTestFunction("cosine", p=len(a), a=a,
-                                  b=float(kv.get("b", "0")))
-    if kind in ("gauss-radial", "gaussradial"):
-        return SmoothTestFunction("gauss-radial", p=int(kv.get("p", "1")),
-                                  scale=float(kv.get("scale", "1")))
-    if kind in ("product-logistic", "logistic"):
-        if "a" not in kv:
-            raise ValueError("product-logistic spec needs a=...")
-        a = tuple(float(x) for x in kv["a"].split(","))
-        return SmoothTestFunction("product-logistic", p=len(a), a=a)
-    raise ValueError(f"unknown test function {spec!r}")
+    """The test function named by ``kind:key=value:...``, for example
+    ``cosine:a=1,0.5:b=0``. An unknown kind or key, or a value that is not
+    a number, raises :class:`BadSpec` naming the spec and the key."""
+    spec = spec.strip()
+    kind = spec.partition(":")[0].strip().lower()
+    kind = _SPEC_ALIASES.get(kind, kind)
+    if kind not in _SPEC_FIELDS:
+        raise BadSpec(f"unknown test function {spec!r}")
+    fields = _SPEC_FIELDS[kind]
+    kv = read_spec(spec, fields, ("a",) if "a" in fields else (), sep=":")
+    p = len(kv["a"]) if "a" in kv else kv.pop("p", 1)
+    return SmoothTestFunction(kind, p=p, **kv)

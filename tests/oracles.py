@@ -1,7 +1,9 @@
 """Exact enumeration oracles shared by the test suite.
 
 Everything here recomputes laws from first principles (enumerating
-outcomes), independent of the production sampling paths it checks.
+outcomes), independent of the production sampling paths it checks. The
+one Monte Carlo reference, the covariance identity, is for couplers at
+sizes no enumeration reaches.
 """
 
 import itertools
@@ -12,18 +14,6 @@ from math import comb, erfc, exp, fsum, sqrt
 import numpy as np
 
 from steinlab.errors import InvariantViolation
-
-
-def convolve_laws(laws):
-    """Convolution of finite laws given as ``{value: prob}`` dicts."""
-    out = {0.0: 1.0}
-    for law in laws:
-        new = {}
-        for v1, p1 in out.items():
-            for v2, p2 in law.items():
-                new[v1 + v2] = new.get(v1 + v2, 0.0) + p1 * p2
-        out = new
-    return out
 
 
 def discrete_law(dist):
@@ -64,51 +54,6 @@ def vector_outcomes_to_biased_w_law(outcomes, sets, i):
             law[w] = law.get(w, 0.0) + weight
     assert lam_i > 0
     return {k: v / lam_i for k, v in law.items()}
-
-
-# ---------------------------------------------------------------------------
-# Construction-law enumerations (mirror the sampling recipes exactly)
-# ---------------------------------------------------------------------------
-
-def independent_sum_construction_law(component_laws):
-    """Law of W* from: pick index by mean, redraw it size-biased."""
-    means = [fsum(v * p for v, p in law.items()) for law in component_laws]
-    total = fsum(means)
-    out = {}
-    for j, law in enumerate(component_laws):
-        others = convolve_laws([c for k, c in enumerate(component_laws)
-                                if k != j])
-        tilted = size_biased_law(law)
-        piece = convolve_laws([others, tilted])
-        for v, p in piece.items():
-            out[v] = out.get(v, 0.0) + (means[j] / total) * p
-    return out
-
-
-def exchangeable_pair_construction_law(p_marg, q_both, sets, i):
-    """Law of W^i for the two-exchangeable-indicator coupler."""
-    members = list(sets[i])
-    lam = {0: p_marg, 1: p_marg}
-    lam_set = fsum(lam[m] for m in members)
-    out = {}
-    for beta in members:
-        w_beta = lam[beta] / lam_set
-        # conditional law given X_beta = 1: the other is 1 w.p. q/p
-        for other_val, pr in ((1.0, q_both / p_marg),
-                              (0.0, 1.0 - q_both / p_marg)):
-            x = [0.0, 0.0]
-            x[beta] = 1.0
-            x[1 - beta] = other_val
-            w = tuple(float(sum(x[m] for m in s)) for s in sets)
-            out[w] = out.get(w, 0.0) + w_beta * pr
-    return out
-
-
-def exchangeable_pair_outcomes(p_marg, q_both):
-    probs = [1 - 2 * p_marg + q_both, p_marg - q_both, p_marg - q_both,
-             q_both]
-    patterns = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
-    return list(zip(probs, patterns))
 
 
 # ---------------------------------------------------------------------------
@@ -432,3 +377,22 @@ def gaussian_cond_exp(u, corr, psi):
                  for i in range(n))
     w = fsum(float(psi(np.array([x]))[0]) for x in u)
     return psi.scale * total / n - w
+
+
+# ---------------------------------------------------------------------------
+# Covariance identity, by plain Monte Carlo
+# ---------------------------------------------------------------------------
+
+def covariance_identity_z(coupler, sigma, samples, rng):
+    """z-scores of ``lam_i E(W^i_j - W_j)`` against ``sigma[i, j]``.
+
+    Every size-bias coupling satisfies the identity, so with a correct
+    coupler and closed-form ``sigma`` the z-scores are about standard normal.
+    """
+    lam = np.asarray(coupler.mean_vector, dtype=float)
+    z = np.empty((coupler.p, coupler.p))
+    for i in range(coupler.p):
+        w, wi = coupler.draw_batch(i, samples, rng)
+        d = lam[i] * (wi - w)
+        z[i] = (d.mean(axis=0) - sigma[i]) * sqrt(samples) / d.std(axis=0)
+    return z

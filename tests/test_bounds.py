@@ -1,4 +1,4 @@
-"""Bound evaluators against hand-expanded arithmetic and small couplers."""
+"""Bound evaluators against hand-expanded arithmetic."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from steinlab.bounds import (LocalDepStats, MultivariateCouplingStats,
                              bound_multivariate_local,
                              bound_multivariate_size_bias,
                              bound_univariate_local,
-                             bound_univariate_size_bias,
-                             covariance_identity_check)
+                             bound_univariate_size_bias)
 from steinlab.errors import NonfiniteNorm, NotPositiveDefinite
 from steinlab.linalg import inverse_sqrt, max_abs_norm
-from steinlab.sizebias import DiscreteDistribution, IndependentSumCoupler
 
 
 def _uni_stats(var_cond=0.04, msd=0.1, lam=1.0, sigma_sq=1.0):
@@ -216,34 +214,3 @@ class TestMultivariateLocal:
                     + p * snorm * d1 * stats.t2
                     + (p**3 / 6.0) * snorm**3 * d3 * stats.t3.sum())
         np.testing.assert_allclose(rep.total, expected, rtol=1e-12)
-
-
-class TestCovarianceIdentity:
-    def test_two_fair_coins(self):
-        """lam E(W* - W) = Var W = 1/2 for two fair coins."""
-        coupler = IndependentSumCoupler(
-            [DiscreteDistribution.bernoulli(0.5)] * 2)
-        res = covariance_identity_check(coupler, np.array([[0.5]]),
-                                        samples=200_000, seed=6)
-        assert res.max_abs_z <= 4.0
-
-    def test_constant_w_gives_exact_zero(self):
-        """Indicator constant at 1: both sides of the identity vanish."""
-        class ConstantCoupler:
-            p = 1
-            mean_vector = np.array([2.0])
-
-            def draw_batch(self, i, size, rng):
-                w = np.full((size, 1), 2.0)
-                return w, w.copy()
-
-        res = covariance_identity_check(ConstantCoupler(), np.zeros((1, 1)),
-                                        samples=10_000, seed=0)
-        assert res.max_abs_z == 0.0
-
-    def test_wrong_target_flagged(self):
-        coupler = IndependentSumCoupler(
-            [DiscreteDistribution.bernoulli(0.5)] * 2)
-        res = covariance_identity_check(coupler, np.array([[5.0]]),
-                                        samples=100_000, seed=6)
-        assert res.max_abs_z > 4.0

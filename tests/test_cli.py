@@ -1,7 +1,10 @@
 """CLI behavior: subcommands, exit codes, deterministic output."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -9,7 +12,9 @@ import numpy as np
 import pytest
 
 import steinlab
+from steinlab import validation
 from steinlab.cli import main
+from steinlab.sizebias import CoupledPairSampler
 
 
 def _run(argv, capsys):
@@ -124,13 +129,34 @@ class TestExperiments:
 
     def test_validate_couplings_subset(self, capsys):
         code, out, _ = _run(["validate-couplings", "--which",
-                             "bernoulli-sum,exchangeable-pair",
+                             "degree-count,gauss-square",
                              "--samples", "20000", "--seed", "4"], capsys)
         assert code == 0
         payload = json.loads(out)
         assert payload["pass"] is True
-        assert set(payload["results"]) == {"bernoulli-sum",
-                                           "exchangeable-pair"}
+        assert set(payload["results"]) == {"degree-count", "gauss-square"}
+
+    def test_validate_couplings_subset_matches_full_run(self, capsys):
+        """An entry draws the same samples whichever entries run with it."""
+        runs = [json.loads(_run(["validate-couplings", "--which", which,
+                                 "--samples", "20000"], capsys)[1])
+                for which in ("gauss-square", "all")]
+        assert len(runs[1]["results"]) == 6
+        assert (runs[0]["results"]["gauss-square"]
+                == runs[1]["results"]["gauss-square"])
+
+    def test_registry_holds_every_model_coupler(self):
+        """No coupler ships unvalidated, and the registry holds no other."""
+        defined = set()
+        for info in pkgutil.iter_modules(steinlab.__path__):
+            module = importlib.import_module(f"steinlab.{info.name}")
+            defined |= {cls for _, cls in inspect.getmembers(module,
+                                                             inspect.isclass)
+                        if issubclass(cls, CoupledPairSampler)
+                        and cls is not CoupledPairSampler
+                        and cls.__module__ == module.__name__}
+        built = {type(build()) for build in validation.build_registry().values()}
+        assert built == defined
 
     def test_unknown_coupler_is_usage_error(self, capsys):
         code, _, err = _run(["validate-couplings", "--which", "nope"],
@@ -291,9 +317,9 @@ class TestUsageErrors:
          "'regular:n=20' is missing key 'd'"),
         (["sweep", "color-match", "--n", "20", "--colors", "0.5,0.5",
           "--graph-family", "regular"], "'regular:n=20' is missing key 'd'"),
-        (["validate-couplings", "--which", "bernoulli-sum", "--samples", "0"],
+        (["validate-couplings", "--which", "degree-count", "--samples", "0"],
          "at least 100 samples, got 0"),
-        (["validate-couplings", "--which", "bernoulli-sum", "--samples", "1"],
+        (["validate-couplings", "--which", "gauss-square", "--samples", "1"],
          "at least 100 samples, got 1"),
         (["color-match", "--graph", "regular:n=7,d=3", "--colors", "0.5,0.5"],
          "n*d must be even"),
@@ -318,6 +344,16 @@ class TestUsageErrors:
          "need n >= 2 vertices, got n = 1"),
         (["stein-check", "--h", "gauss-radial:p=0", "--grid-points", "3"],
          "gauss-radial needs p >= 1, got p=0"),
+        (["stein-check", "--h", "cosine:a="],
+         "--h: spec 'cosine:a=': a='' is not a valid float list"),
+        (["stein-check", "--h", "cosine:a=1,x"],
+         "--h: spec 'cosine:a=1,x': a='1,x' is not a valid float list"),
+        (["stein-check", "--h", "cosine:a=1:scale=3", "--grid-points", "3"],
+         "--h: spec 'cosine:a=1:scale=3': key 'scale' is not allowed"),
+        (["stein-check", "--h", "gauss-radial:p=1:a=2"],
+         "--h: spec 'gauss-radial:p=1:a=2': key 'a' is not allowed"),
+        (["stein-check", "--h", "cosine:a=1", "--gh-nodes", "0"],
+         "--gh-nodes must be at least 2, got 0"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

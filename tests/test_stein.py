@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from steinlab.errors import QuadratureNotConverged
-from steinlab.stein import SteinSolution, grid_points, ou_smoothing
+from steinlab.stein import SteinSolution, grid_points
 from steinlab.testfuncs import SmoothTestFunction
 
 
@@ -19,27 +19,6 @@ def _linear(x):
 
 def _square(x):
     return x[:, 0] ** 2
-
-
-class TestOuSmoothing:
-    def test_no_smoothing_returns_h(self):
-        w = np.array([[0.3], [-1.2]])
-        np.testing.assert_allclose(ou_smoothing(_square, w, 0.0),
-                                   w[:, 0] ** 2, atol=1e-12)
-
-    def test_full_smoothing_returns_phi(self):
-        w = np.array([[5.0]])
-        out = ou_smoothing(_square, w, 50.0)
-        np.testing.assert_allclose(out, 1.0, atol=1e-10)
-
-    def test_quadratic_closed_form(self):
-        """E (w e^{-u} + sigma Z)^2 = w^2 e^{-2u} + 1 - e^{-2u}."""
-        out = ou_smoothing(_square, np.array([[2.0]]), np.log(2.0))
-        np.testing.assert_allclose(out, 1.75, atol=1e-12)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            ou_smoothing(_square, np.array([[0.0]]), -1.0)
 
 
 class TestClosedFormSolutions:

@@ -9,8 +9,8 @@ empirical distance to normality, and validates the closed-form moment
 formulas with exact enumeration oracles.
 """
 
-from .bounds import (BoundReport, LocalDepStats, MultivariateCouplingStats,
-                     UnivariateCouplingStats, bound_multivariate_local,
+from .bounds import (BoundReport, CouplingStats, LocalDepStats,
+                     bound_multivariate_local,
                      bound_multivariate_size_bias, bound_univariate_local,
                      bound_univariate_size_bias)
 from .harness import Accumulator, StreamConfig, estimate_gap, parallel_mc
@@ -25,10 +25,9 @@ from .testfuncs import (GaussianExpectation, SmoothTestFunction,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accumulator", "BoundReport", "CoupledPairSampler",
+    "Accumulator", "BoundReport", "CoupledPairSampler", "CouplingStats",
     "DiscreteDistribution", "ExperimentReport", "GaussianExpectation",
-    "LocalDepStats", "MultivariateCouplingStats", "SmoothTestFunction",
-    "SteinSolution", "StreamConfig", "UnivariateCouplingStats",
+    "LocalDepStats", "SmoothTestFunction", "SteinSolution", "StreamConfig",
     "bound_multivariate_local", "bound_multivariate_size_bias",
     "bound_univariate_local", "bound_univariate_size_bias", "estimate_gap",
     "inverse_sqrt", "max_abs_norm", "parallel_mc", "parse_test_function",

@@ -26,32 +26,16 @@ SQRT_HALF_PI = float(np.sqrt(np.pi / 2.0))
 # ---------------------------------------------------------------------------
 
 @dataclass
-class UnivariateCouplingStats:
-    """Inputs to the univariate size-bias bound.
-
-    ``var_cond`` estimates ``Var E[W* - W | .]`` (the conditioning sigma-field
-    is the caller's choice and only enlarges the bound when coarser than W);
-    ``mean_sq_diff`` estimates ``E (W* - W)^2``.
-    """
-
-    lam: float
-    sigma_sq: float
-    var_cond: float
-    mean_sq_diff: float
-    var_cond_sem: float = 0.0
-    mean_sq_diff_sem: float = 0.0
-    sigma_field: str = "W"
-
-
-@dataclass
-class MultivariateCouplingStats:
-    """Inputs to the multivariate size-bias bound.
+class CouplingStats:
+    """Inputs to both size-bias bounds, for a vector of dimension p.
 
     ``var_cond[i, j]`` estimates ``Var E[W^i_j - W_j | .]`` and
-    ``abs_cross[i, j, k]`` estimates ``E |(W^i_j - W_j)(W^i_k - W_k)|``.
+    ``abs_cross[i, j, k]`` estimates ``E |(W^i_j - W_j)(W^i_k - W_k)|``;
+    the conditioning sigma-field is the model's choice and only enlarges
+    the bound when finer than W. At p = 1 these are the univariate
+    theorem's ``Var E[W* - W | .]`` and ``E (W* - W)^2``.
     """
 
-    p: int
     lam: np.ndarray
     sigma: np.ndarray
     var_cond: np.ndarray
@@ -65,6 +49,10 @@ class MultivariateCouplingStats:
             self.var_cond_sem = np.zeros((self.p, self.p))
         if self.abs_cross_sem is None:
             self.abs_cross_sem = np.zeros((self.p, self.p, self.p))
+
+    @property
+    def p(self) -> int:
+        return len(self.lam)
 
 
 @dataclass
@@ -151,35 +139,42 @@ def _finish(theorem, terms, inputs, seed=None):
 # Theorem evaluators
 # ---------------------------------------------------------------------------
 
-def bound_univariate_size_bias(stats: UnivariateCouplingStats,
+def bound_univariate_size_bias(stats: CouplingStats,
                                h_norm: float, dh_norm: float) -> BoundReport:
-    """Univariate size-bias bound:
+    """Univariate size-bias bound, from the p = 1 entries of ``stats``:
 
     ``2 ||h|| (lam / sigma^2) sqrt(Var E[W* - W | .])
       + ||h'|| (lam / sigma^3) E (W* - W)^2``.
     """
     _require_finite(h_norm=h_norm, dh_norm=dh_norm)
-    if stats.sigma_sq <= 0:
+    if stats.p != 1:
+        raise ValueError(f"the univariate bound needs p = 1, "
+                         f"got p = {stats.p}")
+    lam = float(stats.lam[0])
+    sigma_sq = float(stats.sigma[0, 0])
+    var_cond = float(stats.var_cond[0, 0])
+    mean_sq_diff = float(stats.abs_cross[0, 0, 0])
+    if sigma_sq <= 0:
         raise ValueError("sigma^2 must be positive")
-    sigma = np.sqrt(stats.sigma_sq)
-    root, root_sem = _sqrt_with_sem(stats.var_cond, stats.var_cond_sem)
-    c1 = 2.0 * h_norm * stats.lam / stats.sigma_sq
-    c2 = dh_norm * stats.lam / sigma**3
+    sigma = np.sqrt(sigma_sq)
+    root, root_sem = _sqrt_with_sem(var_cond, stats.var_cond_sem[0, 0])
+    c1 = 2.0 * h_norm * lam / sigma_sq
+    c2 = dh_norm * lam / sigma**3
     terms = [
         BoundTerm("conditional-variance", float(c1 * root), float(c1 * root_sem)),
-        BoundTerm("mean-square-difference", float(c2 * stats.mean_sq_diff),
-                  float(c2 * stats.mean_sq_diff_sem)),
+        BoundTerm("mean-square-difference", float(c2 * mean_sq_diff),
+                  float(c2 * stats.abs_cross_sem[0, 0, 0])),
     ]
     inputs = {
-        "lambda": stats.lam, "sigma_sq": stats.sigma_sq,
-        "var_cond": stats.var_cond, "mean_sq_diff": stats.mean_sq_diff,
+        "lambda": lam, "sigma_sq": sigma_sq,
+        "var_cond": var_cond, "mean_sq_diff": mean_sq_diff,
         "h_norm": h_norm, "dh_norm": dh_norm,
         "sigma_field": stats.sigma_field,
     }
     return _finish("univariate-size-bias", terms, inputs)
 
 
-def bound_multivariate_size_bias(stats: MultivariateCouplingStats,
+def bound_multivariate_size_bias(stats: CouplingStats,
                                  d2h_norm: float, d3h_norm: float) -> BoundReport:
     """Multivariate size-bias bound:
 

@@ -2,12 +2,14 @@
 
 ``degree-count``, ``color-match`` and ``nonlinear`` build one model each and
 run it through :func:`steinlab.experiment.run_experiment`; ``sweep`` builds
-its rows with the same model constructors. Each subcommand writes a JSON
-report (CSV for ``sweep``) to ``--out`` or stdout and a one-line summary to
-stderr. Exit status is 0 when every certified check passes, 2 when a bound
-or validation check is violated, and 1 for usage or configuration errors.
-All randomness flows from ``--seed``; re-running with the same arguments
-gives byte-identical output regardless of ``STEIN_LAB_THREADS``.
+its rows with the same model constructors, and ``validate-couplings``
+checks the coupling of the same size-bias model classes. Each subcommand
+writes a JSON report (CSV for ``sweep``) to ``--out`` or stdout and a
+one-line summary to stderr. Exit status is 0 when every certified check
+passes, 2 when a bound or validation check is violated, and 1 for usage or
+configuration errors. All randomness flows from ``--seed``; re-running with
+the same arguments gives byte-identical output regardless of
+``STEIN_LAB_THREADS``.
 """
 
 from __future__ import annotations
@@ -219,7 +221,7 @@ def _color_model(args, spec: str):
 
 def _run_degree(args) -> int:
     cfg = _degree_config(args, args.n, check_pd=not args.oracle)
-    model = degrees.DegreeCountModel(cfg)
+    model = degrees.DegreeCountCoupler(cfg)
     if args.oracle:
         return _run_oracle(
             model, {"n": cfg.n, "pi": cfg.pi, "degrees": list(cfg.degrees)},
@@ -240,11 +242,11 @@ def _parse_model(raw: str, psi: nonlinear.PsiFunction):
     kind = raw.partition(":")[0]
     if kind == "gauss":
         kv = read_spec(raw, {"n": int, "rho": float}, required=("n",))
-        return nonlinear.GaussianSumModel(nonlinear.GaussianSumConfig(
+        return nonlinear.GaussianSumCoupler(nonlinear.GaussianSumConfig(
             kv["n"], psi, rho=kv.get("rho", 0.0)))
     if kind == "multinomial":
         kv = read_spec(raw, {"n": int, "k": int}, required=("n", "k"))
-        return nonlinear.MultinomialSumModel(
+        return nonlinear.MultinomialSumCoupler(
             nonlinear.MultinomialSumConfig(kv["n"], kv["k"], psi))
     raise _UsageError(f"unknown model {raw!r}")
 
@@ -298,7 +300,8 @@ def _run_validate(args) -> int:
     try:
         results = validation.validate_couplers(names, samples=args.samples,
                                                seed=args.seed,
-                                               threshold=args.threshold)
+                                               threshold=args.threshold,
+                                               chunk_size=args.chunk_size)
     except KeyError as exc:
         raise _UsageError(str(exc))
     ok = all(entry["pass"] for entry in results.values())
@@ -317,11 +320,12 @@ def _run_sweep(args) -> int:
     if args.experiment == "degree-count":
         if args.degrees is None:
             raise _UsageError("sweep degree-count needs --degrees")
-        if args.c is None and args.pi is None:
-            raise _UsageError("sweep degree-count needs --c or --pi")
+        if (args.c is None) == (args.pi is None):
+            raise _UsageError("sweep degree-count needs exactly one of "
+                              "--c and --pi")
 
         def build(n):
-            return degrees.DegreeCountModel(_degree_config(args, n))
+            return degrees.DegreeCountCoupler(_degree_config(args, n))
     else:
         if args.colors is None:
             raise _UsageError("sweep color-match needs --colors")
@@ -351,6 +355,9 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "chunk_size", 1) < 1:
+            raise _UsageError(f"--chunk-size must be at least 1, got "
+                              f"{args.chunk_size}")
         runner = {
             "degree-count": _run_degree,
             "color-match": _run_color,

@@ -16,9 +16,10 @@ expectation is a contraction of small per-graph degree histograms, and the
 coupling is one vectorised edge move per graph. Time is linear in a chunk's
 edges and vertices. Memory is capped: a chunk's graphs run in sub-batches
 of at most :data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots
-(``n (1 + c/2)`` per graph), about 8 stored bytes each, and the statistics
-pass, the gap pass and the coupler share that one sub-batch loop. Scalar
-reference versions live in the test suite.
+(``n (1 + c/2)`` per graph), about 8 stored bytes each: they are the states
+:meth:`DegreeCountCoupler.draw` yields, so the statistics pass, the gap
+pass and the coupling draws all run on them. Scalar reference versions live
+in the test suite.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from math import comb, exp, fsum, log, log1p
 
 import numpy as np
 
-from .bounds import (MultivariateCouplingStats, bound_multivariate_size_bias)
+from .bounds import CouplingStats, bound_multivariate_size_bias
 from .errors import NotPositiveDefinite, TooLarge
-from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
 from .linalg import DEFAULT_PD_TOL, inverse_sqrt, max_abs_norm
 from .sizebias import CoupledPairSampler, log_binomial
 
@@ -379,7 +379,7 @@ class _GraphChunk:
 
 
 # ---------------------------------------------------------------------------
-# Coupler object and statistics estimation
+# The model
 # ---------------------------------------------------------------------------
 
 def _sub_batch_sizes(size: int, n: int, c: float) -> list[int]:
@@ -392,83 +392,76 @@ def _sub_batch_sizes(size: int, n: int, c: float) -> list[int]:
     return [per] * full + ([rest] if rest else [])
 
 
-def _over_sub_batches(rng, size: int, cfg: ErdosRenyiConfig, work):
-    """``work(chunk)`` for each sub-batch :class:`_GraphChunk` of a chunk's
-    ``size`` graphs, in order, all drawn from the chunk's stream ``rng``.
+def isqrt_norm_bound_check(cfg: ErdosRenyiConfig) -> dict:
+    """Numerical check of ``||Sigma^{-1/2}|| <= n^{-1/2} B^{1/2}``.
 
-    Yields the results; each sub-batch is freed before the next is built,
-    so a chunk's memory is capped by the budget, not by its size.
+    Violations are flagged, not raised: the inequality is verified rather
+    than relied upon.
     """
-    for part in _sub_batch_sizes(size, cfg.n, cfg.c):
-        yield work(_GraphChunk(rng, part, cfg))
+    lam, sigma, b_const = theoretical_moments(cfg)
+    isqrt = inverse_sqrt(sigma)
+    lhs = max_abs_norm(isqrt)
+    rhs = np.sqrt(b_const / cfg.n)
+    return {"holds": bool(lhs <= rhs * (1.0 + 1e-12)),
+            "max_norm": lhs, "cap": float(rhs), "B": b_const}
+
+
+def estimate_coupling_stats(model: DegreeCountCoupler, samples: int,
+                            seed: int = 0,
+                            chunk_size: int = 512) -> CouplingStats:
+    """Coupling statistics for the multivariate size-bias bound, by the
+    shared pass :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`.
+
+    The conditional variance conditions on the whole graph: the inner
+    expectation is then exact (no nested sampling). The absolute cross
+    moments come from one coupling draw per graph and coordinate. A name of
+    its own lets the benchmark's tracer time this family's pass apart.
+    """
+    return model.coupling_stats(samples, seed, chunk_size)
 
 
 class DegreeCountCoupler(CoupledPairSampler):
-    """Coupled pair sampler ``(W, W^i)`` for the degree-count vector.
+    """Degree counts in G(n, pi), certified by the multivariate size-bias
+    bound.
 
-    A batch is a run of :class:`_GraphChunk` sub-batches: W counts their
-    degrees and W^i adds one coupling draw per graph, so time is linear in
-    the batch's edges and vertices, and memory in a sub-batch's.
+    A state is one :class:`_GraphChunk` sub-batch: W counts its degrees,
+    a coupling draw moves one vertex per graph, and the conditional means
+    are exact. Time is linear in a batch's edges and vertices, and memory
+    in a sub-batch's.
     """
+
+    name = "degree-count"
+    sigma_field = "graph"
 
     def __init__(self, cfg: ErdosRenyiConfig):
         self.cfg = cfg
         self.p = cfg.p
-        lam, sigma, _ = theoretical_moments(cfg)
-        self.mean_vector = lam
-        self.sigma = sigma
+        self.lam, self.sigma, _ = theoretical_moments(cfg)
+        self.config = {"n": cfg.n, "pi": cfg.pi, "c": cfg.c,
+                       "degrees": list(cfg.degrees)}
 
-    def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        degrees = self.cfg.degrees
+    def draw(self, rng, size: int):
+        for part in _sub_batch_sizes(size, self.cfg.n, self.cfg.c):
+            yield _GraphChunk(rng, part, self.cfg)
 
-        def pair(chunk):
-            w = chunk.degree_count_matrix(degrees)
-            return w, w + chunk.couple(rng, i, degrees)
+    def w(self, chunk: _GraphChunk) -> np.ndarray:
+        return chunk.degree_count_matrix(self.cfg.degrees)
 
-        w, wi = zip(*_over_sub_batches(rng, size, self.cfg, pair))
-        return np.concatenate(w), np.concatenate(wi)
+    def couple(self, chunk: _GraphChunk, i: int, rng) -> np.ndarray:
+        return self.w(chunk) + chunk.couple(rng, i, self.cfg.degrees)
 
+    def cond_exp(self, chunk: _GraphChunk) -> np.ndarray:
+        return chunk.cond_exp(self.cfg.degrees)
 
-def estimate_coupling_stats(cfg: ErdosRenyiConfig, samples: int, seed: int = 0,
-                            chunk_size: int = 512) -> MultivariateCouplingStats:
-    """Monte Carlo coupling statistics for the multivariate size-bias bound.
+    def bound(self, norms, samples: int, seed: int, chunk_size: int):
+        stats = estimate_coupling_stats(self, samples, seed=seed,
+                                        chunk_size=chunk_size)
+        return bound_multivariate_size_bias(stats, norms.d2, norms.d3), stats
 
-    The conditional variance conditions on the whole graph: the inner
-    expectation is then exact (no nested sampling) and conditioning on this
-    larger sigma-field only enlarges the bound, keeping it valid. The
-    absolute cross moments come from one coupling draw per graph and
-    coordinate.
-    """
-    require_samples(samples)
-    p = cfg.p
-    stream_cfg = StreamConfig(seed, chunk_size)
-
-    def task(rng, size):
-        def terms(chunk):
-            cond = chunk.cond_exp(cfg.degrees)
-            cross = np.empty((chunk.size, p, p, p))
-            for i in range(p):
-                d_w = chunk.couple(rng, i, cfg.degrees)
-                cross[:, i] = np.abs(d_w[:, :, None] * d_w[:, None, :])
-            return cond, cross
-
-        cond_acc = Accumulator(shape=(p, p), max_power=4)
-        cross_acc = Accumulator(shape=(p, p, p))
-        for cond, cross in _over_sub_batches(rng, size, cfg, terms):
-            cond_acc.add(cond)
-            cross_acc.add(cross)
-        return cond_acc, cross_acc
-
-    cond_acc, cross_acc = parallel_mc(task, stream_cfg, samples)
-    lam, sigma, _ = theoretical_moments(cfg)
-    return MultivariateCouplingStats(
-        p=p, lam=lam, sigma=sigma,
-        var_cond=cond_acc.variance,
-        abs_cross=cross_acc.mean,
-        var_cond_sem=cond_acc.variance_sem,
-        abs_cross_sem=cross_acc.sem,
-        sigma_field="graph",
-    )
+    def extras(self, stats) -> dict:
+        return {"isqrt_norm_bound": isqrt_norm_bound_check(self.cfg),
+                "var_cond": stats.var_cond,
+                "abs_cross_total": float(np.sum(stats.abs_cross))}
 
 
 # ---------------------------------------------------------------------------
@@ -510,52 +503,3 @@ def brute_force_moments(cfg: ErdosRenyiConfig):
                        for i in range(p)])
     sigma = second - np.outer(lam, lam)
     return lam, sigma
-
-
-# ---------------------------------------------------------------------------
-# End-to-end experiment
-# ---------------------------------------------------------------------------
-
-def isqrt_norm_bound_check(cfg: ErdosRenyiConfig) -> dict:
-    """Numerical check of ``||Sigma^{-1/2}|| <= n^{-1/2} B^{1/2}``.
-
-    Violations are flagged, not raised: the inequality is verified rather
-    than relied upon.
-    """
-    lam, sigma, b_const = theoretical_moments(cfg)
-    isqrt = inverse_sqrt(sigma)
-    lhs = max_abs_norm(isqrt)
-    rhs = np.sqrt(b_const / cfg.n)
-    return {"holds": bool(lhs <= rhs * (1.0 + 1e-12)),
-            "max_norm": lhs, "cap": float(rhs), "B": b_const}
-
-
-class DegreeCountModel:
-    """Degree counts in G(n, pi) for
-    :func:`steinlab.experiment.run_experiment`, certified by the multivariate
-    size-bias bound."""
-
-    name = "degree-count"
-
-    def __init__(self, cfg: ErdosRenyiConfig):
-        self.cfg = cfg
-        self.p = cfg.p
-        self.lam, self.sigma, _ = theoretical_moments(cfg)
-        self.config = {"n": cfg.n, "pi": cfg.pi, "c": cfg.c,
-                       "degrees": list(cfg.degrees)}
-
-    def bound(self, norms, samples: int, seed: int, chunk_size: int):
-        stats = estimate_coupling_stats(self.cfg, samples, seed=seed,
-                                        chunk_size=chunk_size)
-        return bound_multivariate_size_bias(stats, norms.d2, norms.d3), stats
-
-    def sample_w(self, rng, size: int) -> np.ndarray:
-        degrees = self.cfg.degrees
-        return np.concatenate(list(_over_sub_batches(
-            rng, size, self.cfg,
-            lambda chunk: chunk.degree_count_matrix(degrees))))
-
-    def extras(self, stats) -> dict:
-        return {"isqrt_norm_bound": isqrt_norm_bound_check(self.cfg),
-                "var_cond": stats.var_cond,
-                "abs_cross_total": float(np.sum(stats.abs_cross))}

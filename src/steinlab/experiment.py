@@ -14,12 +14,17 @@ def run_experiment(model, h, samples: int, seed: int = 0,
                    chunk_size: int = 4096) -> ExperimentReport:
     """Estimate the model's bound and its gap to normality, and judge it.
 
-    ``model`` provides ``name`` (the report's ``experiment``); ``p``,
-    ``lam`` and ``sigma`` (dimension, mean vector, covariance);
-    ``bound(norms, samples, seed, chunk_size)``, which estimates the
-    coupling statistics and returns ``(BoundReport, stats)``;
-    ``sample_w(rng, size)``, a ``(size, p)`` batch of fresh draws of W; and
-    ``config`` and ``extras(stats)``, its fields of the report.
+    ``model`` is a size-bias model (a
+    :class:`~steinlab.sizebias.CoupledPairSampler`) or the coloring model,
+    which has the same interface: ``name`` (the report's ``experiment``);
+    ``p``, ``lam`` and ``sigma`` (dimension, mean vector, covariance);
+    ``bound(norms, samples, seed, chunk_size)``, which estimates the model's
+    statistics and returns ``(BoundReport, stats)``; ``sample_w(rng, size)``,
+    a ``(size, p)`` batch of fresh draws of W; and ``config`` and
+    ``extras(stats)``, its fields of the report. A size-bias model's
+    ``bound`` runs the one statistics pass,
+    :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`, and reads
+    the univariate or the multivariate theorem from it.
 
     The gap is ``|mean h(Sigma^{-1/2}(W - lam)) - E h(Z)|`` over fresh
     draws on streams disjoint from the statistics pass. The run passes when

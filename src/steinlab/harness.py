@@ -169,8 +169,6 @@ def merge_results(a, b):
         return a.merge(b)
     if isinstance(a, (tuple, list)):
         return type(a)(merge_results(x, y) for x, y in zip(a, b))
-    if isinstance(a, dict):
-        return {k: merge_results(a[k], b[k]) for k in a}
     raise TypeError(f"cannot merge chunk results of type {type(a)!r}")
 
 

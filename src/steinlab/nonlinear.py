@@ -20,10 +20,9 @@ from math import lgamma, log
 
 import numpy as np
 
-from .bounds import UnivariateCouplingStats, bound_univariate_size_bias
+from .bounds import CouplingStats, bound_univariate_size_bias
 from .errors import (InfeasibleAdjustment, InvariantViolation,
                      NonfiniteMoment, NotPositiveDefinite, ZeroMass)
-from .harness import Accumulator, StreamConfig, parallel_mc
 from .sizebias import CoupledPairSampler, DiscreteDistribution
 
 
@@ -228,6 +227,58 @@ class TiltedSampler:
 
 
 # ---------------------------------------------------------------------------
+# The sum models
+# ---------------------------------------------------------------------------
+
+def estimate_nonlinear_stats(model: _SumCoupler, samples: int, seed: int = 0,
+                             chunk_size: int = 8192) -> CouplingStats:
+    """Coupling statistics for the univariate bound of a nonlinear sum, by
+    the shared pass of
+    :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`:
+    ``Var E[W* - W | U]`` from the exact conditional means and
+    ``E (W* - W)^2`` from one size-bias move per row. A name of its own
+    lets the benchmark's tracer time this family's pass apart."""
+    return model.coupling_stats(samples, seed, chunk_size)
+
+
+class _SumCoupler(CoupledPairSampler):
+    """``W = sum psi(U_i)``, certified by the univariate size-bias bound.
+
+    A state is a batch of argument rows U. A subclass sets ``tilted``, the
+    psi-tilted marginal, and implements :meth:`draw`, :meth:`couple` (one
+    size-bias move per row) and :meth:`cond_exp` (exact ``E[W* - W | U]``).
+    """
+
+    name = "nonlinear-sum"
+    sigma_field = "U"
+
+    def __init__(self, cfg, lam: float, sigma_sq: float):
+        if sigma_sq <= 0:
+            raise ValueError("degenerate sum: variance is zero")
+        self.cfg = cfg
+        self.psi = cfg.psi
+        self.lam = np.array([lam])
+        self.sigma = np.array([[sigma_sq]])
+
+    def w(self, u: np.ndarray) -> np.ndarray:
+        return self.psi(u).sum(axis=1)[:, None]
+
+    def bound(self, norms, samples: int, seed: int, chunk_size: int):
+        stats = estimate_nonlinear_stats(self, samples, seed=seed,
+                                         chunk_size=chunk_size)
+        return bound_univariate_size_bias(stats, norms.h, norms.d1), stats
+
+    def extras(self, stats) -> dict:
+        return {"var_cond": float(stats.var_cond[0, 0]),
+                "mean_sq_diff": float(stats.abs_cross[0, 0, 0])}
+
+
+def _only_coordinate_zero(i: int) -> None:
+    if i != 0:
+        raise IndexError("univariate coupler only has coordinate 0")
+
+
+# ---------------------------------------------------------------------------
 # Gaussian sums
 # ---------------------------------------------------------------------------
 
@@ -269,12 +320,12 @@ def gaussian_moments(cfg: GaussianSumConfig):
     return float(lam), float(var)
 
 
-class GaussianSumCoupler(CoupledPairSampler):
-    """Size-bias coupling via the Gaussian conditional linear update."""
+class GaussianSumCoupler(_SumCoupler):
+    """``W = sum psi(U_i)`` with jointly Gaussian arguments; the size-bias
+    coupling is the Gaussian conditional linear update."""
 
     def __init__(self, cfg: GaussianSumConfig):
-        self.cfg = cfg
-        self.psi = cfg.psi
+        super().__init__(cfg, *gaussian_moments(cfg))
         self.rho = float(cfg.rho)
         # U = a Z + b (sum Z) 1 has unit variances and pair covariance
         # 2 a b + n b^2 = rho when a = sqrt(1 - rho) and
@@ -283,10 +334,11 @@ class GaussianSumCoupler(CoupledPairSampler):
         self._b = self.rho / (np.sqrt(self._a**2 + cfg.n * self.rho)
                               + self._a)
         self.tilted = TiltedSampler(cfg.psi, "normal")
-        self.p = 1
-        # identical psi across coordinates: the index is uniform and the
-        # total mean is n * E psi(U_1)
-        self.mean_vector = np.array([cfg.n * self.tilted.mass])
+        self.config = {"model": "gauss", "n": cfg.n, "rho": cfg.rho,
+                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale,
+                       "max_offdiag": cfg.max_offdiag,
+                       "max_row_sum": cfg.max_row_sum,
+                       "offdiag_below_third": cfg.max_offdiag < 1.0 / 3.0}
 
     def draw_u(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.standard_normal((size, self.cfg.n))
@@ -309,14 +361,15 @@ class GaussianSumCoupler(CoupledPairSampler):
         idx = rng.integers(self.cfg.n, size=size)
         return self.adjust(u, idx, self.tilted.sample(rng, size))
 
-    def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        if i != 0:
-            raise IndexError("univariate coupler only has coordinate 0")
-        u = self.draw_u(rng, size)
-        adjusted = self.couple_u(u, rng)
-        w = self.psi(u).sum(axis=1)
-        wstar = self.psi(adjusted).sum(axis=1)
-        return w[:, None], wstar[:, None]
+    def draw(self, rng: np.random.Generator, size: int):
+        yield self.draw_u(rng, size)
+
+    def couple(self, u: np.ndarray, i: int, rng: np.random.Generator):
+        _only_coordinate_zero(i)
+        return self.w(self.couple_u(u, rng))
+
+    def cond_exp(self, u: np.ndarray) -> np.ndarray:
+        return self.cond_exp_given_u(u)[:, None, None]
 
     def cond_exp_given_u(self, u: np.ndarray) -> np.ndarray:
         """Exact ``E[W* - W | U]`` from the tilted law of the picked
@@ -432,7 +485,9 @@ def multinomial_moments(cfg: MultinomialSumConfig):
     """Exact mean and variance of W by summing over the cell-count pmf."""
     marg = cfg.cell_marginal()
     vals = _psi_on_support(cfg.psi, marg)
-    mean1 = float(np.dot(vals, marg.probs))
+    # summed as TiltedSampler sums its mass, so that lam is n times the
+    # tilt's normalizer bit for bit
+    mean1 = float((vals * marg.probs).sum())
     mom2 = float(np.dot(vals**2, marg.probs))
     lam = cfg.n * mean1
     if cfg.n == 2:
@@ -492,15 +547,15 @@ def _move_balls(counts: np.ndarray, idx: np.ndarray, new_count: np.ndarray,
     return out
 
 
-class MultinomialSumCoupler(CoupledPairSampler):
-    """Size-bias coupling for sums over multinomial cell counts."""
+class MultinomialSumCoupler(_SumCoupler):
+    """``W = sum psi(U_i)`` over multinomial cell counts; the size-bias
+    coupling resets one cell by uniform per-ball transfers."""
 
     def __init__(self, cfg: MultinomialSumConfig):
-        self.cfg = cfg
-        self.psi = cfg.psi
+        super().__init__(cfg, *multinomial_moments(cfg))
         self.tilted = TiltedSampler(cfg.psi, cfg.cell_marginal())
-        self.p = 1
-        self.mean_vector = np.array([cfg.n * self.tilted.mass])
+        self.config = {"model": "multinomial", "n": cfg.n, "k": cfg.k,
+                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale}
 
     def draw_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.multinomial(self.cfg.balls,
@@ -510,8 +565,20 @@ class MultinomialSumCoupler(CoupledPairSampler):
         size = counts.shape[0]
         idx = rng.integers(self.cfg.n, size=size)
         new_count = self.tilted.sample(rng, size).astype(np.int64)
-        moved = _move_balls(counts, idx, new_count, rng)
-        return moved
+        return _move_balls(counts, idx, new_count, rng)
+
+    def draw(self, rng: np.random.Generator, size: int):
+        yield self.draw_counts(rng, size)
+
+    def couple(self, counts: np.ndarray, i: int, rng: np.random.Generator):
+        _only_coordinate_zero(i)
+        moved = self.couple_counts(counts, rng)
+        if not np.array_equal(moved.sum(axis=1), counts.sum(axis=1)):
+            raise InvariantViolation("ball conservation violated")
+        return self.w(moved)
+
+    def cond_exp(self, counts: np.ndarray) -> np.ndarray:
+        return self.cond_exp_given_counts(counts)[:, None, None]
 
     def cond_exp_given_counts(self, counts: np.ndarray) -> np.ndarray:
         """Exact ``E[W* - W | U]`` per row of cell counts: with ``N`` a row's
@@ -576,106 +643,3 @@ class MultinomialSumCoupler(CoupledPairSampler):
                     table[row, column[v]] += psi_at[:v + 1] @ kept
                 h = h[:-1] + h[1:]
         return table
-
-    def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        if i != 0:
-            raise IndexError("univariate coupler only has coordinate 0")
-        counts = self.draw_counts(rng, size)
-        moved = self.couple_counts(counts, rng)
-        if not np.array_equal(moved.sum(axis=1), counts.sum(axis=1)):
-            raise InvariantViolation("ball conservation violated")
-        w = self.psi(counts).sum(axis=1)
-        wstar = self.psi(moved).sum(axis=1)
-        return w[:, None], wstar[:, None]
-
-
-# ---------------------------------------------------------------------------
-# End-to-end experiment (univariate size-bias bound)
-# ---------------------------------------------------------------------------
-
-def estimate_nonlinear_stats(model, samples: int, seed: int = 0,
-                             chunk_size: int = 8192
-                             ) -> UnivariateCouplingStats:
-    """Coupling statistics for the univariate bound of a nonlinear sum.
-
-    ``model`` supplies ``draw(rng, size)``, the rows U; ``couple(u, rng)``,
-    one size-bias move per row; ``cond_exp(u)``, the exact
-    ``E[W* - W | U]`` per row; ``psi``; and the exact ``lam`` and ``sigma``.
-    """
-    cfg = StreamConfig(seed, chunk_size)
-
-    def task(rng, size):
-        u = model.draw(rng, size)
-        moved = model.couple(u, rng)
-        cond = model.cond_exp(u)
-        w = model.psi(u).sum(axis=1)
-        wstar = model.psi(moved).sum(axis=1)
-        return (Accumulator(max_power=4).add(cond),
-                Accumulator().add((wstar - w) ** 2))
-
-    cond_acc, sq_acc = parallel_mc(task, cfg, samples)
-    return UnivariateCouplingStats(
-        lam=float(model.lam[0]), sigma_sq=float(model.sigma[0, 0]),
-        var_cond=float(cond_acc.variance),
-        mean_sq_diff=float(sq_acc.mean),
-        var_cond_sem=float(cond_acc.variance_sem),
-        mean_sq_diff_sem=float(sq_acc.sem),
-        sigma_field="U",
-    )
-
-
-class _SumModel:
-    """Nonlinear sums for :func:`steinlab.experiment.run_experiment`,
-    certified by the univariate size-bias bound; ``draw``, ``couple`` and
-    ``cond_exp`` are coupler methods for :func:`estimate_nonlinear_stats`.
-    """
-
-    name = "nonlinear-sum"
-    p = 1
-
-    def __init__(self, psi, draw, couple, cond_exp, lam: float,
-                 sigma_sq: float):
-        if sigma_sq <= 0:
-            raise ValueError("degenerate sum: variance is zero")
-        self.psi = psi
-        self.draw, self.couple, self.cond_exp = draw, couple, cond_exp
-        self.lam = np.array([lam])
-        self.sigma = np.array([[sigma_sq]])
-
-    def bound(self, norms, samples: int, seed: int, chunk_size: int):
-        stats = estimate_nonlinear_stats(self, samples, seed=seed,
-                                         chunk_size=chunk_size)
-        return bound_univariate_size_bias(stats, norms.h, norms.d1), stats
-
-    def sample_w(self, rng, size: int) -> np.ndarray:
-        return self.psi(self.draw(rng, size)).sum(axis=1)[:, None]
-
-    def extras(self, stats) -> dict:
-        return {"var_cond": stats.var_cond,
-                "mean_sq_diff": stats.mean_sq_diff}
-
-
-class GaussianSumModel(_SumModel):
-    """``W = sum psi(U_i)`` with jointly Gaussian arguments."""
-
-    def __init__(self, cfg: GaussianSumConfig):
-        coupler = GaussianSumCoupler(cfg)
-        super().__init__(cfg.psi, coupler.draw_u, coupler.couple_u,
-                         coupler.cond_exp_given_u, *gaussian_moments(cfg))
-        self.config = {"model": "gauss", "n": cfg.n, "rho": cfg.rho,
-                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale,
-                       "max_offdiag": cfg.max_offdiag,
-                       "max_row_sum": cfg.max_row_sum,
-                       "offdiag_below_third": cfg.max_offdiag < 1.0 / 3.0}
-
-
-class MultinomialSumModel(_SumModel):
-    """``W = sum psi(U_i)`` over multinomial cell counts."""
-
-    def __init__(self, cfg: MultinomialSumConfig):
-        coupler = MultinomialSumCoupler(cfg)
-        super().__init__(cfg.psi, coupler.draw_counts, coupler.couple_counts,
-                         coupler.cond_exp_given_counts,
-                         *multinomial_moments(cfg))
-        self.config = {"model": "multinomial", "n": cfg.n, "k": cfg.k,
-                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale}

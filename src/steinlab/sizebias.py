@@ -1,20 +1,31 @@
-"""The coupled-pair interface and its statistical check.
+"""The size-bias model protocol and the statistical check of its coupling.
 
 For a nonnegative variable W with law dF and mean lambda, the size-biased
-law is ``w dF(w) / lambda``; for a collection ``X`` the law biased in
-coordinate beta is ``x_beta dF(x) / lambda_beta``. A coupled pair sampler
-produces joint draws ``(W, W^i)`` whose second component follows the law
-biased in coordinate i, which is exactly what the coupling-based bound
-theorems consume. The three model couplers (degree counts, Gaussian sums
-and multinomial sums) implement :class:`CoupledPairSampler`; the
-characterizing identity
+law is ``w dF(w) / lambda``; for a vector ``W`` the law biased in
+coordinate i is ``w_i dF(w) / lambda_i``. Every size-bias model (degree
+counts, Gaussian sums and multinomial sums) is one
+:class:`CoupledPairSampler`. A subclass supplies four methods over a drawn
+state (a batch of graphs, or of argument vectors U):
+
+* ``draw(rng, size)`` yields the states of ``size`` independent draws, in
+  one or more batches;
+* ``w(state)`` is W, shape (b, p);
+* ``couple(state, i, rng)`` is one draw of W^i per row, (b, p), whose law
+  is W's biased in coordinate i;
+* ``cond_exp(state)`` is the exact ``E[W^i_j - W_j | state]``, (b, p, p).
+
+From these the base class gives fresh draws of W (:meth:`sample_w`),
+coupled pairs (:meth:`draw_batch`) and, in one pass, the statistics both
+size-bias theorems read (:meth:`coupling_stats`):
+``Var E[W^i_j - W_j | state]`` and ``E |(W^i - W)_j (W^i - W)_k|``, whose
+p = 1 case is ``E (W* - W)^2``. The characterizing identity
 
     E[W_i G(W)] = lambda_i E[G(W^i)]
 
 is checked statistically by :func:`verify_characterization`.
 :class:`DiscreteDistribution` holds the finite laws the models draw from.
 
-Every sampler is an immutable description; draws consume an explicit
+Every model is an immutable description; draws consume an explicit
 seeded stream, so concurrent draws on distinct streams are safe.
 """
 
@@ -25,6 +36,7 @@ from math import lgamma
 
 import numpy as np
 
+from .bounds import CouplingStats
 from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
 
 # Stream-index stride separating the estimation passes for different
@@ -94,23 +106,94 @@ class DiscreteDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Coupled pair samplers
+# Size-bias models
 # ---------------------------------------------------------------------------
 
 class CoupledPairSampler:
-    """Joint draws ``(W, W^i)`` with ``W^i`` size biased in coordinate ``i``.
+    """A size-bias model: W, its coupling, and the exact conditional means.
 
-    Subclasses implement :meth:`draw_batch`; the marginal of the first
-    component must be the target law and the pair must satisfy the
-    characterizing identity for every coordinate.
+    Subclasses set ``name`` (the report's ``experiment``), ``p``, ``lam``
+    (mean vector, shape (p,)), ``sigma`` (covariance, (p, p)),
+    ``sigma_field`` (what ``cond_exp`` conditions on) and ``config`` (their
+    fields of the report), and implement :meth:`draw`, :meth:`w`,
+    :meth:`couple`, :meth:`cond_exp`, :meth:`bound` and :meth:`extras`.
     """
 
     p: int = 1
-    mean_vector: np.ndarray
+    sigma_field: str = "W"
+
+    def draw(self, rng: np.random.Generator, size: int):
+        """Yield the states of ``size`` draws, in order, from ``rng``."""
+        raise NotImplementedError
+
+    def w(self, state) -> np.ndarray:
+        """W for each draw in ``state``, shape (b, p)."""
+        raise NotImplementedError
+
+    def couple(self, state, i: int, rng: np.random.Generator) -> np.ndarray:
+        """One draw of W^i for each draw in ``state``, shape (b, p)."""
+        raise NotImplementedError
+
+    def cond_exp(self, state) -> np.ndarray:
+        """Exact ``E[W^i_j - W_j | state]`` per draw, shape (b, p, p)."""
+        raise NotImplementedError
+
+    def _over_states(self, rng: np.random.Generator, size: int, work) -> list:
+        """``work(state)`` for each state :meth:`draw` yields, in order. A
+        state is released before the next is drawn, so memory is capped by
+        one state, not by ``size``."""
+        out = []
+        for state in self.draw(rng, size):
+            out.append(work(state))
+            del state
+        return out
+
+    def sample_w(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` fresh draws of W, shape (size, p)."""
+        return np.concatenate(self._over_states(rng, size, self.w))
 
     def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        """Return ``(W, Wi)`` as ``(size, p)`` arrays."""
-        raise NotImplementedError
+        """Return ``(W, W^i)`` as ``(size, p)`` arrays."""
+        w, wi = zip(*self._over_states(
+            rng, size, lambda state: (self.w(state),
+                                      self.couple(state, i, rng))))
+        return np.concatenate(w), np.concatenate(wi)
+
+    def coupling_stats(self, samples: int, seed: int,
+                       chunk_size: int) -> CouplingStats:
+        """Monte Carlo inputs to the size-bias bounds, in one pass.
+
+        Per state: W, the exact conditional means, and one coupling draw
+        per coordinate i, giving ``dW = W^i - W``. Conditioning on the
+        state rather than on W only enlarges the bound, keeping it valid.
+        """
+        require_samples(samples)
+        p = self.p
+
+        def task(rng, size):
+            cond_acc = Accumulator(shape=(p, p), max_power=4)
+            cross_acc = Accumulator(shape=(p, p, p))
+
+            def add(state):
+                w = self.w(state)
+                cond_acc.add(self.cond_exp(state))
+                cross = np.empty((len(w), p, p, p))
+                for i in range(p):
+                    d_w = self.couple(state, i, rng) - w
+                    cross[:, i] = np.abs(d_w[:, :, None] * d_w[:, None, :])
+                cross_acc.add(cross)
+
+            self._over_states(rng, size, add)
+            return cond_acc, cross_acc
+
+        cond_acc, cross_acc = parallel_mc(task, StreamConfig(seed, chunk_size),
+                                          samples)
+        return CouplingStats(
+            lam=self.lam, sigma=self.sigma,
+            var_cond=cond_acc.variance, abs_cross=cross_acc.mean,
+            var_cond_sem=cond_acc.variance_sem, abs_cross_sem=cross_acc.sem,
+            sigma_field=self.sigma_field,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +205,7 @@ class CharacterizationResult:
     """Per-(coordinate, G) standardized differences of the identity."""
 
     labels: list
-    diffs: np.ndarray      # (p, nG) estimates of E W_i G(W) - lam_i E G(W^i)
-    sems: np.ndarray
-    zscores: np.ndarray
-    samples: int
-    seed: int
+    zscores: np.ndarray    # (p, nG)
 
     @property
     def max_abs_z(self) -> float:
@@ -145,28 +224,27 @@ def default_g_suite(p: int, median: float):
     return suite
 
 
-def verify_characterization(sampler: CoupledPairSampler, g_suite=None,
+def verify_characterization(sampler: CoupledPairSampler,
                             samples: int = 1_000_000, seed: int = 0,
                             chunk_size: int = 16384) -> CharacterizationResult:
     """Standardized checks of ``E W_i G(W) = lambda_i E G(W^i)``.
 
-    For every coordinate i and every G in the suite, estimates the coupled
-    per-draw difference ``W_i G(W) - lambda_i G(W^i)`` and reports its mean
-    over its standard error. Validation passes when all ``|z| <= 4``.
+    For every coordinate i and every G in :func:`default_g_suite`, whose
+    indicator cuts at the median of a pilot draw of W, estimates the
+    coupled per-draw difference ``W_i G(W) - lambda_i G(W^i)`` and reports
+    its mean over its standard error. Validation passes when all
+    ``|z| <= 4``.
     """
     require_samples(samples)
     cfg = StreamConfig(seed, chunk_size)
-    lam = np.asarray(sampler.mean_vector, dtype=float)
-    if g_suite is None:
-        pilot = sampler.draw_batch(0, 4096, cfg.aux_stream(1))[0]
-        median = float(np.median(pilot.sum(axis=1)))
-        g_suite = default_g_suite(sampler.p, median)
+    lam = np.asarray(sampler.lam, dtype=float)
+    pilot = sampler.sample_w(cfg.aux_stream(1), 4096)
+    g_suite = default_g_suite(sampler.p, float(np.median(pilot.sum(axis=1))))
     labels = [label for label, _ in g_suite]
     funcs = [fn for _, fn in g_suite]
     n_g = len(funcs)
 
-    diffs = np.empty((sampler.p, n_g))
-    sems = np.empty((sampler.p, n_g))
+    z = np.empty((sampler.p, n_g))
     for i in range(sampler.p):
         def task(rng, size, i=i):
             w, wi = sampler.draw_batch(i, size, rng)
@@ -176,9 +254,8 @@ def verify_characterization(sampler: CoupledPairSampler, g_suite=None,
             return Accumulator(shape=(n_g,)).add(d)
 
         acc = parallel_mc(task, cfg.offset(i * COORD_STREAM_STRIDE), samples)
-        diffs[i] = acc.mean
-        sems[i] = acc.sem
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(sems > 0, diffs / np.where(sems > 0, sems, 1.0),
-                     np.where(diffs == 0.0, 0.0, np.inf))
-    return CharacterizationResult(labels, diffs, sems, z, samples, seed)
+        diffs, sems = acc.mean, acc.sem
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z[i] = np.where(sems > 0, diffs / np.where(sems > 0, sems, 1.0),
+                            np.where(diffs == 0.0, 0.0, np.inf))
+    return CharacterizationResult(labels, z)

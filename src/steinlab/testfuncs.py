@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import exp, sqrt
 
 import numpy as np
 
@@ -111,28 +112,6 @@ def _sigmoid(x):
     return np.where(x >= 0, 1.0, t) / (1.0 + t)
 
 
-def _refined_abs_max(f, lo: float, hi: float, tol: float = 1e-8) -> float:
-    """Sup of ``|f|`` on ``[lo, hi]`` by grid search with step halving."""
-    xs = np.linspace(lo, hi, 4001)
-    vals = np.abs(f(xs))
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    step = (hi - lo) / 4000.0
-    center = float(xs[i])
-    while step > 1e-14:
-        xs = np.linspace(center - step, center + step, 81)
-        vals = np.abs(f(xs))
-        i = int(np.argmax(vals))
-        new_best = float(vals[i])
-        center = float(xs[i])
-        improved = new_best - best
-        best = max(best, new_best)
-        step /= 40.0
-        if improved < tol and step < 1e-6:
-            break
-    return best
-
-
 @dataclass(frozen=True)
 class DerivativeNorms:
     """Certified sup-norms ``(||h||, ||Dh||, ||D2h||, ||D3h||)``."""
@@ -188,50 +167,27 @@ class SmoothTestFunction:
     # Certified norms ------------------------------------------------------
 
     def _axis_sups(self):
-        """Per-axis sups of the factor and its first three derivatives."""
-        sups = []
+        """Exact per-axis sups of the factor and its first three derivatives.
+
+        gauss-radial, ``f(x) = exp(-x^2 / (2 s^2))`` with ``t = x / s``:
+        ``f`` and ``|f''| = |t^2 - 1| f / s^2`` peak at t = 0, ``|f'| =
+        |t| f / s`` at t = 1, and ``|f'''| = |3 t - t^3| f / s^3`` at
+        ``t^2 = 3 - sqrt 6``, a root of ``t^4 - 6 t^2 + 3``.
+
+        product-logistic, ``f(x) = g(a x)`` with g the sigmoid and
+        ``u = g - 1/2``: ``g' = 1/4 - u^2`` peaks at u = 0, ``|g''| =
+        2 |u| (1/4 - u^2)`` at ``u^2 = 1/12``, and ``|g'''| =
+        |6 u^2 - 1/2| (1/4 - u^2)`` at u = 0; g itself approaches 1. A zero
+        ``a`` leaves the constant 1/2.
+        """
         if self.kind == "gauss-radial":
             s = self.scale
-
-            def d0(x):
-                return np.exp(-(x**2) / (2 * s**2))
-
-            def d1(x):
-                return -(x / s**2) * d0(x)
-
-            def d2(x):
-                return (x**2 / s**4 - 1.0 / s**2) * d0(x)
-
-            def d3(x):
-                return (3.0 * x / s**4 - x**3 / s**6) * d0(x)
-
-            lo, hi = -10.0 * s, 10.0 * s
-            sups = [[_refined_abs_max(f, lo, hi) for f in (d0, d1, d2, d3)]] * self.p
-        else:  # product-logistic
-            for ai in self.a:
-                if ai == 0.0:
-                    sups.append([0.5, 0.0, 0.0, 0.0])
-                    continue
-
-                def d0(x, ai=ai):
-                    return _sigmoid(ai * x)
-
-                def d1(x, ai=ai):
-                    s = _sigmoid(ai * x)
-                    return ai * s * (1 - s)
-
-                def d2(x, ai=ai):
-                    s = _sigmoid(ai * x)
-                    return ai**2 * s * (1 - s) * (1 - 2 * s)
-
-                def d3(x, ai=ai):
-                    s = _sigmoid(ai * x)
-                    return ai**3 * s * (1 - s) * (1 - 6 * s + 6 * s**2)
-
-                span = 40.0 / abs(ai)
-                sups.append([_refined_abs_max(f, -span, span)
-                             for f in (d0, d1, d2, d3)])
-        return sups
+            r = 3.0 - sqrt(6.0)
+            return [[1.0, exp(-0.5) / s, 1.0 / s**2,
+                     sqrt(6.0 * r) * exp(-r / 2.0) / s**3]] * self.p
+        return [[1.0, abs(a) / 4.0, sqrt(3.0) * a * a / 18.0,
+                 abs(a) ** 3 / 8.0] if a != 0.0 else [0.5, 0.0, 0.0, 0.0]
+                for a in self.a]
 
     def derivative_norms(self) -> DerivativeNorms:
         """Certified ``||h||`` and ``||D^k h||`` for ``k = 1, 2, 3``.

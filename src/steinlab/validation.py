@@ -1,10 +1,11 @@
 """The registry behind ``validate-couplings``.
 
-Each model coupler (degree counts, Gaussian sums with three psi, and
-multinomial sums with two) appears here at a small, fixed configuration,
-so the characterizing identity can be re-checked end to end with one
-command. Entry ``k`` of the sorted registry draws from ``seed + k``, so a
-subset selected with ``--which`` reproduces the full run's entries.
+Each size-bias model (degree counts, Gaussian sums with three psi, and
+multinomial sums with two) appears here, as the same class the experiments
+run, at a small, fixed configuration, so the characterizing identity can
+be re-checked end to end with one command. Entry ``k`` of the sorted
+registry draws from ``seed + k``, so a subset selected with ``--which``
+reproduces the full run's entries.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def build_registry() -> dict:
 
 
 def validate_couplers(names=None, samples: int = 1_000_000, seed: int = 0,
-                      threshold: float = 4.0) -> dict:
-    """Run the characterization check over the registry.
+                      threshold: float = 4.0, chunk_size: int = 16384) -> dict:
+    """Run the characterization check over the registry, ``chunk_size``
+    draws per seeded stream.
 
     Returns a JSON-ready summary keyed by coupler name.
     """
@@ -55,7 +57,8 @@ def validate_couplers(names=None, samples: int = 1_000_000, seed: int = 0,
             raise KeyError(f"unknown coupler {name!r}")
         sampler = registry[name]()
         res = verify_characterization(sampler, samples=samples,
-                                      seed=seed + order.index(name))
+                                      seed=seed + order.index(name),
+                                      chunk_size=chunk_size)
         results[name] = {
             "labels": res.labels,
             "zscores": res.zscores,

@@ -389,7 +389,7 @@ def covariance_identity_z(coupler, sigma, samples, rng):
     Every size-bias coupling satisfies the identity, so with a correct
     coupler and closed-form ``sigma`` the z-scores are about standard normal.
     """
-    lam = np.asarray(coupler.mean_vector, dtype=float)
+    lam = np.asarray(coupler.lam, dtype=float)
     z = np.empty((coupler.p, coupler.p))
     for i in range(coupler.p):
         w, wi = coupler.draw_batch(i, samples, rng)

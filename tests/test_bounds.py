@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinlab.bounds import (LocalDepStats, MultivariateCouplingStats,
-                             UnivariateCouplingStats,
+from steinlab.bounds import (CouplingStats, LocalDepStats,
                              bound_multivariate_local,
                              bound_multivariate_size_bias,
                              bound_univariate_local,
@@ -16,8 +15,10 @@ from steinlab.linalg import inverse_sqrt, max_abs_norm
 
 
 def _uni_stats(var_cond=0.04, msd=0.1, lam=1.0, sigma_sq=1.0):
-    return UnivariateCouplingStats(lam=lam, sigma_sq=sigma_sq,
-                                   var_cond=var_cond, mean_sq_diff=msd)
+    """p = 1 statistics: E|dW dW| is the mean square difference."""
+    return CouplingStats(lam=np.array([lam]), sigma=np.array([[sigma_sq]]),
+                         var_cond=np.array([[var_cond]]),
+                         abs_cross=np.array([[[msd]]]))
 
 
 class TestUnivariateSizeBias:
@@ -39,6 +40,10 @@ class TestUnivariateSizeBias:
         with pytest.raises(NonfiniteNorm):
             bound_univariate_size_bias(_uni_stats(), np.inf, 1.0)
 
+    def test_vector_statistics_rejected(self):
+        with pytest.raises(ValueError, match="needs p = 1, got p = 2"):
+            bound_univariate_size_bias(_mv_stats(p=2), 1.0, 1.0)
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.0, 2.0),
            st.floats(0.0, 2.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
@@ -56,8 +61,8 @@ def _mv_stats(p=2, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((p, p))
     sigma = a @ a.T + p * np.eye(p)
-    return MultivariateCouplingStats(
-        p=p, lam=rng.uniform(0.5, 3.0, p), sigma=sigma,
+    return CouplingStats(
+        lam=rng.uniform(0.5, 3.0, p), sigma=sigma,
         var_cond=rng.uniform(0.0, 0.5, (p, p)),
         abs_cross=rng.uniform(0.0, 0.5, (p, p, p)),
     )
@@ -72,15 +77,15 @@ class TestMultivariateSizeBias:
 
     def test_p1_worked_arithmetic(self):
         """0.5 * 2 * 0.2 + (1/6) * 6 * 0.1 = 0.3 at unit whitening norm."""
-        stats = MultivariateCouplingStats(
-            p=1, lam=np.array([1.0]), sigma=np.array([[1.0]]),
+        stats = CouplingStats(
+            lam=np.array([1.0]), sigma=np.array([[1.0]]),
             var_cond=np.array([[0.04]]), abs_cross=np.array([[[0.1]]]))
         rep = bound_multivariate_size_bias(stats, 2.0, 6.0)
         np.testing.assert_allclose(rep.total, 0.3, rtol=1e-14)
 
     def test_p1_exact_formula(self):
-        stats = MultivariateCouplingStats(
-            p=1, lam=np.array([1.7]), sigma=np.array([[2.5]]),
+        stats = CouplingStats(
+            lam=np.array([1.7]), sigma=np.array([[2.5]]),
             var_cond=np.array([[0.09]]), abs_cross=np.array([[[0.4]]]))
         rep = bound_multivariate_size_bias(stats, 1.3, 0.7)
         snorm = 1.0 / np.sqrt(2.5)
@@ -93,8 +98,8 @@ class TestMultivariateSizeBias:
         stats = _mv_stats(seed=3)
         base = bound_multivariate_size_bias(stats, 1.0, 1.0)
         t = 1.7
-        scaled = MultivariateCouplingStats(
-            p=stats.p, lam=stats.lam, sigma=stats.sigma / t**2,
+        scaled = CouplingStats(
+            lam=stats.lam, sigma=stats.sigma / t**2,
             var_cond=stats.var_cond, abs_cross=stats.abs_cross)
         rep = bound_multivariate_size_bias(scaled, 1.0, 1.0)
         np.testing.assert_allclose(rep.terms[0].value,
@@ -139,8 +144,8 @@ class TestMultivariateSizeBias:
         elif which == 2:
             stats.lam[0] += bump
         else:
-            stats = MultivariateCouplingStats(
-                p=2, lam=stats.lam, sigma=stats.sigma,
+            stats = CouplingStats(
+                lam=stats.lam, sigma=stats.sigma,
                 var_cond=stats.var_cond, abs_cross=stats.abs_cross)
         bumped = bound_multivariate_size_bias(stats, 1.0, 1.0).total
         assert bumped >= base - 1e-12

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import steinlab
-from steinlab import validation
+from steinlab import cli, validation
 from steinlab.cli import main
+from steinlab.errors import SteinLabError
 from steinlab.sizebias import CoupledPairSampler
 
 
@@ -145,8 +146,11 @@ class TestExperiments:
         assert (runs[0]["results"]["gauss-square"]
                 == runs[1]["results"]["gauss-square"])
 
-    def test_registry_holds_every_model_coupler(self):
-        """No coupler ships unvalidated, and the registry holds no other."""
+    def test_registry_holds_every_model_coupler(self, monkeypatch, capsys):
+        """No coupler ships unvalidated, the registry holds no other, and
+        the size-bias models the experiments run are registry types. A
+        private shared base (leading underscore) is not a model, so only
+        concrete classes count."""
         defined = set()
         for info in pkgutil.iter_modules(steinlab.__path__):
             module = importlib.import_module(f"steinlab.{info.name}")
@@ -154,9 +158,38 @@ class TestExperiments:
                                                              inspect.isclass)
                         if issubclass(cls, CoupledPairSampler)
                         and cls is not CoupledPairSampler
+                        and not cls.__name__.startswith("_")
                         and cls.__module__ == module.__name__}
         built = {type(build()) for build in validation.build_registry().values()}
         assert built == defined
+
+        ran = []
+
+        def capture(model, *args, **kwargs):
+            ran.append(type(model))
+            raise SteinLabError("model captured")
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        for argv in (["degree-count", "--n", "20", "--c", "2",
+                      "--degrees", "1,2"],
+                     ["sweep", "degree-count", "--n", "16", "--c", "2",
+                      "--degrees", "1,2"],
+                     ["nonlinear", "--model", "gauss:rho=0.1,n=20",
+                      "--psi", "square"],
+                     ["nonlinear", "--model", "multinomial:n=10,k=2",
+                      "--psi", "square"]):
+            assert _run(argv, capsys)[0] == 1
+        assert len(ran) == 4 and set(ran) <= built
+
+    def test_validate_couplings_uses_chunk_size(self, capsys):
+        """The chunk size sets the seeded streams, so it moves the
+        z-scores; at 0 the run is refused."""
+        argv = ["validate-couplings", "--which", "gauss-square",
+                "--samples", "2000"]
+        default = _run(argv, capsys)[1]
+        assert _run(argv + ["--chunk-size", "16384"], capsys)[1] == default
+        code, out, _ = _run(argv + ["--chunk-size", "700"], capsys)
+        assert code == 0 and out != default
 
     def test_unknown_coupler_is_usage_error(self, capsys):
         code, _, err = _run(["validate-couplings", "--which", "nope"],
@@ -221,14 +254,21 @@ class TestSweep:
             assert row.startswith(f"{n},{single},")
 
     def test_missing_flags_are_usage_errors(self, capsys):
-        code, _, _ = _run(["sweep", "degree-count", "--n", "16"], capsys)
-        assert code == 1
+        code, _, err = _run(["sweep", "degree-count", "--n", "16"], capsys)
+        assert code == 1 and "--degrees" in err
+        # degree-count's own parser takes one of --c and --pi, never both
+        code, _, err = _run(["sweep", "degree-count", "--n", "16", "--c", "2",
+                             "--pi", "0.3", "--degrees", "1,2"], capsys)
+        assert code == 1 and "--c" in err and "--pi" in err
 
 
 class TestDeterminism:
     @staticmethod
-    def _assert_same_bytes_at_thread_caps(argv, tmp_path):
-        """Run argv at STEIN_LAB_THREADS 1 and 8; the reports must match."""
+    def _assert_same_bytes_at_thread_caps(argv, tmp_path, chunks=None):
+        """Run argv at STEIN_LAB_THREADS 1 and 8; the reports must match.
+
+        ``chunks`` is ``(samples, chunk_size)`` for a report that does not
+        echo them."""
         # The children import the same steinlab as this process: src/ in a
         # checkout, site-packages in an install. Only PATH, PYTHONPATH and
         # the thread cap are passed on, so no stray STEIN_LAB_THREADS or
@@ -253,7 +293,9 @@ class TestDeterminism:
         assert outputs[0]
         report = json.loads(outputs[0])
         assert report["pass"] is True
-        assert report["samples"] > report["chunk_size"]
+        samples, chunk_size = chunks or (report["samples"],
+                                         report["chunk_size"])
+        assert samples > chunk_size
         assert outputs[0] == outputs[1]
 
     def test_same_argv_same_bytes(self, tmp_path):
@@ -278,6 +320,22 @@ class TestDeterminism:
             ["nonlinear", "--model", "gauss:rho=-0.002,n=300", "--psi",
              "square", "--samples", "3000", "--chunk-size", "512",
              "--seed", "11"], tmp_path)
+
+    def test_multinomial_same_bytes(self, tmp_path):
+        """The ball-transfer coupling and the histogram kernel give the
+        same bytes on any number of workers."""
+        self._assert_same_bytes_at_thread_caps(
+            ["nonlinear", "--model", "multinomial:n=100,k=2", "--psi",
+             "square", "--samples", "3000", "--chunk-size", "512",
+             "--seed", "11"], tmp_path)
+
+    def test_validate_couplings_same_bytes(self, tmp_path):
+        """Every registry entry's characterization check, at the reference
+        run's sample count (13 chunks per coordinate), gives the same bytes
+        on any number of workers."""
+        self._assert_same_bytes_at_thread_caps(
+            ["validate-couplings", "--samples", "200000", "--seed", "11"],
+            tmp_path, chunks=(200000, 16384))
 
 
 class TestUsageErrors:
@@ -354,6 +412,8 @@ class TestUsageErrors:
          "--h: spec 'gauss-radial:p=1:a=2': key 'a' is not allowed"),
         (["stein-check", "--h", "cosine:a=1", "--gh-nodes", "0"],
          "--gh-nodes must be at least 2, got 0"),
+        (["validate-couplings", "--which", "gauss-square", "--chunk-size",
+          "0"], "--chunk-size must be at least 1, got 0"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

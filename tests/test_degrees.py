@@ -251,14 +251,15 @@ class TestSubBatches:
         for threads in ("1", "2"):
             monkeypatch.setenv("STEIN_LAB_THREADS", threads)
             reports.append(run_experiment(
-                dg.DegreeCountModel(self.CFG), h, samples=2000, seed=4,
+                dg.DegreeCountCoupler(self.CFG), h, samples=2000, seed=4,
                 chunk_size=512).to_json())
         assert reports[0] == reports[1]
 
     def test_split_statistics_agree_with_unsplit(self, monkeypatch):
-        whole = dg.estimate_coupling_stats(self.CFG, 4000, seed=6)
+        model = dg.DegreeCountCoupler(self.CFG)
+        whole = dg.estimate_coupling_stats(model, 4000, seed=6)
         monkeypatch.setattr(dg, "SUB_BATCH_SLOTS", self.SPLIT)
-        split = dg.estimate_coupling_stats(self.CFG, 4000, seed=6)
+        split = dg.estimate_coupling_stats(model, 4000, seed=6)
         assert not np.array_equal(split.var_cond, whole.var_cond)
         for a, b, se_a, se_b in [
                 (split.var_cond, whole.var_cond,
@@ -396,8 +397,9 @@ class TestConstructionLawOracle:
 class TestEstimatedStatistics:
     def test_deterministic_given_seed(self):
         cfg = dg.ErdosRenyiConfig.from_c(20, 2.0, (1, 2))
-        a = dg.estimate_coupling_stats(cfg, 2000, seed=5)
-        b = dg.estimate_coupling_stats(cfg, 2000, seed=5)
+        model = dg.DegreeCountCoupler(cfg)
+        a = dg.estimate_coupling_stats(model, 2000, seed=5)
+        b = dg.estimate_coupling_stats(model, 2000, seed=5)
         np.testing.assert_array_equal(a.var_cond, b.var_cond)
         np.testing.assert_array_equal(a.abs_cross, b.abs_cross)
 
@@ -435,7 +437,7 @@ class TestExperiment:
     def test_constant_h_gives_zero_bound_and_gap(self):
         cfg = dg.ErdosRenyiConfig.from_c(12, 2.0, (1, 2))
         h = SmoothTestFunction("cosine", p=2, a=(0.0, 0.0))
-        rep = run_experiment(dg.DegreeCountModel(cfg), h, samples=500,
+        rep = run_experiment(dg.DegreeCountCoupler(cfg), h, samples=500,
                              seed=1, chunk_size=512)
         assert rep.bound.total == 0.0
         assert rep.gap <= 1e-12
@@ -444,7 +446,7 @@ class TestExperiment:
     def test_small_run_passes(self):
         cfg = dg.ErdosRenyiConfig.from_c(30, 2.0, (1, 2))
         h = SmoothTestFunction("cosine", p=2, a=(0.5, 0.5))
-        rep = run_experiment(dg.DegreeCountModel(cfg), h, samples=4000,
+        rep = run_experiment(dg.DegreeCountCoupler(cfg), h, samples=4000,
                              seed=3, chunk_size=512)
         assert rep.passed
         assert rep.bound.total > 0

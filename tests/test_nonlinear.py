@@ -293,7 +293,7 @@ class TestMultinomialCoupler:
         coupler = nl.MultinomialSumCoupler(cfg)
         coupler.psi = Identity()
         coupler.tilted = nl.TiltedSampler(coupler.psi, cfg.cell_marginal())
-        coupler.mean_vector = np.array([2 * coupler.tilted.mass])
+        coupler.lam = np.array([2 * coupler.tilted.mass])
         w, ws = coupler.draw_batch(0, 4000, StreamConfig(12).stream(0))
         np.testing.assert_array_equal(w, 2.0)
         np.testing.assert_array_equal(ws, 2.0)
@@ -397,7 +397,7 @@ class TestExperiment:
         totals = {}
         for n in (100, 400):
             cfg = nl.GaussianSumConfig(n, nl.parse_psi("square"), rho=0.0)
-            rep = run_experiment(nl.GaussianSumModel(cfg), h,
+            rep = run_experiment(nl.GaussianSumCoupler(cfg), h,
                                  samples=20_000, seed=16, chunk_size=8192)
             assert rep.passed
             totals[n] = rep.bound.total
@@ -407,14 +407,14 @@ class TestExperiment:
         cfg = nl.MultinomialSumConfig(30, 2, nl.parse_psi("square",
                                                           normalize=False))
         h = SmoothTestFunction("cosine", p=1, a=(1.0,))
-        rep = run_experiment(nl.MultinomialSumModel(cfg), h,
+        rep = run_experiment(nl.MultinomialSumCoupler(cfg), h,
                              samples=8000, seed=17, chunk_size=8192)
         assert rep.passed
 
     def test_report_echoes_correlation_summary(self):
         cfg = nl.GaussianSumConfig(12, nl.parse_psi("exp"), rho=0.1)
         h = SmoothTestFunction("cosine", p=1, a=(0.5,))
-        rep = run_experiment(nl.GaussianSumModel(cfg), h, samples=4000,
+        rep = run_experiment(nl.GaussianSumCoupler(cfg), h, samples=4000,
                              seed=18, chunk_size=8192)
         assert rep.config["max_offdiag"] == pytest.approx(0.1)
         assert rep.config["offdiag_below_third"] is True

@@ -63,15 +63,10 @@ class TestVerifyCharacterization:
 
     def test_broken_sampler_flagged(self):
         """Skipping the size-bias step must blow up some z-score."""
-        good = _gauss_square_coupler()
+        class Broken(nl.GaussianSumCoupler):
+            def couple(self, u, i, rng):
+                return self.w(u)
 
-        class Broken:
-            p = 1
-            mean_vector = good.mean_vector
-
-            def draw_batch(self, i, size, rng):
-                w, _ = good.draw_batch(i, size, rng)
-                return w, w.copy()
-
-        res = verify_characterization(Broken(), samples=100_000, seed=2)
+        res = verify_characterization(Broken(_gauss_square_coupler().cfg),
+                                      samples=100_000, seed=2)
         assert res.max_abs_z > 4.0

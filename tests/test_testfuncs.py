@@ -81,6 +81,29 @@ class TestCertifiedNormsDominateGridDerivatives:
             assert worst <= norms.order(k) + 1e-6, (k, worst, norms.order(k))
 
 
+class TestCertifiedNormsAreTight:
+    """The separable families' norms are the exact per-axis sups: a
+    certified norm may not undershoot, and these do not overshoot."""
+
+    @pytest.mark.parametrize("s", [1.0, 0.7, 2.5])
+    def test_gauss_radial(self, s):
+        r = 3.0 - np.sqrt(6.0)
+        n = SmoothTestFunction("gauss-radial", p=1, scale=s).derivative_norms()
+        np.testing.assert_allclose(
+            [n.h, n.d1, n.d2, n.d3],
+            [1.0, 1.0 / (s * np.sqrt(np.e)), 1.0 / s**2,
+             np.sqrt(6.0 * r) * np.exp(-r / 2.0) / s**3], rtol=1e-14)
+
+    @pytest.mark.parametrize("a", [1.5, -2.0, 0.3])
+    def test_product_logistic(self, a):
+        n = SmoothTestFunction("product-logistic", p=1,
+                               a=(a,)).derivative_norms()
+        np.testing.assert_allclose(
+            [n.h, n.d1, n.d2, n.d3],
+            [1.0, abs(a) / 4.0, np.sqrt(3.0) * a**2 / 18.0, abs(a)**3 / 8.0],
+            rtol=1e-14)
+
+
 class TestPhiH:
     def test_odd_function_is_zero(self):
         val = phi_h(lambda x: x[:, 0], GaussianExpectation(), p=1)

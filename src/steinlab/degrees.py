@@ -254,7 +254,7 @@ class _GraphChunk:
     probability pi.
     """
 
-    __slots__ = ("size", "n", "gid", "u", "v", "deg")
+    __slots__ = ("size", "n", "gid", "u", "v", "deg", "_counts")
 
     def __init__(self, rng, size, cfg):
         n = cfg.n
@@ -266,6 +266,7 @@ class _GraphChunk:
         self.u = np.empty_like(self.gid)
         self.v = np.empty_like(self.gid)
         self.deg = np.empty((size, n), dtype=np.int32)
+        self._counts = None
         for rows, edges in _graph_groups(size, n, pos, npairs):
             gid, codes = np.divmod(pos[edges], npairs)
             u, v = _decode_pair_codes(codes, n)
@@ -278,9 +279,16 @@ class _GraphChunk:
                                           minlength=cells).reshape(-1, n)
 
     def degree_count_matrix(self, degrees) -> np.ndarray:
-        return np.stack(
-            [(self.deg == d).sum(axis=1) for d in degrees], axis=1
-        ).astype(float)
+        """W, the number of vertices of each degree in ``degrees`` per graph,
+        shape (size, p). It is computed once per ``degrees`` and shared by
+        every caller, so callers must not write to it."""
+        key = tuple(degrees)
+        if self._counts is None or self._counts[0] != key:
+            counts = np.stack([(self.deg == d).sum(axis=1) for d in key],
+                              axis=1).astype(float)
+            counts.flags.writeable = False
+            self._counts = (key, counts)
+        return self._counts[1]
 
     def cond_exp(self, degrees) -> np.ndarray:
         """Exact ``E[W^i_j - W_j | graph]`` for every graph, (size, p, p).

@@ -18,6 +18,18 @@ from steinlab.sizebias import DiscreteDistribution, verify_characterization
 from steinlab.testfuncs import SmoothTestFunction
 
 
+def assert_matches_oracle(coupler, u):
+    """``cond_exp_given_u`` equals the term-by-term scalar sum to 1e-12
+    relative to W."""
+    n, rho, psi = coupler.cfg.n, coupler.rho, coupler.psi
+    got = coupler.cond_exp_given_u(u)
+    corr = np.full((n, n), rho)
+    np.fill_diagonal(corr, 1.0)
+    want = [oracles.gaussian_cond_exp(row, corr, psi) for row in u]
+    scale = max(1.0, float(np.abs(psi(u).sum(axis=1)).max()))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
 class TestTiltedSampler:
     def test_normal_sf_matches_scipy(self):
         t = np.linspace(-40.0, 40.0, 400_001)
@@ -196,18 +208,66 @@ class TestGaussianCoupler:
     @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
     def test_cond_exp_matches_oracle(self, name, n, rho):
         """The kernel equals the term-by-term scalar sum to 1e-12 relative
-        to W for rho > 0, rho < 0 and rho = 0. At n = 260 and 300 each row
-        is split into slices of the picked index."""
-        psi = nl.parse_psi(name)
-        cfg = nl.GaussianSumConfig(n, psi, rho=rho)
+        to W for rho > 0, rho < 0 and rho = 0."""
+        cfg = nl.GaussianSumConfig(n, nl.parse_psi(name), rho=rho)
         coupler = nl.GaussianSumCoupler(cfg)
-        u = coupler.draw_u(StreamConfig(22).stream(n), 3)
-        got = coupler.cond_exp_given_u(u)
-        corr = np.full((n, n), rho)
-        np.fill_diagonal(corr, 1.0)
-        want = [oracles.gaussian_cond_exp(row, corr, psi) for row in u]
-        scale = max(1.0, float(np.abs(psi(u).sum(axis=1)).max()))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        assert_matches_oracle(coupler,
+                              coupler.draw_u(StreamConfig(22).stream(n), 3))
+
+    def test_indicator_sparse_window_matches_oracle(self):
+        """At rho = 2/n a row's windows hold about 1 % of its pairs."""
+        n = 800
+        cfg = nl.GaussianSumConfig(n, nl.parse_psi("indicator"), rho=2 / n)
+        coupler = nl.GaussianSumCoupler(cfg)
+        assert_matches_oracle(coupler,
+                              coupler.draw_u(StreamConfig(22).stream(n), 2))
+
+    @pytest.mark.parametrize("rho,u,all_ones", [
+        (0.1, [[2.0, -3.0, 1.5], [0.3, 0.2, -0.4]], False),
+        (0.5, [[1.0, 1.02, 1.04, 1.05]], True),
+        (-0.003, [[-1.0, -1.02, -1.04, -1.05]], True),
+    ], ids=["empty-window", "all-ones", "all-ones-negative"])
+    def test_indicator_edge_rows_match_oracle(self, rho, u, all_ones):
+        """Rows whose first row has no pair in the tail window
+        0 < t < T: every t = U_i - U_j / rho is <= 0, or each is <= 0 or
+        >= T."""
+        u = np.array(u)
+        t = u[0][:, None] - u[0] / rho
+        assert not np.any((t > 0) & (t < nl._TAIL_CUT))
+        assert np.all(t <= 0) == all_ones
+        cfg = nl.GaussianSumConfig(u.shape[1], nl.parse_psi("indicator"),
+                                   rho=rho)
+        assert_matches_oracle(nl.GaussianSumCoupler(cfg), u)
+
+    def test_indicator_blocks_leave_sums_unchanged(self, monkeypatch):
+        """One row per sort block and one window per window block give the
+        bytes of a single block."""
+        cfg = nl.GaussianSumConfig(6, nl.parse_psi("indicator"), rho=0.4)
+        coupler = nl.GaussianSumCoupler(cfg)
+        u = coupler.draw_u(StreamConfig(25).stream(0), 50)
+        whole = coupler.cond_exp_given_u(u)
+        monkeypatch.setattr(nl, "_SORT_BLOCK", 1)
+        monkeypatch.setattr(nl, "_WINDOW_BLOCK", 3)
+        np.testing.assert_array_equal(coupler.cond_exp_given_u(u), whole)
+        assert_matches_oracle(coupler, u)
+
+    def test_indicator_tail_work_is_linear_in_n(self, monkeypatch):
+        """At rho = 2/n only the window's tails are evaluated: fewer than
+        0.02 n^2 survival points per row at n = 800."""
+        n, rows = 800, 4
+        seen = []
+        survival = nl.TiltedSampler.survival
+
+        def spy(self, t):
+            seen.append(np.size(t))
+            return survival(self, t)
+
+        monkeypatch.setattr(nl.TiltedSampler, "survival", spy)
+        cfg = nl.GaussianSumConfig(n, nl.parse_psi("indicator"), rho=0.0025)
+        coupler = nl.GaussianSumCoupler(cfg)
+        coupler.cond_exp_given_u(
+            coupler.draw_u(StreamConfig(26).stream(0), rows))
+        assert 0 < sum(seen) < 0.02 * n * n * rows, sum(seen)
 
     def test_cond_exp_memory_is_linear_in_n(self):
         """One indicator row at n = 2000 holds at most about _PAIR_BLOCK

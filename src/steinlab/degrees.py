@@ -10,16 +10,20 @@ the count change given the graph is available exactly, which removes all
 nested Monte Carlo from the conditional-variance estimate.
 
 All Monte Carlo work runs through one chunk kernel over a flat int32 edge
-list ``(gid, u, v)`` plus an int32 per-graph degree array: graphs are
-sampled by geometric skips over the pair codes, the exact conditional
-expectation is a contraction of small per-graph degree histograms, and the
-coupling is one vectorised edge move per graph. Time is linear in a chunk's
-edges and vertices. Memory is capped: a chunk's graphs run in sub-batches
-of at most :data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots
-(``n (1 + c/2)`` per graph), about 8 stored bytes each: they are the states
+list ``(gid, u, v)`` plus an int32 per-graph degree array. Graphs are
+sampled by geometric skips over the pair codes; the skips are made by
+inversion of standard exponentials, value for value numpy's own geometric
+draws, so a chunk's edges are fixed by its stream alone. Each graph's edge
+offsets come from one search, and a pair code decodes to its vertex pair
+in closed form. The exact conditional expectation is a contraction of
+small per-graph degree histograms, and the coupling is one vectorised edge
+move per graph. Time is linear in a chunk's edges and vertices. Memory is
+capped: a chunk's graphs run in sub-batches of at most
+:data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots (``n (1 + c/2)``
+per graph), about 8 stored bytes each: they are the states
 :meth:`DegreeCountCoupler.draw` yields, so the statistics pass, the gap
-pass and the coupling draws all run on them. Scalar reference versions live
-in the test suite.
+pass and the coupling draws all run on them. Scalar reference versions
+live in the test suite.
 """
 
 from __future__ import annotations
@@ -27,14 +31,14 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from math import comb, exp, fsum, log, log1p
+from math import comb, exp, fsum, isqrt, log, log1p
 
 import numpy as np
 
 from .bounds import CouplingStats, bound_multivariate_size_bias
 from .errors import NotPositiveDefinite, TooLarge
 from .linalg import DEFAULT_PD_TOL, inverse_sqrt, max_abs_norm
-from .sizebias import CoupledPairSampler, log_binomial
+from .sizebias import CoupledPairSampler, log_binomial, sub_batch_sizes
 
 BRUTE_FORCE_MAX_N = 5
 # Vertex plus expected edge slots, n (1 + c/2) per graph, that one sub-batch
@@ -148,11 +152,74 @@ def theoretical_moments(cfg: ErdosRenyiConfig):
 # ---------------------------------------------------------------------------
 
 def _decode_pair_codes(codes: np.ndarray, n: int):
-    """Invert the row-major upper-triangle code ``t = offset(u) + (v - u - 1)``."""
-    rows = np.arange(n, dtype=np.int64)
-    offset = rows * (2 * n - rows - 1) // 2
-    u = np.searchsorted(offset, codes, side="right") - 1
-    return u, codes - offset[u] + u + 1
+    """Invert the row-major upper-triangle code ``t = off(u) + (v - u - 1)``,
+    where ``off(u) = u (2n - u - 1) / 2`` is the first code of row u.
+
+    Row u is the floor of the smaller root of ``off(u) = t``,
+    ``h - sqrt(h^2 - 2t)`` with ``h = n - 1/2``. In float64 ``h^2 - 2t`` is
+    exact while ``h^2 < 2^51`` (n below 4.7e7), so the floor is within one
+    of u. The exact integer offsets show which codes the float root misses
+    (their v would leave the row), and those move a row at a time until
+    none does, so larger n decode exactly too. Returns int64 ``(u, v)``.
+    """
+    def lead(u):  # off(u) - u - 1, so that v = t - lead(u)
+        return ((2 * n - 3 - u) * u >> 1) - 1
+
+    h = n - 0.5
+    root = np.multiply(codes, -2.0)
+    root += h * h
+    np.sqrt(root, out=root)
+    np.subtract(h, root, out=root)
+    u = root.astype(np.int64)
+    del root
+    v = codes - lead(u)
+    miss = np.flatnonzero((v <= u) | (v >= n))
+    while miss.size:
+        u[miss] += np.where(v[miss] >= n, 1, -1)
+        v[miss] = codes[miss] - lead(u[miss])
+        miss = miss[(v[miss] <= u[miss]) | (v[miss] >= n)]
+    return u, v
+
+
+# Geometric draws made at a time, so that the only transient beside the
+# int64 gaps is a small float64 buffer.
+_DRAW_BLOCK = 1 << 16
+# numpy's cap on a geometric draw by inversion: the first float past
+# INT64_MAX; a draw at or above it is INT64_MAX.
+_GEOMETRIC_CAP = 9.223372036854776e18
+
+
+def _geometric(rng: np.random.Generator, pi: float, out: np.ndarray):
+    """Fill int64 ``out`` with Geometric(pi) draws on {1, 2, ...}, equal
+    value for value, and in stream use, to ``rng.geometric(pi, out.size)``.
+
+    Below pi = 1/3 numpy inverts, ``ceil(-E / log1p(-pi))`` for a standard
+    exponential E, and so does this, but with libm's ``log1p`` taken once
+    rather than once per draw. At pi >= 1/3 numpy searches the distribution
+    function instead, and is called as it is. Draws are made
+    :data:`_DRAW_BLOCK` at a time; each consumes its own stream values, so
+    the blocks do not change them.
+    """
+    if pi >= 1.0 / 3.0:
+        for lo in range(0, out.size, _DRAW_BLOCK):
+            part = out[lo:lo + _DRAW_BLOCK]
+            part[...] = rng.geometric(pi, size=part.size)
+        return
+    rate = -log1p(-pi)
+    buf = np.empty(min(out.size, _DRAW_BLOCK))
+    for lo in range(0, out.size, _DRAW_BLOCK):
+        part = out[lo:lo + _DRAW_BLOCK]
+        e = buf[:part.size]
+        rng.standard_exponential(out=e)
+        e /= rate
+        np.ceil(e, out=e)
+        if e.max() < _GEOMETRIC_CAP:
+            part[...] = e
+        else:
+            huge = e >= _GEOMETRIC_CAP
+            e[huge] = 0.0
+            part[...] = e
+            part[huge] = np.iinfo(np.int64).max
 
 
 def _bernoulli_positions(rng: np.random.Generator, total: int,
@@ -160,36 +227,30 @@ def _bernoulli_positions(rng: np.random.Generator, total: int,
     """Sorted indices of the successes among ``total`` Bernoulli(pi) trials.
 
     The gaps between successes are i.i.d. geometric, so they are drawn
-    directly (Batagelj & Brandes 2005); each block draws as many gaps as
-    the trials still left are expected to hold. The running sum is taken in
-    place, and a second block, when one is needed, is appended.
+    directly (Batagelj & Brandes 2005) by :func:`_geometric`. Each block
+    draws ``int((total - 1 - last) pi) + 1`` gaps, about as many as the
+    trials still left hold, and takes their running sum in place. A block
+    lands in room left after the one before (a few standard deviations of
+    the shortfall, so a second block rarely needs a copy), and the int64
+    positions are the only array of the run's size, 8 bytes per success.
     """
-    pos = None
+    pos = np.empty(0, dtype=np.int64)
+    filled = 0
     last = -1
     while last < total:
-        gaps = rng.geometric(pi, size=int((total - 1 - last) * pi) + 1)
-        np.cumsum(gaps, out=gaps)
-        gaps += last
-        pos = gaps if pos is None else np.concatenate([pos, gaps])
-        last = int(gaps[-1])
-    return pos[:np.searchsorted(pos, total)]
-
-
-def _graph_groups(size: int, n: int, keys: np.ndarray, per_graph: int):
-    """Split a chunk into groups of about :data:`_GROUP_VERTICES` vertices.
-
-    Yields ``(rows, edges)``: a slice of the chunk's graphs and the slice of
-    the edge list they own. ``keys`` are sorted per-edge keys, those of
-    graph b in ``[b * per_graph, (b + 1) * per_graph)``: success positions
-    (``per_graph`` pairs per graph) or graph ids (``per_graph`` = 1).
-    """
-    per = max(1, _GROUP_VERTICES // n)
-    starts = list(range(0, size, per))
-    cuts = np.searchsorted(
-        keys, np.array(starts + [size], dtype=np.int64) * per_graph).tolist()
-    for k, start in enumerate(starts):
-        yield (slice(start, min(start + per, size)),
-               slice(cuts[k], cuts[k + 1]))
+        draws = int((total - 1 - last) * pi) + 1
+        if filled + draws > pos.size:
+            grown = np.empty(filled + draws + 4 * isqrt(draws) + 16,
+                             dtype=np.int64)
+            grown[:filled] = pos[:filled]
+            pos = grown
+        block = pos[filled:filled + draws]
+        _geometric(rng, pi, block)
+        np.cumsum(block, out=block)
+        block += last
+        filled += draws
+        last = int(block[-1])
+    return pos[:np.searchsorted(pos[:filled], total)]
 
 
 def _rank_in_group(g: np.ndarray) -> np.ndarray:
@@ -243,18 +304,24 @@ def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
 class _GraphChunk:
     """``size`` independent G(n, pi) draws as one flat edge list.
 
-    Edge k joins ``u[k] < v[k]`` in graph ``gid[k]``; edges are sorted by
-    graph, then by pair code, and ``deg[b]`` is the degree array of graph b.
-    ``gid``, ``u``, ``v`` and ``deg`` are int32, so a chunk stores 12 bytes
-    per edge and 4 per vertex; the int64 success positions live only while
-    the chunk is built, and pair codes only while a group of its graphs is
-    decoded. The chunk is one
-    run of Bernoulli(pi) trials over the concatenated pair codes of its
-    graphs, so every pair of every graph is an edge independently with
-    probability pi.
+    The chunk is one run of Bernoulli(pi) trials over the concatenated pair
+    codes of its graphs (:func:`_bernoulli_positions`), so every pair of
+    every graph is an edge independently with probability pi. Edge k joins
+    ``u[k] < v[k]`` in graph ``gid[k]``; edges are sorted by graph, then by
+    pair code, graph b owns edges ``starts[b]:starts[b + 1]``, and
+    ``deg[b]`` is its degree array. ``gid``, ``u``, ``v`` and ``deg`` are
+    int32, so a chunk stores 12 bytes per edge and 4 per vertex.
+
+    The build finds ``starts`` with one search of the success positions at
+    the graph boundaries, then works through groups of about
+    :data:`_GROUP_VERTICES` vertices: a group's graph ids are repeated from
+    its edge counts, its pair codes are the positions less each graph's
+    first code (taken in place), and :func:`_decode_pair_codes` maps codes
+    to vertex pairs in closed form. The int64 positions live only while the
+    chunk is built.
     """
 
-    __slots__ = ("size", "n", "gid", "u", "v", "deg", "_counts")
+    __slots__ = ("size", "n", "gid", "u", "v", "deg", "starts", "_counts")
 
     def __init__(self, rng, size, cfg):
         n = cfg.n
@@ -262,21 +329,40 @@ class _GraphChunk:
         pos = _bernoulli_positions(rng, size * npairs, cfg.pi)
         self.size = size
         self.n = n
+        self.starts = np.searchsorted(
+            pos, np.arange(size + 1, dtype=np.int64) * npairs)
         self.gid = np.empty(pos.size, dtype=np.int32)
         self.u = np.empty_like(self.gid)
         self.v = np.empty_like(self.gid)
         self.deg = np.empty((size, n), dtype=np.int32)
         self._counts = None
-        for rows, edges in _graph_groups(size, n, pos, npairs):
-            gid, codes = np.divmod(pos[edges], npairs)
+        for rows, edges in self._groups():
+            gid = np.repeat(np.arange(rows.start, rows.stop),
+                            np.diff(self.starts[rows.start:rows.stop + 1]))
+            self.gid[edges] = gid
+            codes = pos[edges]
+            codes -= gid * npairs
             u, v = _decode_pair_codes(codes, n)
-            self.gid[edges], self.u[edges], self.v[edges] = gid, u, v
-            local = (gid - rows.start) * n
+            self.u[edges], self.v[edges] = u, v
+            gid -= rows.start
+            gid *= n
+            u += gid
+            v += gid
             cells = (rows.stop - rows.start) * n
-            self.deg[rows] = np.bincount(local + u,
-                                         minlength=cells).reshape(-1, n)
-            self.deg[rows] += np.bincount(local + v,
-                                          minlength=cells).reshape(-1, n)
+            deg = np.bincount(u, minlength=cells)
+            deg += np.bincount(v, minlength=cells)
+            self.deg[rows] = deg.reshape(-1, n)
+
+    def _groups(self):
+        """Split the chunk into groups of about :data:`_GROUP_VERTICES`
+        vertices, so that int64 transients stay small. Yields
+        ``(rows, edges)``: a slice of the chunk's graphs and the slice of
+        the edge list they own."""
+        per = max(1, _GROUP_VERTICES // self.n)
+        starts = self.starts.tolist()
+        for first in range(0, self.size, per):
+            last = min(first + per, self.size)
+            yield slice(first, last), slice(starts[first], starts[last])
 
     def degree_count_matrix(self, degrees) -> np.ndarray:
         """W, the number of vertices of each degree in ``degrees`` per graph,
@@ -312,14 +398,17 @@ class _GraphChunk:
         slot[tvals] = np.arange(len(tvals))
         count = np.empty((size, top))
         edges_to = np.empty((size, top, width))
-        for rows, edges in _graph_groups(size, n, self.gid, 1):
+        for rows, edges in self._groups():
             block = self.deg[rows]
             local = self.gid[edges] - rows.start
             count[rows] = np.bincount(
                 (np.arange(len(block))[:, None] * top + block).ravel(),
                 minlength=len(block) * top).reshape(-1, top)
-            deg_u = block[local, self.u[edges]]
-            deg_v = block[local, self.v[edges]]
+            degs = block.ravel()
+            at = local * n
+            deg_u = degs[at + self.u[edges]]
+            deg_v = degs[at + self.v[edges]]
+            del at
             local = local * top
             flat = np.bincount((local + deg_u) * width + slot[deg_v],
                                minlength=len(block) * top * width)
@@ -392,12 +481,8 @@ class _GraphChunk:
 
 def _sub_batch_sizes(size: int, n: int, c: float) -> list[int]:
     """Graphs per sub-batch for a chunk of ``size`` graphs: as many as
-    :data:`SUB_BATCH_SLOTS` holds at ``n (1 + c/2)`` slots per graph (at
-    least one), all full but the last. Only ``(size, n, c)`` enter, so a
-    chunk's stream is used the same way at any thread count."""
-    per = max(1, int(SUB_BATCH_SLOTS // (n * (1.0 + c / 2.0))))
-    full, rest = divmod(size, per)
-    return [per] * full + ([rest] if rest else [])
+    :data:`SUB_BATCH_SLOTS` holds at ``n (1 + c/2)`` slots per graph."""
+    return sub_batch_sizes(size, n * (1.0 + c / 2.0), SUB_BATCH_SLOTS)
 
 
 def isqrt_norm_bound_check(cfg: ErdosRenyiConfig) -> dict:

@@ -23,7 +23,8 @@ import numpy as np
 from .bounds import CouplingStats, bound_univariate_size_bias
 from .errors import (InfeasibleAdjustment, InvariantViolation,
                      NonfiniteMoment, NotPositiveDefinite, ZeroMass)
-from .sizebias import CoupledPairSampler, DiscreteDistribution
+from .sizebias import (CoupledPairSampler, DiscreteDistribution,
+                        sub_batch_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,10 @@ _TAIL_CUT = 8.5
 # time, and window tails are evaluated at most _WINDOW_BLOCK at a time.
 _SORT_BLOCK = 1 << 14
 _WINDOW_BLOCK = 1 << 15
+
+# Argument values (rows x n) in one Gaussian sub-batch: 16 MB of U, with
+# psi(U) and the coupled rows about as much again each.
+SUB_BATCH_VALUES = 1 << 21
 
 
 class TiltedSampler:
@@ -354,7 +359,11 @@ class GaussianSumCoupler(_SumCoupler):
         return self.adjust(u, idx, self.tilted.sample(rng, size))
 
     def draw(self, rng: np.random.Generator, size: int):
-        yield self.draw_u(rng, size)
+        """The chunk's argument vectors in sub-batches of at most
+        :data:`SUB_BATCH_VALUES` values, so that the U, psi(U) and coupled
+        rows a state keeps alive stay capped at any n."""
+        for part in sub_batch_sizes(size, self.cfg.n, SUB_BATCH_VALUES):
+            yield self.draw_u(rng, part)
 
     def couple(self, u: np.ndarray, i: int, rng: np.random.Generator):
         _only_coordinate_zero(i)

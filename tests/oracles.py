@@ -186,6 +186,45 @@ def sample_graph(cfg, rng) -> GraphSample:
     return graph_from_edges(cfg.n, np.stack([u[keep], v[keep]], axis=1))
 
 
+def bernoulli_positions(rng, total, pi):
+    """Sorted successes among ``total`` Bernoulli(pi) trials, from numpy's
+    own geometric gaps: blocks of ``int((total - 1 - last) pi) + 1`` gaps,
+    each block's running sum appended to the last."""
+    pos = None
+    last = -1
+    while last < total:
+        gaps = rng.geometric(pi, size=int((total - 1 - last) * pi) + 1)
+        np.cumsum(gaps, out=gaps)
+        gaps += last
+        pos = gaps if pos is None else np.concatenate([pos, gaps])
+        last = int(gaps[-1])
+    return pos[:np.searchsorted(pos, total)]
+
+
+def decode_pair_codes(codes, n):
+    """Row-major upper-triangle codes to pairs ``u < v`` by a binary search
+    of the row offsets."""
+    rows = np.arange(n, dtype=np.int64)
+    offset = rows * (2 * n - rows - 1) // 2
+    u = np.searchsorted(offset, codes, side="right") - 1
+    return u, codes - offset[u] + u + 1
+
+
+def graph_chunk_arrays(rng, size, cfg):
+    """``(gid, u, v, deg)`` of ``size`` G(n, pi) draws made as the chunk
+    kernel makes them: one Bernoulli run over the concatenated pair codes,
+    split into graphs by division."""
+    n = cfg.n
+    npairs = n * (n - 1) // 2
+    gid, codes = np.divmod(bernoulli_positions(rng, size * npairs, cfg.pi),
+                           npairs)
+    u, v = decode_pair_codes(codes, n)
+    deg = np.zeros((size, n), dtype=np.int64)
+    np.add.at(deg, (gid, u), 1)
+    np.add.at(deg, (gid, v), 1)
+    return gid, u, v, deg
+
+
 @dataclass
 class DegreeCouplingDraw:
     """One coupling draw: the graph, the chosen vertex, and both counts."""

@@ -94,6 +94,18 @@ def _chunk_graphs(chunk):
             for b in range(chunk.size)]
 
 
+def _chunk_from_arrays(n, size, gid, u, v, deg):
+    """A chunk holding the given edge list and degrees, with each graph's
+    edge offsets found from its graph ids."""
+    chunk = object.__new__(dg._GraphChunk)
+    chunk.size, chunk.n, chunk._counts = size, n, None
+    chunk.gid, chunk.u, chunk.v = (np.asarray(a, dtype=np.int32)
+                                   for a in (gid, u, v))
+    chunk.deg = np.asarray(deg, dtype=np.int32)
+    chunk.starts = np.searchsorted(gid, np.arange(size + 1))
+    return chunk
+
+
 class TestSampling:
     def test_edge_count_mean(self):
         """n=100, pi=0.02: mean edge count is C(100,2) * 0.02 = 99."""
@@ -119,12 +131,101 @@ class TestSampling:
             g.validate()
 
     def test_decode_roundtrip(self):
-        for n in (2, 3, 7, 50, 1000):
-            codes = np.arange(n * (n - 1) // 2)
+        """Every code for small n; at n = 65536 and 10**6 the codes next to
+        each row's first (off - 1, off, off + 1), where the closed-form
+        root is closest to an integer; at n = 3 * 10**8, past float64's
+        exact range, those of the first and last 2000 rows."""
+        cases = [(n, np.arange(n * (n - 1) // 2)) for n in (2, 3, 7, 50, 1000)]
+        big = 3 * 10**8
+        for n, rows in ((65536, np.arange(65535)), (10**6, np.arange(10**6 - 1)),
+                        (big, np.r_[0:2000, big - 2001:big - 1])):
+            rows = rows.astype(np.int64)
+            off = rows * (2 * n - rows - 1) // 2
+            codes = np.unique(np.concatenate([off - 1, off, off + 1]))
+            cases.append((n, codes[(codes >= 0) & (codes < n * (n - 1) // 2)]))
+        for n, codes in cases:
             u, v = dg._decode_pair_codes(codes, n)
-            assert np.all(u < v)
+            assert np.all(u < v) and np.all(v < n)
             recoded = u * (2 * n - u - 1) // 2 + (v - u - 1)
             np.testing.assert_array_equal(recoded, codes)
+
+    @pytest.mark.parametrize("room", ["default", "none"])
+    def test_bernoulli_positions_match_oracle(self, monkeypatch, room):
+        """The positions, and the stream value after them, equal those from
+        numpy's own geometric draws, on both sides of pi = 1/3 and at 1/3,
+        over runs of one, two and three blocks. With no room left after a
+        block, each later block is copied in."""
+        if room == "none":
+            monkeypatch.setattr(dg, "isqrt", lambda k: -4)
+        calls = []
+        geometric = dg._geometric
+        monkeypatch.setattr(dg, "_geometric", lambda *a: calls.append(1)
+                            or geometric(*a))
+        blocks = set()
+        for pi in (0.01, 0.2, 1.0 / 3.0, 0.6):
+            for total in (1, 2, 50, 1000):
+                for seed in range(12):
+                    rng = StreamConfig(seed).stream(0)
+                    ref_rng = StreamConfig(seed).stream(0)
+                    calls.clear()
+                    got = dg._bernoulli_positions(rng, total, pi)
+                    blocks.add(len(calls))
+                    want = oracles.bernoulli_positions(ref_rng, total, pi)
+                    np.testing.assert_array_equal(got, want)
+                    assert rng.random() == ref_rng.random()
+        assert {1, 2, 3} <= blocks
+
+    def test_geometric_cap(self):
+        """Draws past INT64_MAX are INT64_MAX, as numpy makes them."""
+        pi = 1e-300
+        out = np.empty(5, dtype=np.int64)
+        dg._geometric(StreamConfig(2).stream(0), pi, out)
+        want = StreamConfig(2).stream(0).geometric(pi, size=5)
+        np.testing.assert_array_equal(out, want)
+        assert np.all(out == np.iinfo(np.int64).max)
+
+    @pytest.mark.parametrize("n,pi,size,seed,blocks", [
+        (30, 0.3, 40, 0, 2),
+        (30, 1.0 / 3.0, 40, 1, 3),
+        (30, 0.5, 40, 2, 2),
+        (2, 0.3, 64, 3, 1),
+        (3, 0.7, 64, 4, 1),
+        (7, 0.01, 30, 5, 2),
+        (200, 2.0 / 199, 512, 6, 1),
+        (40000, 2.0 / 39999, 3, 7, 4),
+    ], ids=["inversion", "third", "search", "n2", "n3", "no-edges",
+            "many-per-group", "one-per-group"])
+    def test_chunk_matches_oracle(self, monkeypatch, n, pi, size, seed,
+                                  blocks):
+        """A chunk's edges, degrees, W and conditional means equal those of
+        the reference sampler and decoder exactly, and the stream is left
+        where the reference leaves it, for pi below, at and above 1/3, n = 2
+        and 3, graphs with no edges, Bernoulli runs of one to four blocks,
+        many graphs per group and one graph (n > _GROUP_VERTICES) per
+        group."""
+        cfg = dg.ErdosRenyiConfig(n, pi, (0, 1) if n <= 3 else (1, 2),
+                                  check_pd=False)
+        calls = []
+        geometric = dg._geometric
+        monkeypatch.setattr(dg, "_geometric", lambda *a: calls.append(1)
+                            or geometric(*a))
+        rng = StreamConfig(seed).stream(0)
+        ref_rng = StreamConfig(seed).stream(0)
+        chunk = dg._GraphChunk(rng, size, cfg)
+        assert len(calls) == blocks
+        ref = _chunk_from_arrays(
+            n, size, *oracles.graph_chunk_arrays(ref_rng, size, cfg))
+        for name in ("gid", "u", "v", "deg"):
+            np.testing.assert_array_equal(getattr(chunk, name),
+                                          getattr(ref, name))
+        np.testing.assert_array_equal(chunk.starts, ref.starts)
+        np.testing.assert_array_equal(chunk.degree_count_matrix(cfg.degrees),
+                                      ref.degree_count_matrix(cfg.degrees))
+        np.testing.assert_array_equal(chunk.cond_exp(cfg.degrees),
+                                      ref.cond_exp(cfg.degrees))
+        assert rng.random() == ref_rng.random()
+        if n == 7:
+            assert np.any(np.bincount(chunk.gid, minlength=size) == 0)
 
 
 class TestCoupling:

@@ -270,8 +270,10 @@ class TestGaussianCoupler:
         assert 0 < sum(seen) < 0.02 * n * n * rows, sum(seen)
 
     def test_cond_exp_memory_is_linear_in_n(self):
-        """One indicator row at n = 2000 holds at most about _PAIR_BLOCK
-        pairs at a time, not n^2."""
+        """One indicator row at n = 2000 is sorted in blocks of at most
+        _SORT_BLOCK values and its tail windows are evaluated in blocks of
+        at most _WINDOW_BLOCK points, so the kernel holds O(n) values, not
+        n^2 pairs."""
         cfg = nl.GaussianSumConfig(2000, nl.parse_psi("indicator"), rho=0.1)
         coupler = nl.GaussianSumCoupler(cfg)
         u = coupler.draw_u(StreamConfig(23).stream(0), 1)
@@ -298,6 +300,24 @@ class TestGaussianCoupler:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, peak
+
+    def test_draw_sub_batches_cap_values(self, monkeypatch):
+        """A statistics pass at n = 3000 with 8192-row chunks draws U in
+        sub-batches of at most SUB_BATCH_VALUES values; the benchmark's
+        and the reference runs' chunks (n = 64 and n = 200) stay whole."""
+        n = 3000
+        coupler = nl.GaussianSumCoupler(
+            nl.GaussianSumConfig(n, nl.parse_psi("square"), rho=0.00067))
+        rows = []
+        draw_u = coupler.draw_u
+        monkeypatch.setattr(coupler, "draw_u", lambda rng, size:
+                            rows.append(size) or draw_u(rng, size))
+        coupler.coupling_stats(2000, seed=1, chunk_size=8192)
+        assert sum(rows) == 2000 and len(rows) > 1
+        assert max(rows) * n <= nl.SUB_BATCH_VALUES
+        for size, width in ((4096, 64), (8192, 200)):
+            assert nl.sub_batch_sizes(size, width,
+                                      nl.SUB_BATCH_VALUES) == [size]
 
     def test_mean_identity(self):
         """E W* = E W^2 / lambda for the coupled pair."""

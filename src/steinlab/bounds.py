@@ -11,7 +11,7 @@ first-order delta method and reported, but never added to the bound itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -172,6 +172,23 @@ def bound_univariate_size_bias(stats: CouplingStats,
         "sigma_field": stats.sigma_field,
     }
     return _finish("univariate-size-bias", terms, inputs)
+
+
+def floor_mean_sq_diff(stats: CouplingStats) -> CouplingStats:
+    """``stats`` with its p = 1 ``E (W* - W)^2`` raised to the exact floor
+    ``(E[W* - W])^2 = (sigma^2 / lam)^2``, with standard error 0 where the
+    floor binds; ``stats`` itself when it does not.
+
+    Any size-bias coupling has ``E W* = E W^2 / lam``, so the floor holds
+    whenever ``lam`` and ``sigma`` are W's exact mean and variance. A
+    heavy right tail of ``(W* - W)^2`` can leave a finite-sample estimate
+    below it, and a bound built on that estimate falls short.
+    """
+    floor = (float(stats.sigma[0, 0]) / float(stats.lam[0])) ** 2
+    if not stats.abs_cross[0, 0, 0] < floor:
+        return stats
+    return replace(stats, abs_cross=np.full((1, 1, 1), floor),
+                   abs_cross_sem=np.zeros((1, 1, 1)))
 
 
 def bound_multivariate_size_bias(stats: CouplingStats,

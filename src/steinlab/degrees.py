@@ -38,7 +38,8 @@ import numpy as np
 from .bounds import CouplingStats, bound_multivariate_size_bias
 from .errors import NotPositiveDefinite, TooLarge
 from .linalg import DEFAULT_PD_TOL, inverse_sqrt, max_abs_norm
-from .sizebias import CoupledPairSampler, log_binomial, sub_batch_sizes
+from .sizebias import (CoupledPairSampler, log_binomial, rank_in_group,
+                        sub_batch_sizes)
 
 BRUTE_FORCE_MAX_N = 5
 # Vertex plus expected edge slots, n (1 + c/2) per graph, that one sub-batch
@@ -253,11 +254,6 @@ def _bernoulli_positions(rng: np.random.Generator, total: int,
     return pos[:np.searchsorted(pos[:filled], total)]
 
 
-def _rank_in_group(g: np.ndarray) -> np.ndarray:
-    """Position of each entry within its run of equal values in sorted ``g``."""
-    return np.arange(g.size) - np.searchsorted(g, g)
-
-
 def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
     """Uniform ``need[b]``-subsets of the non-neighbours of ``vertex[b]``.
 
@@ -295,7 +291,7 @@ def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
         _, first = np.unique(key, return_index=True)
         key = key[np.sort(first)]
         g = key // n
-        key = key[_rank_in_group(g) < left[g]]
+        key = key[rank_in_group(g) < left[g]]
         left -= np.bincount(key // n, minlength=size)
         taken = np.concatenate([taken, key])
     return taken
@@ -459,7 +455,7 @@ class _GraphChunk:
         g_del, x_del = g_inc[over], nb[over]
         order = np.lexsort((rng.random(g_del.size), g_del))
         g_del, x_del = g_del[order], x_del[order]
-        keep = _rank_in_group(g_del) < delta[g_del]
+        keep = rank_in_group(g_del) < delta[g_del]
         g_add, x_add = np.divmod(
             _non_neighbours(rng, n, d_i, vertex, -delta, g_inc * n + nb), n)
 

@@ -7,24 +7,30 @@ psi-tilted marginal, and move the remaining arguments to their conditional
 law given the new value. For jointly Gaussian arguments with unit variances
 and one pair covariance rho, valid for ``-1/(n-1) < rho < 1``, the
 conditional move is the linear update ``Y_j = U_j + rho (y - U_I)``; for
-equiprobable multinomial cell counts it is a uniform per-ball transfer
-between cells. Both feed the univariate size-bias bound.
+equiprobable multinomial cell counts it moves single balls: cell counts are
+drawn by throwing each ball into a uniform cell, and the coupling pulls
+distinct uniform balls from the other cells into the picked one, or spills
+its extra balls each into a uniform other cell, so its work grows with the
+balls moved rather than with n. Both feed the univariate size-bias bound.
 The tilted Gaussian laws of the named psi and both couplers' conditional
 means ``E[W* - W | U]`` are exact, so only the draws of U are Monte Carlo.
+Both models draw in sub-batches of at most :data:`SUB_BATCH_VALUES` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lgamma, log
 
 import numpy as np
 
-from .bounds import CouplingStats, bound_univariate_size_bias
+from .bounds import (CouplingStats, bound_univariate_size_bias,
+                     floor_mean_sq_diff)
 from .errors import (InfeasibleAdjustment, InvariantViolation,
                      NonfiniteMoment, NotPositiveDefinite, ZeroMass)
 from .sizebias import (CoupledPairSampler, DiscreteDistribution,
-                        sub_batch_sizes)
+                        rank_in_group, sub_batch_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +167,8 @@ _TAIL_CUT = 8.5
 _SORT_BLOCK = 1 << 14
 _WINDOW_BLOCK = 1 << 15
 
-# Argument values (rows x n) in one Gaussian sub-batch: 16 MB of U, with
-# psi(U) and the coupled rows about as much again each.
+# Argument values (rows x n) in one sub-batch: 16 MB of U or 8 MB of int32
+# cell counts, with psi(U) and the coupled rows about as much again each.
 SUB_BATCH_VALUES = 1 << 21
 
 
@@ -261,9 +267,13 @@ class _SumCoupler(CoupledPairSampler):
         return self.psi(u).sum(axis=1)[:, None]
 
     def bound(self, norms, samples: int, seed: int, chunk_size: int):
+        """The univariate bound, on the estimate of ``E (W* - W)^2`` raised
+        to its exact floor (lam and sigma^2 are exact here); the returned
+        stats keep the raw estimate."""
         stats = estimate_nonlinear_stats(self, samples, seed=seed,
                                          chunk_size=chunk_size)
-        return bound_univariate_size_bias(stats, norms.h, norms.d1), stats
+        return bound_univariate_size_bias(floor_mean_sq_diff(stats), norms.h,
+                                          norms.d1), stats
 
     def extras(self, stats) -> dict:
         return {"var_cond": float(stats.var_cond[0, 0]),
@@ -555,66 +565,127 @@ def multinomial_moments(cfg: MultinomialSumConfig):
     return lam, var
 
 
+# Balls thrown at a time by MultinomialSumCoupler.draw_counts: 512 KB of
+# int64 cell labels.
+_BALL_BLOCK = 1 << 16
+
+# Transfer tables a multinomial coupler keeps, one per set of counts present.
+_TABLES_KEPT = 32
+
+
+def _distinct_labels(rng: np.random.Generator, high: np.ndarray,
+                     want: np.ndarray, stride: int) -> np.ndarray:
+    """Uniform ``want[r]``-subsets of ``[0, high[r])``, for each r, as keys
+    ``r * stride + label`` (``high <= stride``), row by row.
+
+    Each round draws twice the labels a row still lacks, rejects those taken
+    in earlier rounds and keeps the first occurrences, in draw order, up to
+    what the row lacks. While ``2 want <= high`` each draw is accepted with
+    probability above 1/2, so the work is O(want).
+    """
+    rows = np.arange(high.size)
+    left = want.copy()
+    taken = np.empty(0, dtype=np.int64)
+    while left.any():
+        g = np.repeat(rows, 2 * left)
+        key = g * stride + rng.integers(high[g])
+        key = key[~np.isin(key, taken)]
+        _, first = np.unique(key, return_index=True)
+        key = key[np.sort(first)]
+        g = key // stride
+        key = key[rank_in_group(g) < left[g]]
+        left -= np.bincount(key // stride, minlength=rows.size)
+        taken = np.concatenate([taken, key])
+    return taken
+
+
 def _move_balls(counts: np.ndarray, idx: np.ndarray, new_count: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
-    """Reset cell ``idx`` to ``new_count`` by uniform per-ball transfers.
+    """Reset cell ``idx`` to ``new_count`` by moving single balls.
 
-    Additions pull the missing balls uniformly (without replacement) from
-    the balls sitting in the other cells; removals land each excess ball in
-    a uniformly chosen other cell. Either way the other cells stay jointly
-    multinomial given the new count, so the move realizes the conditional
-    law exactly. Total ball count is conserved.
+    With a the picked cell's count and R the balls in the other cells, a
+    row short of ``m = y - a`` balls pulls m distinct balls uniformly from
+    its R: :func:`_distinct_labels` picks ball labels in ``[0, R)`` and one
+    ``searchsorted`` over the pulling rows' cumulative counts maps each to
+    its cell. Where ``2 m > R`` it picks the ``R - m`` balls that stay
+    instead, so the rejection loop stays O(m). A row over by ``a - y``
+    balls lands each in a uniform other cell. Either way the other cells
+    stay jointly multinomial given the new count, so the move realizes the
+    conditional law exactly; the total ball count is conserved. Counts
+    change one ball at a time through ``np.subtract.at`` / ``np.add.at``,
+    so beyond the copy of ``counts`` the work and memory are O(rows that
+    pull x n + balls moved).
     """
     counts = np.asarray(counts)
-    size, n = counts.shape
-    rows = np.arange(size)
-    total = int(counts[0].sum()) if size else 0
     if np.any(new_count > counts.sum(axis=1)):
         raise InfeasibleAdjustment("new cell count exceeds the ball budget")
+    size, n = counts.shape
+    rows = np.arange(size)
     out = counts.copy()
-    cur = out[rows, idx].copy()
-    out[rows, idx] = 0
-    # balls to pull into the chosen cell
-    need = np.maximum(new_count - cur, 0).astype(np.int64)
-    pop_left = out.sum(axis=1).astype(np.int64)
-    for c in range(n):
-        good = out[:, c].astype(np.int64)
-        bad = pop_left - good
-        ok = (good + bad) > 0
-        take = rng.hypergeometric(np.where(ok, good, 1),
-                                  np.where(ok, bad, 0),
-                                  np.where(ok, np.minimum(need, good + bad), 0))
-        take = np.where(ok, take, 0)
-        out[:, c] -= take
-        need -= take
-        pop_left -= good
-    # excess balls to scatter over the other cells
-    spill = np.maximum(cur - new_count, 0).astype(np.int64)
-    for c in range(n):
-        remaining_cells = (n - c) - (idx >= c).astype(np.int64)
-        is_target = idx == c
-        prob = np.where(is_target | (remaining_cells == 0), 0.0,
-                        1.0 / np.maximum(remaining_cells, 1))
-        take = rng.binomial(spill, prob)
-        out[:, c] += take
-        spill -= take
+    change = new_count - out[rows, idx]
+    pull = np.flatnonzero(change > 0)
+    if pull.size:
+        cum = out[pull].astype(np.int64)
+        cum[np.arange(pull.size), idx[pull]] = 0
+        np.cumsum(cum, axis=1, out=cum)
+        have = cum[:, -1].copy()
+        need = change[pull]
+        stay = 2 * need > have
+        stride = int(have.max())
+        key = _distinct_labels(rng, have, np.where(stay, have - need, need),
+                               stride)
+        # row p's cumulative counts lie in [p * stride, p * stride + R_p],
+        # so the flat search finds label l of row p inside row p
+        cum += np.arange(0, pull.size * stride, stride)[:, None]
+        row = key // stride
+        cell = np.searchsorted(cum.ravel(), key, side="right") - row * n
+        kept = stay[row]
+        out[pull[stay]] = 0
+        np.add.at(out, (pull[row[kept]], cell[kept]), 1)
+        np.subtract.at(out, (pull[row[~kept]], cell[~kept]), 1)
+    spill = np.flatnonzero(change < 0)
+    if spill.size:
+        row = np.repeat(spill, -change[spill])
+        cell = rng.integers(n - 1, size=row.size)
+        cell += cell >= idx[row]
+        np.add.at(out, (row, cell), 1)
     out[rows, idx] = new_count
     return out
 
 
 class MultinomialSumCoupler(_SumCoupler):
     """``W = sum psi(U_i)`` over multinomial cell counts; the size-bias
-    coupling resets one cell by uniform per-ball transfers."""
+    coupling resets one cell by moving single balls."""
 
     def __init__(self, cfg: MultinomialSumConfig):
         super().__init__(cfg, *multinomial_moments(cfg))
         self.tilted = TiltedSampler(cfg.psi, cfg.cell_marginal())
         self.config = {"model": "multinomial", "n": cfg.n, "k": cfg.k,
                        "psi": cfg.psi.name, "psi_scale": cfg.psi.scale}
+        self._tables = lru_cache(maxsize=_TABLES_KEPT)(_transfer_table)
 
     def draw_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.multinomial(self.cfg.balls,
-                               [1.0 / self.cfg.n] * self.cfg.n, size=size)
+        """``size`` rows of int32 cell counts: each of a row's K balls lands
+        in a uniform cell, and one ``bincount`` of ``row * n + cell`` counts
+        a block of whole rows of at most :data:`_BALL_BLOCK` balls (one row
+        when K is larger)."""
+        n, balls = self.cfg.n, self.cfg.balls
+        out = np.empty((size, n), dtype=np.int32)
+        per = max(1, _BALL_BLOCK // balls)
+        for lo in range(0, size, per):
+            part = min(per, size - lo)
+            cells = rng.integers(n, size=(part, balls))
+            cells += np.arange(0, part * n, n)[:, None]
+            out[lo:lo + part] = np.bincount(
+                cells.ravel(), minlength=part * n).reshape(part, n)
+        return out
+
+    def draw(self, rng: np.random.Generator, size: int):
+        """The chunk's cell counts in sub-batches of at most
+        :data:`SUB_BATCH_VALUES` counts, so that the counts, their psi and
+        the moved rows a state keeps alive stay capped at any n."""
+        for part in sub_batch_sizes(size, self.cfg.n, SUB_BATCH_VALUES):
+            yield self.draw_counts(rng, part)
 
     def couple_counts(self, counts: np.ndarray, rng: np.random.Generator):
         size = counts.shape[0]
@@ -622,8 +693,13 @@ class MultinomialSumCoupler(_SumCoupler):
         new_count = self.tilted.sample(rng, size).astype(np.int64)
         return _move_balls(counts, idx, new_count, rng)
 
-    def draw(self, rng: np.random.Generator, size: int):
-        yield self.draw_counts(rng, size)
+    def w(self, counts: np.ndarray) -> np.ndarray:
+        """W per row, each ``psi(count)`` read from a table of
+        ``psi(0..max count)``: the same values as ``psi(counts)``, and the
+        table is built from ``self.psi`` on each call."""
+        top = int(counts.max(initial=0))
+        table = np.asarray(self.psi(np.arange(top + 1)), dtype=float)
+        return table[counts].sum(axis=1)[:, None]
 
     def couple(self, counts: np.ndarray, i: int, rng: np.random.Generator):
         _only_coordinate_zero(i)
@@ -637,8 +713,10 @@ class MultinomialSumCoupler(_SumCoupler):
 
     def cond_exp_given_counts(self, counts: np.ndarray) -> np.ndarray:
         """Exact ``E[W* - W | U]`` per row of cell counts: with ``N`` a row's
-        histogram of counts, ``G`` the :meth:`_transfer_table` and ``q`` the
+        histogram of counts, ``G`` the :func:`_transfer_table` and ``q`` the
         tilted law, ``n E[W* | U] = N^T G N - diag(G) . N + n E_q psi(Y)``.
+        Tables are kept per set of counts present (and psi), so a chunk
+        whose rows hold the same counts as an earlier one reuses its table.
         """
         counts = np.asarray(counts)
         size = counts.shape[0]
@@ -647,54 +725,60 @@ class MultinomialSumCoupler(_SumCoupler):
                            minlength=size * top).reshape(size, top)
         present = np.flatnonzero(hist.any(axis=0))
         hist = hist[:, present].astype(float)
-        table = self._transfer_table(present)
+        table = self._tables(self.cfg, self.psi, self.tilted,
+                             tuple(present.tolist()))
         pairs = ((hist @ table) * hist).sum(axis=1) - hist @ np.diag(table)
         tilt = self.tilted.discrete
         e_psi_y = float(np.dot(tilt.probs, _psi_on_support(self.psi, tilt)))
-        return pairs / self.cfg.n + e_psi_y - self.psi(counts).sum(axis=1)
+        return pairs / self.cfg.n + e_psi_y - self.w(counts)[:, 0]
 
-    def _transfer_table(self, present: np.ndarray) -> np.ndarray:
-        """``G[a, v]``, for counts ``a, v`` in ``present``: the mean new psi
-        of a cell holding v when the picked cell, holding a, is reset to y.
 
-        For ``y < a`` the cell gains ``Bin(a - y, 1 / (n - 1))`` balls; for
-        ``y >= a`` it keeps ``J ~ Hypergeom(v, R - v, K - y)`` of them, with
-        ``R = K - a`` and K balls in all. Then ``sum_y q_y P(J = j) =
-        C(v, j) H(R - v, j)``, where ``H(u, j) = sum_m q_{K-m} C(u, m - j) /
-        C(R, m)`` follows Pascal's rule ``H(u + 1, j) = H(u, j) + H(u, j+1)``.
-        """
-        n, balls = self.cfg.n, self.cfg.balls
-        q = self.tilted.discrete.probs
-        top = int(present[-1]) + 1
-        k = np.arange(top)
-        psi_at = np.asarray(self.psi(np.arange(2 * top - 1)), dtype=float)
-        # binomial coefficients in log space: C(s, g) overflows a float
-        # once s >= 1030
-        log_fact = np.array([lgamma(x + 1.0) for x in range(balls + 1)])
-        drop = k[:, None] - k                                # s - g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_binom = np.where(drop >= 0, log_fact[:top, None]
-                                 - log_fact[:top] - log_fact[np.abs(drop)],
-                                 -np.inf)                    # log C(s, g)
-            # gains, by spill s: P(G = g) = C(s, g) p^g (1 - p)^(s - g)
-            p = 1.0 / (n - 1)
-            spill = np.exp(log_binom + k * log(p)
-                           + np.where(drop > 0, drop * np.log1p(-p), 0.0))
-        gain = psi_at[present[:, None] + k] @ spill.T        # [v, s]
-        y_of = present[:, None] - k                          # y = a - s
-        picked = np.where((k >= 1) & (y_of >= 0),
-                          q[np.maximum(y_of, 0)], 0.0)
-        table = picked @ gain.T                              # [a, v]
-        column = {v: c for c, v in enumerate(present.tolist())}
-        for row, a in enumerate(present.tolist()):
-            rest = balls - a
-            # q_{K-m} / C(R, m) for m = 0..R
-            h = q[a:][::-1] * np.exp(log_fact[:rest + 1] + log_fact[rest::-1]
-                                     - log_fact[rest])
-            for v in range(rest, int(present[0]) - 1, -1):   # u = rest - v
-                if v in column:
-                    with np.errstate(divide="ignore"):
-                        kept = np.exp(log_binom[v, :v + 1] + np.log(h))
-                    table[row, column[v]] += psi_at[:v + 1] @ kept
-                h = h[:-1] + h[1:]
-        return table
+def _transfer_table(cfg: MultinomialSumConfig, psi, tilted: TiltedSampler,
+                    present: tuple) -> np.ndarray:
+    """``G[a, v]``, for counts ``a, v`` in ``present``: the mean new psi
+    of a cell holding v when the picked cell, holding a, is reset to y.
+    Read-only, as the coupler keeps and shares it.
+
+    For ``y < a`` the cell gains ``Bin(a - y, 1 / (n - 1))`` balls; for
+    ``y >= a`` it keeps ``J ~ Hypergeom(v, R - v, K - y)`` of them, with
+    ``R = K - a`` and K balls in all. Then ``sum_y q_y P(J = j) =
+    C(v, j) H(R - v, j)``, where ``H(u, j) = sum_m q_{K-m} C(u, m - j) /
+    C(R, m)`` follows Pascal's rule ``H(u + 1, j) = H(u, j) + H(u, j+1)``.
+    """
+    n, balls = cfg.n, cfg.balls
+    q = tilted.discrete.probs
+    present = np.array(present)
+    top = int(present[-1]) + 1
+    k = np.arange(top)
+    psi_at = np.asarray(psi(np.arange(2 * top - 1)), dtype=float)
+    # binomial coefficients in log space: C(s, g) overflows a float
+    # once s >= 1030
+    log_fact = np.array([lgamma(x + 1.0) for x in range(balls + 1)])
+    drop = k[:, None] - k                                # s - g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_binom = np.where(drop >= 0, log_fact[:top, None]
+                             - log_fact[:top] - log_fact[np.abs(drop)],
+                             -np.inf)                    # log C(s, g)
+        # gains, by spill s: P(G = g) = C(s, g) p^g (1 - p)^(s - g)
+        p = 1.0 / (n - 1)
+        spill = np.exp(log_binom + k * log(p)
+                       + np.where(drop > 0, drop * np.log1p(-p), 0.0))
+    gain = psi_at[present[:, None] + k] @ spill.T        # [v, s]
+    y_of = present[:, None] - k                          # y = a - s
+    picked = np.where((k >= 1) & (y_of >= 0),
+                      q[np.maximum(y_of, 0)], 0.0)
+    table = picked @ gain.T                              # [a, v]
+    column = {v: c for c, v in enumerate(present.tolist())}
+    for row, a in enumerate(present.tolist()):
+        rest = balls - a
+        # q_{K-m} / C(R, m) for m = 0..R
+        h = q[a:][::-1] * np.exp(log_fact[:rest + 1] + log_fact[rest::-1]
+                                 - log_fact[rest])
+        for v in range(rest, int(present[0]) - 1, -1):   # u = rest - v
+            if v in column:
+                with np.errstate(divide="ignore"):
+                    kept = np.exp(log_binom[v, :v + 1] + np.log(h))
+                table[row, column[v]] += psi_at[:v + 1] @ kept
+            h = h[:-1] + h[1:]
+    table.flags.writeable = False
+    return table

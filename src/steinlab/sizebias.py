@@ -62,6 +62,11 @@ def sub_batch_sizes(size: int, cost: float, budget: float) -> list[int]:
     return [per] * full + ([rest] if rest else [])
 
 
+def rank_in_group(g: np.ndarray) -> np.ndarray:
+    """Position of each entry within its run of equal values in sorted ``g``."""
+    return np.arange(g.size) - np.searchsorted(g, g)
+
+
 # ---------------------------------------------------------------------------
 # Discrete distributions
 # ---------------------------------------------------------------------------

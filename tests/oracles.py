@@ -330,6 +330,41 @@ def multinomial_w_law(n_cells, balls, psi):
     return law
 
 
+def moved_row_law(counts, idx, y):
+    """Exact law of a count row after cell ``idx`` is reset to ``y``, as
+    ``{row: prob}``: pulling ``y - counts[idx]`` balls uniformly without
+    replacement from the other cells (multivariate hypergeometric), or
+    landing each of ``counts[idx] - y`` spilled balls in a uniform other
+    cell (multinomial)."""
+    counts = [int(c) for c in counts]
+    others = [j for j in range(len(counts)) if j != idx]
+    change = y - counts[idx]
+    law = {}
+    for moved in itertools.product(range(abs(change) + 1),
+                                   repeat=len(others)):
+        if sum(moved) != abs(change):
+            continue
+        row = list(counts)
+        row[idx] = y
+        if change > 0:
+            if any(m > counts[j] for m, j in zip(moved, others)):
+                continue
+            weight = 1
+            for m, j in zip(moved, others):
+                weight *= comb(counts[j], m)
+                row[j] -= m
+            prob = weight / comb(sum(counts) - counts[idx], change)
+        else:
+            weight, left = 1, abs(change)
+            for m, j in zip(moved, others):
+                weight *= comb(left, m)
+                left -= m
+                row[j] += m
+            prob = weight / len(others) ** abs(change)
+        law[tuple(row)] = law.get(tuple(row), 0.0) + prob
+    return law
+
+
 def multinomial_cond_exp(counts, psi):
     """``E[W* - W | U = counts]`` for the multinomial size-bias coupling,
     summed term by term over the picked cell I, its new count y and every

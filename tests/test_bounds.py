@@ -9,7 +9,7 @@ from steinlab.bounds import (CouplingStats, LocalDepStats,
                              bound_multivariate_local,
                              bound_multivariate_size_bias,
                              bound_univariate_local,
-                             bound_univariate_size_bias)
+                             bound_univariate_size_bias, floor_mean_sq_diff)
 from steinlab.errors import NonfiniteNorm, NotPositiveDefinite
 from steinlab.linalg import inverse_sqrt, max_abs_norm
 
@@ -55,6 +55,28 @@ class TestUnivariateSizeBias:
         by_hand = (2 * h_norm * lam / sigma_sq * var_cond**0.5
                    + dh_norm * lam / sigma**3 * msd)
         np.testing.assert_allclose(rep.total, by_hand, rtol=1e-12)
+
+
+class TestMeanSqDiffFloor:
+    def test_below_floor_estimate_raised(self):
+        """At lam = 1 and sigma^2 = 2, E (W* - W)^2 >= (sigma^2 / lam)^2 = 4:
+        an estimate of 0.1 is raised to 4 with stderr 0, and the raw stats
+        are left alone."""
+        stats = CouplingStats(lam=np.array([1.0]), sigma=np.array([[2.0]]),
+                              var_cond=np.array([[0.04]]),
+                              abs_cross=np.array([[[0.1]]]),
+                              abs_cross_sem=np.array([[[0.05]]]))
+        floored = floor_mean_sq_diff(stats)
+        assert floored.abs_cross[0, 0, 0] == 4.0
+        assert floored.abs_cross_sem[0, 0, 0] == 0.0
+        assert stats.abs_cross[0, 0, 0] == 0.1
+        term = bound_univariate_size_bias(floored, 1.0, 1.0).terms[1]
+        np.testing.assert_allclose(term.value, 4.0 / 2.0**1.5, rtol=1e-15)
+        assert term.stderr == 0.0
+
+    def test_estimate_above_floor_kept(self):
+        stats = _uni_stats(msd=1.5)
+        assert floor_mean_sq_diff(stats) is stats
 
 
 def _mv_stats(p=2, seed=0):

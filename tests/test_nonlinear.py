@@ -348,6 +348,19 @@ class TestGaussianMoments:
         assert cfg.max_row_sum == pytest.approx(1.3)
 
 
+def assert_rows_follow(rows, law):
+    """Every row is in the support of ``law`` ({row tuple: prob}), and each
+    row's frequency is within 4 binomial standard errors of its
+    probability."""
+    m = len(rows)
+    values, freq = np.unique(rows, axis=0, return_counts=True)
+    seen = dict(zip(map(tuple, values.tolist()), freq / m))
+    assert set(seen) <= set(law)
+    for row, prob in law.items():
+        sd = np.sqrt(prob * (1 - prob) / m)
+        assert abs(seen.get(row, 0.0) - prob) <= 4 * sd + 1e-12, row
+
+
 class TestMultinomialCoupler:
     def test_ball_conservation(self):
         cfg = nl.MultinomialSumConfig(5, 3, nl.parse_psi("square",
@@ -444,6 +457,44 @@ class TestMultinomialCoupler:
         var = fsum(w * w * p for w, p in law.items()) - lam**2
         mean_cond = fsum(probs * coupler.cond_exp_given_counts(counts))
         np.testing.assert_allclose(mean_cond, var / lam, rtol=1e-12)
+
+    def test_draw_counts_match_occupancy_law(self):
+        """Frequencies of every occupancy vector of 6 balls in 3 cells."""
+        coupler = nl.MultinomialSumCoupler(
+            nl.MultinomialSumConfig(3, 2, nl.parse_psi("square")))
+        counts = coupler.draw_counts(StreamConfig(22).stream(0), 200_000)
+        assert_rows_follow(counts, dict(oracles.occupancy_law(3, 6)))
+
+    @pytest.mark.parametrize("counts,idx,y", [
+        ([1, 3, 2, 0], 0, 3),    # pull 2 of 5: picks the balls that move
+        ([1, 3, 2, 0], 0, 5),    # pull 4 of 5: picks the ball that stays
+        ([0, 2, 1, 3], 0, 6),    # pull every ball
+        ([4, 1, 0, 1], 0, 1),    # spill 3
+        ([1, 2, 3, 0], 2, 3),    # no-op
+    ], ids=["pull-few", "pull-most", "pull-all", "spill", "no-op"])
+    def test_move_balls_matches_exact_law(self, counts, idx, y):
+        """Rows after resetting one cell follow the multivariate
+        hypergeometric (pull) or multinomial (spill) law exactly."""
+        m = 60_000
+        moved = nl._move_balls(np.tile(counts, (m, 1)), np.full(m, idx),
+                               np.full(m, y), StreamConfig(23).stream(0))
+        assert_rows_follow(moved, oracles.moved_row_law(counts, idx, y))
+
+    @pytest.mark.parametrize("name", ["square", "exp"])
+    def test_coupling_mean_matches_cond_exp_oracle(self, name):
+        """For fixed rows, the mean of W* - W over many couplings matches
+        the exact ``E[W* - W | U]`` within 4 standard errors."""
+        psi = nl.parse_psi(name, normalize=False)
+        coupler = nl.MultinomialSumCoupler(nl.MultinomialSumConfig(4, 2,
+                                                                   psi))
+        rng = StreamConfig(24).stream(0)
+        m = 100_000
+        for row in ([2, 2, 2, 2], [5, 0, 3, 0], [0, 0, 0, 8]):
+            counts = np.tile(row, (m, 1))
+            d_w = (coupler.w(coupler.couple_counts(counts, rng))
+                   - coupler.w(counts))[:, 0]
+            want = oracles.multinomial_cond_exp(row, psi)
+            assert abs(d_w.mean() - want) <= 4 * d_w.std() / np.sqrt(m), row
 
     def test_infeasible_adjustment_raises(self):
         counts = np.array([[2, 1, 1]])

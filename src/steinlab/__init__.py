@@ -19,17 +19,16 @@ from .report import ExperimentReport
 from .sizebias import (CoupledPairSampler, DiscreteDistribution,
                        verify_characterization)
 from .stein import SteinSolution
-from .testfuncs import (GaussianExpectation, SmoothTestFunction,
-                        parse_test_function, phi_h, smoothed_mean)
+from .testfuncs import SmoothTestFunction, parse_test_function, phi_h
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Accumulator", "BoundReport", "CoupledPairSampler", "CouplingStats",
-    "DiscreteDistribution", "ExperimentReport", "GaussianExpectation",
-    "LocalDepStats", "SmoothTestFunction", "SteinSolution", "StreamConfig",
+    "DiscreteDistribution", "ExperimentReport", "LocalDepStats",
+    "SmoothTestFunction", "SteinSolution", "StreamConfig",
     "bound_multivariate_local", "bound_multivariate_size_bias",
     "bound_univariate_local", "bound_univariate_size_bias", "estimate_gap",
     "inverse_sqrt", "max_abs_norm", "parallel_mc", "parse_test_function",
-    "phi_h", "smoothed_mean", "verify_characterization", "whiten",
+    "phi_h", "verify_characterization", "whiten",
 ]

@@ -38,8 +38,8 @@ import numpy as np
 from .bounds import CouplingStats, bound_multivariate_size_bias
 from .errors import NotPositiveDefinite, TooLarge
 from .linalg import DEFAULT_PD_TOL, inverse_sqrt, max_abs_norm
-from .sizebias import (CoupledPairSampler, log_binomial, rank_in_group,
-                        sub_batch_sizes)
+from .sizebias import (CoupledPairSampler, distinct_labels, log_binomial,
+                        rank_in_group, sub_batch_sizes)
 
 BRUTE_FORCE_MAX_N = 5
 # Vertex plus expected edge slots, n (1 + c/2) per graph, that one sub-batch
@@ -268,11 +268,11 @@ def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
     to d_i = n - 1, enumerate the candidates instead at O(n) = O(d_i) cost.
     """
     size = vertex.size
+    row, x = np.divmod(nb_keys, n)
     if 2 * d_i > n - 1:
         rows = np.flatnonzero(need > 0)
         local = np.full(size, -1)
         local[rows] = np.arange(rows.size)
-        row, x = np.divmod(nb_keys, n)
         row = local[row]
         cand = np.ones((rows.size, n), dtype=bool)
         cand[row[row >= 0], x[row >= 0]] = False
@@ -280,21 +280,11 @@ def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
         order = np.argsort(np.where(cand, rng.random(cand.shape), 2.0), axis=1)
         pick = np.arange(n) < need[rows, None]
         return rows[np.nonzero(pick)[0]] * n + order[pick]
-    left = np.maximum(need, 0)
-    taken = np.empty(0, dtype=np.int64)
-    while left.any():
-        # accepted draws keep first occurrences, in draw order, per graph
-        g = np.repeat(np.arange(size), 2 * left)
-        x = rng.integers(n - 1, size=g.size)
-        key = g * n + x + (x >= vertex[g])
-        key = key[~(np.isin(key, nb_keys) | np.isin(key, taken))]
-        _, first = np.unique(key, return_index=True)
-        key = key[np.sort(first)]
-        g = key // n
-        key = key[rank_in_group(g) < left[g]]
-        left -= np.bincount(key // n, minlength=size)
-        taken = np.concatenate([taken, key])
-    return taken
+    # label l in [0, n - 1) of graph b stands for vertex l + (l >= vertex[b])
+    key = distinct_labels(rng, np.full(size, n - 1), np.maximum(need, 0), n,
+                          exclude=nb_keys - (x > vertex[row]))
+    row, label = np.divmod(key, n)
+    return key + (label >= vertex[row])
 
 
 class _GraphChunk:

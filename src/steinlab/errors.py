@@ -21,10 +21,6 @@ class QuadratureNotConverged(SteinLabError):
     """Adaptive quadrature refinement stalled above the requested tolerance."""
 
 
-class UnsupportedDimension(SteinLabError):
-    """Tensor-product quadrature requested in too high a dimension."""
-
-
 class InfeasibleAdjustment(SteinLabError):
     """A resampled cell count cannot be reconciled with the ball budget."""
 

@@ -30,7 +30,7 @@ from .bounds import (CouplingStats, bound_univariate_size_bias,
 from .errors import (InfeasibleAdjustment, InvariantViolation,
                      NonfiniteMoment, NotPositiveDefinite, ZeroMass)
 from .sizebias import (CoupledPairSampler, DiscreteDistribution,
-                        rank_in_group, sub_batch_sizes)
+                        distinct_labels, sub_batch_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -573,41 +573,15 @@ _BALL_BLOCK = 1 << 16
 _TABLES_KEPT = 32
 
 
-def _distinct_labels(rng: np.random.Generator, high: np.ndarray,
-                     want: np.ndarray, stride: int) -> np.ndarray:
-    """Uniform ``want[r]``-subsets of ``[0, high[r])``, for each r, as keys
-    ``r * stride + label`` (``high <= stride``), row by row.
-
-    Each round draws twice the labels a row still lacks, rejects those taken
-    in earlier rounds and keeps the first occurrences, in draw order, up to
-    what the row lacks. While ``2 want <= high`` each draw is accepted with
-    probability above 1/2, so the work is O(want).
-    """
-    rows = np.arange(high.size)
-    left = want.copy()
-    taken = np.empty(0, dtype=np.int64)
-    while left.any():
-        g = np.repeat(rows, 2 * left)
-        key = g * stride + rng.integers(high[g])
-        key = key[~np.isin(key, taken)]
-        _, first = np.unique(key, return_index=True)
-        key = key[np.sort(first)]
-        g = key // stride
-        key = key[rank_in_group(g) < left[g]]
-        left -= np.bincount(key // stride, minlength=rows.size)
-        taken = np.concatenate([taken, key])
-    return taken
-
-
 def _move_balls(counts: np.ndarray, idx: np.ndarray, new_count: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
     """Reset cell ``idx`` to ``new_count`` by moving single balls.
 
     With a the picked cell's count and R the balls in the other cells, a
     row short of ``m = y - a`` balls pulls m distinct balls uniformly from
-    its R: :func:`_distinct_labels` picks ball labels in ``[0, R)`` and one
-    ``searchsorted`` over the pulling rows' cumulative counts maps each to
-    its cell. Where ``2 m > R`` it picks the ``R - m`` balls that stay
+    its R: :func:`~steinlab.sizebias.distinct_labels` picks ball labels in
+    ``[0, R)`` and one ``searchsorted`` over the pulling rows' cumulative
+    counts maps each to its cell. Where ``2 m > R`` it picks the ``R - m`` balls that stay
     instead, so the rejection loop stays O(m). A row over by ``a - y``
     balls lands each in a uniform other cell. Either way the other cells
     stay jointly multinomial given the new count, so the move realizes the
@@ -632,8 +606,8 @@ def _move_balls(counts: np.ndarray, idx: np.ndarray, new_count: np.ndarray,
         need = change[pull]
         stay = 2 * need > have
         stride = int(have.max())
-        key = _distinct_labels(rng, have, np.where(stay, have - need, need),
-                               stride)
+        key = distinct_labels(rng, have, np.where(stay, have - need, need),
+                              stride)
         # row p's cumulative counts lie in [p * stride, p * stride + R_p],
         # so the flat search finds label l of row p inside row p
         cum += np.arange(0, pull.size * stride, stride)[:, None]

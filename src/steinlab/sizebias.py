@@ -67,6 +67,34 @@ def rank_in_group(g: np.ndarray) -> np.ndarray:
     return np.arange(g.size) - np.searchsorted(g, g)
 
 
+def distinct_labels(rng: np.random.Generator, high: np.ndarray,
+                    want: np.ndarray, stride: int, exclude=()) -> np.ndarray:
+    """Uniform ``want[r]``-subsets of ``[0, high[r])``, for each r, as keys
+    ``r * stride + label`` (``high <= stride``), row by row. No key in
+    ``exclude`` is picked.
+
+    Each round draws twice the labels a row still lacks, rejects excluded
+    keys and those taken in earlier rounds and keeps the first occurrences,
+    in draw order, up to what the row lacks. While a row's excluded and
+    wanted labels fill at most half of ``[0, high[r])``, each draw is
+    accepted with probability above 1/2, so the work is O(want).
+    """
+    rows = np.arange(high.size)
+    left = want.copy()
+    taken = np.empty(0, dtype=np.int64)
+    while left.any():
+        g = np.repeat(rows, 2 * left)
+        key = g * stride + rng.integers(high[g])
+        key = key[~(np.isin(key, exclude) | np.isin(key, taken))]
+        _, first = np.unique(key, return_index=True)
+        key = key[np.sort(first)]
+        g = key // stride
+        key = key[rank_in_group(g) < left[g]]
+        left -= np.bincount(key // stride, minlength=rows.size)
+        taken = np.concatenate([taken, key])
+    return taken
+
+
 # ---------------------------------------------------------------------------
 # Discrete distributions
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ function
 solves ``tr D^2 g(w) - w . grad g(w) = h(w) - phi`` and obeys the derivative
 bounds ``|d^k g| <= ||D^k h|| / k``. This module evaluates ``g`` as a
 one-dimensional integral over the smoothing time, whose integrand is the
-Gaussian smoothing ``E h(c + sigma Z)`` of ``testfuncs.smoothed_mean`` (a
-closed form for the built-in families), and verifies both facts pointwise
-with finite differences.
+test function's Gaussian smoothing ``h.smoothed_mean`` (a closed form or a
+product of one-dimensional sums, in any dimension), and verifies both facts
+pointwise with finite differences in :meth:`SteinSolution.run_checks`.
 
 The substitution ``s = e^{-u}`` turns the integral into
 ``-int_0^1 [E h(w s + sqrt(1-s^2) Z) - phi] ds / s``. We integrate in the
@@ -27,11 +27,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureNotConverged
-from .testfuncs import (GaussianExpectation, SmoothTestFunction, phi_h,
-                        smoothed_mean)
+from .testfuncs import GH_NODES, SmoothTestFunction, phi_h
 
 FD_STEP_LOW_ORDER = 1e-3   # finite-difference step for orders 1 and 2
 FD_STEP_THIRD = 5e-3       # order 3 trades truncation against quadrature noise
+G_TOL = 1e-8               # refinement tolerance on values of g
+LEGENDRE_START = 32        # Gauss-Legendre nodes of the first level
+LEGENDRE_MAX = 512         # nodes of the last level tried
 
 
 @lru_cache(maxsize=32)
@@ -42,44 +44,19 @@ def _legendre_rule(n: int):
     return ang, w * (np.pi / 4.0)
 
 
-def _as_evaluator(h, p):
-    if isinstance(h, SmoothTestFunction):
-        return h.evaluate, h.p
-    if p is None:
-        raise DimensionMismatch("p is required when h is a raw callable")
-    return h, p
-
-
 class SteinSolution:
     """Evaluator for the Stein-equation solution ``g`` attached to one ``h``.
 
-    Parameters
-    ----------
-    h : SmoothTestFunction or callable
-        Test function. A raw callable needs ``p`` and ``phi`` supplied.
-    phi : float, optional
-        ``E h(Z)``; computed by :func:`~steinlab.testfuncs.phi_h` when
-        omitted.
-    gh_nodes : int
-        Gauss-Hermite nodes per axis for the inner Gaussian expectation.
-        Only product-logistic and raw callables use it; cosine and
-        gauss-radial smooth in closed form.
-    tol : float
-        Quadrature refinement tolerance on values of ``g``.
+    ``gh_nodes`` is the Gauss-Hermite nodes per axis of the inner Gaussian
+    expectation; only product-logistic uses it, since cosine and
+    gauss-radial smooth in closed form. ``phi`` is ``E h(Z)`` at that rule.
     """
 
-    def __init__(self, h, phi: float | None = None, p: int | None = None,
-                 gh_nodes: int = 40, tol: float = 1e-8,
-                 start_nodes: int = 32, max_nodes: int = 512):
+    def __init__(self, h: SmoothTestFunction, gh_nodes: int = GH_NODES):
         self.h = h
-        self.h_eval, self.p = _as_evaluator(h, p)
+        self.p = h.p
         self.gh_nodes = gh_nodes
-        self.tol = tol
-        self.start_nodes = start_nodes
-        self.max_nodes = max_nodes
-        if phi is None:
-            phi = phi_h(h, GaussianExpectation(nodes=gh_nodes), p=self.p)
-        self.phi = float(phi)
+        self.phi = phi_h(h, gh_nodes)
         self.s_nodes: np.ndarray | None = None
         self.s_weights: np.ndarray | None = None
 
@@ -90,7 +67,7 @@ class SteinSolution:
         s_nodes = np.cos(ang)
         s_weights = wt * np.tan(ang)
         smooth = np.stack([
-            smoothed_mean(self.h, s * w, np.sqrt(1.0 - s**2), self.gh_nodes)
+            self.h.smoothed_mean(s * w, np.sqrt(1.0 - s**2), self.gh_nodes)
             for s in s_nodes])
         # canonical node-order contraction keeps the value reproducible
         total = s_weights @ (smooth - self.phi)
@@ -110,20 +87,20 @@ class SteinSolution:
             )
         m = w.shape[0]
         probe = w if m <= 96 else w[:: max(1, m // 64)]
-        n = self.start_nodes
+        n = LEGENDRE_START
         prev = None
         converged = None
-        while n <= self.max_nodes:
+        while n <= LEGENDRE_MAX:
             val, s_nodes, s_weights = self._g_level(probe, n)
-            if prev is not None and float(np.max(np.abs(val - prev))) < self.tol:
+            if prev is not None and float(np.max(np.abs(val - prev))) < G_TOL:
                 converged = n
                 break
             prev = val
             n *= 2
         if converged is None:
             raise QuadratureNotConverged(
-                f"g quadrature did not reach tol {self.tol} "
-                f"by {self.max_nodes} nodes"
+                f"g quadrature did not reach tol {G_TOL} "
+                f"by {LEGENDRE_MAX} nodes"
             )
         if probe is w:
             self.s_nodes, self.s_weights = s_nodes, s_weights
@@ -134,86 +111,71 @@ class SteinSolution:
 
     # Checks ---------------------------------------------------------------
 
-    def pde_residual(self, w, fd_step: float = FD_STEP_LOW_ORDER) -> np.ndarray:
-        """``|tr D^2 g(w) - w . grad g(w) - (h(w) - phi)|`` per row of ``w``.
+    def run_checks(self, grid, norms,
+                   fd_step: float = FD_STEP_LOW_ORDER) -> dict:
+        """The PDE residual and the derivative caps of orders 1 to 3 on
+        ``grid``, against the certified sup-norms ``norms``.
 
-        Derivatives of ``g`` are central finite differences with step
-        ``fd_step``.
+        Orders 1 and 2 and the residual take central differences with step
+        ``fd_step``, order 3 with :data:`FD_STEP_THIRD`. One ``g`` batch
+        covers every distinct offset point of every stencil;
+        :meth:`pde_residual` and :meth:`derivative_violation` read it.
         """
-        return self._checks(w, fd_step, {})[0]
+        grid = np.atleast_2d(np.asarray(grid, dtype=float))
+        m, p = grid.shape
+        steps = {1: fd_step, 2: fd_step, 3: FD_STEP_THIRD}
+        # the residual's shifts are the order-1 stencils' offsets
+        offsets: dict[tuple, int] = {(0.0,) * p: 0}
+        for k, step in steps.items():
+            for stencil in _stencils(k, step, p):
+                for off in stencil:
+                    offsets.setdefault(off, len(offsets))
+        offset_arr = np.array(list(offsets), dtype=float)
+        points = (grid[:, None, :] + offset_arr[None, :, :]).reshape(-1, p)
+        vals = self.g(points).reshape(m, len(offsets))
+        g_at = {off: vals[:, col] for off, col in offsets.items()}
+        out = {"max_pde_residual":
+               float(np.max(self.pde_residual(grid, g_at, fd_step)))}
+        for k, step in steps.items():
+            out[f"derivative_violation_{k}"] = self.derivative_violation(
+                g_at, k, norms.order(k), step)
+        return out
 
-    def derivative_violation(self, grid, k: int, norm_k: float | None = None,
-                             fd_step: float | None = None) -> float:
-        """Max over the grid of ``|fd d^k g| - norm_k / k``.
+    def pde_residual(self, grid: np.ndarray, g_at: dict,
+                     fd_step: float) -> np.ndarray:
+        """``|tr D^2 g(w) - w . grad g(w) - (h(w) - phi)|`` per row ``w`` of
+        ``grid``, where ``g_at[offset]`` holds ``g(grid + offset)`` for the
+        zero offset and the ``+-fd_step`` shifts along each axis."""
+        g0 = g_at[(0.0,) * self.p]
+        lap = np.zeros(grid.shape[0])
+        dot = np.zeros(grid.shape[0])
+        for i, shift in enumerate(_stencils(1, fd_step, self.p)):
+            up, dn = (g_at[off] for off in shift)
+            lap += (up - 2.0 * g0 + dn) / fd_step**2
+            dot += grid[:, i] * (up - dn) / (2.0 * fd_step)
+        return np.abs(lap - dot - (self.h.evaluate(grid) - self.phi))
+
+    def derivative_violation(self, g_at: dict, k: int, norm_k: float,
+                             fd_step: float) -> float:
+        """Max over the grid and the order-``k`` multi-indices of
+        ``|fd d^k g| - norm_k / k``, from the values ``g_at[offset] =
+        g(grid + offset)`` at the offsets of the order-``k`` stencils.
 
         A nonpositive result confirms the derivative bound numerically at
         every grid point and multi-index of order ``k``.
         """
-        if not 1 <= k <= 3:
-            raise ValueError("k must be 1, 2 or 3")
-        if fd_step is None:
-            fd_step = FD_STEP_THIRD if k == 3 else FD_STEP_LOW_ORDER
-        if norm_k is None:
-            raise ValueError("norm_k is required (certified ||D^k h||)")
-        return self._checks(grid, None, {k: fd_step})[1][k] - norm_k / k
+        sup = -np.inf
+        for stencil in _stencils(k, fd_step, self.p):
+            deriv = sum(coeff * g_at[off] for off, coeff in stencil.items())
+            sup = max(sup, float(np.max(np.abs(deriv))))
+        return sup - norm_k / k
 
-    def run_checks(self, grid, norms=None, fd_step: float = FD_STEP_LOW_ORDER,
-                   fd_step_third: float = FD_STEP_THIRD) -> dict:
-        """Residual and all derivative-cap checks from one shared g batch.
 
-        Equivalent to calling :meth:`pde_residual` and
-        :meth:`derivative_violation` for k = 1..3, but every distinct
-        offset point is evaluated exactly once.
-        """
-        if norms is None:
-            raise ValueError("norms are required (certified sup-norms)")
-        residual, sups = self._checks(
-            grid, fd_step, {1: fd_step, 2: fd_step, 3: fd_step_third})
-        out = {"max_pde_residual": float(np.max(residual))}
-        for k in (1, 2, 3):
-            out[f"derivative_violation_{k}"] = sups[k] - norms.order(k) / k
-        return out
-
-    def _checks(self, grid, residual_step, steps: dict):
-        """Offset table, one ``g`` batch, stencil contraction: the path
-        behind every check. Returns the residual per grid point (``None``
-        without ``residual_step``) and ``{k: max |fd d^k g|}`` over the grid
-        and all order-``k`` multi-indices, with step ``steps[k]``."""
-        grid = np.atleast_2d(np.asarray(grid, dtype=float))
-        m, p = grid.shape
-        # the keys of a first-order stencil are the +step and -step shifts
-        shifts = ([_fd_stencil((i,), residual_step, p) for i in range(p)]
-                  if residual_step is not None else [])
-        stencil_sets = {
-            k: [_fd_stencil(axes, step, p) for axes in
-                itertools.combinations_with_replacement(range(p), k)]
-            for k, step in steps.items()}
-        offsets: dict[tuple, int] = {(0.0,) * p: 0} if shifts else {}
-        for stencil in itertools.chain(shifts, *stencil_sets.values()):
-            for off in stencil:
-                offsets.setdefault(off, len(offsets))
-        offset_arr = np.array(list(offsets), dtype=float)
-        points = (grid[:, None, :] + offset_arr[None, :, :]).reshape(-1, p)
-        vals = self.g(points).reshape(m, len(offsets))
-        residual = None
-        if shifts:
-            g0 = vals[:, 0]
-            lap = np.zeros(m)
-            dot = np.zeros(m)
-            for i, shift in enumerate(shifts):
-                up, dn = (vals[:, offsets[off]] for off in shift)
-                lap += (up - 2.0 * g0 + dn) / residual_step**2
-                dot += grid[:, i] * (up - dn) / (2.0 * residual_step)
-            residual = np.abs(lap - dot - (self.h_eval(grid) - self.phi))
-        sups = {}
-        for k, stencils in stencil_sets.items():
-            sups[k] = -np.inf
-            for stencil in stencils:
-                deriv = np.zeros(m)
-                for off, coeff in stencil.items():
-                    deriv += coeff * vals[:, offsets[off]]
-                sups[k] = max(sups[k], float(np.max(np.abs(deriv))))
-        return residual, sups
+def _stencils(k: int, step: float, p: int) -> list:
+    """The central-difference stencils of every order-``k`` mixed partial
+    in ``R^p``, one per multi-index, in lexicographic order."""
+    return [_fd_stencil(axes, step, p) for axes in
+            itertools.combinations_with_replacement(range(p), k)]
 
 
 def _fd_stencil(axes, step: float, p: int):

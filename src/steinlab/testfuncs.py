@@ -9,15 +9,13 @@ usable by every bound evaluator:
 * ``product-logistic``: ``h(w) = prod_i sigmoid(a_i w_i)``.
 
 The latter two are separable products, so a mixed-partial sup factors into
-per-axis one-dimensional sups, which are certified by a refining grid search
-(step halved until the change drops below 1e-8).
+per-axis one-dimensional sups, which are certified in closed form.
 
-:func:`smoothed_mean` is the one place that computes the Gaussian smoothing
-``E h(c + sigma Z)``, which gives both ``phi_h = E h(Z)`` and the Stein
-solution's integrand. For cosine and gauss-radial it is a closed form; for
-product-logistic it is a product of one-dimensional Gauss-Hermite sums. So
-the built-in families work in any dimension. Raw callables fall back to the
-tensor Gauss-Hermite rule, which is limited to ``p <= 4``.
+:meth:`SmoothTestFunction.smoothed_mean` is the one place that computes the
+Gaussian smoothing ``E h(c + sigma Z)``, which gives both ``phi_h = E h(Z)``
+and the Stein solution's integrand. For cosine and gauss-radial it is a
+closed form; for product-logistic it is a product of one-dimensional
+Gauss-Hermite sums. So every family works in any dimension.
 """
 
 from __future__ import annotations
@@ -29,23 +27,17 @@ from math import exp, sqrt
 
 import numpy as np
 
-from .errors import BadSpec, DimensionMismatch, UnsupportedDimension
+from .errors import BadSpec, DimensionMismatch
 from .specs import read_spec
 
-# ---------------------------------------------------------------------------
-# Gauss-Hermite quadrature for standard-normal expectations
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=32)
-def gauss_hermite_1d(nodes: int):
-    """Probabilists' Gauss-Hermite rule: ``E f(Z) ~= sum w_i f(x_i)``."""
-    x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    return x, w / np.sqrt(2.0 * np.pi)
+# Gauss-Hermite nodes per axis for standard-normal expectations.
+GH_NODES = 40
 
 
 @lru_cache(maxsize=16)
 def _tensor_rule_cached(nodes: int, p: int):
-    x, w = gauss_hermite_1d(nodes)
+    x, w = np.polynomial.hermite_e.hermegauss(nodes)
+    w = w / np.sqrt(2.0 * np.pi)
     grids = np.meshgrid(*([x] * p), indexing="ij")
     points = np.stack([g.reshape(-1) for g in grids], axis=1)
     weights = np.ones(1)
@@ -55,48 +47,17 @@ def _tensor_rule_cached(nodes: int, p: int):
 
 
 def gauss_hermite_tensor(nodes: int, p: int):
-    """Tensor-product rule over ``R^p``; supported for ``p <= 4``.
+    """Probabilists' Gauss-Hermite product rule over ``R^p``:
+    ``E f(Z) ~= sum_i w_i f(z_i)`` with points ``z`` of shape
+    ``(nodes^p, p)``.
 
     Rules of up to 200k points are cached; larger ones are rebuilt per call.
     """
-    if p > 4:
-        raise UnsupportedDimension(f"tensor quadrature supports p <= 4, got {p}")
     if nodes < 2:
         raise ValueError("need at least 2 nodes per axis")
     if nodes**p <= 200_000:
         return _tensor_rule_cached(nodes, p)
     return _tensor_rule_cached.__wrapped__(nodes, p)
-
-
-def gauss_hermite_mean(f, centers: np.ndarray, sigma: float, nodes: int,
-                       max_block: int = 4_000_000):
-    """``E f(c + sigma Z)`` for each row ``c`` of ``centers``, Z standard normal.
-
-    Evaluates ``f`` on batches of at most ``max_block`` points to bound memory.
-    """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    m, p = centers.shape
-    z, w = gauss_hermite_tensor(nodes, p)
-    nq = z.shape[0]
-    block = max(1, max_block // nq)
-    out = np.empty(m)
-    for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        pts = centers[lo:hi][None, :, :] + sigma * z[:, None, :]
-        vals = f(pts.reshape(-1, p)).reshape(nq, hi - lo)
-        out[lo:hi] = w @ vals
-    return out
-
-
-@dataclass(frozen=True)
-class GaussianExpectation:
-    """Gauss-Hermite resolution for expectations under a standard normal."""
-
-    nodes: int = 40
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError("gauss-hermite needs nodes >= 2")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +203,8 @@ class SmoothTestFunction:
             var = self.scale**2 + sigma**2
             return ((self.scale**2 / var) ** (self.p / 2)
                     * np.exp(-np.sum(centers**2, axis=1) / (2.0 * var)))
-        x, w = gauss_hermite_1d(nodes)
+        z, w = gauss_hermite_tensor(nodes, 1)
+        x = z[:, 0]
         axis_means = np.empty_like(centers)
         for j in range(self.p):
             values, inverse = np.unique(centers[:, j], return_inverse=True)
@@ -260,30 +222,9 @@ class SmoothTestFunction:
         return "product-logistic:a=%s" % ",".join(repr(x) for x in self.a)
 
 
-def smoothed_mean(h, centers, sigma: float, nodes: int) -> np.ndarray:
-    """``E h(c + sigma Z)`` for each row ``c`` of ``centers``, Z standard normal.
-
-    A :class:`SmoothTestFunction` uses its own Gaussian expectation; a raw
-    callable, mapping an ``(m, p)`` batch to ``(m,)`` values, goes through
-    the tensor rule, so it needs ``p <= 4``.
-    """
-    if isinstance(h, SmoothTestFunction):
-        return h.smoothed_mean(centers, sigma, nodes)
-    return gauss_hermite_mean(h, centers, sigma, nodes)
-
-
-def phi_h(h, cfg: GaussianExpectation | None = None, p: int | None = None):
-    """``E h(Z)`` with Z standard p-variate normal.
-
-    ``h`` may be a :class:`SmoothTestFunction` or any callable mapping a
-    ``(m, p)`` batch to ``(m,)`` values (then ``p`` must be given).
-    """
-    nodes = (cfg or GaussianExpectation()).nodes
-    if isinstance(h, SmoothTestFunction):
-        p = h.p
-    elif p is None:
-        raise DimensionMismatch("p is required when h is a raw callable")
-    return float(smoothed_mean(h, np.zeros((1, p)), 1.0, nodes)[0])
+def phi_h(h: SmoothTestFunction, nodes: int = GH_NODES) -> float:
+    """``E h(Z)`` with Z standard ``h.p``-variate normal."""
+    return float(h.smoothed_mean(np.zeros((1, h.p)), 1.0, nodes)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Everything here recomputes laws from first principles (enumerating
 outcomes), independent of the production sampling paths it checks. The
 one Monte Carlo reference, the covariance identity, is for couplers at
-sizes no enumeration reaches.
+sizes no enumeration reaches. Gaussian expectations are taken on the full
+``nodes^p``-point Gauss-Hermite product rule, which the factored and
+closed-form smoothings of the built-in test functions avoid.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from math import comb, erfc, exp, fsum, sqrt
 import numpy as np
 
 from steinlab.errors import InvariantViolation
+from steinlab.testfuncs import gauss_hermite_tensor
 
 
 def discrete_law(dist):
@@ -470,3 +473,35 @@ def covariance_identity_z(coupler, sigma, samples, rng):
         d = lam[i] * (wi - w)
         z[i] = (d.mean(axis=0) - sigma[i]) * sqrt(samples) / d.std(axis=0)
     return z
+
+
+# ---------------------------------------------------------------------------
+# Gaussian smoothing on the tensor Gauss-Hermite rule
+# ---------------------------------------------------------------------------
+
+def gauss_hermite_mean(f, centers, sigma, nodes):
+    """``E f(c + sigma Z)`` for each row ``c`` of ``centers``, Z standard
+    normal, on the ``nodes^p``-point product rule; ``f`` maps an ``(m, p)``
+    batch to ``(m,)`` values."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    m, p = centers.shape
+    z, w = gauss_hermite_tensor(nodes, p)
+    pts = centers[None, :, :] + sigma * z[:, None, :]
+    return w @ f(pts.reshape(-1, p)).reshape(z.shape[0], m)
+
+
+@dataclass(frozen=True)
+class PolynomialTestFunction:
+    """A polynomial test function ``f`` on ``R^p``, given as a batch
+    callable, in the place of a SmoothTestFunction. The product rule
+    integrates a polynomial of degree below ``2 nodes`` exactly, so the
+    Stein solutions of low-degree ``f`` are known in closed form."""
+
+    f: object
+    p: int
+
+    def evaluate(self, points):
+        return self.f(np.atleast_2d(np.asarray(points, dtype=float)))
+
+    def smoothed_mean(self, centers, sigma, nodes):
+        return gauss_hermite_mean(self.f, centers, sigma, nodes)

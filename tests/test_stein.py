@@ -2,34 +2,40 @@
 
 Two polynomial test functions have exact solutions (g = -w and
 g = -(w^2 - 1)/2), pinning the quadrature; the built-in families are then
-checked through the residual of the defining identity.
+checked through the residual of the defining identity. Every residual and
+cap comes from :meth:`SteinSolution.run_checks`, the one check path.
 """
 
 import numpy as np
 import pytest
 
+import oracles
+from steinlab import stein
 from steinlab.errors import QuadratureNotConverged
 from steinlab.stein import SteinSolution, grid_points
-from steinlab.testfuncs import SmoothTestFunction
+from steinlab.testfuncs import DerivativeNorms, SmoothTestFunction
+
+LINEAR = oracles.PolynomialTestFunction(lambda x: x[:, 0], p=1)
+SQUARE = oracles.PolynomialTestFunction(lambda x: x[:, 0] ** 2, p=1)
+# sup-norms of h, Dh, D^2 h and D^3 h for w and w^2 on the real line
+LINEAR_NORMS = DerivativeNorms(np.inf, 1.0, 0.0, 0.0)
+SQUARE_NORMS = DerivativeNorms(np.inf, np.inf, 2.0, 0.0)
 
 
-def _linear(x):
-    return x[:, 0]
-
-
-def _square(x):
-    return x[:, 0] ** 2
+def _checks(h, grid, norms=None):
+    norms = norms or h.derivative_norms()
+    return SteinSolution(h).run_checks(grid, norms)
 
 
 class TestClosedFormSolutions:
     def test_linear(self):
         w = np.array([[1.5], [0.25], [-2.0]])
-        np.testing.assert_allclose(SteinSolution(_linear, phi=0.0, p=1).g(w),
+        np.testing.assert_allclose(SteinSolution(LINEAR).g(w),
                                    -w[:, 0], atol=1e-6)
 
     def test_quadratic(self):
         w = np.array([[1.5], [-0.5], [2.0]])
-        np.testing.assert_allclose(SteinSolution(_square, phi=1.0, p=1).g(w),
+        np.testing.assert_allclose(SteinSolution(SQUARE).g(w),
                                    -(w[:, 0] ** 2 - 1.0) / 2.0, atol=1e-6)
 
     def test_constant_h_gives_zero(self):
@@ -37,14 +43,16 @@ class TestClosedFormSolutions:
         w = np.array([[0.7], [-1.1]])
         np.testing.assert_allclose(SteinSolution(h).g(w), 0.0, atol=1e-12)
 
-    def test_non_convergence_raises(self):
-        sol = SteinSolution(_square, phi=1.0, p=1, tol=1e-16,
-                            start_nodes=8, max_nodes=8)
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(stein, "G_TOL", 1e-16)
+        monkeypatch.setattr(stein, "LEGENDRE_START", 8)
+        monkeypatch.setattr(stein, "LEGENDRE_MAX", 8)
+        sol = SteinSolution(SQUARE)
         with pytest.raises(QuadratureNotConverged):
             sol.g(np.array([[1.0]]))
 
     def test_quadrature_nodes_in_unit_interval(self):
-        sol = SteinSolution(_linear, phi=0.0, p=1)
+        sol = SteinSolution(LINEAR)
         sol.g(np.array([[1.0]]))
         assert np.all(sol.s_nodes > 0.0) and np.all(sol.s_nodes <= 1.0)
         assert np.all(sol.s_weights > 0.0)
@@ -52,19 +60,16 @@ class TestClosedFormSolutions:
 
 class TestResidual:
     def test_linear_residual_small(self):
-        sol = SteinSolution(_linear, phi=0.0, p=1)
-        res = sol.pde_residual(np.array([[0.8], [-1.3]]))
-        assert np.max(res) < 1e-6
+        res = _checks(LINEAR, np.array([[0.8], [-1.3]]), LINEAR_NORMS)
+        assert res["max_pde_residual"] < 1e-6
 
     def test_quadratic_residual_small(self):
-        sol = SteinSolution(_square, phi=1.0, p=1)
-        res = sol.pde_residual(np.array([[1.5]]))
-        assert np.max(res) < 1e-6
+        res = _checks(SQUARE, np.array([[1.5]]), SQUARE_NORMS)
+        assert res["max_pde_residual"] < 1e-6
 
     def test_constant_residual_exact(self):
         h = SmoothTestFunction("cosine", p=1, a=(0.0,), b=0.0)
-        res = SteinSolution(h).pde_residual(np.array([[0.5]]))
-        assert np.max(res) < 1e-13
+        assert _checks(h, np.array([[0.5]]))["max_pde_residual"] < 1e-13
 
     @pytest.mark.parametrize("h", [
         SmoothTestFunction("cosine", p=1, a=(1.0,)),
@@ -73,8 +78,7 @@ class TestResidual:
     ], ids=lambda h: h.spec_string())
     def test_builtin_residual_1d(self, h):
         grid = grid_points(1, 2.0, 21)
-        res = SteinSolution(h).pde_residual(grid)
-        assert float(np.max(res)) <= 1e-3
+        assert _checks(h, grid)["max_pde_residual"] <= 1e-3
 
     @pytest.mark.parametrize("h", [
         SmoothTestFunction("cosine", p=2, a=(1.0, 0.5)),
@@ -83,33 +87,56 @@ class TestResidual:
     ], ids=lambda h: h.spec_string())
     def test_builtin_residual_2d(self, h):
         grid = grid_points(2, 2.0, 9)
-        assert float(np.max(SteinSolution(h).pde_residual(grid))) <= 1e-3
+        assert _checks(h, grid)["max_pde_residual"] <= 1e-3
 
 
 class TestDerivativeBound:
     def test_constant_no_violation(self):
         h = SmoothTestFunction("cosine", p=1, a=(0.0,))
         grid = grid_points(1, 2.0, 9)
-        assert SteinSolution(h).derivative_violation(
-            grid, 1, norm_k=h.derivative_norms().d1) <= 0.0
+        assert _checks(h, grid)["derivative_violation_1"] <= 0.0
 
     def test_quadratic_bound_is_tight(self):
         """|g''| = 1 against the cap ||D^2 h|| / 2 = 1: violation ~ 0."""
         grid = grid_points(1, 2.0, 9)
-        v = SteinSolution(_square, phi=1.0, p=1).derivative_violation(
-            grid, 2, norm_k=2.0)
+        v = _checks(SQUARE, grid, SQUARE_NORMS)["derivative_violation_2"]
         assert abs(v) <= 1e-4
 
     def test_cosine_first_derivative(self):
         h = SmoothTestFunction("cosine", p=1, a=(1.0,))
         grid = grid_points(1, 2.0, 21)
-        assert SteinSolution(h).derivative_violation(
-            grid, 1, norm_k=h.derivative_norms().d1) <= 1e-3
+        assert _checks(h, grid)["derivative_violation_1"] <= 1e-3
 
     def test_all_orders_cosine_2d(self):
         h = SmoothTestFunction("cosine", p=2, a=(1.0, 0.5))
         grid = grid_points(2, 2.0, 7)
-        sol, norms = SteinSolution(h), h.derivative_norms()
+        checks = _checks(h, grid)
         for k in (1, 2, 3):
-            assert sol.derivative_violation(grid, k,
-                                            norm_k=norms.order(k)) <= 1e-3
+            assert checks[f"derivative_violation_{k}"] <= 1e-3
+
+
+class TestOneCheckPath:
+    def test_one_g_batch_two_stages(self, monkeypatch):
+        """run_checks evaluates g once, on every distinct offset point of
+        every stencil, and reads that batch in one residual stage and one
+        cap stage per order."""
+        calls = []
+        for name in ("g", "pde_residual", "derivative_violation"):
+            def spy(self, *args, _name=name,
+                    _original=getattr(SteinSolution, name)):
+                calls.append((_name, args))
+                return _original(self, *args)
+
+            monkeypatch.setattr(SteinSolution, name, spy)
+        h = SmoothTestFunction("cosine", p=2, a=(1.0, 0.5))
+        grid = grid_points(2, 2.0, 5)
+        # offsets besides zero: order 1 at step e, (+-e, 0) and (0, +-e);
+        # order 2 adds (+-2e, 0), (0, +-2e) and (+-e, +-e); order 3 at its
+        # own step t, (+-t, 0), (+-3t, 0), (+-2t, +-t), (0, +-t),
+        # (+-t, +-2t) and (0, +-3t)
+        distinct = 1 + 4 + 8 + 16
+        SteinSolution(h).run_checks(grid, h.derivative_norms())
+        assert [name for name, _ in calls] == [
+            "g", "pde_residual"] + ["derivative_violation"] * 3
+        assert len(calls[0][1][0]) == len(grid) * distinct
+        assert [args[1] for _, args in calls[2:]] == [1, 2, 3]

@@ -3,7 +3,8 @@
 The cosine family has closed forms for everything, so it anchors the other
 checks. Finite-difference mixed partials on a grid must never beat the
 certified sup-norms by more than 1e-6. The Gaussian smoothing of every
-built-in family is checked against the tensor Gauss-Hermite rule.
+built-in family is checked against the tensor Gauss-Hermite rule of
+``oracles.gauss_hermite_mean``.
 """
 
 import itertools
@@ -11,10 +12,10 @@ import itertools
 import numpy as np
 import pytest
 
-from steinlab.errors import DimensionMismatch, UnsupportedDimension
-from steinlab.testfuncs import (GaussianExpectation, SmoothTestFunction,
-                                gauss_hermite_mean, gauss_hermite_tensor,
-                                parse_test_function, phi_h, smoothed_mean)
+import oracles
+from steinlab.errors import DimensionMismatch
+from steinlab.testfuncs import (SmoothTestFunction, parse_test_function,
+                                phi_h)
 
 BUILTINS_1D = [
     SmoothTestFunction("cosine", p=1, a=(1.0,)),
@@ -106,11 +107,12 @@ class TestCertifiedNormsAreTight:
 
 class TestPhiH:
     def test_odd_function_is_zero(self):
-        val = phi_h(lambda x: x[:, 0], GaussianExpectation(), p=1)
+        val = phi_h(oracles.PolynomialTestFunction(lambda x: x[:, 0], p=1))
         assert abs(val) < 1e-12
 
     def test_second_moment_is_one(self):
-        val = phi_h(lambda x: x[:, 0] ** 2, GaussianExpectation(), p=1)
+        val = phi_h(oracles.PolynomialTestFunction(lambda x: x[:, 0] ** 2,
+                                                   p=1))
         np.testing.assert_allclose(val, 1.0, atol=1e-12)
 
     def test_cosine_characteristic_function(self):
@@ -124,8 +126,9 @@ class TestPhiH:
                              ids=lambda h: h.spec_string())
     def test_quadrature_matches_closed_form(self, h):
         """Tensor quadrature of ``h`` reproduces the built-in ``E h(Z)``."""
-        val = phi_h(h, GaussianExpectation(nodes=40))
-        quad = gauss_hermite_mean(h.evaluate, np.zeros((1, h.p)), 1.0, 40)
+        val = phi_h(h, 40)
+        quad = oracles.gauss_hermite_mean(h.evaluate, np.zeros((1, h.p)),
+                                          1.0, 40)
         np.testing.assert_allclose(val, quad[0], atol=1e-9)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -141,18 +144,10 @@ class TestPhiH:
         sigma = 0.8
         z = np.random.default_rng(3).standard_normal((1_000_000, p))
         for h in funcs:
-            exact = smoothed_mean(h, center, sigma, 40)[0]
+            exact = h.smoothed_mean(center, sigma, 40)[0]
             vals = h.evaluate(center + sigma * z)
             sem = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(exact - vals.mean()) <= 4.0 * sem
-
-    def test_tensor_dimension_cap(self):
-        with pytest.raises(UnsupportedDimension):
-            gauss_hermite_tensor(10, 5)
-
-    def test_raw_callable_needs_p(self):
-        with pytest.raises(DimensionMismatch):
-            phi_h(lambda x: x[:, 0])
 
 
 SMOOTHING_CASES = BUILTINS_1D + BUILTINS_2D + [
@@ -172,8 +167,8 @@ class TestSmoothedMean:
     def test_matches_tensor_rule(self, h, sigma):
         centers = np.random.default_rng(h.p).uniform(-2.5, 2.5, (7, h.p))
         centers[0] = 0.0
-        got = smoothed_mean(h, centers, sigma, 40)
-        oracle = gauss_hermite_mean(h.evaluate, centers, sigma, 40)
+        got = h.smoothed_mean(centers, sigma, 40)
+        oracle = oracles.gauss_hermite_mean(h.evaluate, centers, sigma, 40)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
         if sigma == 0.0:
             np.testing.assert_allclose(got, h.evaluate(centers),
@@ -182,7 +177,7 @@ class TestSmoothedMean:
     def test_dimension_mismatch(self):
         h = SmoothTestFunction("gauss-radial", p=2)
         with pytest.raises(DimensionMismatch):
-            smoothed_mean(h, np.zeros((3, 3)), 0.5, 40)
+            h.smoothed_mean(np.zeros((3, 3)), 0.5, 40)
 
 
 class TestParsing:
@@ -213,7 +208,3 @@ class TestValidation:
         h = SmoothTestFunction("cosine", p=2, a=(1.0, 1.0))
         with pytest.raises(DimensionMismatch):
             h.evaluate(np.zeros((3, 3)))
-
-    def test_config_invariants(self):
-        with pytest.raises(ValueError):
-            GaussianExpectation(nodes=1)

@@ -13,7 +13,7 @@ from .bounds import (BoundReport, CouplingStats, LocalDepStats,
                      bound_multivariate_local,
                      bound_multivariate_size_bias, bound_univariate_local,
                      bound_univariate_size_bias)
-from .harness import Accumulator, StreamConfig, estimate_gap, parallel_mc
+from .harness import Accumulator, StreamConfig, parallel_mc
 from .linalg import inverse_sqrt, max_abs_norm, whiten
 from .report import ExperimentReport
 from .sizebias import (CoupledPairSampler, DiscreteDistribution,
@@ -28,7 +28,7 @@ __all__ = [
     "DiscreteDistribution", "ExperimentReport", "LocalDepStats",
     "SmoothTestFunction", "SteinSolution", "StreamConfig",
     "bound_multivariate_local", "bound_multivariate_size_bias",
-    "bound_univariate_local", "bound_univariate_size_bias", "estimate_gap",
-    "inverse_sqrt", "max_abs_norm", "parallel_mc", "parse_test_function",
-    "phi_h", "verify_characterization", "whiten",
+    "bound_univariate_local", "bound_univariate_size_bias", "inverse_sqrt",
+    "max_abs_norm", "parallel_mc", "parse_test_function", "phi_h",
+    "verify_characterization", "whiten",
 ]

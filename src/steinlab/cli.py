@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 
-from . import coloring, degrees, nonlinear, validation
 from .errors import SteinLabError, TooLarge
 from .experiment import run_experiment
 from .report import stable_json
@@ -54,12 +53,16 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _int_list(raw: str) -> list[int]:
-    return [int(x) for x in raw.split(",") if x]
-
-
-def _float_list(raw: str) -> list[float]:
-    return [float(x) for x in raw.split(",") if x]
+def _list_of(kind):
+    """argparse type: a comma list of one or more finite ``kind`` values."""
+    def parse(raw: str) -> list:
+        out = [kind(x) for x in raw.split(",") if x]
+        if not out or not np.all(np.isfinite(out)):
+            raise argparse.ArgumentTypeError(
+                f"{raw!r} is not a list of finite numbers")
+        return out
+    parse.__name__ = f"{kind.__name__} list"  # argparse's name for the type
+    return parse
 
 
 def _add_common(sub, samples_default=100_000, chunk_default=4096):
@@ -81,7 +84,7 @@ def build_parser() -> _Parser:
     group = deg.add_mutually_exclusive_group(required=True)
     group.add_argument("--c", type=float, help="pi = c / (n - 1)")
     group.add_argument("--pi", type=float)
-    deg.add_argument("--degrees", type=_int_list, required=True)
+    deg.add_argument("--degrees", type=_list_of(int), required=True)
     deg.add_argument("--h", default=None, help="e.g. cosine:a=0.5,0.5")
     deg.add_argument("--oracle", action="store_true",
                      help="compare closed-form moments against enumeration")
@@ -91,7 +94,7 @@ def build_parser() -> _Parser:
                           help="monochromatic edge counts under vertex coloring")
     col.add_argument("--graph", required=True,
                      help="cycle:64 | complete:8 | matching:10 | regular:n=200,d=3")
-    col.add_argument("--colors", type=_float_list, required=True)
+    col.add_argument("--colors", type=_list_of(float), required=True)
     col.add_argument("--h", default=None)
     col.add_argument("--oracle", action="store_true")
     _add_common(col, chunk_default=2048)
@@ -136,13 +139,13 @@ def build_parser() -> _Parser:
     swp = subs.add_parser("sweep",
                           help="run one experiment across sizes; CSV output")
     swp.add_argument("experiment", choices=["degree-count", "color-match"])
-    swp.add_argument("--n", type=_int_list, required=True)
+    swp.add_argument("--n", type=_list_of(int), required=True)
     swp.add_argument("--c", type=float, default=None)
     swp.add_argument("--pi", type=float, default=None)
-    swp.add_argument("--degrees", type=_int_list, default=None)
+    swp.add_argument("--degrees", type=_list_of(int), default=None)
     swp.add_argument("--graph-family", default="cycle",
                      help="cycle | regular:d=3 (color-match only)")
-    swp.add_argument("--colors", type=_float_list, default=None)
+    swp.add_argument("--colors", type=_list_of(float), default=None)
     swp.add_argument("--h", default=None)
     _add_common(swp, samples_default=20_000, chunk_default=512)
     return parser
@@ -205,55 +208,59 @@ def _run_oracle(model, config: dict, exact, out_path) -> int:
     return EXIT_OK if match else EXIT_VIOLATION
 
 
-def _degree_config(args, n: int, check_pd: bool = True):
-    if args.pi is not None:
-        return degrees.ErdosRenyiConfig(n, args.pi, tuple(args.degrees),
-                                        check_pd=check_pd)
-    return degrees.ErdosRenyiConfig.from_c(n, args.c, tuple(args.degrees),
-                                           check_pd=check_pd)
+# Each subcommand imports its model module; a run loads only what it uses.
+
+def _degree_model(args, n: int, check_pd: bool = True):
+    from .degrees import DegreeCountCoupler, ErdosRenyiConfig
+    cfg = (ErdosRenyiConfig(n, args.pi, tuple(args.degrees), check_pd)
+           if args.pi is not None else
+           ErdosRenyiConfig.from_c(n, args.c, tuple(args.degrees), check_pd))
+    return DegreeCountCoupler(cfg)
 
 
 def _color_model(args, spec: str):
+    from . import coloring
     graph = coloring.parse_graph_spec(spec, seed=args.seed)
     cfg = coloring.ColoringConfig(tuple(args.colors))
     return coloring.ColoringModel(graph, cfg, spec)
 
 
 def _run_degree(args) -> int:
-    cfg = _degree_config(args, args.n, check_pd=not args.oracle)
-    model = degrees.DegreeCountCoupler(cfg)
+    model = _degree_model(args, args.n, check_pd=not args.oracle)
     if args.oracle:
+        from .degrees import brute_force_moments
+        cfg = model.cfg
         return _run_oracle(
             model, {"n": cfg.n, "pi": cfg.pi, "degrees": list(cfg.degrees)},
-            degrees.brute_force_moments(cfg), args.out)
+            brute_force_moments(cfg), args.out)
     return _run_single(args, model)
 
 
 def _run_color(args) -> int:
     model = _color_model(args, args.graph)
     if args.oracle:
+        from .coloring import brute_force_moments
         return _run_oracle(
             model, {"graph": args.graph, "colors": list(model.cfg.probs)},
-            coloring.brute_force_moments(model.g, model.cfg)[:2], args.out)
+            brute_force_moments(model.g, model.cfg)[:2], args.out)
     return _run_single(args, model)
 
 
-def _parse_model(raw: str, psi: nonlinear.PsiFunction):
-    kind = raw.partition(":")[0]
-    if kind == "gauss":
-        kv = read_spec(raw, {"n": int, "rho": float}, required=("n",))
-        return nonlinear.GaussianSumCoupler(nonlinear.GaussianSumConfig(
-            kv["n"], psi, rho=kv.get("rho", 0.0)))
-    if kind == "multinomial":
-        kv = read_spec(raw, {"n": int, "k": int}, required=("n", "k"))
-        return nonlinear.MultinomialSumCoupler(
-            nonlinear.MultinomialSumConfig(kv["n"], kv["k"], psi))
-    raise _UsageError(f"unknown model {raw!r}")
-
-
 def _run_nonlinear(args) -> int:
+    from . import nonlinear
     psi = nonlinear.parse_psi(args.psi, normalize=not args.raw_psi)
-    return _run_single(args, _parse_model(args.model, psi))
+    kind = args.model.partition(":")[0]
+    if kind == "gauss":
+        kv = read_spec(args.model, {"n": int, "rho": float}, required=("n",))
+        model = nonlinear.GaussianSumCoupler(nonlinear.GaussianSumConfig(
+            kv["n"], psi, rho=kv.get("rho", 0.0)))
+    elif kind == "multinomial":
+        kv = read_spec(args.model, {"n": int, "k": int}, required=("n", "k"))
+        model = nonlinear.MultinomialSumCoupler(
+            nonlinear.MultinomialSumConfig(kv["n"], kv["k"], psi))
+    else:
+        raise _UsageError(f"unknown model {args.model!r}")
+    return _run_single(args, model)
 
 
 def _run_stein(args) -> int:
@@ -264,8 +271,10 @@ def _run_stein(args) -> int:
     if args.gh_nodes < 2:
         raise _UsageError(f"--gh-nodes must be at least 2, got "
                           f"{args.gh_nodes}")
-    if not args.fd_step > 0:
-        raise _UsageError(f"--fd-step must be positive, got {args.fd_step}")
+    for flag, value in (("--extent", args.extent),
+                        ("--fd-step", args.fd_step), ("--tol", args.tol)):
+        if not 0 < value < np.inf:
+            raise _UsageError(f"{flag} must be positive, got {value}")
     sol = SteinSolution(h, gh_nodes=args.gh_nodes)
     grid = grid_points(h.p, args.extent, args.grid_points)
     norms = h.derivative_norms()
@@ -295,6 +304,7 @@ def _run_stein(args) -> int:
 
 
 def _run_validate(args) -> int:
+    from . import validation
     names = None if args.which == "all" else [s.strip()
                                               for s in args.which.split(",")]
     try:
@@ -325,7 +335,7 @@ def _run_sweep(args) -> int:
                               "--c and --pi")
 
         def build(n):
-            return degrees.DegreeCountCoupler(_degree_config(args, n))
+            return _degree_model(args, n)
     else:
         if args.colors is None:
             raise _UsageError("sweep color-match needs --colors")

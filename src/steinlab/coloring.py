@@ -182,9 +182,9 @@ class ColoringConfig:
 
     def __post_init__(self):
         probs = tuple(float(x) for x in self.probs)
-        if any(x <= 0 for x in probs):
+        if not all(x > 0 for x in probs):  # written to also reject NaN
             raise ValueError("color probabilities must be positive")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ValueError("color probabilities must sum to 1")
         object.__setattr__(self, "probs", probs)
 
@@ -237,11 +237,6 @@ def counts_from_colors(g: RegularGraph, colors: np.ndarray,
                     axis=1).astype(float)
 
 
-def sample_counts(g: RegularGraph, cfg: ColoringConfig,
-                  rng: np.random.Generator, size: int = 1) -> np.ndarray:
-    return counts_from_colors(g, sample_colors(g, cfg, rng, size), cfg.p)
-
-
 # ---------------------------------------------------------------------------
 # Local-dependence statistics
 # ---------------------------------------------------------------------------
@@ -262,8 +257,10 @@ def _centered_indicators(g: RegularGraph, colors: np.ndarray,
 
 
 def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, samples: int,
-                    seed: int = 0, chunk_size: int = 2048) -> LocalDepStats:
-    """Monte Carlo estimates of the local-dependence bound inputs.
+                    seed: int = 0, chunk_size: int = 2048, *,
+                    score) -> tuple[LocalDepStats, Accumulator]:
+    """Monte Carlo estimates of the local-dependence bound inputs, and the
+    accumulated ``score`` of the same colorings' counts W.
 
     ``t2`` is exactly zero: an edge's indicator is a function of its two
     endpoint colors, and every edge outside its neighborhood touches neither
@@ -277,6 +274,7 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, samples: int,
 
     def task(rng, size):
         colors = sample_colors(g, cfg, rng, size)
+        scores = Accumulator().add(score(counts_from_colors(g, colors, p)))
         x, neigh = _centered_indicators(g, colors, cfg)
         quad = np.einsum("bei,bej->bij", x, neigh)
         q_centered = quad - sigma
@@ -284,9 +282,9 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, samples: int,
         triple = np.einsum("bei,bej,bek->bijk", np.abs(x), np.abs(neigh),
                            np.abs(neigh))
         return (Accumulator(shape=(p, p)).add(sq),
-                Accumulator(shape=(p, p, p)).add(triple))
+                Accumulator(shape=(p, p, p)).add(triple), scores)
 
-    sq_acc, triple_acc = parallel_mc(task, stream_cfg, samples)
+    sq_acc, triple_acc, scores = parallel_mc(task, stream_cfg, samples)
     mean_sq = sq_acc.mean
     t1 = np.sqrt(np.maximum(mean_sq, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -295,7 +293,7 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, samples: int,
     return LocalDepStats(
         p=p, sigma=sigma, t1=t1, t2=0.0, t3=triple_acc.mean,
         t1_sem=t1_sem, t3_sem=triple_acc.sem,
-    )
+    ), scores
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +383,11 @@ class ColoringModel:
         self.config = {"graph": graph_name, "n": g.n, "d": g.d,
                        "edges": g.num_edges, "colors": list(cfg.probs)}
 
-    def bound(self, norms, samples: int, seed: int, chunk_size: int):
-        stats = local_dep_stats(self.g, self.cfg, samples, seed=seed,
-                                chunk_size=chunk_size)
+    def bound(self, norms, samples: int, seed: int, chunk_size: int, score):
+        stats, scores = local_dep_stats(self.g, self.cfg, samples, seed=seed,
+                                        chunk_size=chunk_size, score=score)
         return (bound_multivariate_local(stats, norms.d1, norms.d2, norms.d3),
-                stats)
-
-    def sample_w(self, rng, size: int) -> np.ndarray:
-        return sample_counts(self.g, self.cfg, rng, size)
+                stats, scores)
 
     def extras(self, stats) -> dict:
         return {"spectral": spectral_checks(self.g, self.cfg),

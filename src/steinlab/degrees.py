@@ -21,9 +21,9 @@ move per graph. Time is linear in a chunk's edges and vertices. Memory is
 capped: a chunk's graphs run in sub-batches of at most
 :data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots (``n (1 + c/2)``
 per graph), about 8 stored bytes each: they are the states
-:meth:`DegreeCountCoupler.draw` yields, so the statistics pass, the gap
-pass and the coupling draws all run on them. Scalar reference versions
-live in the test suite.
+:meth:`DegreeCountCoupler.draw` yields, so the statistics pass, which
+also scores each graph's W for the gap, and the coupling draws all run on
+them. Scalar reference versions live in the test suite.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from .bounds import CouplingStats, bound_multivariate_size_bias
 from .errors import NotPositiveDefinite, TooLarge
+from .harness import Accumulator
 from .linalg import DEFAULT_PD_TOL, inverse_sqrt, max_abs_norm
 from .sizebias import (CoupledPairSampler, distinct_labels, log_binomial,
                         rank_in_group, sub_batch_sizes)
@@ -486,17 +487,18 @@ def isqrt_norm_bound_check(cfg: ErdosRenyiConfig) -> dict:
 
 
 def estimate_coupling_stats(model: DegreeCountCoupler, samples: int,
-                            seed: int = 0,
-                            chunk_size: int = 512) -> CouplingStats:
-    """Coupling statistics for the multivariate size-bias bound, by the
-    shared pass :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`.
+                            seed: int = 0, chunk_size: int = 512, *,
+                            score) -> tuple[CouplingStats, Accumulator]:
+    """Coupling statistics for the multivariate size-bias bound, and the
+    accumulated ``score`` of the same graphs' W, by the shared pass
+    :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`.
 
     The conditional variance conditions on the whole graph: the inner
     expectation is then exact (no nested sampling). The absolute cross
     moments come from one coupling draw per graph and coordinate. A name of
     its own lets the benchmark's tracer time this family's pass apart.
     """
-    return model.coupling_stats(samples, seed, chunk_size)
+    return model.coupling_stats(samples, seed, chunk_size, score)
 
 
 class DegreeCountCoupler(CoupledPairSampler):
@@ -532,10 +534,11 @@ class DegreeCountCoupler(CoupledPairSampler):
     def cond_exp(self, chunk: _GraphChunk) -> np.ndarray:
         return chunk.cond_exp(self.cfg.degrees)
 
-    def bound(self, norms, samples: int, seed: int, chunk_size: int):
-        stats = estimate_coupling_stats(self, samples, seed=seed,
-                                        chunk_size=chunk_size)
-        return bound_multivariate_size_bias(stats, norms.d2, norms.d3), stats
+    def bound(self, norms, samples: int, seed: int, chunk_size: int, score):
+        stats, scores = estimate_coupling_stats(
+            self, samples, seed=seed, chunk_size=chunk_size, score=score)
+        return (bound_multivariate_size_bias(stats, norms.d2, norms.d3),
+                stats, scores)
 
     def extras(self, stats) -> dict:
         return {"isqrt_norm_bound": isqrt_norm_bound_check(self.cfg),

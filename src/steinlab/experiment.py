@@ -3,9 +3,8 @@ nonlinear-sum models."""
 
 from __future__ import annotations
 
-from .harness import (GAP_STREAM_STRIDE, StreamConfig, estimate_gap,
-                      require_samples)
-from .linalg import inverse_sqrt, max_abs_norm, spectral_max_abs
+from .harness import require_samples
+from .linalg import inverse_sqrt, max_abs_norm, spectral_max_abs, whiten
 from .report import ExperimentReport
 from .testfuncs import phi_h
 
@@ -18,17 +17,17 @@ def run_experiment(model, h, samples: int, seed: int = 0,
     :class:`~steinlab.sizebias.CoupledPairSampler`) or the coloring model,
     which has the same interface: ``name`` (the report's ``experiment``);
     ``p``, ``lam`` and ``sigma`` (dimension, mean vector, covariance);
-    ``bound(norms, samples, seed, chunk_size)``, which estimates the model's
-    statistics and returns ``(BoundReport, stats)``; ``sample_w(rng, size)``,
-    a ``(size, p)`` batch of fresh draws of W; and ``config`` and
-    ``extras(stats)``, its fields of the report. A size-bias model's
-    ``bound`` runs the one statistics pass,
-    :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`, and reads
-    the univariate or the multivariate theorem from it.
+    ``bound(norms, samples, seed, chunk_size, score)``, which runs the
+    model's one statistics pass and returns ``(BoundReport, stats,
+    scores)``, with ``scores`` the :class:`~steinlab.harness.Accumulator`
+    of ``score(w)`` over every batch of W that pass draws; and ``config``
+    and ``extras(stats)``, its fields of the report. A size-bias model's
+    pass is :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`,
+    and it reads the univariate or the multivariate theorem from it.
 
-    The gap is ``|mean h(Sigma^{-1/2}(W - lam)) - E h(Z)|`` over fresh
-    draws on streams disjoint from the statistics pass. The run passes when
-    gap <= bound + 3 * (standard error of that mean).
+    The gap is ``|mean h(Sigma^{-1/2}(W - lam)) - E h(Z)|`` over the same
+    draws of W as the bound, both being expectations under W's law. The run
+    passes when gap <= bound + 3 * (standard error of that mean).
     """
     require_samples(samples)
     if h.p != model.p:
@@ -36,11 +35,13 @@ def run_experiment(model, h, samples: int, seed: int = 0,
     isqrt = inverse_sqrt(model.sigma)
     norms = h.derivative_norms()
     phi = phi_h(h)
-    bound, stats = model.bound(norms, samples, seed, chunk_size)
+
+    def score(w):
+        return h.evaluate(whiten(w, model.lam, isqrt))
+
+    bound, stats, scores = model.bound(norms, samples, seed, chunk_size, score)
     bound.seed = seed
-    gap_cfg = StreamConfig(seed, chunk_size).offset(GAP_STREAM_STRIDE)
-    gap, gap_sem = estimate_gap(model.sample_w, model.lam, isqrt, h.evaluate,
-                                phi, samples, gap_cfg)
+    gap, gap_sem = abs(float(scores.mean) - phi), float(scores.sem)
     return ExperimentReport(
         experiment=model.name,
         config={**model.config, "h": h.spec_string()},

@@ -4,6 +4,8 @@ Every experiment draws randomness from counter-based Philox streams keyed by
 ``(master seed, chunk index)``, so a run is reproducible bit-for-bit no matter
 how many worker threads execute the chunks. Chunk results are merged in chunk
 order (never completion order) to keep floating-point summation canonical.
+An experiment makes one such pass: each chunk's draws of W feed both the
+bound's statistics and the gap's score, each in an :class:`Accumulator`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,9 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import whiten
-
 _MASK64 = (1 << 64) - 1
 # Auxiliary streams (pilot draws etc.) live far away from chunk indices.
 AUX_STREAM_BASE = 1 << 62
-# The gap pass of an experiment starts here, clear of its statistics pass.
-GAP_STREAM_STRIDE = 1 << 48
 # Fewest draws an experiment accepts; the pass rule needs usable stderrs.
 MIN_SAMPLES = 100
 
@@ -193,23 +191,3 @@ def parallel_mc(task, cfg: StreamConfig, samples: int, empty=None):
             ]
             results = [f.result() for f in futures]
     return reduce(merge_results, results)
-
-
-def estimate_gap(sample_w, lam, isqrt, h_eval, phi_h: float,
-                 samples: int, cfg: StreamConfig):
-    """Monte Carlo estimate of ``|E h(isqrt (W - lam)) - phi_h|``.
-
-    ``sample_w(rng, size)`` must return a ``(size, p)`` batch of draws of W.
-    Returns ``(gap, stderr)`` where stderr is the standard error of the mean
-    of ``h``.
-    """
-    lam = np.asarray(lam, dtype=float).reshape(-1)
-
-    def task(rng, size):
-        w = sample_w(rng, size)
-        vals = h_eval(whiten(w, lam, isqrt))
-        return Accumulator().add(vals)
-
-    acc = parallel_mc(task, cfg, samples)
-    gap = abs(float(acc.mean) - phi_h)
-    return gap, float(acc.sem)

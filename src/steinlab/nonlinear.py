@@ -29,6 +29,7 @@ from .bounds import (CouplingStats, bound_univariate_size_bias,
                      floor_mean_sq_diff)
 from .errors import (InfeasibleAdjustment, InvariantViolation,
                      NonfiniteMoment, NotPositiveDefinite, ZeroMass)
+from .harness import Accumulator
 from .sizebias import (CoupledPairSampler, DiscreteDistribution,
                         distinct_labels, sub_batch_sizes)
 
@@ -234,14 +235,15 @@ class TiltedSampler:
 # ---------------------------------------------------------------------------
 
 def estimate_nonlinear_stats(model: _SumCoupler, samples: int, seed: int = 0,
-                             chunk_size: int = 8192) -> CouplingStats:
-    """Coupling statistics for the univariate bound of a nonlinear sum, by
-    the shared pass of
+                             chunk_size: int = 8192, *,
+                             score) -> tuple[CouplingStats, Accumulator]:
+    """Coupling statistics for the univariate bound of a nonlinear sum, and
+    the accumulated ``score`` of the same rows' W, by the shared pass of
     :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`:
     ``Var E[W* - W | U]`` from the exact conditional means and
     ``E (W* - W)^2`` from one size-bias move per row. A name of its own
     lets the benchmark's tracer time this family's pass apart."""
-    return model.coupling_stats(samples, seed, chunk_size)
+    return model.coupling_stats(samples, seed, chunk_size, score)
 
 
 class _SumCoupler(CoupledPairSampler):
@@ -266,14 +268,14 @@ class _SumCoupler(CoupledPairSampler):
     def w(self, u: np.ndarray) -> np.ndarray:
         return self.psi(u).sum(axis=1)[:, None]
 
-    def bound(self, norms, samples: int, seed: int, chunk_size: int):
+    def bound(self, norms, samples: int, seed: int, chunk_size: int, score):
         """The univariate bound, on the estimate of ``E (W* - W)^2`` raised
         to its exact floor (lam and sigma^2 are exact here); the returned
         stats keep the raw estimate."""
-        stats = estimate_nonlinear_stats(self, samples, seed=seed,
-                                         chunk_size=chunk_size)
+        stats, scores = estimate_nonlinear_stats(
+            self, samples, seed=seed, chunk_size=chunk_size, score=score)
         return bound_univariate_size_bias(floor_mean_sq_diff(stats), norms.h,
-                                          norms.d1), stats
+                                          norms.d1), stats, scores
 
     def extras(self, stats) -> dict:
         return {"var_cond": float(stats.var_cond[0, 0]),

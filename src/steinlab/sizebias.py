@@ -14,11 +14,13 @@ state (a batch of graphs, or of argument vectors U):
   is W's biased in coordinate i;
 * ``cond_exp(state)`` is the exact ``E[W^i_j - W_j | state]``, (b, p, p).
 
-From these the base class gives fresh draws of W (:meth:`sample_w`),
-coupled pairs (:meth:`draw_batch`) and, in one pass, the statistics both
-size-bias theorems read (:meth:`coupling_stats`):
+From these the base class gives fresh draws of W (:meth:`sample_w`, for
+the validation pilot), coupled pairs (:meth:`draw_batch`) and, in one
+pass, the statistics both size-bias theorems read (:meth:`coupling_stats`):
 ``Var E[W^i_j - W_j | state]`` and ``E |(W^i - W)_j (W^i - W)_k|``, whose
-p = 1 case is ``E (W* - W)^2``. The characterizing identity
+p = 1 case is ``E (W* - W)^2``. That pass also averages a caller's score
+of each W it draws, so an experiment's distance to normality comes from
+the same draws as its bound. The characterizing identity
 
     E[W_i G(W)] = lambda_i E[G(W^i)]
 
@@ -202,13 +204,15 @@ class CoupledPairSampler:
                                       self.couple(state, i, rng))))
         return np.concatenate(w), np.concatenate(wi)
 
-    def coupling_stats(self, samples: int, seed: int,
-                       chunk_size: int) -> CouplingStats:
+    def coupling_stats(self, samples: int, seed: int, chunk_size: int,
+                       score) -> tuple[CouplingStats, Accumulator]:
         """Monte Carlo inputs to the size-bias bounds, in one pass.
 
         Per state: W, the exact conditional means, and one coupling draw
         per coordinate i, giving ``dW = W^i - W``. Conditioning on the
         state rather than on W only enlarges the bound, keeping it valid.
+        The same draws of W feed ``score(w)``, a batch of (b, p) draws to
+        b values, whose accumulator is returned beside the statistics.
         """
         require_samples(samples)
         p = self.p
@@ -216,9 +220,11 @@ class CoupledPairSampler:
         def task(rng, size):
             cond_acc = Accumulator(shape=(p, p), max_power=4)
             cross_acc = Accumulator(shape=(p, p, p))
+            score_acc = Accumulator()
 
             def add(state):
                 w = self.w(state)
+                score_acc.add(score(w))
                 cond_acc.add(self.cond_exp(state))
                 cross = np.empty((len(w), p, p, p))
                 for i in range(p):
@@ -227,16 +233,16 @@ class CoupledPairSampler:
                 cross_acc.add(cross)
 
             self._over_states(rng, size, add)
-            return cond_acc, cross_acc
+            return cond_acc, cross_acc, score_acc
 
-        cond_acc, cross_acc = parallel_mc(task, StreamConfig(seed, chunk_size),
-                                          samples)
+        cond_acc, cross_acc, score_acc = parallel_mc(
+            task, StreamConfig(seed, chunk_size), samples)
         return CouplingStats(
             lam=self.lam, sigma=self.sigma,
             var_cond=cond_acc.variance, abs_cross=cross_acc.mean,
             var_cond_sem=cond_acc.variance_sem, abs_cross_sem=cross_acc.sem,
             sigma_field=self.sigma_field,
-        )
+        ), score_acc
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,8 @@ class SmoothTestFunction:
             raise DimensionMismatch(
                 f"{self.kind} needs len(a) == p; got {len(self.a)} vs {self.p}"
             )
+        if not np.all(np.isfinite([*self.a, self.b, self.scale])):
+            raise ValueError(f"{self.kind} parameters must be finite")
         if self.kind == "gauss-radial" and self.scale <= 0:
             raise ValueError("gauss-radial scale must be positive")
 

@@ -329,6 +329,14 @@ class TestDeterminism:
              "square", "--samples", "3000", "--chunk-size", "512",
              "--seed", "11"], tmp_path)
 
+    def test_color_match_same_bytes(self, tmp_path):
+        """The local-dependence pass, which also scores each chunk's W for
+        the gap, gives the same bytes on any number of workers."""
+        self._assert_same_bytes_at_thread_caps(
+            ["color-match", "--graph", "regular:n=40,d=3", "--colors",
+             "0.3,0.3,0.4", "--samples", "3000", "--chunk-size", "512",
+             "--seed", "11"], tmp_path)
+
     def test_validate_couplings_same_bytes(self, tmp_path):
         """Every registry entry's characterization check, at the reference
         run's sample count (13 chunks per coordinate), gives the same bytes
@@ -336,6 +344,27 @@ class TestDeterminism:
         self._assert_same_bytes_at_thread_caps(
             ["validate-couplings", "--samples", "200000", "--seed", "11"],
             tmp_path, chunks=(200000, 16384))
+
+
+class TestImports:
+    def test_stein_check_loads_no_model_module(self, tmp_path):
+        """A subcommand imports its model module only when it runs, so a
+        run holds only the modules it uses."""
+        package_root = os.path.dirname(os.path.dirname(steinlab.__file__))
+        script = ("import sys\n"
+                  "from steinlab import cli\n"
+                  "code = cli.main(['stein-check', '--h', 'cosine:a=1',\n"
+                  "                 '--grid-points', '3'])\n"
+                  "print(code, sorted(m for m in sys.modules if m in {\n"
+                  "    'steinlab.coloring', 'steinlab.degrees',\n"
+                  "    'steinlab.nonlinear', 'steinlab.validation'}),\n"
+                  "      file=sys.stderr)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=tmp_path,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 []"
 
 
 class TestUsageErrors:
@@ -414,6 +443,29 @@ class TestUsageErrors:
          "--gh-nodes must be at least 2, got 0"),
         (["validate-couplings", "--which", "gauss-square", "--chunk-size",
           "0"], "--chunk-size must be at least 1, got 0"),
+        # an empty or non-finite list names its flag
+        (["degree-count", "--n", "20", "--c", "2", "--degrees", ","],
+         "argument --degrees: ',' is not a list of finite numbers"),
+        (["sweep", "degree-count", "--n", ",", "--c", "2", "--degrees",
+          "1,2"], "argument --n: ',' is not a list of finite numbers"),
+        (["color-match", "--graph", "cycle:16", "--colors", "0.5,nan"],
+         "argument --colors: '0.5,nan' is not a list of finite numbers"),
+        (["degree-count", "--n", "20", "--c", "2", "--degrees", "1,x"],
+         "argument --degrees: invalid int list value: '1,x'"),
+        (["stein-check", "--h", "cosine:a=1", "--extent", "nan"],
+         "--extent must be positive, got nan"),
+        (["stein-check", "--h", "cosine:a=1", "--extent", "0"],
+         "--extent must be positive, got 0.0"),
+        (["stein-check", "--h", "cosine:a=1", "--extent", "-1"],
+         "--extent must be positive, got -1.0"),
+        (["stein-check", "--h", "cosine:a=1", "--tol", "nan"],
+         "--tol must be positive, got nan"),
+        (["stein-check", "--h", "cosine:a=1", "--fd-step", "inf"],
+         "--fd-step must be positive, got inf"),
+        (["color-match", "--graph", "cycle:16", "--colors", "0.5,0.5",
+          "--h", "cosine:a=nan,1"], "--h: cosine parameters must be finite"),
+        (["stein-check", "--h", "gauss-radial:p=2:scale=nan"],
+         "--h: gauss-radial parameters must be finite"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

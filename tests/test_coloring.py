@@ -11,6 +11,11 @@ from steinlab.harness import StreamConfig
 from steinlab.testfuncs import SmoothTestFunction
 
 
+def _first(w):
+    """A score for statistics passes whose gap a test does not read."""
+    return w[:, 0]
+
+
 class TestGraphBuilders:
     @pytest.mark.parametrize("graph,expected_d,expected_edges", [
         (cm.cycle_graph(8), 2, 8),
@@ -82,6 +87,12 @@ class TestTheoreticalMoments:
         with pytest.raises(ValueError):
             cm.ColoringConfig((1.2, -0.2))
 
+    @pytest.mark.parametrize("probs", [(0.5, float("nan")),
+                                       (float("nan"), float("nan"))])
+    def test_nan_probability_is_refused(self, probs):
+        with pytest.raises(ValueError):
+            cm.ColoringConfig(probs)
+
 
 class TestBruteForceOracle:
     CASES = [
@@ -112,7 +123,8 @@ class TestSampling:
     def test_single_color_counts_every_edge(self):
         g = cm.cycle_graph(6)
         cfg = cm.ColoringConfig((1.0,))
-        w = cm.sample_counts(g, cfg, StreamConfig(0).stream(0), 10)
+        w = cm.counts_from_colors(
+            g, cm.sample_colors(g, cfg, StreamConfig(0).stream(0), 10), cfg.p)
         np.testing.assert_array_equal(w, np.full((10, 1), 6.0))
 
     def test_fixed_coloring_count(self):
@@ -126,7 +138,8 @@ class TestSampling:
         cfg = cm.ColoringConfig((0.3, 0.45, 0.25))
         lam, sigma = cm.theoretical_moments(g, cfg)
         m = 200_000
-        w = cm.sample_counts(g, cfg, StreamConfig(9).stream(0), m)
+        w = cm.counts_from_colors(
+            g, cm.sample_colors(g, cfg, StreamConfig(9).stream(0), m), cfg.p)
         se = np.sqrt(np.diag(sigma) / m)
         assert np.all(np.abs(w.mean(axis=0) - lam) <= 4 * se)
         cov = np.cov(w.T)
@@ -137,8 +150,8 @@ class TestSampling:
 class TestLocalDependenceStats:
     def test_outside_mean_term_is_exactly_zero(self):
         g = cm.cycle_graph(10)
-        stats = cm.local_dep_stats(g, cm.ColoringConfig((0.5, 0.5)),
-                                   samples=2000, seed=1)
+        stats, _ = cm.local_dep_stats(g, cm.ColoringConfig((0.5, 0.5)),
+                                      samples=2000, seed=1, score=_first)
         assert stats.t2 == 0.0
 
     def test_matching_t1_closed_form(self):
@@ -147,7 +160,8 @@ class TestLocalDependenceStats:
         g = cm.matching_graph(10)
         pi = 0.4
         cfg = cm.ColoringConfig((pi, 0.6))
-        stats = cm.local_dep_stats(g, cfg, samples=400_000, seed=3)
+        stats, _ = cm.local_dep_stats(g, cfg, samples=400_000, seed=3,
+                                      score=_first)
         # Q_ii = sum_e (X_ei^2 - E X_ei^2): X_ei^2 takes (1-pi^2)^2 w.p.
         # pi^2 and pi^4 otherwise, an affine Bernoulli with span 1 - 2 pi^2
         n_edges = 5
@@ -160,7 +174,8 @@ class TestLocalDependenceStats:
         g = cm.complete_graph(3)
         cfg = cm.ColoringConfig((0.5, 0.5))
         _, _, exact_t1, exact_t3 = cm.brute_force_moments(g, cfg)
-        stats = cm.local_dep_stats(g, cfg, samples=400_000, seed=5)
+        stats, _ = cm.local_dep_stats(g, cfg, samples=400_000, seed=5,
+                                      score=_first)
         assert np.all(np.abs(stats.t1 - exact_t1)
                       <= 5 * stats.t1_sem + 1e-6)
         assert np.all(np.abs(stats.t3 - exact_t3)
@@ -169,10 +184,13 @@ class TestLocalDependenceStats:
     def test_deterministic_given_seed(self):
         g = cm.cycle_graph(12)
         cfg = cm.ColoringConfig((0.5, 0.5))
-        a = cm.local_dep_stats(g, cfg, samples=3000, seed=11)
-        b = cm.local_dep_stats(g, cfg, samples=3000, seed=11)
+        a, a_scores = cm.local_dep_stats(g, cfg, samples=3000, seed=11,
+                                         score=_first)
+        b, b_scores = cm.local_dep_stats(g, cfg, samples=3000, seed=11,
+                                         score=_first)
         np.testing.assert_array_equal(a.t1, b.t1)
         np.testing.assert_array_equal(a.t3, b.t3)
+        np.testing.assert_array_equal(a_scores.sums, b_scores.sums)
 
 
 class TestSpectralChecks:

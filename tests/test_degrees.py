@@ -17,6 +17,11 @@ from steinlab.sizebias import verify_characterization
 from steinlab.testfuncs import SmoothTestFunction
 
 
+def _first(w):
+    """A score for statistics passes whose gap a test does not read."""
+    return w[:, 0]
+
+
 class TestTheoreticalMoments:
     def test_worked_case(self):
         """n=4, pi=0.5, counting degree 1: mean 1.5, variance 1.125."""
@@ -358,9 +363,11 @@ class TestSubBatches:
 
     def test_split_statistics_agree_with_unsplit(self, monkeypatch):
         model = dg.DegreeCountCoupler(self.CFG)
-        whole = dg.estimate_coupling_stats(model, 4000, seed=6)
+        whole, _ = dg.estimate_coupling_stats(model, 4000, seed=6,
+                                              score=_first)
         monkeypatch.setattr(dg, "SUB_BATCH_SLOTS", self.SPLIT)
-        split = dg.estimate_coupling_stats(model, 4000, seed=6)
+        split, _ = dg.estimate_coupling_stats(model, 4000, seed=6,
+                                              score=_first)
         assert not np.array_equal(split.var_cond, whole.var_cond)
         for a, b, se_a, se_b in [
                 (split.var_cond, whole.var_cond,
@@ -499,10 +506,13 @@ class TestEstimatedStatistics:
     def test_deterministic_given_seed(self):
         cfg = dg.ErdosRenyiConfig.from_c(20, 2.0, (1, 2))
         model = dg.DegreeCountCoupler(cfg)
-        a = dg.estimate_coupling_stats(model, 2000, seed=5)
-        b = dg.estimate_coupling_stats(model, 2000, seed=5)
+        a, a_scores = dg.estimate_coupling_stats(model, 2000, seed=5,
+                                                 score=_first)
+        b, b_scores = dg.estimate_coupling_stats(model, 2000, seed=5,
+                                                 score=_first)
         np.testing.assert_array_equal(a.var_cond, b.var_cond)
         np.testing.assert_array_equal(a.abs_cross, b.abs_cross)
+        np.testing.assert_array_equal(a_scores.sums, b_scores.sums)
 
     def test_cond_mean_matches_draw_mean(self):
         """Averaged exact conditional means agree with raw draw means."""

@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinlab.harness import (Accumulator, StreamConfig, estimate_gap,
-                              parallel_mc)
-from steinlab.testfuncs import SmoothTestFunction, phi_h
+from steinlab.harness import Accumulator, StreamConfig, parallel_mc
 
 
 def _toy_task(rng, size):
@@ -112,41 +110,3 @@ class TestParallelMC:
         empty = Accumulator()
         out = parallel_mc(_toy_task, cfg, 0, empty=empty)
         assert out is empty and out.count == 0
-
-
-class TestEstimateGap:
-    def test_degenerate_w_at_mean(self):
-        """W identically lambda: gap = |h(0) - E h(Z)| = 1 - e^{-1/2}."""
-        h = SmoothTestFunction("cosine", p=1, a=(1.0,))
-        lam = np.array([3.0])
-
-        def sample_w(rng, size):
-            return np.full((size, 1), 3.0)
-
-        gap, sem = estimate_gap(sample_w, lam, np.eye(1), h.evaluate,
-                                phi_h(h), 5000,
-                                StreamConfig(seed=1, chunk_size=1000))
-        np.testing.assert_allclose(gap, 1.0 - np.exp(-0.5), atol=1e-12)
-        assert sem == 0.0
-
-    def test_constant_h_zero_gap(self):
-        h = SmoothTestFunction("cosine", p=1, a=(0.0,), b=0.0)
-
-        def sample_w(rng, size):
-            return rng.standard_normal((size, 1))
-
-        gap, _ = estimate_gap(sample_w, np.zeros(1), np.eye(1), h.evaluate,
-                              1.0, 4000, StreamConfig(seed=2, chunk_size=512))
-        assert gap == 0.0
-
-    def test_null_case_within_noise(self):
-        """W exactly normal: the gap is pure Monte Carlo noise."""
-        h = SmoothTestFunction("cosine", p=2, a=(1.0, 0.5))
-
-        def sample_w(rng, size):
-            return rng.standard_normal((size, 2))
-
-        gap, sem = estimate_gap(sample_w, np.zeros(2), np.eye(2), h.evaluate,
-                                phi_h(h), 200_000,
-                                StreamConfig(seed=3))
-        assert gap <= 4.0 * sem

@@ -312,7 +312,8 @@ class TestGaussianCoupler:
         draw_u = coupler.draw_u
         monkeypatch.setattr(coupler, "draw_u", lambda rng, size:
                             rows.append(size) or draw_u(rng, size))
-        coupler.coupling_stats(2000, seed=1, chunk_size=8192)
+        coupler.coupling_stats(2000, seed=1, chunk_size=8192,
+                               score=lambda w: w[:, 0])
         assert sum(rows) == 2000 and len(rows) > 1
         assert max(rows) * n <= nl.SUB_BATCH_VALUES
         for size, width in ((4096, 64), (8192, 200)):

@@ -212,6 +212,9 @@ def _run_oracle(model, config: dict, exact, out_path) -> int:
 
 def _degree_model(args, n: int, check_pd: bool = True):
     from .degrees import DegreeCountCoupler, ErdosRenyiConfig
+    flag, value = ("--pi", args.pi) if args.pi is not None else ("--c", args.c)
+    if not np.isfinite(value):
+        raise _UsageError(f"{flag} must be finite, got {value}")
     cfg = (ErdosRenyiConfig(n, args.pi, tuple(args.degrees), check_pd)
            if args.pi is not None else
            ErdosRenyiConfig.from_c(n, args.c, tuple(args.degrees), check_pd))

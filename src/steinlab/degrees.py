@@ -9,21 +9,23 @@ deletions (Goldstein & Rinott 1996), and the inner conditional expectation of
 the count change given the graph is available exactly, which removes all
 nested Monte Carlo from the conditional-variance estimate.
 
-All Monte Carlo work runs through one chunk kernel over a flat int32 edge
-list ``(gid, u, v)`` plus an int32 per-graph degree array. Graphs are
-sampled by geometric skips over the pair codes; the skips are made by
-inversion of standard exponentials, value for value numpy's own geometric
-draws, so a chunk's edges are fixed by its stream alone. Each graph's edge
-offsets come from one search, and a pair code decodes to its vertex pair
-in closed form. The exact conditional expectation is a contraction of
-small per-graph degree histograms, and the coupling is one vectorised edge
-move per graph. Time is linear in a chunk's edges and vertices. Memory is
-capped: a chunk's graphs run in sub-batches of at most
-:data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots (``n (1 + c/2)``
-per graph), about 8 stored bytes each: they are the states
-:meth:`DegreeCountCoupler.draw` yields, so the statistics pass, which
-also scores each graph's W for the gap, and the coupling draws all run on
-them. Scalar reference versions live in the test suite.
+All Monte Carlo work runs through one chunk kernel over flat int32 edge
+lists ``(u, v)``, int32 per-graph degree arrays and each graph's edge
+offsets ``starts``; no array names an edge's graph. Graphs are sampled by
+geometric skips over the pair codes; the skips are made by inversion of
+standard exponentials, value for value numpy's own geometric draws, so a
+chunk's edges are fixed by its stream alone. The run is built a piece of
+draws at a time: each piece's pair codes decode to vertex pairs in closed
+form and go straight into the edge lists. The exact conditional
+expectation is a contraction of small per-graph degree histograms, and the
+coupling is one vectorised edge move per graph. Time is linear in a
+chunk's edges and vertices. Memory is capped: a chunk's graphs run in
+sub-batches of at most :data:`SUB_BATCH_SLOTS` expected vertex-plus-edge
+slots (``n (1 + c/2)`` per graph), about 6 stored bytes each at c = 2:
+they are the states :meth:`DegreeCountCoupler.draw` yields, so the
+statistics pass, which also scores each graph's W for the gap, and the
+coupling draws all run on them. Scalar reference versions live in the test
+suite.
 """
 
 from __future__ import annotations
@@ -44,12 +46,16 @@ from .sizebias import (CoupledPairSampler, distinct_labels, log_binomial,
 
 BRUTE_FORCE_MAX_N = 5
 # Vertex plus expected edge slots, n (1 + c/2) per graph, that one sub-batch
-# of a chunk's graphs may hold; at 8 stored bytes per slot (int32 arrays) a
-# sub-batch of 2**23 slots keeps 64 MB, and its transients about as much.
+# of a chunk's graphs may hold. A chunk stores 4 bytes per vertex and 8 per
+# edge (int32 degrees and endpoints), 6 per slot at c = 2 and at most 8, so
+# a sub-batch of 2**23 slots keeps about 48 MB. Its transients are
+# bounded by one draw piece and one group of graphs, a few MB in all, plus
+# a one-byte-per-vertex label table while a coupling draw runs.
 SUB_BATCH_SLOTS = 1 << 23
-# Vertices per group of graphs that building a chunk and its conditional
-# means work through at a time, so that their int64 transients stay small.
-_GROUP_VERTICES = 1 << 15
+# Vertices plus edges per group of graphs that building a chunk, its
+# conditional means and its coupling draws work through at a time, so that
+# their per-edge int64 transients stay small.
+_GROUP_SLOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -183,34 +189,38 @@ def _decode_pair_codes(codes: np.ndarray, n: int):
     return u, v
 
 
-# Geometric draws made at a time, so that the only transient beside the
-# int64 gaps is a small float64 buffer.
+# Geometric draws made at a time: the piece of a Bernoulli run that building
+# a chunk turns into edges while it is cache-resident.
 _DRAW_BLOCK = 1 << 16
 # numpy's cap on a geometric draw by inversion: the first float past
 # INT64_MAX; a draw at or above it is INT64_MAX.
 _GEOMETRIC_CAP = 9.223372036854776e18
 
 
-def _geometric(rng: np.random.Generator, pi: float, out: np.ndarray):
-    """Fill int64 ``out`` with Geometric(pi) draws on {1, 2, ...}, equal
-    value for value, and in stream use, to ``rng.geometric(pi, out.size)``.
+def _geometric(rng: np.random.Generator, pi: float, count: int):
+    """Yield ``count`` Geometric(pi) draws on {1, 2, ...} in int64 pieces
+    of at most :data:`_DRAW_BLOCK`, equal value for value, and in stream
+    use, to ``rng.geometric(pi, count)``.
 
     Below pi = 1/3 numpy inverts, ``ceil(-E / log1p(-pi))`` for a standard
     exponential E, and so does this, but with libm's ``log1p`` taken once
     rather than once per draw. At pi >= 1/3 numpy searches the distribution
-    function instead, and is called as it is. Draws are made
-    :data:`_DRAW_BLOCK` at a time; each consumes its own stream values, so
-    the blocks do not change them.
+    function instead, and is called as it is. Each piece consumes its own
+    stream values, so the pieces do not change them. Every piece is the
+    same buffer refilled, so a caller is done with one before it asks for
+    the next.
     """
+    out = np.empty(min(count, _DRAW_BLOCK), dtype=np.int64)
     if pi >= 1.0 / 3.0:
-        for lo in range(0, out.size, _DRAW_BLOCK):
-            part = out[lo:lo + _DRAW_BLOCK]
+        for lo in range(0, count, _DRAW_BLOCK):
+            part = out[:min(count - lo, _DRAW_BLOCK)]
             part[...] = rng.geometric(pi, size=part.size)
+            yield part
         return
     rate = -log1p(-pi)
-    buf = np.empty(min(out.size, _DRAW_BLOCK))
-    for lo in range(0, out.size, _DRAW_BLOCK):
-        part = out[lo:lo + _DRAW_BLOCK]
+    buf = np.empty(out.size)
+    for lo in range(0, count, _DRAW_BLOCK):
+        part = out[:min(count - lo, _DRAW_BLOCK)]
         e = buf[:part.size]
         rng.standard_exponential(out=e)
         e /= rate
@@ -222,37 +232,35 @@ def _geometric(rng: np.random.Generator, pi: float, out: np.ndarray):
             e[huge] = 0.0
             part[...] = e
             part[huge] = np.iinfo(np.int64).max
+        yield part
 
 
-def _bernoulli_positions(rng: np.random.Generator, total: int,
-                         pi: float) -> np.ndarray:
-    """Sorted indices of the successes among ``total`` Bernoulli(pi) trials.
+def _bernoulli_positions(rng: np.random.Generator, total: int, pi: float):
+    """Yield the sorted indices of the successes among ``total``
+    Bernoulli(pi) trials, in int64 pieces of at most :data:`_DRAW_BLOCK`.
 
     The gaps between successes are i.i.d. geometric, so they are drawn
-    directly (Batagelj & Brandes 2005) by :func:`_geometric`. Each block
+    directly (Batagelj & Brandes 2005) by :func:`_geometric`. Each round
     draws ``int((total - 1 - last) pi) + 1`` gaps, about as many as the
-    trials still left hold, and takes their running sum in place. A block
-    lands in room left after the one before (a few standard deviations of
-    the shortfall, so a second block rarely needs a copy), and the int64
-    positions are the only array of the run's size, 8 bytes per success.
+    trials still left hold, and takes their running sum piece by piece in
+    place. Gaps a round draws past ``total`` are drawn all the same and
+    dropped, so the stream is left where one draw of the whole round would
+    leave it. No piece is empty, and each is :func:`_geometric`'s buffer,
+    which a caller may overwrite but is done with before it asks for the
+    next; no array of the run's size is made.
     """
-    pos = np.empty(0, dtype=np.int64)
-    filled = 0
     last = -1
     while last < total:
-        draws = int((total - 1 - last) * pi) + 1
-        if filled + draws > pos.size:
-            grown = np.empty(filled + draws + 4 * isqrt(draws) + 16,
-                             dtype=np.int64)
-            grown[:filled] = pos[:filled]
-            pos = grown
-        block = pos[filled:filled + draws]
-        _geometric(rng, pi, block)
-        np.cumsum(block, out=block)
-        block += last
-        filled += draws
-        last = int(block[-1])
-    return pos[:np.searchsorted(pos[:filled], total)]
+        for pos in _geometric(rng, pi, int((total - 1 - last) * pi) + 1):
+            if last >= total:
+                continue
+            np.cumsum(pos, out=pos)
+            pos += last
+            last = int(pos[-1])
+            if last >= total:
+                pos = pos[:np.searchsorted(pos, total)]
+            if pos.size:
+                yield pos
 
 
 def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
@@ -288,68 +296,98 @@ def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
     return key + (label >= vertex[row])
 
 
+def _grown(a: np.ndarray, filled: int, size: int) -> np.ndarray:
+    """A new array of ``size`` entries of ``a``'s type, holding its first
+    ``filled``."""
+    out = np.empty(size, dtype=a.dtype)
+    out[:filled] = a[:filled]
+    return out
+
+
 class _GraphChunk:
     """``size`` independent G(n, pi) draws as one flat edge list.
 
     The chunk is one run of Bernoulli(pi) trials over the concatenated pair
     codes of its graphs (:func:`_bernoulli_positions`), so every pair of
-    every graph is an edge independently with probability pi. Edge k joins
-    ``u[k] < v[k]`` in graph ``gid[k]``; edges are sorted by graph, then by
-    pair code, graph b owns edges ``starts[b]:starts[b + 1]``, and
-    ``deg[b]`` is its degree array. ``gid``, ``u``, ``v`` and ``deg`` are
-    int32, so a chunk stores 12 bytes per edge and 4 per vertex.
+    every graph is an edge independently with probability pi. Edges are
+    sorted by graph, then by pair code: graph b owns edges
+    ``starts[b]:starts[b + 1]``, edge k joins ``u[k] < v[k]``, and
+    ``deg[b]`` is graph b's degree array. ``u``, ``v`` and ``deg`` are
+    int32, so a chunk stores 8 bytes per edge and 4 per vertex, 6 per
+    vertex-plus-edge slot at c = 2; no array names an edge's graph, which
+    ``starts`` already fixes.
 
-    The build finds ``starts`` with one search of the success positions at
-    the graph boundaries, then works through groups of about
-    :data:`_GROUP_VERTICES` vertices: a group's graph ids are repeated from
-    its edge counts, its pair codes are the positions less each graph's
-    first code (taken in place), and :func:`_decode_pair_codes` maps codes
-    to vertex pairs in closed form. The int64 positions live only while the
-    chunk is built.
+    The build works on each piece of success positions while it is
+    cache-resident: the graph boundaries the piece crosses give ``starts``,
+    each position less its graph's first code is a pair code, and
+    :func:`_decode_pair_codes` maps the codes to vertex pairs, written as
+    int32 straight into the edge arrays. Those grow as the trials still
+    left require, with a few standard deviations of room, so they are
+    rarely copied. Degrees then come from one ``bincount`` per group of
+    :meth:`_groups`; no step holds a transient the size of the chunk.
     """
 
-    __slots__ = ("size", "n", "gid", "u", "v", "deg", "starts", "_counts")
+    __slots__ = ("size", "n", "u", "v", "deg", "starts", "_counts")
 
     def __init__(self, rng, size, cfg):
-        n = cfg.n
+        n, pi = cfg.n, cfg.pi
         npairs = n * (n - 1) // 2
-        pos = _bernoulli_positions(rng, size * npairs, cfg.pi)
+        total = size * npairs
         self.size = size
         self.n = n
-        self.starts = np.searchsorted(
-            pos, np.arange(size + 1, dtype=np.int64) * npairs)
-        self.gid = np.empty(pos.size, dtype=np.int32)
-        self.u = np.empty_like(self.gid)
-        self.v = np.empty_like(self.gid)
-        self.deg = np.empty((size, n), dtype=np.int32)
         self._counts = None
+        starts = np.empty(size + 1, dtype=np.int64)
+        u = v = np.empty(0, dtype=np.int32)
+        filled, unset, last = 0, 0, -1  # unset: first graph with no start
+        for pos in _bernoulli_positions(rng, total, pi):
+            k = pos.size
+            if filled + k > u.size:
+                room = max(k, int((total - 1 - last) * pi) + 1)
+                u, v = (_grown(a, filled, filled + room + 4 * isqrt(room)
+                               + 16) for a in (u, v))
+            last = int(pos[-1])
+            first, top = int(pos[0]) // npairs, last // npairs + 1
+            cut = np.searchsorted(pos, np.arange(first + 1, top) * npairs)
+            starts[unset:first + 1] = filled
+            starts[first + 1:top] = filled + cut
+            unset = top
+            # each position less its graph's first code is its pair code
+            pos -= np.repeat(np.arange(first, top) * npairs,
+                             np.diff(cut, prepend=0, append=k))
+            u[filled:filled + k], v[filled:filled + k] = _decode_pair_codes(
+                pos, n)
+            filled += k
+        starts[unset:] = filled
+        self.starts = starts
+        self.u, self.v = u[:filled], v[:filled]
+        self.deg = np.empty((size, n), dtype=np.int32)
         for rows, edges in self._groups():
-            gid = np.repeat(np.arange(rows.start, rows.stop),
-                            np.diff(self.starts[rows.start:rows.stop + 1]))
-            self.gid[edges] = gid
-            codes = pos[edges]
-            codes -= gid * npairs
-            u, v = _decode_pair_codes(codes, n)
-            self.u[edges], self.v[edges] = u, v
-            gid -= rows.start
-            gid *= n
-            u += gid
-            v += gid
             cells = (rows.stop - rows.start) * n
-            deg = np.bincount(u, minlength=cells)
-            deg += np.bincount(v, minlength=cells)
+            at = self._per_edge(rows, np.arange(0, cells, n))
+            deg = np.bincount(at + self.u[edges], minlength=cells)
+            deg += np.bincount(at + self.v[edges], minlength=cells)
             self.deg[rows] = deg.reshape(-1, n)
 
     def _groups(self):
-        """Split the chunk into groups of about :data:`_GROUP_VERTICES`
-        vertices, so that int64 transients stay small. Yields
+        """Split the chunk into runs of whole graphs of about
+        :data:`_GROUP_SLOTS` vertices plus edges (one graph when a graph
+        holds more), so that per-edge transients stay small. Yields
         ``(rows, edges)``: a slice of the chunk's graphs and the slice of
         the edge list they own."""
-        per = max(1, _GROUP_VERTICES // self.n)
-        starts = self.starts.tolist()
-        for first in range(0, self.size, per):
-            last = min(first + per, self.size)
-            yield slice(first, last), slice(starts[first], starts[last])
+        through = self.starts[1:] + self.n * np.arange(1, self.size + 1)
+        cuts = np.searchsorted(
+            through, np.arange(_GROUP_SLOTS, int(through[-1]), _GROUP_SLOTS),
+            side="right")
+        cuts = np.unique(np.concatenate([[0], cuts, [self.size]])).tolist()
+        starts = self.starts[cuts].tolist()
+        for first, last, lo, hi in zip(cuts, cuts[1:], starts, starts[1:]):
+            yield slice(first, last), slice(lo, hi)
+
+    def _per_edge(self, rows, values):
+        """``values[b]`` for graph ``rows.start + b``, repeated over that
+        graph's edges."""
+        counts = np.diff(self.starts[rows.start:rows.stop + 1])
+        return np.repeat(values, counts)
 
     def degree_count_matrix(self, degrees) -> np.ndarray:
         """W, the number of vertices of each degree in ``degrees`` per graph,
@@ -387,20 +425,19 @@ class _GraphChunk:
         edges_to = np.empty((size, top, width))
         for rows, edges in self._groups():
             block = self.deg[rows]
-            local = self.gid[edges] - rows.start
+            graphs = len(block)
+            # per vertex: (row top + deg) width, and the slot of its degree
+            key = np.arange(0, graphs * top, top)[:, None] + block
             count[rows] = np.bincount(
-                (np.arange(len(block))[:, None] * top + block).ravel(),
-                minlength=len(block) * top).reshape(-1, top)
-            degs = block.ravel()
-            at = local * n
-            deg_u = degs[at + self.u[edges]]
-            deg_v = degs[at + self.v[edges]]
-            del at
-            local = local * top
-            flat = np.bincount((local + deg_u) * width + slot[deg_v],
-                               minlength=len(block) * top * width)
-            flat += np.bincount((local + deg_v) * width + slot[deg_u],
-                                minlength=flat.size)
+                key.ravel(), minlength=graphs * top).reshape(-1, top)
+            key = key.ravel() * width
+            to = slot[block].ravel()
+            at_u = self._per_edge(rows, np.arange(0, graphs * n, n))
+            at_v = at_u + self.v[edges]
+            at_u += self.u[edges]
+            flat = np.bincount(key[at_u] + to[at_v],
+                               minlength=graphs * top * width)
+            flat += np.bincount(key[at_v] + to[at_u], minlength=flat.size)
             edges_to[rows] = flat.reshape(-1, top, width)
         zero = np.zeros((size, top))
 
@@ -423,6 +460,17 @@ class _GraphChunk:
                 out[:, i, j] = (moved + n * (i == j) - count[:, d_j]) / n
         return out
 
+    def _incident(self, vertex) -> np.ndarray:
+        """Indices of the edges at ``vertex[b]`` in each graph b, in
+        order, found a group of :meth:`_groups` at a time."""
+        found = []
+        for rows, edges in self._groups():
+            at = self._per_edge(rows, vertex[rows].astype(np.int32))
+            hit = self.u[edges] == at
+            hit |= self.v[edges] == at
+            found.append(edges.start + np.flatnonzero(hit))
+        return np.concatenate(found)
+
     def couple(self, rng, i: int, degrees) -> np.ndarray:
         """One coupling draw per graph: ``W^i - W``, shape (size, p).
 
@@ -436,10 +484,8 @@ class _GraphChunk:
         vertex = rng.integers(n, size=size)
         dv = self.deg[np.arange(size), vertex]
         delta = dv - d_i
-        at_v = vertex.astype(np.int32)[self.gid]
-        inc = np.flatnonzero((self.u == at_v) | (self.v == at_v))
-        del at_v
-        g_inc = self.gid[inc].astype(np.int64)
+        inc = self._incident(vertex)
+        g_inc = np.searchsorted(self.starts, inc, "right") - 1
         nb = np.where(self.u[inc] == vertex[g_inc], self.v[inc], self.u[inc])
 
         over = delta[g_inc] > 0

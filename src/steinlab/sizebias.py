@@ -79,22 +79,27 @@ def distinct_labels(rng: np.random.Generator, high: np.ndarray,
     keys and those taken in earlier rounds and keeps the first occurrences,
     in draw order, up to what the row lacks. While a row's excluded and
     wanted labels fill at most half of ``[0, high[r])``, each draw is
-    accepted with probability above 1/2, so the work is O(want).
+    accepted with probability above 1/2, so the work is O(want). Excluded
+    and taken keys are marked in one boolean table of ``rows * stride``
+    entries, so a rejection is one lookup, with no sort.
     """
     rows = np.arange(high.size)
     left = want.copy()
-    taken = np.empty(0, dtype=np.int64)
+    blocked = np.zeros(rows.size * stride, dtype=bool)
+    blocked[np.asarray(exclude, dtype=np.intp)] = True
+    taken = [np.empty(0, dtype=np.int64)]
     while left.any():
         g = np.repeat(rows, 2 * left)
         key = g * stride + rng.integers(high[g])
-        key = key[~(np.isin(key, exclude) | np.isin(key, taken))]
+        key = key[~blocked[key]]
         _, first = np.unique(key, return_index=True)
         key = key[np.sort(first)]
         g = key // stride
         key = key[rank_in_group(g) < left[g]]
         left -= np.bincount(key // stride, minlength=rows.size)
-        taken = np.concatenate([taken, key])
-    return taken
+        blocked[key] = True
+        taken.append(key)
+    return np.concatenate(taken)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,25 @@ def bernoulli_positions(rng, total, pi):
     return pos[:np.searchsorted(pos, total)]
 
 
+def distinct_labels_by_sorting(rng, high, want, stride, exclude=()):
+    """``sizebias.distinct_labels`` with its rejections made by
+    ``np.isin``, which sorts: the same rounds, draws and keys."""
+    rows = np.arange(high.size)
+    left = want.copy()
+    taken = np.empty(0, dtype=np.int64)
+    while left.any():
+        g = np.repeat(rows, 2 * left)
+        key = g * stride + rng.integers(high[g])
+        key = key[~(np.isin(key, exclude) | np.isin(key, taken))]
+        _, first = np.unique(key, return_index=True)
+        key = key[np.sort(first)]
+        g = key // stride
+        key = key[np.arange(g.size) - np.searchsorted(g, g) < left[g]]
+        left -= np.bincount(key // stride, minlength=rows.size)
+        taken = np.concatenate([taken, key])
+    return taken
+
+
 def decode_pair_codes(codes, n):
     """Row-major upper-triangle codes to pairs ``u < v`` by a binary search
     of the row offsets."""

@@ -466,6 +466,16 @@ class TestUsageErrors:
           "--h", "cosine:a=nan,1"], "--h: cosine parameters must be finite"),
         (["stein-check", "--h", "gauss-radial:p=2:scale=nan"],
          "--h: gauss-radial parameters must be finite"),
+        (["degree-count", "--n", "20", "--c", "nan", "--degrees", "1,2"],
+         "--c must be finite, got nan"),
+        (["degree-count", "--n", "20", "--c", "inf", "--degrees", "1,2"],
+         "--c must be finite, got inf"),
+        (["degree-count", "--n", "20", "--pi", "nan", "--degrees", "1,2"],
+         "--pi must be finite, got nan"),
+        (["sweep", "degree-count", "--n", "20,40", "--c", "nan", "--degrees",
+          "1,2"], "--c must be finite, got nan"),
+        (["sweep", "degree-count", "--n", "20", "--pi", "inf", "--degrees",
+          "1,2"], "--pi must be finite, got inf"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -93,10 +93,16 @@ class TestBruteForceOracle:
 def _chunk_graphs(chunk):
     """The chunk's graphs as scalar-oracle graph samples."""
     return [oracles.GraphSample(chunk.n,
-                                np.stack([chunk.u[chunk.gid == b],
-                                          chunk.v[chunk.gid == b]], axis=1),
+                                np.stack([chunk.u[lo:hi], chunk.v[lo:hi]],
+                                         axis=1),
                                 chunk.deg[b])
-            for b in range(chunk.size)]
+            for b, (lo, hi) in enumerate(zip(chunk.starts[:-1],
+                                             chunk.starts[1:]))]
+
+
+def _chunk_gid(chunk):
+    """Each edge's graph, from the chunk's edge offsets."""
+    return np.repeat(np.arange(chunk.size), np.diff(chunk.starts))
 
 
 def _chunk_from_arrays(n, size, gid, u, v, deg):
@@ -104,8 +110,7 @@ def _chunk_from_arrays(n, size, gid, u, v, deg):
     edge offsets found from its graph ids."""
     chunk = object.__new__(dg._GraphChunk)
     chunk.size, chunk.n, chunk._counts = size, n, None
-    chunk.gid, chunk.u, chunk.v = (np.asarray(a, dtype=np.int32)
-                                   for a in (gid, u, v))
+    chunk.u, chunk.v = (np.asarray(a, dtype=np.int32) for a in (u, v))
     chunk.deg = np.asarray(deg, dtype=np.int32)
     chunk.starts = np.searchsorted(gid, np.arange(size + 1))
     return chunk
@@ -117,14 +122,15 @@ class TestSampling:
         cfg = dg.ErdosRenyiConfig(100, 0.02, (1,), check_pd=False)
         m = 4000
         chunk = dg._GraphChunk(StreamConfig(3).stream(0), m, cfg)
-        counts = np.bincount(chunk.gid, minlength=m)
+        counts = np.diff(chunk.starts)
         se = np.sqrt(4950 * 0.02 * 0.98 / m)
         assert abs(np.mean(counts) - 99.0) <= 4.0 * se
 
     def test_graph_internally_consistent(self):
         cfg = dg.ErdosRenyiConfig(40, 0.12, (1, 2), check_pd=False)
         chunk = dg._GraphChunk(StreamConfig(5).stream(1), 20, cfg)
-        assert np.all(np.diff(chunk.gid) >= 0)
+        assert chunk.starts[0] == 0 and chunk.starts[-1] == chunk.u.size
+        assert np.all(np.diff(chunk.starts) >= 0)
         for g in _chunk_graphs(chunk):
             g.validate()
 
@@ -158,8 +164,10 @@ class TestSampling:
     def test_bernoulli_positions_match_oracle(self, monkeypatch, room):
         """The positions, and the stream value after them, equal those from
         numpy's own geometric draws, on both sides of pi = 1/3 and at 1/3,
-        over runs of one, two and three blocks. With no room left after a
-        block, each later block is copied in."""
+        over runs of one, two and three rounds. So do those a chunk of
+        ``total`` graphs at n = 2 stores, one trial per graph; with no room
+        left after a round, the chunk's edge arrays grow for each later
+        round."""
         if room == "none":
             monkeypatch.setattr(dg, "isqrt", lambda k: -4)
         calls = []
@@ -168,23 +176,63 @@ class TestSampling:
                             or geometric(*a))
         blocks = set()
         for pi in (0.01, 0.2, 1.0 / 3.0, 0.6):
+            cfg = dg.ErdosRenyiConfig(2, pi, (0,), check_pd=False)
             for total in (1, 2, 50, 1000):
                 for seed in range(12):
-                    rng = StreamConfig(seed).stream(0)
                     ref_rng = StreamConfig(seed).stream(0)
-                    calls.clear()
-                    got = dg._bernoulli_positions(rng, total, pi)
-                    blocks.add(len(calls))
                     want = oracles.bernoulli_positions(ref_rng, total, pi)
-                    np.testing.assert_array_equal(got, want)
-                    assert rng.random() == ref_rng.random()
+                    after = ref_rng.random()
+                    rng = StreamConfig(seed).stream(0)
+                    calls.clear()
+                    got = [pos.copy() for pos in
+                           dg._bernoulli_positions(rng, total, pi)]
+                    blocks.add(len(calls))
+                    assert all(pos.size for pos in got)
+                    np.testing.assert_array_equal(
+                        np.concatenate([np.empty(0, dtype=np.int64), *got]),
+                        want)
+                    assert rng.random() == after
+                    rng = StreamConfig(seed).stream(0)
+                    chunk = dg._GraphChunk(rng, total, cfg)
+                    np.testing.assert_array_equal(
+                        np.flatnonzero(np.diff(chunk.starts)), want)
+                    assert rng.random() == after
         assert {1, 2, 3} <= blocks
+
+    def test_pieces_cover_long_rounds(self, monkeypatch):
+        """Rounds of many draw pieces give the same positions and leave the
+        stream where whole rounds would, also when the run passes ``total``
+        before a round's last piece, whose gaps are then drawn and
+        dropped."""
+        pi, total = 0.3, 3000
+        monkeypatch.setattr(dg, "_DRAW_BLOCK", 4)
+        drawn = []
+        geometric = dg._geometric
+
+        def counted(*args):
+            for piece in geometric(*args):
+                drawn.append(piece.size)
+                yield piece
+
+        monkeypatch.setattr(dg, "_geometric", counted)
+        dropped = 0
+        for seed in range(10):
+            ref_rng = StreamConfig(seed).stream(0)
+            want = oracles.bernoulli_positions(ref_rng, total, pi)
+            rng = StreamConfig(seed).stream(0)
+            drawn.clear()
+            got = [pos.copy() for pos in
+                   dg._bernoulli_positions(rng, total, pi)]
+            assert max(drawn) == 4 and max(pos.size for pos in got) <= 4
+            dropped += len(drawn) > len(got)
+            np.testing.assert_array_equal(np.concatenate(got), want)
+            assert rng.random() == ref_rng.random()
+        assert dropped
 
     def test_geometric_cap(self):
         """Draws past INT64_MAX are INT64_MAX, as numpy makes them."""
         pi = 1e-300
-        out = np.empty(5, dtype=np.int64)
-        dg._geometric(StreamConfig(2).stream(0), pi, out)
+        out, = dg._geometric(StreamConfig(2).stream(0), pi, 5)
         want = StreamConfig(2).stream(0).geometric(pi, size=5)
         np.testing.assert_array_equal(out, want)
         assert np.all(out == np.iinfo(np.int64).max)
@@ -218,19 +266,19 @@ class TestSampling:
         ref_rng = StreamConfig(seed).stream(0)
         chunk = dg._GraphChunk(rng, size, cfg)
         assert len(calls) == blocks
-        ref = _chunk_from_arrays(
-            n, size, *oracles.graph_chunk_arrays(ref_rng, size, cfg))
-        for name in ("gid", "u", "v", "deg"):
+        gid, u, v, deg = oracles.graph_chunk_arrays(ref_rng, size, cfg)
+        ref = _chunk_from_arrays(n, size, gid, u, v, deg)
+        np.testing.assert_array_equal(_chunk_gid(chunk), gid)
+        for name in ("u", "v", "deg", "starts"):
             np.testing.assert_array_equal(getattr(chunk, name),
                                           getattr(ref, name))
-        np.testing.assert_array_equal(chunk.starts, ref.starts)
         np.testing.assert_array_equal(chunk.degree_count_matrix(cfg.degrees),
                                       ref.degree_count_matrix(cfg.degrees))
         np.testing.assert_array_equal(chunk.cond_exp(cfg.degrees),
                                       ref.cond_exp(cfg.degrees))
         assert rng.random() == ref_rng.random()
         if n == 7:
-            assert np.any(np.bincount(chunk.gid, minlength=size) == 0)
+            assert np.any(np.diff(chunk.starts) == 0)
 
 
 class TestCoupling:
@@ -377,16 +425,17 @@ class TestSubBatches:
             assert np.all(np.abs(a - b) <= 3 * np.hypot(se_a, se_b) + 1e-12)
 
     def test_chunk_memory_per_slot(self):
-        """Building a chunk at n = 5000 (64 graphs), its conditional means
-        and a coupling draw each peak under 20 traced bytes per
-        edge-plus-vertex slot. The int32 chunk stores about 8; an int64 edge
-        list stores 16 and peaks at 22 to 32."""
+        """Building a 512-graph chunk at n = 5000, its conditional means and
+        a coupling draw each peak under 7.5 traced bytes per
+        edge-plus-vertex slot, and under 36 MiB. The chunk stores 6 (int32
+        u, v and degrees); an int64 position array and per-edge graph ids
+        took the build to about 12."""
         cfg = dg.ErdosRenyiConfig.from_c(5000, 2, (1, 2))
         rng = StreamConfig(43).stream(0)
         peaks = {}
         tracemalloc.start()
         try:
-            chunk = dg._GraphChunk(rng, 64, cfg)
+            chunk = dg._GraphChunk(rng, 512, cfg)
             peaks["build"] = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             chunk.cond_exp(cfg.degrees)
@@ -396,9 +445,26 @@ class TestSubBatches:
             peaks["couple"] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        slots = chunk.gid.size + chunk.deg.size
+        slots = chunk.u.size + chunk.deg.size
         per_slot = {step: peak / slots for step, peak in peaks.items()}
-        assert max(per_slot.values()) < 20, per_slot
+        assert max(per_slot.values()) < 7.5, per_slot
+        assert max(peaks.values()) < 36 * 2**20, peaks
+
+    def test_chunk_keeps_no_int64_edges_or_graph_ids(self):
+        """The per-edge and per-vertex arrays are int32, the only int64
+        array is ``starts`` with one entry per graph boundary, and no array
+        holds each edge's graph."""
+        cfg = dg.ErdosRenyiConfig.from_c(300, 2, (1, 2))
+        chunk = dg._GraphChunk(StreamConfig(44).stream(0), 64, cfg)
+        arrays = {name: getattr(chunk, name)
+                  for name in dg._GraphChunk.__slots__
+                  if isinstance(getattr(chunk, name), np.ndarray)}
+        assert set(arrays) == {"u", "v", "deg", "starts"}
+        assert arrays.pop("starts").shape == (chunk.size + 1,)
+        gid = _chunk_gid(chunk)
+        for name, values in arrays.items():
+            assert values.dtype == np.int32, name
+            assert not np.array_equal(values, gid), name
 
 
 class TestConditionalExpectation:

@@ -2,14 +2,58 @@
 
 The model couplers are checked against enumeration oracles in their own
 test modules; here the characterization check itself gets a positive and
-a negative control built on a model coupler.
+a negative control built on a model coupler, and the distinct-label
+sampler the couplings share is checked against its sorting version.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 import steinlab.nonlinear as nl
-from steinlab.sizebias import DiscreteDistribution, verify_characterization
+from steinlab.sizebias import (DiscreteDistribution, distinct_labels,
+                               verify_characterization)
+
+
+@st.composite
+def _label_requests(draw):
+    """Rows of ``[0, high)`` label ranges under one stride, each with some
+    excluded labels (maybe none at all) and a wanted count that the labels
+    left can meet."""
+    stride = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 6))
+    high = np.array([draw(st.integers(1, stride)) for _ in range(rows)])
+    exclude, want = [], []
+    for r in range(rows):
+        labels = draw(st.sets(st.integers(0, stride - 1), max_size=stride))
+        exclude += [r * stride + x for x in sorted(labels)]
+        free = int(high[r]) - sum(x < high[r] for x in labels)
+        want.append(draw(st.integers(0, free)))
+    return high, np.array(want), stride, exclude or ()
+
+
+class TestDistinctLabels:
+    @settings(max_examples=60, deadline=None)
+    @given(_label_requests(), st.integers(0, 2**32 - 1))
+    # exclude=(), as the multinomial ball mover passes it
+    @example((np.array([5, 9]), np.array([2, 4]), 9, ()), 3)
+    def test_lookup_matches_sorting_version(self, request, seed):
+        """The boolean-table rejections keep the keys ``np.isin`` keeps,
+        in the same order, and leave the stream in the same place, with
+        and without excluded keys."""
+        high, want, stride, exclude = request
+        rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+        got = distinct_labels(rng, high, want, stride, exclude=exclude)
+        ref = oracles.distinct_labels_by_sorting(ref_rng, high, want, stride,
+                                                  exclude=exclude)
+        np.testing.assert_array_equal(got, ref)
+        assert got.dtype == ref.dtype
+        assert rng.random() == ref_rng.random()
+        row, label = np.divmod(got, stride)
+        assert np.array_equal(np.bincount(row, minlength=high.size), want)
+        assert np.all(label < high[row]) and not np.isin(got, exclude).any()
 
 
 class TestDiscreteDistribution:

@@ -4,9 +4,10 @@ A library and CLI that builds the size-bias couplings of three models
 (degree counts in a random graph, sums of functions of Gaussian variables
 and of multinomial cell counts) and the dependency neighborhoods of
 monochromatic edge counts, Monte Carlo-estimates every term of four
-coupling-based bound theorems, certifies the resulting bound against the
-empirical distance to normality, and validates the closed-form moment
-formulas with exact enumeration oracles.
+coupling-based bound theorems, and certifies the resulting bound against
+the empirical distance to normality. The closed-form means and
+covariances the bounds rest on are exact; the test suite checks them
+against enumeration of small instances.
 """
 
 from .bounds import (BoundReport, CouplingStats, LocalDepStats,

@@ -9,7 +9,8 @@ one-line summary to stderr. Exit status is 0 when every certified check
 passes, 2 when a bound or validation check is violated, and 1 for usage or
 configuration errors. All randomness flows from ``--seed``; re-running with
 the same arguments gives byte-identical output regardless of
-``STEIN_LAB_THREADS``.
+``STEIN_LAB_THREADS``. The closed-form moments every report rests on are
+checked against exact enumeration by the test suite.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 
 import numpy as np
 
-from .errors import SteinLabError, TooLarge
+from .errors import SteinLabError
 from .experiment import run_experiment
 from .report import stable_json
 from .specs import read_spec
@@ -86,8 +87,6 @@ def build_parser() -> _Parser:
     group.add_argument("--pi", type=float)
     deg.add_argument("--degrees", type=_list_of(int), required=True)
     deg.add_argument("--h", default=None, help="e.g. cosine:a=0.5,0.5")
-    deg.add_argument("--oracle", action="store_true",
-                     help="compare closed-form moments against enumeration")
     _add_common(deg, chunk_default=512)
 
     col = subs.add_parser("color-match",
@@ -96,7 +95,6 @@ def build_parser() -> _Parser:
                      help="cycle:64 | complete:8 | matching:10 | regular:n=200,d=3")
     col.add_argument("--colors", type=_list_of(float), required=True)
     col.add_argument("--h", default=None)
-    col.add_argument("--oracle", action="store_true")
     _add_common(col, chunk_default=2048)
 
     non = subs.add_parser("nonlinear",
@@ -107,8 +105,6 @@ def build_parser() -> _Parser:
                           "-1/(n-1) < rho < 1) | multinomial:n=100,k=2")
     non.add_argument("--psi", required=True,
                      choices=["square", "exp", "indicator"])
-    non.add_argument("--raw-psi", action="store_true",
-                     help="skip scaling psi to unit Gaussian mean")
     non.add_argument("--h", default=None)
     _add_common(non, chunk_default=8192)
 
@@ -188,70 +184,40 @@ def _run_single(args, model) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def _run_oracle(model, config: dict, exact, out_path) -> int:
-    """Compare the model's closed-form moments against the exact
-    ``(lam, sigma)`` from enumeration."""
-    (lam, sigma), (exact_lam, exact_sigma) = (model.lam, model.sigma), exact
-    scale = max(np.abs(exact_lam).max(), np.abs(exact_sigma).max(), 1.0)
-    worst = max(np.abs(lam - exact_lam).max(),
-                np.abs(sigma - exact_sigma).max()) / scale
-    match = bool(worst <= 1e-12)
-    payload = {
-        "experiment": f"{model.name}-oracle", "config": config,
-        "lambda_formula": lam, "lambda_exact": exact_lam,
-        "sigma_formula": sigma, "sigma_exact": exact_sigma,
-        "max_rel_diff": worst, "match": match,
-    }
-    _emit(stable_json(payload), out_path)
-    print(f"{model.name} oracle: max relative difference {worst:.3g} "
-          f"[{'MATCH' if match else 'MISMATCH'}]", file=sys.stderr)
-    return EXIT_OK if match else EXIT_VIOLATION
-
-
 # Each subcommand imports its model module; a run loads only what it uses.
 
-def _degree_model(args, n: int, check_pd: bool = True):
+def _degree_model(args, n: int):
     from .degrees import DegreeCountCoupler, ErdosRenyiConfig
     flag, value = ("--pi", args.pi) if args.pi is not None else ("--c", args.c)
     if not np.isfinite(value):
         raise _UsageError(f"{flag} must be finite, got {value}")
-    cfg = (ErdosRenyiConfig(n, args.pi, tuple(args.degrees), check_pd)
+    cfg = (ErdosRenyiConfig(n, args.pi, tuple(args.degrees))
            if args.pi is not None else
-           ErdosRenyiConfig.from_c(n, args.c, tuple(args.degrees), check_pd))
+           ErdosRenyiConfig.from_c(n, args.c, tuple(args.degrees)))
     return DegreeCountCoupler(cfg)
 
 
 def _color_model(args, spec: str):
     from . import coloring
+    if len(args.colors) < 2:
+        raise _UsageError("--colors needs at least 2 colors: with one color "
+                          "every edge is monochromatic, so W is constant")
     graph = coloring.parse_graph_spec(spec, seed=args.seed)
     cfg = coloring.ColoringConfig(tuple(args.colors))
     return coloring.ColoringModel(graph, cfg, spec)
 
 
 def _run_degree(args) -> int:
-    model = _degree_model(args, args.n, check_pd=not args.oracle)
-    if args.oracle:
-        from .degrees import brute_force_moments
-        cfg = model.cfg
-        return _run_oracle(
-            model, {"n": cfg.n, "pi": cfg.pi, "degrees": list(cfg.degrees)},
-            brute_force_moments(cfg), args.out)
-    return _run_single(args, model)
+    return _run_single(args, _degree_model(args, args.n))
 
 
 def _run_color(args) -> int:
-    model = _color_model(args, args.graph)
-    if args.oracle:
-        from .coloring import brute_force_moments
-        return _run_oracle(
-            model, {"graph": args.graph, "colors": list(model.cfg.probs)},
-            brute_force_moments(model.g, model.cfg)[:2], args.out)
-    return _run_single(args, model)
+    return _run_single(args, _color_model(args, args.graph))
 
 
 def _run_nonlinear(args) -> int:
     from . import nonlinear
-    psi = nonlinear.parse_psi(args.psi, normalize=not args.raw_psi)
+    psi = nonlinear.parse_psi(args.psi)
     kind = args.model.partition(":")[0]
     if kind == "gauss":
         kv = read_spec(args.model, {"n": int, "rho": float}, required=("n",))
@@ -382,10 +348,6 @@ def main(argv=None) -> int:
         code = runner(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TooLarge as exc:
-        print(f"error: instance too large for exact enumeration: {exc}",
-              file=sys.stderr)
         return EXIT_USAGE
     except (SteinLabError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,18 +14,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
 from .bounds import LocalDepStats, bound_multivariate_local
-from .errors import (AsymmetricNeighborhoods, BadSpec, NotPositiveDefinite,
-                     TooLarge)
+from .errors import AsymmetricNeighborhoods, BadSpec, NotPositiveDefinite
 from .harness import Accumulator, StreamConfig, parallel_mc
 from .linalg import inverse_sqrt, max_abs_norm
 from .specs import read_spec
-
-BRUTE_FORCE_MAX_COLORINGS = 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +154,15 @@ def parse_graph_spec(spec: str, seed: int = 0) -> RegularGraph:
     ``regular:n=200,d=3``."""
     kind, _, rest = spec.strip().partition(":")
     kind = kind.lower()
-    if kind == "cycle":
-        return cycle_graph(int(rest))
-    if kind == "complete":
-        return complete_graph(int(rest))
-    if kind == "matching":
-        return matching_graph(int(rest))
+    builders = {"cycle": cycle_graph, "complete": complete_graph,
+                "matching": matching_graph}
+    if kind in builders:
+        try:
+            size = int(rest)
+        except ValueError:
+            raise BadSpec(f"spec {spec!r}: size {rest.strip()!r} is not a "
+                          f"valid int") from None
+        return builders[kind](size)
     if kind == "regular":
         kv = read_spec(spec, {"n": int, "d": int}, required=("n", "d"))
         return random_regular_graph(kv["n"], kv["d"], seed=seed)
@@ -294,50 +293,6 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, samples: int,
         p=p, sigma=sigma, t1=t1, t2=0.0, t3=triple_acc.mean,
         t1_sem=t1_sem, t3_sem=triple_acc.sem,
     ), scores
-
-
-# ---------------------------------------------------------------------------
-# Exact enumeration oracle
-# ---------------------------------------------------------------------------
-
-def brute_force_moments(g: RegularGraph, cfg: ColoringConfig):
-    """Exact ``(lam, sigma, t1, t3)`` by enumerating all colorings.
-
-    The pairwise indicator means inside ``t1`` are themselves taken from the
-    enumeration, so nothing here shares code with the closed-form path.
-    """
-    p = cfg.p
-    if p**g.n > BRUTE_FORCE_MAX_COLORINGS:
-        raise TooLarge(f"{p}^{g.n} colorings exceed the enumeration cap")
-    n_edges = g.num_edges
-    pi = np.asarray(cfg.probs)
-    colorings = np.array(list(itertools.product(range(p), repeat=g.n)),
-                         dtype=np.int64)
-    weights = np.prod(pi[colorings], axis=1)
-    cu = colorings[:, g.edges[:, 0]]
-    cv = colorings[:, g.edges[:, 1]]
-    mono = cu == cv
-    raw = np.stack([(mono & (cu == i)) for i in range(p)], axis=2).astype(float)
-    w_counts = raw.sum(axis=1)  # (M, p)
-    lam = np.array([fsum((weights * w_counts[:, i]).tolist())
-                    for i in range(p)])
-    second = np.array(
-        [[fsum((weights * w_counts[:, i] * w_counts[:, j]).tolist())
-          for j in range(p)] for i in range(p)]
-    )
-    sigma = second - np.outer(lam, lam)
-    # centered indicators and their exact pairwise means
-    x = raw - pi**2  # (M, N, p)
-    neigh = x[:, g.neighborhoods, :].sum(axis=2)
-    quad = np.einsum("mei,mej->mij", x, neigh)
-    pair_mean = np.einsum("m,mij->ij", weights, quad)
-    centered = quad - pair_mean
-    t1 = np.sqrt(np.einsum("m,mij->ij", weights, centered**2))
-    # |X n_j n_k| factors since the absolute value of a product splits
-    t3 = np.einsum("m,mijk->ijk", weights,
-                   np.einsum("mei,mej,mek->mijk", np.abs(x), np.abs(neigh),
-                             np.abs(neigh)))
-    return lam, sigma, t1, t3
 
 
 # ---------------------------------------------------------------------------

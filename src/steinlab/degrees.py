@@ -30,21 +30,19 @@ suite.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
-from math import comb, exp, fsum, isqrt, log, log1p
+from math import comb, exp, isqrt, log, log1p
 
 import numpy as np
 
 from .bounds import CouplingStats, bound_multivariate_size_bias
-from .errors import NotPositiveDefinite, TooLarge
+from .errors import NotPositiveDefinite
 from .harness import Accumulator
 from .linalg import DEFAULT_PD_TOL, inverse_sqrt, max_abs_norm
 from .sizebias import (CoupledPairSampler, distinct_labels, log_binomial,
                         rank_in_group, sub_batch_sizes)
 
-BRUTE_FORCE_MAX_N = 5
 # Vertex plus expected edge slots, n (1 + c/2) per graph, that one sub-batch
 # of a chunk's graphs may hold. A chunk stores 4 bytes per vertex and 8 per
 # edge (int32 degrees and endpoints), 6 per slot at c = 2 and at most 8, so
@@ -65,7 +63,6 @@ class ErdosRenyiConfig:
     n: int
     pi: float
     degrees: tuple
-    check_pd: bool = True
 
     def __post_init__(self):
         if self.n < 2:
@@ -78,20 +75,13 @@ class ErdosRenyiConfig:
         if any(d < 0 or d > self.n - 1 for d in degs):
             raise ValueError("degrees must lie in [0, n-1]")
         object.__setattr__(self, "degrees", degs)
-        if self.check_pd:
-            _, sigma, _ = theoretical_moments(self)
-            try:
-                inverse_sqrt(sigma)
-            except NotPositiveDefinite as exc:
-                raise NotPositiveDefinite(
-                    _singular_message(self.degrees, sigma, exc)) from exc
 
     @classmethod
-    def from_c(cls, n: int, c: float, degrees, check_pd: bool = True):
+    def from_c(cls, n: int, c: float, degrees):
         """Sparse parameterization ``pi = c / (n - 1)``."""
         if n < 2:
             raise ValueError(f"need n >= 2 vertices, got n = {n}")
-        return cls(n, c / (n - 1), tuple(degrees), check_pd)
+        return cls(n, c / (n - 1), tuple(degrees))
 
     @property
     def c(self) -> float:
@@ -554,7 +544,8 @@ class DegreeCountCoupler(CoupledPairSampler):
     A state is one :class:`_GraphChunk` sub-batch: W counts its degrees,
     a coupling draw moves one vertex per graph, and the conditional means
     are exact. Time is linear in a batch's edges and vertices, and memory
-    in a sub-batch's.
+    in a sub-batch's. A configuration whose covariance cannot be whitened
+    is refused here, with the degree to leave out when one is to blame.
     """
 
     name = "degree-count"
@@ -564,6 +555,11 @@ class DegreeCountCoupler(CoupledPairSampler):
         self.cfg = cfg
         self.p = cfg.p
         self.lam, self.sigma, _ = theoretical_moments(cfg)
+        try:
+            inverse_sqrt(self.sigma)
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(
+                _singular_message(cfg.degrees, self.sigma, exc)) from exc
         self.config = {"n": cfg.n, "pi": cfg.pi, "c": cfg.c,
                        "degrees": list(cfg.degrees)}
 
@@ -591,43 +587,3 @@ class DegreeCountCoupler(CoupledPairSampler):
                 "var_cond": stats.var_cond,
                 "abs_cross_total": float(np.sum(stats.abs_cross))}
 
-
-# ---------------------------------------------------------------------------
-# Exact enumeration oracle
-# ---------------------------------------------------------------------------
-
-def brute_force_moments(cfg: ErdosRenyiConfig):
-    """Exact mean and covariance by enumerating all graphs (n <= 5)."""
-    if cfg.n > BRUTE_FORCE_MAX_N:
-        raise TooLarge(f"enumeration supports n <= {BRUTE_FORCE_MAX_N}")
-    n, pi = cfg.n, cfg.pi
-    pairs = list(itertools.combinations(range(n), 2))
-    m = len(pairs)
-    p = cfg.p
-    mean_terms = [[] for _ in range(p)]
-    cross_terms = [[[] for _ in range(p)] for _ in range(p)]
-    pi_pow = [pi**k * (1.0 - pi) ** (m - k) for k in range(m + 1)]
-    for mask in range(1 << m):
-        deg = [0] * n
-        bits = mask
-        k = 0
-        while bits:
-            idx = (bits & -bits).bit_length() - 1
-            a, b = pairs[idx]
-            deg[a] += 1
-            deg[b] += 1
-            k += 1
-            bits &= bits - 1
-        weight = pi_pow[k]
-        w = [sum(1 for v in range(n) if deg[v] == d) for d in cfg.degrees]
-        for i in range(p):
-            if w[i]:
-                mean_terms[i].append(weight * w[i])
-                for j in range(p):
-                    if w[j]:
-                        cross_terms[i][j].append(weight * w[i] * w[j])
-    lam = np.array([fsum(t) for t in mean_terms])
-    second = np.array([[fsum(cross_terms[i][j]) for j in range(p)]
-                       for i in range(p)])
-    sigma = second - np.outer(lam, lam)
-    return lam, sigma

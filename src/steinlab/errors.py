@@ -13,20 +13,12 @@ class DimensionMismatch(SteinLabError):
     """Array shapes do not agree with the declared dimension."""
 
 
-class ZeroMass(SteinLabError):
-    """A tilted distribution has zero total mass."""
-
-
 class QuadratureNotConverged(SteinLabError):
     """Adaptive quadrature refinement stalled above the requested tolerance."""
 
 
 class InfeasibleAdjustment(SteinLabError):
     """A resampled cell count cannot be reconciled with the ball budget."""
-
-
-class TooLarge(SteinLabError):
-    """An exact-enumeration oracle was asked for an instance beyond its cap."""
 
 
 class NonfiniteMoment(SteinLabError):

@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import (CouplingStats, bound_univariate_size_bias,
                      floor_mean_sq_diff)
 from .errors import (InfeasibleAdjustment, InvariantViolation,
-                     NonfiniteMoment, NotPositiveDefinite, ZeroMass)
+                     NonfiniteMoment, NotPositiveDefinite)
 from .harness import Accumulator
 from .sizebias import (CoupledPairSampler, DiscreteDistribution,
                         distinct_labels, sub_batch_sizes)
@@ -40,15 +40,14 @@ from .sizebias import (CoupledPairSampler, DiscreteDistribution,
 
 @dataclass(frozen=True)
 class PsiFunction:
-    """A named nonnegative summand function, optionally rescaled.
+    """A named nonnegative summand function.
 
-    ``square`` is ``u^2``, ``exp`` is ``e^u``, ``indicator`` is ``1{u > 0}``;
-    ``scale`` multiplies the base function. ``normalized()`` rescales so the
-    standard-normal mean is 1.
+    ``square`` is ``u^2``, ``exp`` is ``e^u``, ``indicator`` is ``1{u > 0}``.
+    There is no scale: the bounds are stated for the standardized sum
+    ``(W - lam) / sigma``, which no positive multiple of psi changes.
     """
 
     name: str
-    scale: float = 1.0
 
     _GAUSSIAN_MEANS = {"square": 1.0, "exp": float(np.exp(0.5)),
                        "indicator": 0.5}
@@ -56,22 +55,17 @@ class PsiFunction:
     def __post_init__(self):
         if self.name not in self._GAUSSIAN_MEANS:
             raise ValueError(f"unknown psi {self.name!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         if self.name == "square":
-            return self.scale * u**2
+            return u**2
         if self.name == "exp":
-            return self.scale * np.exp(u)
-        return self.scale * (u > 0).astype(float)
+            return np.exp(u)
+        return (u > 0).astype(float)
 
     def gaussian_mean(self) -> float:
-        return self.scale * self._GAUSSIAN_MEANS[self.name]
-
-    def normalized(self) -> "PsiFunction":
-        return PsiFunction(self.name, self.scale / self.gaussian_mean())
+        return self._GAUSSIAN_MEANS[self.name]
 
     def gaussian_pair_cov(self, rho):
         """``Cov(psi(U), psi(V))`` for standard normal pairs, closed form.
@@ -79,17 +73,15 @@ class PsiFunction:
         ``rho = 1`` gives the variance.
         """
         rho = np.asarray(rho, dtype=float)
-        s2 = self.scale**2
         if self.name == "square":
-            return s2 * 2.0 * rho**2
+            return 2.0 * rho**2
         if self.name == "exp":
-            return s2 * (np.exp(1.0 + rho) - np.e)
-        return s2 * np.arcsin(rho) / (2.0 * np.pi)
+            return np.exp(1.0 + rho) - np.e
+        return np.arcsin(rho) / (2.0 * np.pi)
 
 
-def parse_psi(name: str, normalize: bool = True) -> PsiFunction:
-    psi = PsiFunction(name.strip().lower())
-    return psi.normalized() if normalize else psi
+def parse_psi(name: str) -> PsiFunction:
+    return PsiFunction(name.strip().lower())
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +145,8 @@ def _psi_on_support(psi, dist: DiscreteDistribution) -> np.ndarray:
     return out
 
 
-# Mean and second moment of the psi-tilted standard normal y, and E psi(y)
-# for the unscaled psi, per psi name.
+# Mean and second moment of the psi-tilted standard normal y, and E psi(y),
+# per psi name.
 _GAUSSIAN_TILT_MOMENTS = {
     "square": (0.0, 3.0, 3.0), "exp": (1.0, 2.0, float(np.exp(1.5))),
     "indicator": (float(np.sqrt(2.0 / np.pi)), 1.0, 1.0)}
@@ -174,40 +166,25 @@ SUB_BATCH_VALUES = 1 << 21
 
 
 class TiltedSampler:
-    """Law proportional to ``psi(u) d(base)(u)``.
+    """The standard normal law tilted by a named :class:`PsiFunction`,
+    proportional to ``psi(u) phi(u)``.
 
-    On the standard-normal base ``psi`` must be a named
-    :class:`PsiFunction`, and each name has an exact tilted law: ``square``
-    (density ``u^2 phi(u)``) is a random sign times a chi variable with 3
-    degrees of freedom, ``exp`` is N(1, 1) and ``indicator`` is the
-    half-normal ``|Z|``. A finite base is tilted exactly for any callable
-    ``psi``. ``mass`` is the normalizer ``E psi(U)``, also the summand's
-    mean, hence its weight when the coupling picks a summand. On the normal
-    base ``psi_mean`` is ``E psi(y)`` under the tilt, the picked summand's
-    conditional mean.
+    Each name has an exact tilted law: ``square`` (density ``u^2 phi(u)``)
+    is a random sign times a chi variable with 3 degrees of freedom, ``exp``
+    is N(1, 1) and ``indicator`` is the half-normal ``|Z|``. ``mean`` and
+    ``moment2`` are its first two moments, and ``psi_mean`` is ``E psi(y)``
+    under the tilt, the picked summand's conditional mean.
     """
 
-    def __init__(self, psi, base="normal"):
+    def __init__(self, psi):
+        if not isinstance(psi, PsiFunction):
+            raise ValueError("the normal tilt needs a named psi: square, exp, "
+                             "indicator")
         self.psi = psi
-        if isinstance(base, DiscreteDistribution):
-            raw = _psi_on_support(psi, base) * base.probs
-            total = float(raw.sum())
-            if total <= 0:
-                raise ZeroMass("psi puts no mass under the base law")
-            self.discrete = DiscreteDistribution(base.values, raw / total)
-            self.mass = total
-            return
-        if base != "normal" or not isinstance(psi, PsiFunction):
-            raise ValueError("base must be a DiscreteDistribution, or 'normal' "
-                             "with a named psi: square, exp, indicator")
-        self.discrete = None
-        self.mass = psi.gaussian_mean()
-        self.mean, self.moment2, psi_mean = _GAUSSIAN_TILT_MOMENTS[psi.name]
-        self.psi_mean = psi.scale * psi_mean
+        self.mean, self.moment2, self.psi_mean = _GAUSSIAN_TILT_MOMENTS[
+            psi.name]
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.discrete is not None:
-            return self.discrete.sample(rng, size)
         if self.psi.name == "exp":
             return 1.0 + rng.standard_normal(size)
         if self.psi.name == "indicator":
@@ -342,9 +319,9 @@ class GaussianSumCoupler(_SumCoupler):
         self._a = np.sqrt(1.0 - self.rho)
         self._b = self.rho / (np.sqrt(self._a**2 + cfg.n * self.rho)
                               + self._a)
-        self.tilted = TiltedSampler(cfg.psi, "normal")
+        self.tilted = TiltedSampler(cfg.psi)
         self.config = {"model": "gauss", "n": cfg.n, "rho": cfg.rho,
-                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale,
+                       "psi": cfg.psi.name,
                        "max_offdiag": cfg.max_offdiag,
                        "max_row_sum": cfg.max_row_sum,
                        "offdiag_below_third": cfg.max_offdiag < 1.0 / 3.0}
@@ -425,7 +402,7 @@ class GaussianSumCoupler(_SumCoupler):
             spread = (n - 1) * rho * rho
             cross = (-2.0 * rho * (total * total - sq)
                      + spread * (sq + n * tilt.moment2))
-            return (base + psi.scale * cross) / n
+            return (base + cross) / n
         if psi.name == "exp":
             factor = np.exp(-rho * u) * float(tilt.mgf(rho)) - 1.0
             cross = ((w[:, None] - psi(u)) * factor).sum(axis=1)
@@ -438,7 +415,7 @@ class GaussianSumCoupler(_SumCoupler):
             pair[lo:lo + rows] = _tail_pair_sums(tilt, u[lo:lo + rows], rho)
         if rho < 0:
             pair = n * (n - 1) - pair
-        return (base + psi.scale * pair - (n - 1) * w) / n
+        return (base + pair - (n - 1) * w) / n
 
 
 def _tail_pair_sums(tilt: TiltedSampler, u: np.ndarray,
@@ -552,8 +529,8 @@ def multinomial_moments(cfg: MultinomialSumConfig):
     """Exact mean and variance of W by summing over the cell-count pmf."""
     marg = cfg.cell_marginal()
     vals = _psi_on_support(cfg.psi, marg)
-    # summed as TiltedSampler sums its mass, so that lam is n times the
-    # tilt's normalizer bit for bit
+    # summed as MultinomialSumCoupler sums its tilt's mass, so that lam is
+    # n times the tilt's normalizer bit for bit
     mean1 = float((vals * marg.probs).sum())
     mom2 = float(np.dot(vals**2, marg.probs))
     lam = cfg.n * mean1
@@ -635,9 +612,13 @@ class MultinomialSumCoupler(_SumCoupler):
 
     def __init__(self, cfg: MultinomialSumConfig):
         super().__init__(cfg, *multinomial_moments(cfg))
-        self.tilted = TiltedSampler(cfg.psi, cfg.cell_marginal())
+        # the psi-tilted cell law: positive mass, as every named psi is
+        # positive at counts >= 1, which K >= 2 balls reach
+        marg = cfg.cell_marginal()
+        raw = _psi_on_support(cfg.psi, marg) * marg.probs
+        self.tilted = DiscreteDistribution(marg.values, raw / float(raw.sum()))
         self.config = {"model": "multinomial", "n": cfg.n, "k": cfg.k,
-                       "psi": cfg.psi.name, "psi_scale": cfg.psi.scale}
+                       "psi": cfg.psi.name}
         self._tables = lru_cache(maxsize=_TABLES_KEPT)(_transfer_table)
 
     def draw_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -704,12 +685,13 @@ class MultinomialSumCoupler(_SumCoupler):
         table = self._tables(self.cfg, self.psi, self.tilted,
                              tuple(present.tolist()))
         pairs = ((hist @ table) * hist).sum(axis=1) - hist @ np.diag(table)
-        tilt = self.tilted.discrete
+        tilt = self.tilted
         e_psi_y = float(np.dot(tilt.probs, _psi_on_support(self.psi, tilt)))
         return pairs / self.cfg.n + e_psi_y - self.w(counts)[:, 0]
 
 
-def _transfer_table(cfg: MultinomialSumConfig, psi, tilted: TiltedSampler,
+def _transfer_table(cfg: MultinomialSumConfig, psi,
+                    tilted: DiscreteDistribution,
                     present: tuple) -> np.ndarray:
     """``G[a, v]``, for counts ``a, v`` in ``present``: the mean new psi
     of a cell holding v when the picked cell, holding a, is reset to y.
@@ -722,7 +704,7 @@ def _transfer_table(cfg: MultinomialSumConfig, psi, tilted: TiltedSampler,
     C(R, m)`` follows Pascal's rule ``H(u + 1, j) = H(u, j) + H(u, j+1)``.
     """
     n, balls = cfg.n, cfg.balls
-    q = tilted.discrete.probs
+    q = tilted.probs
     present = np.array(present)
     top = int(present[-1]) + 1
     k = np.arange(top)

@@ -32,12 +32,10 @@ def build_registry() -> dict:
                                         rho=0.2)
         ),
         "multinomial-square": lambda: nonlinear.MultinomialSumCoupler(
-            nonlinear.MultinomialSumConfig(
-                6, 2, nonlinear.parse_psi("square", normalize=False))
+            nonlinear.MultinomialSumConfig(6, 2, nonlinear.parse_psi("square"))
         ),
         "multinomial-exp": lambda: nonlinear.MultinomialSumCoupler(
-            nonlinear.MultinomialSumConfig(
-                6, 2, nonlinear.parse_psi("exp", normalize=False))
+            nonlinear.MultinomialSumConfig(6, 2, nonlinear.parse_psi("exp"))
         ),
     }
 

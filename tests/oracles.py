@@ -91,6 +91,19 @@ def degree_w_outcomes(n, pi, degree_values):
     return out
 
 
+def degree_moments(n, pi, degree_values):
+    """Exact mean and covariance of the degree counts W by enumerating
+    every graph on ``n`` vertices."""
+    outcomes = [(prob, x.sum(axis=0))
+                for prob, x in degree_w_outcomes(n, pi, degree_values)]
+    p = len(degree_values)
+    lam = np.array([fsum(prob * w[i] for prob, w in outcomes)
+                    for i in range(p)])
+    second = np.array([[fsum(prob * w[i] * w[j] for prob, w in outcomes)
+                        for j in range(p)] for i in range(p)])
+    return lam, second - np.outer(lam, lam)
+
+
 def degree_biased_w_law(n, pi, degree_values, i):
     """Oracle: ``P(W^i = s) = E[W_i 1{W = s}] / lambda_i`` by enumeration."""
     outcomes = []
@@ -472,7 +485,7 @@ def gaussian_cond_exp(u, corr, psi):
                         for j in range(n) if j != i)
                  for i in range(n))
     w = fsum(float(psi(np.array([x]))[0]) for x in u)
-    return psi.scale * total / n - w
+    return total / n - w
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +505,48 @@ def covariance_identity_z(coupler, sigma, samples, rng):
         d = lam[i] * (wi - w)
         z[i] = (d.mean(axis=0) - sigma[i]) * sqrt(samples) / d.std(axis=0)
     return z
+
+
+# ---------------------------------------------------------------------------
+# Monochromatic edge counts: every coloring of a small graph
+# ---------------------------------------------------------------------------
+
+def coloring_moments(g, cfg):
+    """Exact ``(lam, sigma, t1, t3)`` of the monochromatic edge counts by
+    enumerating all ``p^n`` colorings.
+
+    The pairwise indicator means inside ``t1`` are themselves taken from the
+    enumeration, so nothing here shares code with the closed-form path.
+    """
+    p = cfg.p
+    pi = np.asarray(cfg.probs)
+    colorings = np.array(list(itertools.product(range(p), repeat=g.n)),
+                         dtype=np.int64)
+    weights = np.prod(pi[colorings], axis=1)
+    cu = colorings[:, g.edges[:, 0]]
+    cv = colorings[:, g.edges[:, 1]]
+    mono = cu == cv
+    raw = np.stack([(mono & (cu == i)) for i in range(p)], axis=2).astype(float)
+    w_counts = raw.sum(axis=1)  # (M, p)
+    lam = np.array([fsum((weights * w_counts[:, i]).tolist())
+                    for i in range(p)])
+    second = np.array(
+        [[fsum((weights * w_counts[:, i] * w_counts[:, j]).tolist())
+          for j in range(p)] for i in range(p)]
+    )
+    sigma = second - np.outer(lam, lam)
+    # centered indicators and their exact pairwise means
+    x = raw - pi**2  # (M, N, p)
+    neigh = x[:, g.neighborhoods, :].sum(axis=2)
+    quad = np.einsum("mei,mej->mij", x, neigh)
+    pair_mean = np.einsum("m,mij->ij", weights, quad)
+    centered = quad - pair_mean
+    t1 = np.sqrt(np.einsum("m,mij->ij", weights, centered**2))
+    # |X n_j n_k| factors since the absolute value of a product splits
+    t3 = np.einsum("m,mijk->ijk", weights,
+                   np.einsum("mei,mej,mek->mijk", np.abs(x), np.abs(neigh),
+                             np.abs(neigh)))
+    return lam, sigma, t1, t3
 
 
 # ---------------------------------------------------------------------------

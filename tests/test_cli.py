@@ -34,27 +34,6 @@ class TestSteinCheck:
         assert payload["max_pde_residual"] <= 1e-3
 
 
-class TestOracleModes:
-    def test_degree_oracle_matches(self, capsys):
-        code, out, _ = _run(["degree-count", "--n", "4", "--pi", "0.5",
-                             "--degrees", "1", "--oracle"], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["match"] is True
-        np.testing.assert_allclose(payload["lambda_exact"], [1.5])
-
-    def test_degree_oracle_refuses_large(self, capsys):
-        code, _, err = _run(["degree-count", "--n", "9", "--pi", "0.5",
-                             "--degrees", "1", "--oracle"], capsys)
-        assert code == 1 and "too large" in err
-
-    def test_color_oracle_matches(self, capsys):
-        code, out, _ = _run(["color-match", "--graph", "complete:3",
-                             "--colors", "0.5,0.5", "--oracle"], capsys)
-        assert code == 0
-        assert json.loads(out)["match"] is True
-
-
 class TestExperiments:
     def test_degree_count_writes_report(self, tmp_path, capsys):
         out_file = tmp_path / "report.json"
@@ -476,6 +455,24 @@ class TestUsageErrors:
           "1,2"], "--c must be finite, got nan"),
         (["sweep", "degree-count", "--n", "20", "--pi", "inf", "--degrees",
           "1,2"], "--pi must be finite, got inf"),
+        # a graph size that is not an integer names the spec
+        (["color-match", "--graph", "cycle:abc", "--colors", "0.5,0.5"],
+         "spec 'cycle:abc': size 'abc' is not a valid int"),
+        (["color-match", "--graph", "complete:", "--colors", "0.5,0.5"],
+         "spec 'complete:': size '' is not a valid int"),
+        (["color-match", "--graph", "matching:x", "--colors", "0.5,0.5"],
+         "spec 'matching:x': size 'x' is not a valid int"),
+        # one color makes every edge monochromatic: W is constant
+        (["color-match", "--graph", "cycle:10", "--colors", "1"],
+         "--colors needs at least 2 colors: with one color every edge is "
+         "monochromatic, so W is constant"),
+        # options that changed no certified number are gone
+        (["degree-count", "--n", "4", "--pi", "0.5", "--degrees", "1",
+          "--oracle"], "unrecognized arguments: --oracle"),
+        (["color-match", "--graph", "complete:3", "--colors", "0.5,0.5",
+          "--oracle"], "unrecognized arguments: --oracle"),
+        (["nonlinear", "--model", "gauss:rho=0.1,n=64", "--psi", "square",
+          "--raw-psi"], "unrecognized arguments: --raw-psi"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from steinlab import coloring as cm
-from steinlab.errors import (AsymmetricNeighborhoods, NotPositiveDefinite,
-                             TooLarge)
+from steinlab.errors import AsymmetricNeighborhoods, NotPositiveDefinite
 from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
 from steinlab.testfuncs import SmoothTestFunction
@@ -108,15 +108,10 @@ class TestBruteForceOracle:
     def test_formula_equals_enumeration(self, graph, probs):
         cfg = cm.ColoringConfig(probs)
         lam, sigma = cm.theoretical_moments(graph, cfg)
-        exact_lam, exact_sigma, _, _ = cm.brute_force_moments(graph, cfg)
+        exact_lam, exact_sigma, _, _ = oracles.coloring_moments(graph, cfg)
         scale = max(np.abs(exact_sigma).max(), 1.0)
         assert np.abs(lam - exact_lam).max() <= 1e-12 * scale
         assert np.abs(sigma - exact_sigma).max() <= 1e-12 * scale
-
-    def test_size_cap(self):
-        with pytest.raises(TooLarge):
-            cm.brute_force_moments(cm.cycle_graph(40),
-                                   cm.ColoringConfig((0.5, 0.5)))
 
 
 class TestSampling:
@@ -173,7 +168,7 @@ class TestLocalDependenceStats:
     def test_mc_matches_enumeration_on_triangle(self):
         g = cm.complete_graph(3)
         cfg = cm.ColoringConfig((0.5, 0.5))
-        _, _, exact_t1, exact_t3 = cm.brute_force_moments(g, cfg)
+        _, _, exact_t1, exact_t3 = oracles.coloring_moments(g, cfg)
         stats, _ = cm.local_dep_stats(g, cfg, samples=400_000, seed=5,
                                       score=_first)
         assert np.all(np.abs(stats.t1 - exact_t1)

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from steinlab import degrees as dg
-from steinlab.errors import InvariantViolation, NotPositiveDefinite, TooLarge
+from steinlab.errors import InvariantViolation, NotPositiveDefinite
 from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
 from steinlab.linalg import inverse_sqrt, max_abs_norm
@@ -33,7 +33,7 @@ class TestTheoreticalMoments:
 
     def test_isolated_vertex_limit(self):
         """Counting degree 0 near pi = 1: mean ~ n (1-pi)^{n-1}."""
-        cfg = dg.ErdosRenyiConfig(6, 0.95, (0,), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(6, 0.95, (0,))
         lam, _, _ = dg.theoretical_moments(cfg)
         np.testing.assert_allclose(lam, [6 * 0.05**5], rtol=1e-12)
 
@@ -56,9 +56,11 @@ class TestTheoreticalMoments:
         np.testing.assert_allclose(total, 1.0, rtol=1e-11)
 
     def test_singular_covariance_rejected_at_construction(self):
-        # two vertices: the two counts always sum to 2, so Sigma is singular
-        with pytest.raises(NotPositiveDefinite):
-            dg.ErdosRenyiConfig(2, 0.5, (0, 1))
+        # two vertices: the two counts always sum to 2, so Sigma is singular;
+        # the config holds it, and the coupler, which whitens, refuses it
+        cfg = dg.ErdosRenyiConfig(2, 0.5, (0, 1))
+        with pytest.raises(NotPositiveDefinite, match="nearly dependent"):
+            dg.DegreeCountCoupler(cfg)
 
 
 class TestBruteForceOracle:
@@ -68,9 +70,9 @@ class TestBruteForceOracle:
         degree_sets = [(d,) for d in range(n)]
         degree_sets += list(itertools.combinations(range(n), 2))
         for degrees in degree_sets:
-            cfg = dg.ErdosRenyiConfig(n, pi, degrees, check_pd=False)
+            cfg = dg.ErdosRenyiConfig(n, pi, degrees)
             lam, sigma, _ = dg.theoretical_moments(cfg)
-            exact_lam, exact_sigma = dg.brute_force_moments(cfg)
+            exact_lam, exact_sigma = oracles.degree_moments(n, pi, degrees)
             scale = max(np.abs(exact_sigma).max(), np.abs(exact_lam).max(), 1.0)
             assert np.abs(lam - exact_lam).max() <= 1e-12 * scale
             assert np.abs(sigma - exact_sigma).max() <= 1e-12 * scale
@@ -79,15 +81,10 @@ class TestBruteForceOracle:
         """At pi = 1/2 the counts of degree d and n-1-d have equal means."""
         for d in (0, 1):
             a = dg.theoretical_moments(
-                dg.ErdosRenyiConfig(5, 0.5, (d,), check_pd=False))[0]
+                dg.ErdosRenyiConfig(5, 0.5, (d,)))[0]
             b = dg.theoretical_moments(
-                dg.ErdosRenyiConfig(5, 0.5, (4 - d,), check_pd=False))[0]
+                dg.ErdosRenyiConfig(5, 0.5, (4 - d,)))[0]
             np.testing.assert_allclose(a, b, rtol=1e-14)
-
-    def test_size_cap(self):
-        with pytest.raises(TooLarge):
-            dg.brute_force_moments(dg.ErdosRenyiConfig(6, 0.5, (1,),
-                                                       check_pd=False))
 
 
 def _chunk_graphs(chunk):
@@ -119,7 +116,7 @@ def _chunk_from_arrays(n, size, gid, u, v, deg):
 class TestSampling:
     def test_edge_count_mean(self):
         """n=100, pi=0.02: mean edge count is C(100,2) * 0.02 = 99."""
-        cfg = dg.ErdosRenyiConfig(100, 0.02, (1,), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(100, 0.02, (1,))
         m = 4000
         chunk = dg._GraphChunk(StreamConfig(3).stream(0), m, cfg)
         counts = np.diff(chunk.starts)
@@ -127,7 +124,7 @@ class TestSampling:
         assert abs(np.mean(counts) - 99.0) <= 4.0 * se
 
     def test_graph_internally_consistent(self):
-        cfg = dg.ErdosRenyiConfig(40, 0.12, (1, 2), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(40, 0.12, (1, 2))
         chunk = dg._GraphChunk(StreamConfig(5).stream(1), 20, cfg)
         assert chunk.starts[0] == 0 and chunk.starts[-1] == chunk.u.size
         assert np.all(np.diff(chunk.starts) >= 0)
@@ -176,7 +173,7 @@ class TestSampling:
                             or geometric(*a))
         blocks = set()
         for pi in (0.01, 0.2, 1.0 / 3.0, 0.6):
-            cfg = dg.ErdosRenyiConfig(2, pi, (0,), check_pd=False)
+            cfg = dg.ErdosRenyiConfig(2, pi, (0,))
             for total in (1, 2, 50, 1000):
                 for seed in range(12):
                     ref_rng = StreamConfig(seed).stream(0)
@@ -256,8 +253,7 @@ class TestSampling:
         and 3, graphs with no edges, Bernoulli runs of one to four blocks,
         many graphs per group and one graph (n > _GROUP_VERTICES) per
         group."""
-        cfg = dg.ErdosRenyiConfig(n, pi, (0, 1) if n <= 3 else (1, 2),
-                                  check_pd=False)
+        cfg = dg.ErdosRenyiConfig(n, pi, (0, 1) if n <= 3 else (1, 2))
         calls = []
         geometric = dg._geometric
         monkeypatch.setattr(dg, "_geometric", lambda *a: calls.append(1)
@@ -283,7 +279,7 @@ class TestSampling:
 
 class TestCoupling:
     def test_already_at_target_is_identity(self):
-        cfg = dg.ErdosRenyiConfig(4, 0.5, (2,), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(4, 0.5, (2,))
         # the 4-cycle is 2-regular
         edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
         g = oracles.GraphSample(4, edges, np.full(4, 2))
@@ -292,7 +288,7 @@ class TestCoupling:
         assert draw.modified.edges.shape == edges.shape
 
     def test_empty_graph_gets_one_edge(self):
-        cfg = dg.ErdosRenyiConfig(5, 0.3, (1,), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(5, 0.3, (1,))
         g = oracles.GraphSample(5, np.empty((0, 2), dtype=int),
                                 np.zeros(5, dtype=int))
         draw = oracles.couple_degree(g, cfg, 0, StreamConfig(1).stream(0))
@@ -301,7 +297,7 @@ class TestCoupling:
 
     def test_complete_triangle_removal_uniform(self):
         """K_3 forced to degree 1: either incident edge goes, w.p. 1/2."""
-        cfg = dg.ErdosRenyiConfig(3, 0.5, (1,), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(3, 0.5, (1,))
         edges = np.array([[0, 1], [0, 2], [1, 2]])
         g = oracles.GraphSample(3, edges, np.full(3, 2))
         rng = StreamConfig(2).stream(0)
@@ -317,7 +313,7 @@ class TestCoupling:
 
     def test_per_draw_invariants(self):
         """Forced degree holds and count moves stay within their cap."""
-        cfg = dg.ErdosRenyiConfig(18, 0.15, (1, 3), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(18, 0.15, (1, 3))
         rng = StreamConfig(7).stream(0)
         for _ in range(150):
             g = oracles.sample_graph(cfg, rng)
@@ -334,7 +330,7 @@ class TestCoupling:
     ], ids=["sparse", "dense"])
     def test_kernel_and_scalar_oracle_same_law(self, n, pi, degrees, i):
         """The batch kernel's (W, W^i) agrees with the scalar reference."""
-        cfg = dg.ErdosRenyiConfig(n, pi, degrees, check_pd=False)
+        cfg = dg.ErdosRenyiConfig(n, pi, degrees)
         m_kernel, m_oracle = 60_000, 6_000
         w_k, wi_k = dg.DegreeCountCoupler(cfg).draw_batch(
             i, m_kernel, StreamConfig(11).stream(0))
@@ -354,7 +350,7 @@ class TestCoupling:
     ])
     def test_kernel_law_matches_construction_oracle(self, degrees, i):
         """Empirical law of W^i at n = 4 against the exact enumeration."""
-        cfg = dg.ErdosRenyiConfig(4, 0.5, degrees, check_pd=False)
+        cfg = dg.ErdosRenyiConfig(4, 0.5, degrees)
         law = oracles.degree_construction_law(4, 0.5, degrees, i)
         m = 100_000
         _, wi = dg.DegreeCountCoupler(cfg).draw_batch(
@@ -391,7 +387,7 @@ class TestSubBatches:
         for n, chunk, parts in [(200, 512, [512]), (5000, 512, [512]),
                                 (10**6, 512, [4] * 128),
                                 (10**6, 10, [4, 4, 2])]:
-            cfg = dg.ErdosRenyiConfig.from_c(n, 2.0, (1, 2), check_pd=False)
+            cfg = dg.ErdosRenyiConfig.from_c(n, 2.0, (1, 2))
             assert dg._sub_batch_sizes(chunk, cfg.n, cfg.c) == parts
 
     CFG = dg.ErdosRenyiConfig.from_c(200, 2.0, (1, 2))
@@ -469,20 +465,20 @@ class TestSubBatches:
 
 class TestConditionalExpectation:
     def test_all_at_target_gives_zero(self):
-        cfg = dg.ErdosRenyiConfig(4, 0.5, (2,), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(4, 0.5, (2,))
         edges = np.array([[0, 1], [1, 2], [2, 3], [0, 3]])
         g = oracles.GraphSample(4, edges, np.full(4, 2))
         assert oracles.cond_exp_given_graph(g, cfg, 0, 0) == 0.0
 
     def test_empty_graph_worked_case(self):
         """Empty triangle, force degree 1, count degree 0: always -2."""
-        cfg = dg.ErdosRenyiConfig(3, 0.5, (1, 0), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(3, 0.5, (1, 0))
         g = oracles.GraphSample(3, np.empty((0, 2), dtype=int),
                                 np.zeros(3, dtype=int))
         assert oracles.cond_exp_given_graph(g, cfg, 0, 1) == -2.0
 
     def test_empty_graph_zero_case(self):
-        cfg = dg.ErdosRenyiConfig(3, 0.5, (0,), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(3, 0.5, (0,))
         g = oracles.GraphSample(3, np.empty((0, 2), dtype=int),
                                 np.zeros(3, dtype=int))
         assert oracles.cond_exp_given_graph(g, cfg, 0, 0) == 0.0
@@ -490,7 +486,7 @@ class TestConditionalExpectation:
     def test_formula_equals_coupling_enumeration(self):
         """The closed-form conditional mean equals a brute-force average
         over every vertex choice and every edge-subset choice."""
-        cfg = dg.ErdosRenyiConfig(5, 0.4, (1, 2), check_pd=False)
+        cfg = dg.ErdosRenyiConfig(5, 0.4, (1, 2))
         rng = StreamConfig(13).stream(0)
         for _ in range(12):
             g = oracles.sample_graph(cfg, rng)
@@ -505,7 +501,7 @@ class TestConditionalExpectation:
         including degree 0, d = n - 1 and pi = 1/2."""
         for n, pi, degrees in [(14, 0.2, (1, 3)), (30, 2.0 / 29, (0, 1, 2)),
                                (12, 0.5, (0, 11)), (9, 0.5, (3, 5, 8))]:
-            cfg = dg.ErdosRenyiConfig(n, pi, degrees, check_pd=False)
+            cfg = dg.ErdosRenyiConfig(n, pi, degrees)
             chunk = dg._GraphChunk(StreamConfig(17).stream(n), 40, cfg)
             cond = chunk.cond_exp(cfg.degrees)
             for b, g in enumerate(_chunk_graphs(chunk)):

@@ -1,7 +1,7 @@
 """Nonlinear sums: tilted marginals, both couplers, exact moments."""
 
 import tracemalloc
-from math import fsum
+from math import comb, fsum
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from scipy import stats as sps
 
 import oracles
 from steinlab import nonlinear as nl
-from steinlab.errors import (InfeasibleAdjustment, NotPositiveDefinite,
-                             ZeroMass)
+from steinlab.errors import InfeasibleAdjustment, NotPositiveDefinite
 from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
 from steinlab.sizebias import DiscreteDistribution, verify_characterization
@@ -38,7 +37,7 @@ class TestTiltedSampler:
 
     def test_square_tilt_moments(self):
         """u^2-tilted normal has mean 0 and variance E Z^4 / E Z^2 = 3."""
-        tilt = nl.TiltedSampler(nl.parse_psi("square"), "normal")
+        tilt = nl.TiltedSampler(nl.parse_psi("square"))
         assert abs(tilt.mean) < 1e-9
         np.testing.assert_allclose(tilt.moment2, 3.0, atol=1e-7)
         draws = tilt.sample(StreamConfig(2).stream(0), 200_000)
@@ -46,8 +45,8 @@ class TestTiltedSampler:
         assert abs(draws.var() - 3.0) <= 4 * np.sqrt(12.0 / 200_000) + 1e-3
 
     def test_indicator_tilt_is_half_normal(self):
-        tilt = nl.TiltedSampler(nl.parse_psi("indicator"), "normal")
-        np.testing.assert_allclose(tilt.mass, 1.0, atol=1e-8)
+        tilt = nl.TiltedSampler(nl.parse_psi("indicator"))
+        np.testing.assert_allclose(tilt.psi_mean, 1.0, atol=1e-8)
         np.testing.assert_allclose(tilt.mean, np.sqrt(2.0 / np.pi),
                                    atol=1e-7)
         draws = tilt.sample(StreamConfig(3).stream(0), 50_000)
@@ -55,7 +54,7 @@ class TestTiltedSampler:
 
     def test_exp_tilt_is_shifted_normal(self):
         """e^u-tilting a standard normal shifts it to N(1, 1)."""
-        tilt = nl.TiltedSampler(nl.parse_psi("exp"), "normal")
+        tilt = nl.TiltedSampler(nl.parse_psi("exp"))
         np.testing.assert_allclose(tilt.mean, 1.0, atol=1e-8)
         np.testing.assert_allclose(tilt.moment2 - tilt.mean**2, 1.0,
                                    atol=1e-7)
@@ -74,29 +73,45 @@ class TestTiltedSampler:
     def test_gaussian_tilt_draws_follow_law(self, name, cdf):
         """KS test of the draws: half-normal, N(1, 1), and a fair random
         sign times a Maxwell (chi_3) length."""
-        tilt = nl.TiltedSampler(nl.parse_psi(name), "normal")
+        tilt = nl.TiltedSampler(nl.parse_psi(name))
         draws = tilt.sample(StreamConfig(1).stream(0), 100_000)
         assert sps.kstest(draws, cdf).pvalue > 1e-4
 
     def test_raw_callable_on_normal_base_rejected(self):
         with pytest.raises(ValueError, match="square, exp, indicator"):
-            nl.TiltedSampler(lambda u: np.ones_like(u), "normal")
+            nl.TiltedSampler(lambda u: np.ones_like(u))
 
-    def test_zero_mass_rejected(self):
-        base = DiscreteDistribution([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
-        with pytest.raises(ZeroMass):
-            nl.TiltedSampler(lambda u: np.zeros_like(u), base)
+    @pytest.mark.parametrize("name", ["square", "exp", "indicator"])
+    def test_every_named_psi_tilts_the_cell_law(self, name):
+        """Every named psi is positive at counts >= 1, which the fewest
+        balls the model allows (2 in 2 cells) reach, so the multinomial
+        coupler's tilt psi(c) P(c) / E psi(c) is a law."""
+        psi = nl.parse_psi(name)
+        cfg = nl.MultinomialSumConfig(2, 1, psi)
+        tilt = nl.MultinomialSumCoupler(cfg).tilted
+        weight = {c: float(psi(c)) * p
+                  for c, p in enumerate((0.25, 0.5, 0.25))}
+        mass = fsum(weight.values())
+        assert mass > 0
+        assert oracles.laws_close(oracles.discrete_law(tilt),
+                                  {float(c): w / mass
+                                   for c, w in weight.items()})
 
     def test_discrete_tilt_is_exact_size_bias(self):
-        base = DiscreteDistribution([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
-        tilt = nl.TiltedSampler(lambda u: u, base)
-        expected = oracles.size_biased_law(oracles.discrete_law(base))
-        got = oracles.discrete_law(tilt.discrete)
-        assert oracles.laws_close(got, expected)
-        np.testing.assert_allclose(tilt.mass, base.mean, rtol=1e-14)
+        """The multinomial coupler's tilt of a cell count c is
+        psi(c) P(c) / E psi(c); with psi = square that is c^2 P(c) / E c^2,
+        the count's law size-biased twice (3 cells, 6 balls)."""
+        coupler = nl.MultinomialSumCoupler(
+            nl.MultinomialSumConfig(3, 2, nl.parse_psi("square")))
+        pmf = {float(c): comb(6, c) * 2**(6 - c) / 3**6 for c in range(7)}
+        expected = oracles.size_biased_law(oracles.size_biased_law(pmf))
+        assert oracles.laws_close(oracles.discrete_law(coupler.tilted),
+                                  expected)
+        # lam = 3 E c^2, with E c^2 = 6 (1/3)(2/3) + 2^2 for Bin(6, 1/3)
+        np.testing.assert_allclose(coupler.lam, [16.0], rtol=1e-14)
 
     def test_survival_consistent_with_draws(self):
-        tilt = nl.TiltedSampler(nl.parse_psi("indicator"), "normal")
+        tilt = nl.TiltedSampler(nl.parse_psi("indicator"))
         draws = tilt.sample(StreamConfig(4).stream(0), 200_000)
         for t in (-2.0, 0.0, 1.5):
             emp = float(np.mean(draws > t))
@@ -364,8 +379,7 @@ def assert_rows_follow(rows, law):
 
 class TestMultinomialCoupler:
     def test_ball_conservation(self):
-        cfg = nl.MultinomialSumConfig(5, 3, nl.parse_psi("square",
-                                                         normalize=False))
+        cfg = nl.MultinomialSumConfig(5, 3, nl.parse_psi("square"))
         coupler = nl.MultinomialSumCoupler(cfg)
         rng = StreamConfig(11).stream(0)
         counts = coupler.draw_counts(rng, 5000)
@@ -377,17 +391,17 @@ class TestMultinomialCoupler:
         """2 balls in 2 cells with identity psi: W and W* are exactly 2."""
         class Identity:
             name = "identity"
-            scale = 1.0
 
             def __call__(self, u):
                 return np.asarray(u, dtype=float)
 
-        cfg = nl.MultinomialSumConfig(2, 1, nl.parse_psi("square",
-                                                         normalize=False))
+        cfg = nl.MultinomialSumConfig(2, 1, nl.parse_psi("square"))
         coupler = nl.MultinomialSumCoupler(cfg)
         coupler.psi = Identity()
-        coupler.tilted = nl.TiltedSampler(coupler.psi, cfg.cell_marginal())
-        coupler.lam = np.array([2 * coupler.tilted.mass])
+        marg = cfg.cell_marginal()  # identity psi: the size-biased count
+        coupler.tilted = DiscreteDistribution(
+            marg.values, marg.values * marg.probs / marg.mean)
+        coupler.lam = np.array([2 * marg.mean])
         w, ws = coupler.draw_batch(0, 4000, StreamConfig(12).stream(0))
         np.testing.assert_array_equal(w, 2.0)
         np.testing.assert_array_equal(ws, 2.0)
@@ -395,7 +409,7 @@ class TestMultinomialCoupler:
     def test_wstar_law_matches_size_biased_enumeration(self):
         """Empirical W* frequencies match w P(W = w) / E W exactly computed
         from the occupancy law (3 balls in 3 cells)."""
-        psi = nl.parse_psi("square", normalize=False)
+        psi = nl.parse_psi("square")
         cfg = nl.MultinomialSumConfig(3, 1, psi)
         coupler = nl.MultinomialSumCoupler(cfg)
         w_law = oracles.multinomial_w_law(3, 3, psi)
@@ -407,7 +421,7 @@ class TestMultinomialCoupler:
             assert abs(freq - prob) <= 4 * np.sqrt(prob * (1 - prob) / m), value
 
     def test_exact_moments_against_occupancy_law(self):
-        psi = nl.parse_psi("square", normalize=False)
+        psi = nl.parse_psi("square")
         cfg = nl.MultinomialSumConfig(3, 2, psi)
         lam, var = nl.multinomial_moments(cfg)
         law = oracles.multinomial_w_law(3, 6, psi)
@@ -421,7 +435,7 @@ class TestMultinomialCoupler:
     def test_cond_exp_matches_oracle(self, name, n, k):
         """The histogram kernel equals the term-by-term scalar sum to 1e-12
         relative to W."""
-        psi = nl.parse_psi(name, normalize=False)
+        psi = nl.parse_psi(name)
         coupler = nl.MultinomialSumCoupler(nl.MultinomialSumConfig(n, k, psi))
         counts = coupler.draw_counts(StreamConfig(21).stream(n),
                                      1 if n == 100 else 4)
@@ -434,7 +448,7 @@ class TestMultinomialCoupler:
     def test_cond_exp_matches_oracle_past_float_binomials(self, name):
         """1030 balls: C(1030, 515) overflows a float, so the kernel weighs
         in log space and the oracle divides exact integer binomials."""
-        psi = nl.parse_psi(name, normalize=False)
+        psi = nl.parse_psi(name)
         cfg = nl.MultinomialSumConfig(515, 2, psi)
         coupler = nl.MultinomialSumCoupler(cfg)
         counts = coupler.draw_counts(StreamConfig(21).stream(515), 1)
@@ -448,7 +462,7 @@ class TestMultinomialCoupler:
     def test_cond_exp_averages_to_variance_over_mean(self, name, n, k):
         """E[W* - W] = E W^2 / lambda - lambda = sigma^2 / lambda, summed
         exactly over every occupancy vector."""
-        psi = nl.parse_psi(name, normalize=False)
+        psi = nl.parse_psi(name)
         coupler = nl.MultinomialSumCoupler(nl.MultinomialSumConfig(n, k, psi))
         occupancy = list(oracles.occupancy_law(n, n * k))
         counts = np.array([c for c, _ in occupancy])
@@ -485,7 +499,7 @@ class TestMultinomialCoupler:
     def test_coupling_mean_matches_cond_exp_oracle(self, name):
         """For fixed rows, the mean of W* - W over many couplings matches
         the exact ``E[W* - W | U]`` within 4 standard errors."""
-        psi = nl.parse_psi(name, normalize=False)
+        psi = nl.parse_psi(name)
         coupler = nl.MultinomialSumCoupler(nl.MultinomialSumConfig(4, 2,
                                                                    psi))
         rng = StreamConfig(24).stream(0)
@@ -514,8 +528,7 @@ class TestCharacterization:
 
     @pytest.mark.parametrize("name", ["square", "exp"])
     def test_multinomial_couplers(self, name):
-        cfg = nl.MultinomialSumConfig(6, 2, nl.parse_psi(name,
-                                                         normalize=False))
+        cfg = nl.MultinomialSumConfig(6, 2, nl.parse_psi(name))
         res = verify_characterization(nl.MultinomialSumCoupler(cfg),
                                       samples=150_000, seed=15)
         assert res.max_abs_z <= 4.0, (name, res.max_abs_z)
@@ -536,8 +549,7 @@ class TestExperiment:
         assert 1.6 <= totals[100] / totals[400] <= 2.4
 
     def test_multinomial_experiment_passes(self):
-        cfg = nl.MultinomialSumConfig(30, 2, nl.parse_psi("square",
-                                                          normalize=False))
+        cfg = nl.MultinomialSumConfig(30, 2, nl.parse_psi("square"))
         h = SmoothTestFunction("cosine", p=1, a=(1.0,))
         rep = run_experiment(nl.MultinomialSumCoupler(cfg), h,
                              samples=8000, seed=17, chunk_size=8192)

@@ -255,8 +255,8 @@ def _centered_indicators(g: RegularGraph, colors: np.ndarray,
     return x, neigh
 
 
-def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, samples: int,
-                    seed: int = 0, chunk_size: int = 2048, *,
+def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, sigma: np.ndarray,
+                    samples: int, seed: int = 0, chunk_size: int = 2048, *,
                     score) -> tuple[LocalDepStats, Accumulator]:
     """Monte Carlo estimates of the local-dependence bound inputs, and the
     accumulated ``score`` of the same colorings' counts W.
@@ -264,10 +264,10 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, samples: int,
     ``t2`` is exactly zero: an edge's indicator is a function of its two
     endpoint colors, and every edge outside its neighborhood touches neither
     endpoint, so the conditional mean of the centered indicator given the
-    outside is zero. The covariance matrix is the exact closed form, valid
-    because the neighborhoods cover all correlated pairs.
+    outside is zero. ``sigma`` is the exact covariance of
+    :func:`theoretical_moments`, valid because the neighborhoods cover all
+    correlated pairs.
     """
-    lam, sigma = theoretical_moments(g, cfg)
     p = cfg.p
     stream_cfg = StreamConfig(seed, chunk_size)
 
@@ -299,14 +299,15 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, samples: int,
 # Spectral inequality checks and the end-to-end experiment
 # ---------------------------------------------------------------------------
 
-def spectral_checks(g: RegularGraph, cfg: ColoringConfig) -> dict:
-    """PSD margin of ``Sigma - N H`` and the whitening-norm cap.
+def spectral_checks(g: RegularGraph, cfg: ColoringConfig,
+                    sigma: np.ndarray) -> dict:
+    """PSD margin of ``Sigma - N H`` and the whitening-norm cap, for the
+    covariance ``sigma`` of :func:`theoretical_moments`.
 
     ``H = diag(pi_i^2 - pi_i^3)``; the covariance dominates ``N H`` in the
     PSD order, which caps the max-abs-entry norm of the inverse square root
     by ``N^{-1/2} B^{1/2}``.
     """
-    lam, sigma = theoretical_moments(g, cfg)
     n_edges = g.num_edges
     pi = np.asarray(cfg.probs)
     h_diag = np.diag(n_edges * (pi**2 - pi**3))
@@ -339,11 +340,12 @@ class ColoringModel:
                        "edges": g.num_edges, "colors": list(cfg.probs)}
 
     def bound(self, norms, samples: int, seed: int, chunk_size: int, score):
-        stats, scores = local_dep_stats(self.g, self.cfg, samples, seed=seed,
-                                        chunk_size=chunk_size, score=score)
+        stats, scores = local_dep_stats(self.g, self.cfg, self.sigma, samples,
+                                        seed=seed, chunk_size=chunk_size,
+                                        score=score)
         return (bound_multivariate_local(stats, norms.d1, norms.d2, norms.d3),
                 stats, scores)
 
     def extras(self, stats) -> dict:
-        return {"spectral": spectral_checks(self.g, self.cfg),
+        return {"spectral": spectral_checks(self.g, self.cfg, self.sigma),
                 "t1": stats.t1, "t3_total": float(np.sum(stats.t3))}

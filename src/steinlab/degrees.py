@@ -9,19 +9,22 @@ deletions (Goldstein & Rinott 1996), and the inner conditional expectation of
 the count change given the graph is available exactly, which removes all
 nested Monte Carlo from the conditional-variance estimate.
 
-All Monte Carlo work runs through one chunk kernel over flat int32 edge
-lists ``(u, v)``, int32 per-graph degree arrays and each graph's edge
-offsets ``starts``; no array names an edge's graph. Graphs are sampled by
-geometric skips over the pair codes; the skips are made by inversion of
-standard exponentials, value for value numpy's own geometric draws, so a
-chunk's edges are fixed by its stream alone. The run is built a piece of
+All Monte Carlo work runs through one chunk kernel over flat edge lists
+``(u, v)``, per-graph degree arrays and each graph's edge offsets
+``starts``; no array names an edge's graph. Endpoints and degrees are
+int16 up to n = 2**15 and int32 above. Graphs are sampled by geometric
+skips over the pair codes; the skips are made by inversion of standard
+exponentials, value for value numpy's own geometric draws, so a chunk's
+edges are fixed by its stream alone. The run is built a piece of
 draws at a time: each piece's pair codes decode to vertex pairs in closed
-form and go straight into the edge lists. The exact conditional
-expectation is a contraction of small per-graph degree histograms, and the
-coupling is one vectorised edge move per graph. Time is linear in a
-chunk's edges and vertices. Memory is capped: a chunk's graphs run in
-sub-batches of at most :data:`SUB_BATCH_SLOTS` expected vertex-plus-edge
-slots (``n (1 + c/2)`` per graph), about 6 stored bytes each at c = 2:
+form and go straight into the edge lists. One pass over the edges then
+counts the degrees and tabulates each graph's degree histogram, whose
+columns are W, and its degree-pair counts; the exact conditional
+expectation is a contraction of those small tables, and the coupling is
+one vectorised edge move per graph. Time is linear in a chunk's edges and
+vertices. Memory is capped: a chunk's graphs run in sub-batches of at most
+:data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots (``n (1 + c/2)``
+per graph), about 3 stored bytes each at c = 2 up to n = 2**15:
 they are the states :meth:`DegreeCountCoupler.draw` yields, so the
 statistics pass, which also scores each graph's W for the gap, and the
 coupling draws all run on them. Scalar reference versions live in the test
@@ -44,15 +47,17 @@ from .sizebias import (CoupledPairSampler, distinct_labels, log_binomial,
                         rank_in_group, sub_batch_sizes)
 
 # Vertex plus expected edge slots, n (1 + c/2) per graph, that one sub-batch
-# of a chunk's graphs may hold. A chunk stores 4 bytes per vertex and 8 per
-# edge (int32 degrees and endpoints), 6 per slot at c = 2 and at most 8, so
-# a sub-batch of 2**23 slots keeps about 48 MB. Its transients are
-# bounded by one draw piece and one group of graphs, a few MB in all, plus
-# a one-byte-per-vertex label table while a coupling draw runs.
+# of a chunk's graphs may hold. Up to n = 2**15 a chunk stores 2 bytes per
+# vertex and 4 per edge (int16 degrees and endpoints), 3 per slot at c = 2
+# and at most 4, so a sub-batch of 2**23 slots keeps about 25 MB; above, it
+# stores twice that (int32). Its degree tables add a few floats per graph.
+# Its transients are bounded by one draw piece and one group of graphs, a
+# few MB in all, plus a one-byte-per-vertex label table for the graphs
+# that draw new neighbours while a coupling draw runs.
 SUB_BATCH_SLOTS = 1 << 23
-# Vertices plus edges per group of graphs that building a chunk, its
-# conditional means and its coupling draws work through at a time, so that
-# their per-edge int64 transients stay small.
+# Vertices plus edges per group of graphs that tabulating a chunk and its
+# coupling draws work through at a time, so that their per-edge int64
+# transients stay small.
 _GROUP_SLOTS = 1 << 16
 
 
@@ -258,7 +263,9 @@ def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
 
     Graph b gets ``need[b] = d_i - D(vertex[b])`` new neighbours when that
     is positive; ``nb_keys`` holds ``b * n + x`` for each neighbour x of
-    ``vertex[b]``. Returns ``b * n + x`` for every chosen x.
+    ``vertex[b]``. Returns ``b * n + x`` for every chosen x. Only the graphs
+    that draw are passed on, renumbered in order, so the label and
+    candidate tables hold rows for them alone.
 
     While ``2 d_i <= n - 1``, the neighbours and the vertices already taken
     (fewer than d_i) fill less than half of the n - 1 other vertices, so
@@ -266,24 +273,39 @@ def _non_neighbours(rng, n, d_i, vertex, need, nb_keys):
     with probability above 1/2 and the work is O(need). Larger targets, up
     to d_i = n - 1, enumerate the candidates instead at O(n) = O(d_i) cost.
     """
-    size = vertex.size
+    rows = np.flatnonzero(need > 0)
+    local = np.full(vertex.size, -1)
+    local[rows] = np.arange(rows.size)
     row, x = np.divmod(nb_keys, n)
+    row = local[row]
+    row, x = row[row >= 0], x[row >= 0]
+    vertex = vertex[rows]
     if 2 * d_i > n - 1:
-        rows = np.flatnonzero(need > 0)
-        local = np.full(size, -1)
-        local[rows] = np.arange(rows.size)
-        row = local[row]
         cand = np.ones((rows.size, n), dtype=bool)
-        cand[row[row >= 0], x[row >= 0]] = False
-        cand[np.arange(rows.size), vertex[rows]] = False
+        cand[row, x] = False
+        cand[np.arange(rows.size), vertex] = False
         order = np.argsort(np.where(cand, rng.random(cand.shape), 2.0), axis=1)
         pick = np.arange(n) < need[rows, None]
         return rows[np.nonzero(pick)[0]] * n + order[pick]
     # label l in [0, n - 1) of graph b stands for vertex l + (l >= vertex[b])
-    key = distinct_labels(rng, np.full(size, n - 1), np.maximum(need, 0), n,
-                          exclude=nb_keys - (x > vertex[row]))
+    key = distinct_labels(rng, np.full(rows.size, n - 1), need[rows], n,
+                          exclude=row * n + x - (x > vertex[row]))
     row, label = np.divmod(key, n)
-    return key + (label >= vertex[row])
+    return rows[row] * n + label + (label >= vertex[row])
+
+
+def _vertex_dtype(n: int):
+    """The integer type of a chunk's endpoints and degrees. Both lie in
+    [0, n - 1], so int16 holds them up to n = 2**15 and int32 above."""
+    return np.int16 if n <= 1 << 15 else np.int32
+
+
+def _pair_columns(degrees) -> dict:
+    """The column of the degree-pair table for each neighbour degree the
+    conditional means read, ``d - 1``, ``d`` and ``d + 1`` for each target
+    d; the table has one more column, for every other degree."""
+    tvals = sorted({t for d in degrees for t in (d - 1, d, d + 1) if t >= 0})
+    return {t: k for k, t in enumerate(tvals)}
 
 
 def _grown(a: np.ndarray, filled: int, size: int) -> np.ndarray:
@@ -295,29 +317,33 @@ def _grown(a: np.ndarray, filled: int, size: int) -> np.ndarray:
 
 
 class _GraphChunk:
-    """``size`` independent G(n, pi) draws as one flat edge list.
+    """``size`` independent G(n, pi) draws as one flat edge list, with the
+    tables its W and conditional means are read from.
 
     The chunk is one run of Bernoulli(pi) trials over the concatenated pair
     codes of its graphs (:func:`_bernoulli_positions`), so every pair of
     every graph is an edge independently with probability pi. Edges are
     sorted by graph, then by pair code: graph b owns edges
     ``starts[b]:starts[b + 1]``, edge k joins ``u[k] < v[k]``, and
-    ``deg[b]`` is graph b's degree array. ``u``, ``v`` and ``deg`` are
-    int32, so a chunk stores 8 bytes per edge and 4 per vertex, 6 per
-    vertex-plus-edge slot at c = 2; no array names an edge's graph, which
-    ``starts`` already fixes.
+    ``deg[b]`` is graph b's degree array. ``u``, ``v`` and ``deg`` have the
+    type of :func:`_vertex_dtype`: int16 up to n = 2**15, so a chunk stores
+    4 bytes per edge and 2 per vertex, 3 per vertex-plus-edge slot at
+    c = 2, and int32 (6 per slot) above. No array names an edge's graph,
+    which ``starts`` already fixes.
 
     The build works on each piece of success positions while it is
     cache-resident: the graph boundaries the piece crosses give ``starts``,
     each position less its graph's first code is a pair code, and
-    :func:`_decode_pair_codes` maps the codes to vertex pairs, written as
-    int32 straight into the edge arrays. Those grow as the trials still
-    left require, with a few standard deviations of room, so they are
-    rarely copied. Degrees then come from one ``bincount`` per group of
-    :meth:`_groups`; no step holds a transient the size of the chunk.
+    :func:`_decode_pair_codes` maps the codes to vertex pairs, written
+    straight into the edge arrays. Those grow as the trials still left
+    require, with a few standard deviations of room, so they are rarely
+    copied. :meth:`_tabulate` then counts the degrees and tabulates them in
+    one pass over the groups of :meth:`_groups`; no step holds a transient
+    the size of the chunk.
     """
 
-    __slots__ = ("size", "n", "u", "v", "deg", "starts", "_counts")
+    __slots__ = ("size", "n", "degrees", "u", "v", "deg", "starts",
+                 "count", "edges_to")
 
     def __init__(self, rng, size, cfg):
         n, pi = cfg.n, cfg.pi
@@ -325,9 +351,9 @@ class _GraphChunk:
         total = size * npairs
         self.size = size
         self.n = n
-        self._counts = None
+        self.degrees = cfg.degrees
         starts = np.empty(size + 1, dtype=np.int64)
-        u = v = np.empty(0, dtype=np.int32)
+        u = v = np.empty(0, dtype=_vertex_dtype(n))
         filled, unset, last = 0, 0, -1  # unset: first graph with no start
         for pos in _bernoulli_positions(rng, total, pi):
             k = pos.size
@@ -350,25 +376,67 @@ class _GraphChunk:
         starts[unset:] = filled
         self.starts = starts
         self.u, self.v = u[:filled], v[:filled]
-        self.deg = np.empty((size, n), dtype=np.int32)
+        self._tabulate()
+
+    def _tabulate(self):
+        """Count the degrees and tabulate them, in one pass over the groups
+        of :meth:`_groups`.
+
+        ``count[b, a]`` is the number of degree-a vertices of graph b, and
+        ``edges_to[b, a, k]`` the number of edges from a degree-a vertex of
+        graph b to a neighbour whose degree has column k of
+        :func:`_pair_columns`. Both are exact integer counts, held as floats,
+        for a ranging up to ``top = max(max degree, max(degrees)) + 2``
+        chunk-wide: each group's tables are made at its own top and padded
+        with zeros. Per-vertex keys are intp, so no product is formed in
+        the narrow vertex type.
+        """
+        n, degrees = self.n, self.degrees
+        cols = _pair_columns(degrees)
+        width = len(cols) + 1  # the last column collects every other t
+        slot = np.full(n + 1, len(cols))
+        slot[list(cols)] = list(cols.values())
+        self.deg = np.empty((self.size, n), dtype=_vertex_dtype(n))
+        parts = []
         for rows, edges in self._groups():
-            cells = (rows.stop - rows.start) * n
-            at = self._per_edge(rows, np.arange(0, cells, n))
-            deg = np.bincount(at + self.u[edges], minlength=cells)
-            deg += np.bincount(at + self.v[edges], minlength=cells)
-            self.deg[rows] = deg.reshape(-1, n)
+            graphs = rows.stop - rows.start
+            at_u = self._per_edge(rows, np.arange(0, graphs * n, n))
+            at_v = at_u + self.v[edges]
+            at_u += self.u[edges]
+            deg = np.bincount(at_u, minlength=graphs * n)
+            deg += np.bincount(at_v, minlength=deg.size)
+            self.deg[rows] = deg.reshape(graphs, n)
+            top = max(int(deg.max()), max(degrees)) + 2
+            # per vertex: (row top + deg) width, and the column of its degree
+            key = np.repeat(np.arange(0, graphs * top, top), n) + deg
+            count = np.bincount(key, minlength=graphs * top)
+            key *= width
+            to = slot[deg]
+            pairs = np.bincount(key[at_u] + to[at_v],
+                                minlength=count.size * width)
+            pairs += np.bincount(key[at_v] + to[at_u], minlength=pairs.size)
+            parts.append((rows, count.reshape(graphs, top),
+                          pairs.reshape(graphs, top, width)))
+        top = max(count.shape[1] for _, count, _ in parts)
+        self.count = np.zeros((self.size, top))
+        self.edges_to = np.zeros((self.size, top, width))
+        for rows, count, pairs in parts:
+            self.count[rows, :count.shape[1]] = count
+            self.edges_to[rows, :count.shape[1]] = pairs
 
     def _groups(self):
         """Split the chunk into runs of whole graphs of about
         :data:`_GROUP_SLOTS` vertices plus edges (one graph when a graph
         holds more), so that per-edge transients stay small. Yields
-        ``(rows, edges)``: a slice of the chunk's graphs and the slice of
-        the edge list they own."""
+        ``(rows, edges)``: a nonempty slice of the chunk's graphs and the
+        slice of the edge list they own."""
         through = self.starts[1:] + self.n * np.arange(1, self.size + 1)
         cuts = np.searchsorted(
             through, np.arange(_GROUP_SLOTS, int(through[-1]), _GROUP_SLOTS),
             side="right")
-        cuts = np.unique(np.concatenate([[0], cuts, [self.size]])).tolist()
+        # the cuts do not fall, so dropping repeats leaves them increasing
+        cuts = np.concatenate([[0], cuts, [self.size]])
+        cuts = cuts[np.diff(cuts, prepend=-1) > 0].tolist()
         starts = self.starts[cuts].tolist()
         for first, last, lo, hi in zip(cuts, cuts[1:], starts, starts[1:]):
             yield slice(first, last), slice(lo, hi)
@@ -379,19 +447,12 @@ class _GraphChunk:
         counts = np.diff(self.starts[rows.start:rows.stop + 1])
         return np.repeat(values, counts)
 
-    def degree_count_matrix(self, degrees) -> np.ndarray:
-        """W, the number of vertices of each degree in ``degrees`` per graph,
-        shape (size, p). It is computed once per ``degrees`` and shared by
-        every caller, so callers must not write to it."""
-        key = tuple(degrees)
-        if self._counts is None or self._counts[0] != key:
-            counts = np.stack([(self.deg == d).sum(axis=1) for d in key],
-                              axis=1).astype(float)
-            counts.flags.writeable = False
-            self._counts = (key, counts)
-        return self._counts[1]
+    def degree_count_matrix(self) -> np.ndarray:
+        """W, the number of vertices of each target degree per graph, shape
+        (size, p): the columns of the degree histogram."""
+        return self.count[:, list(self.degrees)]
 
-    def cond_exp(self, degrees) -> np.ndarray:
+    def cond_exp(self) -> np.ndarray:
         """Exact ``E[W^i_j - W_j | graph]`` for every graph, (size, p, p).
 
         The coupling averages over the uniform vertex V and the uniform
@@ -401,45 +462,23 @@ class _GraphChunk:
         and V itself moves to degree d_i. Summed over V this needs only,
         per graph, the number of vertices of each degree a and the number
         of edges from a degree-a vertex to a degree-t neighbour, for t in
-        ``d_j - 1, d_j, d_j + 1``.
+        ``d_j - 1, d_j, d_j + 1``: the tables :meth:`_tabulate` made.
         """
-        size, n, p = self.size, self.n, len(degrees)
-        top = max(int(self.deg.max(initial=0)), max(degrees)) + 2
-        a = np.arange(top)
-        tvals = sorted({t for d in degrees for t in (d - 1, d, d + 1)
-                        if t >= 0})
-        width = len(tvals) + 1  # the last slot collects every other t
-        slot = np.full(top, len(tvals))
-        slot[tvals] = np.arange(len(tvals))
-        count = np.empty((size, top))
-        edges_to = np.empty((size, top, width))
-        for rows, edges in self._groups():
-            block = self.deg[rows]
-            graphs = len(block)
-            # per vertex: (row top + deg) width, and the slot of its degree
-            key = np.arange(0, graphs * top, top)[:, None] + block
-            count[rows] = np.bincount(
-                key.ravel(), minlength=graphs * top).reshape(-1, top)
-            key = key.ravel() * width
-            to = slot[block].ravel()
-            at_u = self._per_edge(rows, np.arange(0, graphs * n, n))
-            at_v = at_u + self.v[edges]
-            at_u += self.u[edges]
-            flat = np.bincount(key[at_u] + to[at_v],
-                               minlength=graphs * top * width)
-            flat += np.bincount(key[at_v] + to[at_u], minlength=flat.size)
-            edges_to[rows] = flat.reshape(-1, top, width)
-        zero = np.zeros((size, top))
+        size, n, degrees = self.size, self.n, self.degrees
+        count, edges_to = self.count, self.edges_to
+        cols = _pair_columns(degrees)
+        a = np.arange(count.shape[1])
+        zero = np.zeros(count.shape)
 
         def neighbours(t):  # degree-t neighbours of the degree-a vertices
-            return edges_to[:, :, slot[t]] if t >= 0 else zero
+            return edges_to[:, :, cols[t]] if t >= 0 else zero
 
         def non_neighbours(t):
             if t < 0:
                 return zero
             return count * (count[:, t, None] - (a == t)) - neighbours(t)
 
-        out = np.empty((size, p, p))
+        out = np.empty((size, len(degrees), len(degrees)))
         for i, d_i in enumerate(degrees):
             drop = np.where(a > d_i, (a - d_i) / np.maximum(a, 1), 0.0)
             link = np.where(a < d_i, (d_i - a) / np.maximum(n - 1 - a, 1), 0.0)
@@ -455,13 +494,13 @@ class _GraphChunk:
         order, found a group of :meth:`_groups` at a time."""
         found = []
         for rows, edges in self._groups():
-            at = self._per_edge(rows, vertex[rows].astype(np.int32))
+            at = self._per_edge(rows, vertex[rows].astype(self.u.dtype))
             hit = self.u[edges] == at
             hit |= self.v[edges] == at
             found.append(edges.start + np.flatnonzero(hit))
         return np.concatenate(found)
 
-    def couple(self, rng, i: int, degrees) -> np.ndarray:
+    def couple(self, rng, i: int) -> np.ndarray:
         """One coupling draw per graph: ``W^i - W``, shape (size, p).
 
         A uniformly chosen vertex V is forced to degree ``d_i``: when its
@@ -469,11 +508,11 @@ class _GraphChunk:
         go, a uniform subset; when too low, edges to a uniform subset of
         its non-neighbours come in.
         """
-        size, n = self.size, self.n
+        size, n, degrees = self.size, self.n, self.degrees
         d_i = degrees[i]
         vertex = rng.integers(n, size=size)
         dv = self.deg[np.arange(size), vertex]
-        delta = dv - d_i
+        delta = dv.astype(np.intp) - d_i
         inc = self._incident(vertex)
         g_inc = np.searchsorted(self.starts, inc, "right") - 1
         nb = np.where(self.u[inc] == vertex[g_inc], self.v[inc], self.u[inc])
@@ -508,16 +547,16 @@ def _sub_batch_sizes(size: int, n: int, c: float) -> list[int]:
     return sub_batch_sizes(size, n * (1.0 + c / 2.0), SUB_BATCH_SLOTS)
 
 
-def isqrt_norm_bound_check(cfg: ErdosRenyiConfig) -> dict:
-    """Numerical check of ``||Sigma^{-1/2}|| <= n^{-1/2} B^{1/2}``.
+def isqrt_norm_bound_check(sigma_isqrt: np.ndarray, b_const: float,
+                           n: int) -> dict:
+    """Numerical check of ``||Sigma^{-1/2}|| <= n^{-1/2} B^{1/2}``, given
+    the model's ``Sigma^{-1/2}`` and B.
 
     Violations are flagged, not raised: the inequality is verified rather
     than relied upon.
     """
-    lam, sigma, b_const = theoretical_moments(cfg)
-    isqrt = inverse_sqrt(sigma)
-    lhs = max_abs_norm(isqrt)
-    rhs = np.sqrt(b_const / cfg.n)
+    lhs = max_abs_norm(sigma_isqrt)
+    rhs = np.sqrt(b_const / n)
     return {"holds": bool(lhs <= rhs * (1.0 + 1e-12)),
             "max_norm": lhs, "cap": float(rhs), "B": b_const}
 
@@ -545,7 +584,9 @@ class DegreeCountCoupler(CoupledPairSampler):
     a coupling draw moves one vertex per graph, and the conditional means
     are exact. Time is linear in a batch's edges and vertices, and memory
     in a sub-batch's. A configuration whose covariance cannot be whitened
-    is refused here, with the degree to leave out when one is to blame.
+    is refused here, with the degree to leave out when one is to blame;
+    the moments, B and ``isqrt`` (``Sigma^{-1/2}``) made for that check
+    are kept for the report's.
     """
 
     name = "degree-count"
@@ -554,9 +595,9 @@ class DegreeCountCoupler(CoupledPairSampler):
     def __init__(self, cfg: ErdosRenyiConfig):
         self.cfg = cfg
         self.p = cfg.p
-        self.lam, self.sigma, _ = theoretical_moments(cfg)
+        self.lam, self.sigma, self.b_const = theoretical_moments(cfg)
         try:
-            inverse_sqrt(self.sigma)
+            self.isqrt = inverse_sqrt(self.sigma)
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
                 _singular_message(cfg.degrees, self.sigma, exc)) from exc
@@ -568,13 +609,13 @@ class DegreeCountCoupler(CoupledPairSampler):
             yield _GraphChunk(rng, part, self.cfg)
 
     def w(self, chunk: _GraphChunk) -> np.ndarray:
-        return chunk.degree_count_matrix(self.cfg.degrees)
+        return chunk.degree_count_matrix()
 
     def couple(self, chunk: _GraphChunk, i: int, rng) -> np.ndarray:
-        return self.w(chunk) + chunk.couple(rng, i, self.cfg.degrees)
+        return self.w(chunk) + chunk.couple(rng, i)
 
     def cond_exp(self, chunk: _GraphChunk) -> np.ndarray:
-        return chunk.cond_exp(self.cfg.degrees)
+        return chunk.cond_exp()
 
     def bound(self, norms, samples: int, seed: int, chunk_size: int, score):
         stats, scores = estimate_coupling_stats(
@@ -583,7 +624,8 @@ class DegreeCountCoupler(CoupledPairSampler):
                 stats, scores)
 
     def extras(self, stats) -> dict:
-        return {"isqrt_norm_bound": isqrt_norm_bound_check(self.cfg),
+        return {"isqrt_norm_bound": isqrt_norm_bound_check(
+                    self.isqrt, self.b_const, self.cfg.n),
                 "var_cond": stats.var_cond,
                 "abs_cross_total": float(np.sum(stats.abs_cross))}
 

@@ -54,6 +54,27 @@ class TestExperiments:
         assert code == 0
         assert json.loads(out)["experiment"] == "color-match"
 
+    @pytest.mark.parametrize("module,argv", [
+        ("degrees", ["degree-count", "--n", "20", "--c", "2",
+                     "--degrees", "1,2", "--samples", "2000"]),
+        ("coloring", ["color-match", "--graph", "cycle:16",
+                      "--colors", "0.5,0.5", "--samples", "2000"])])
+    def test_moments_computed_once_per_run(self, monkeypatch, capsys,
+                                           module, argv):
+        """A run computes its model's closed-form moments and their inverse
+        square root in the model's module once each; the report's checks
+        reuse them."""
+        mod = importlib.import_module(f"steinlab.{module}")
+        calls = {"theoretical_moments": 0, "inverse_sqrt": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(mod, name), _name=name, **kw):
+                calls[_name] += 1
+                return _fn(*args, **kw)
+            monkeypatch.setattr(mod, name, counted)
+        code, _, _ = _run(argv, capsys)
+        assert code == 0
+        assert calls == {"theoretical_moments": 1, "inverse_sqrt": 1}
+
     def test_nonlinear(self, capsys):
         code, out, _ = _run(["nonlinear", "--model", "gauss:rho=0.1,n=20",
                              "--psi", "square", "--samples", "2000",

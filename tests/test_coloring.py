@@ -16,6 +16,13 @@ def _first(w):
     return w[:, 0]
 
 
+def _local_dep_stats(g, cfg, samples, seed):
+    """The local-dependence statistics at the closed-form covariance."""
+    _, sigma = cm.theoretical_moments(g, cfg)
+    return cm.local_dep_stats(g, cfg, sigma, samples, seed=seed,
+                              score=_first)
+
+
 class TestGraphBuilders:
     @pytest.mark.parametrize("graph,expected_d,expected_edges", [
         (cm.cycle_graph(8), 2, 8),
@@ -145,8 +152,8 @@ class TestSampling:
 class TestLocalDependenceStats:
     def test_outside_mean_term_is_exactly_zero(self):
         g = cm.cycle_graph(10)
-        stats, _ = cm.local_dep_stats(g, cm.ColoringConfig((0.5, 0.5)),
-                                      samples=2000, seed=1, score=_first)
+        stats, _ = _local_dep_stats(g, cm.ColoringConfig((0.5, 0.5)),
+                                    samples=2000, seed=1)
         assert stats.t2 == 0.0
 
     def test_matching_t1_closed_form(self):
@@ -155,8 +162,7 @@ class TestLocalDependenceStats:
         g = cm.matching_graph(10)
         pi = 0.4
         cfg = cm.ColoringConfig((pi, 0.6))
-        stats, _ = cm.local_dep_stats(g, cfg, samples=400_000, seed=3,
-                                      score=_first)
+        stats, _ = _local_dep_stats(g, cfg, samples=400_000, seed=3)
         # Q_ii = sum_e (X_ei^2 - E X_ei^2): X_ei^2 takes (1-pi^2)^2 w.p.
         # pi^2 and pi^4 otherwise, an affine Bernoulli with span 1 - 2 pi^2
         n_edges = 5
@@ -169,8 +175,7 @@ class TestLocalDependenceStats:
         g = cm.complete_graph(3)
         cfg = cm.ColoringConfig((0.5, 0.5))
         _, _, exact_t1, exact_t3 = oracles.coloring_moments(g, cfg)
-        stats, _ = cm.local_dep_stats(g, cfg, samples=400_000, seed=5,
-                                      score=_first)
+        stats, _ = _local_dep_stats(g, cfg, samples=400_000, seed=5)
         assert np.all(np.abs(stats.t1 - exact_t1)
                       <= 5 * stats.t1_sem + 1e-6)
         assert np.all(np.abs(stats.t3 - exact_t3)
@@ -179,10 +184,8 @@ class TestLocalDependenceStats:
     def test_deterministic_given_seed(self):
         g = cm.cycle_graph(12)
         cfg = cm.ColoringConfig((0.5, 0.5))
-        a, a_scores = cm.local_dep_stats(g, cfg, samples=3000, seed=11,
-                                         score=_first)
-        b, b_scores = cm.local_dep_stats(g, cfg, samples=3000, seed=11,
-                                         score=_first)
+        a, a_scores = _local_dep_stats(g, cfg, samples=3000, seed=11)
+        b, b_scores = _local_dep_stats(g, cfg, samples=3000, seed=11)
         np.testing.assert_array_equal(a.t1, b.t1)
         np.testing.assert_array_equal(a.t3, b.t3)
         np.testing.assert_array_equal(a_scores.sums, b_scores.sums)
@@ -195,7 +198,8 @@ class TestSpectralChecks:
                                        cm.random_regular_graph(30, 3, seed=4)])
     def test_domination_and_norm_cap(self, graph):
         cfg = cm.ColoringConfig((0.3, 0.45, 0.25))
-        out = cm.spectral_checks(graph, cfg)
+        _, sigma = cm.theoretical_moments(graph, cfg)
+        out = cm.spectral_checks(graph, cfg, sigma)
         assert out["psd_holds"] and out["min_eig_margin"] >= -1e-10
         assert out["norm_holds"]
 

@@ -102,14 +102,17 @@ def _chunk_gid(chunk):
     return np.repeat(np.arange(chunk.size), np.diff(chunk.starts))
 
 
-def _chunk_from_arrays(n, size, gid, u, v, deg):
-    """A chunk holding the given edge list and degrees, with each graph's
-    edge offsets found from its graph ids."""
+def _chunk_from_arrays(cfg, size, gid, u, v, deg):
+    """A chunk holding the given edge list, with each graph's edge offsets
+    found from its graph ids and its tables made by the chunk's own
+    tabulation, whose degrees must equal ``deg``."""
     chunk = object.__new__(dg._GraphChunk)
-    chunk.size, chunk.n, chunk._counts = size, n, None
-    chunk.u, chunk.v = (np.asarray(a, dtype=np.int32) for a in (u, v))
-    chunk.deg = np.asarray(deg, dtype=np.int32)
+    chunk.size, chunk.n, chunk.degrees = size, cfg.n, cfg.degrees
+    chunk.u, chunk.v = (np.asarray(a, dtype=dg._vertex_dtype(cfg.n))
+                        for a in (u, v))
     chunk.starts = np.searchsorted(gid, np.arange(size + 1))
+    chunk._tabulate()
+    np.testing.assert_array_equal(chunk.deg, deg)
     return chunk
 
 
@@ -263,15 +266,15 @@ class TestSampling:
         chunk = dg._GraphChunk(rng, size, cfg)
         assert len(calls) == blocks
         gid, u, v, deg = oracles.graph_chunk_arrays(ref_rng, size, cfg)
-        ref = _chunk_from_arrays(n, size, gid, u, v, deg)
+        ref = _chunk_from_arrays(cfg, size, gid, u, v, deg)
         np.testing.assert_array_equal(_chunk_gid(chunk), gid)
-        for name in ("u", "v", "deg", "starts"):
+        for name in ("u", "v", "deg", "starts", "count", "edges_to"):
             np.testing.assert_array_equal(getattr(chunk, name),
                                           getattr(ref, name))
-        np.testing.assert_array_equal(chunk.degree_count_matrix(cfg.degrees),
-                                      ref.degree_count_matrix(cfg.degrees))
-        np.testing.assert_array_equal(chunk.cond_exp(cfg.degrees),
-                                      ref.cond_exp(cfg.degrees))
+        np.testing.assert_array_equal(
+            chunk.degree_count_matrix(),
+            np.stack([(deg == d).sum(axis=1) for d in cfg.degrees], axis=1))
+        np.testing.assert_array_equal(chunk.cond_exp(), ref.cond_exp())
         assert rng.random() == ref_rng.random()
         if n == 7:
             assert np.any(np.diff(chunk.starts) == 0)
@@ -422,10 +425,9 @@ class TestSubBatches:
 
     def test_chunk_memory_per_slot(self):
         """Building a 512-graph chunk at n = 5000, its conditional means and
-        a coupling draw each peak under 7.5 traced bytes per
-        edge-plus-vertex slot, and under 36 MiB. The chunk stores 6 (int32
-        u, v and degrees); an int64 position array and per-edge graph ids
-        took the build to about 12."""
+        a coupling draw each peak under 4.5 traced bytes per
+        edge-plus-vertex slot, and under 20 MiB. The chunk stores 3 (int16
+        u, v and degrees); with int32 it stored 6 and peaked at 6.8."""
         cfg = dg.ErdosRenyiConfig.from_c(5000, 2, (1, 2))
         rng = StreamConfig(43).stream(0)
         peaks = {}
@@ -434,33 +436,108 @@ class TestSubBatches:
             chunk = dg._GraphChunk(rng, 512, cfg)
             peaks["build"] = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            chunk.cond_exp(cfg.degrees)
+            chunk.cond_exp()
             peaks["cond_exp"] = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            chunk.couple(rng, 0, cfg.degrees)
+            chunk.couple(rng, 0)
             peaks["couple"] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         slots = chunk.u.size + chunk.deg.size
         per_slot = {step: peak / slots for step, peak in peaks.items()}
-        assert max(per_slot.values()) < 7.5, per_slot
-        assert max(peaks.values()) < 36 * 2**20, peaks
+        assert max(per_slot.values()) < 4.5, per_slot
+        assert max(peaks.values()) < 20 * 2**20, peaks
 
     def test_chunk_keeps_no_int64_edges_or_graph_ids(self):
-        """The per-edge and per-vertex arrays are int32, the only int64
-        array is ``starts`` with one entry per graph boundary, and no array
-        holds each edge's graph."""
+        """The per-edge and per-vertex arrays have the vertex type, int16 at
+        n = 300, the only int64 array is ``starts`` with one entry per
+        graph boundary, the degree tables hold a few floats per graph, and
+        no array holds each edge's graph."""
         cfg = dg.ErdosRenyiConfig.from_c(300, 2, (1, 2))
         chunk = dg._GraphChunk(StreamConfig(44).stream(0), 64, cfg)
         arrays = {name: getattr(chunk, name)
                   for name in dg._GraphChunk.__slots__
                   if isinstance(getattr(chunk, name), np.ndarray)}
-        assert set(arrays) == {"u", "v", "deg", "starts"}
+        assert set(arrays) == {"u", "v", "deg", "starts", "count",
+                               "edges_to"}
         assert arrays.pop("starts").shape == (chunk.size + 1,)
+        top = int(chunk.deg.max()) + 2
+        assert arrays.pop("count").shape == (chunk.size, top)
+        assert arrays.pop("edges_to").shape == (chunk.size, top, 5)
         gid = _chunk_gid(chunk)
         for name, values in arrays.items():
-            assert values.dtype == np.int32, name
+            assert values.dtype == dg._vertex_dtype(cfg.n) == np.int16, name
             assert not np.array_equal(values, gid), name
+
+    @pytest.mark.parametrize("n,size", [(200, 512), (40000, 3), (7, 30),
+                                        (3000, 1)])
+    def test_groups_cover_every_graph_once(self, n, size):
+        """The groups are nonempty runs of whole graphs, in order, with
+        their own edges, covering the chunk once: many graphs per group,
+        one graph past the group size (repeated cuts), graphs with no
+        edges, and a one-graph chunk."""
+        cfg = dg.ErdosRenyiConfig.from_c(n, 0.1 if n == 7 else 2, (1, 2))
+        chunk = dg._GraphChunk(StreamConfig(45).stream(n), size, cfg)
+        groups = list(chunk._groups())
+        assert all(rows.stop > rows.start for rows, _ in groups)
+        rows = np.concatenate([np.arange(r.start, r.stop) for r, _ in groups])
+        np.testing.assert_array_equal(rows, np.arange(size))
+        for r, edges in groups:
+            assert (edges.start, edges.stop) == (chunk.starts[r.start],
+                                                 chunk.starts[r.stop])
+        if n == 40000:
+            assert len(groups) == size
+
+
+class TestVertexDtype:
+    """Endpoints and degrees are int16 up to n = 2**15 and int32 above."""
+
+    @pytest.mark.parametrize("n,dtype", [(2**15, np.int16),
+                                         (2**15 + 1, np.int32)])
+    def test_two_graph_chunk_at_the_boundary(self, n, dtype):
+        cfg = dg.ErdosRenyiConfig.from_c(n, 2, (1, 2))
+        chunk = dg._GraphChunk(StreamConfig(46).stream(0), 2, cfg)
+        assert chunk.u.dtype == chunk.v.dtype == chunk.deg.dtype == dtype
+        assert chunk.u.size > 0
+        assert np.all(chunk.u < chunk.v) and np.all(chunk.v < n)
+        assert np.all(np.diff(chunk.starts) >= 0)
+        for b, (lo, hi) in enumerate(zip(chunk.starts[:-1],
+                                         chunk.starts[1:])):
+            ends = np.concatenate([chunk.u[lo:hi], chunk.v[lo:hi]])
+            np.testing.assert_array_equal(
+                chunk.deg[b], np.bincount(ends.astype(np.intp), minlength=n))
+        np.testing.assert_array_equal(
+            chunk.degree_count_matrix(),
+            np.stack([(chunk.deg == d).sum(axis=1) for d in (1, 2)], axis=1))
+
+    @pytest.mark.parametrize("n,target,labels", [
+        (2**15, 2**14 - 1, True), (2**15, 2**14, False),
+        (2**15 + 1, 2**14, True), (2**15 + 1, 2**14 + 1, False)],
+        ids=["int16-labels", "int16-enumeration", "int32-labels",
+             "int32-enumeration"])
+    def test_coupling_to_half_the_vertices(self, monkeypatch, n, target,
+                                           labels):
+        """Forcing a vertex of a sparse graph to degree about (n - 1) / 2
+        draws the most new neighbours either path of
+        :func:`~steinlab.degrees._non_neighbours` draws: the label path up
+        to 2 d <= n - 1, the enumeration above. The vertex reaches the
+        target, which no other vertex is near, and the change in the count
+        of degree 1 lies within six standard deviations (at most 60 each)
+        of its exact conditional mean."""
+        calls = []
+        labels_of = dg.distinct_labels
+        monkeypatch.setattr(dg, "distinct_labels",
+                            lambda *a, **k: calls.append(1)
+                            or labels_of(*a, **k))
+        cfg = dg.ErdosRenyiConfig.from_c(n, 2, (1, target))
+        rng = StreamConfig(47).stream(0)
+        chunk = dg._GraphChunk(rng, 2, cfg)
+        d_w = chunk.couple(rng, 1)
+        assert bool(calls) == labels
+        cond = chunk.cond_exp()
+        np.testing.assert_array_equal(d_w[:, 1], 1.0)
+        np.testing.assert_allclose(cond[:, 1, 1], 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.abs(d_w[:, 0] - cond[:, 1, 0]) <= 360)
 
 
 class TestConditionalExpectation:
@@ -503,7 +580,7 @@ class TestConditionalExpectation:
                                (12, 0.5, (0, 11)), (9, 0.5, (3, 5, 8))]:
             cfg = dg.ErdosRenyiConfig(n, pi, degrees)
             chunk = dg._GraphChunk(StreamConfig(17).stream(n), 40, cfg)
-            cond = chunk.cond_exp(cfg.degrees)
+            cond = chunk.cond_exp()
             for b, g in enumerate(_chunk_graphs(chunk)):
                 for i, j in itertools.product(range(len(degrees)), repeat=2):
                     ref = oracles.cond_exp_given_graph(g, cfg, i, j)
@@ -583,12 +660,12 @@ class TestEstimatedStatistics:
         m = 60_000
         rng = StreamConfig(19).stream(0)
         chunk = dg._GraphChunk(rng, 4000, cfg)
-        cond = chunk.cond_exp(cfg.degrees).mean(axis=0)
+        cond = chunk.cond_exp().mean(axis=0)
         for i in range(2):
             w, wi = coupler.draw_batch(i, m, StreamConfig(23 + i).stream(0))
             diff = wi - w
             se = diff.std(axis=0) / np.sqrt(m) + 1e-12
-            se_cond = 4000**-0.5 * chunk.cond_exp(cfg.degrees).std(axis=0)[i]
+            se_cond = 4000**-0.5 * chunk.cond_exp().std(axis=0)[i]
             assert np.all(np.abs(diff.mean(axis=0) - cond[i])
                           <= 4 * (se + se_cond))
 
@@ -628,8 +705,9 @@ class TestExperiment:
 
     def test_isqrt_norm_bound_flag(self):
         cfg = dg.ErdosRenyiConfig.from_c(30, 2.0, (1, 2))
-        check = dg.isqrt_norm_bound_check(cfg)
+        model = dg.DegreeCountCoupler(cfg)
+        check = dg.isqrt_norm_bound_check(model.isqrt, model.b_const, cfg.n)
         lam, sigma, b_const = dg.theoretical_moments(cfg)
-        assert check["holds"]
+        assert check["holds"] and check["B"] == b_const
         np.testing.assert_allclose(check["max_norm"],
                                    max_abs_norm(inverse_sqrt(sigma)))

@@ -3,11 +3,16 @@
 A library and CLI that builds the size-bias couplings of three models
 (degree counts in a random graph, sums of functions of Gaussian variables
 and of multinomial cell counts) and the dependency neighborhoods of
-monochromatic edge counts, Monte Carlo-estimates every term of four
-coupling-based bound theorems, and certifies the resulting bound against
-the empirical distance to normality. The closed-form means and
-covariances the bounds rest on are exact; the test suite checks them
-against enumeration of small instances.
+monochromatic edge counts, Monte Carlo-estimates every term of the
+coupling-based bound theorem each model uses, and certifies the resulting
+bound against the empirical distance to normality. Three of the paper's
+four theorems run through a model: the multivariate size-bias bound
+(degree counts), the univariate one (the sums) and the multivariate
+local-dependence bound (colorings). The univariate local-dependence bound,
+:func:`bound_univariate_local`, is evaluated from given inputs only; no
+model feeds it yet. The closed-form means and covariances the bounds rest
+on are exact; the test suite checks them against enumeration of small
+instances.
 """
 
 from .bounds import (BoundReport, CouplingStats, LocalDepStats,

@@ -16,6 +16,8 @@ checked against exact enumeration by the test suite.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 import time
 
@@ -330,6 +332,12 @@ def _run_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
+    # At interpreter shutdown, freeze the heap ahead of the final garbage
+    # collections, so they skip the objects the imports left. Registering
+    # anew replaces an earlier registration: the freeze runs once, at the
+    # process's exit, and code sharing the process keeps its collector.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     started = time.monotonic()
     try:

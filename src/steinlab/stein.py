@@ -34,6 +34,7 @@ FD_STEP_THIRD = 5e-3       # order 3 trades truncation against quadrature noise
 G_TOL = 1e-8               # refinement tolerance on values of g
 LEGENDRE_START = 32        # Gauss-Legendre nodes of the first level
 LEGENDRE_MAX = 512         # nodes of the last level tried
+G_BLOCK_VALUES = 1 << 18   # node-point values of one block of a g batch
 
 
 @lru_cache(maxsize=32)
@@ -78,7 +79,8 @@ class SteinSolution:
 
         The refinement level is chosen on a probe subsample (the error
         varies smoothly with the evaluation point), then the full batch is
-        evaluated once at the converged level.
+        evaluated at the converged level, in blocks of at most
+        :data:`G_BLOCK_VALUES` node-point values.
         """
         w = np.atleast_2d(np.asarray(w, dtype=float))
         if w.shape[1] != self.p:
@@ -102,12 +104,14 @@ class SteinSolution:
                 f"g quadrature did not reach tol {G_TOL} "
                 f"by {LEGENDRE_MAX} nodes"
             )
-        if probe is w:
-            self.s_nodes, self.s_weights = s_nodes, s_weights
-            return val
-        out, s_nodes, s_weights = self._g_level(w, converged)
         self.s_nodes, self.s_weights = s_nodes, s_weights
-        return out
+        if probe is w:
+            return val
+        # each block stacks its points' smoothed values at every node, so
+        # memory stays bounded whatever the batch size
+        rows = max(1, G_BLOCK_VALUES // converged)
+        return np.concatenate([self._g_level(w[lo:lo + rows], converged)[0]
+                               for lo in range(0, m, rows)])
 
     # Checks ---------------------------------------------------------------
 

@@ -115,16 +115,23 @@ def degree_biased_w_law(n, pi, degree_values, i):
     return vector_outcomes_to_biased_w_law(outcomes, sets, i)
 
 
-def degree_construction_law(n, pi, degree_values, i):
-    """Exact law of W^i from the edge-insertion/deletion recipe.
+def degree_construction_outcomes(n, pi, degree_values, i):
+    """Every outcome ``(prob, W, W^i)`` of the edge-insertion/deletion
+    recipe, W and W^i as tuples of counts.
 
     Enumerates: the graph, the uniform vertex, and every uniform subset of
     removed incident edges or added non-neighbor edges.
     """
     d_i = degree_values[i]
-    law = {}
+
+    def counts(edges):
+        deg = _degrees(n, edges)
+        return tuple(float(sum(1 for u in range(n) if deg[u] == d))
+                     for d in degree_values)
+
     for prob, edges in _graph_outcomes(n, pi):
         deg = _degrees(n, edges)
+        w = counts(edges)
         for v in range(n):
             pv = prob / n
             dv = deg[v]
@@ -149,11 +156,39 @@ def degree_construction_law(n, pi, degree_values, i):
                     for add in subsets
                 ]
             for weight, new_edges in variants:
-                new_deg = _degrees(n, new_edges)
-                w = tuple(float(sum(1 for u in range(n) if new_deg[u] == d))
-                          for d in degree_values)
-                law[w] = law.get(w, 0.0) + pv * weight
+                yield pv * weight, w, counts(new_edges)
+
+
+def degree_construction_law(n, pi, degree_values, i):
+    """Exact law of W^i from the edge-insertion/deletion recipe."""
+    law = {}
+    for prob, _, wi in degree_construction_outcomes(n, pi, degree_values, i):
+        law[wi] = law.get(wi, 0.0) + prob
     return law
+
+
+def degree_coupling_stats(cfg):
+    """Exact inputs of the degree-count size-bias bound, by enumeration:
+    ``var_cond[i, j] = Var E[W^i_j - W_j | graph]`` over every graph, from
+    :func:`cond_exp_given_graph`, and ``abs_cross[i, j, k] =
+    E |(W^i_j - W_j)(W^i_k - W_k)|`` over every outcome of the recipe."""
+    n, pi, degrees = cfg.n, cfg.pi, tuple(cfg.degrees)
+    p = len(degrees)
+    probs, means = [], []
+    for prob, edges in _graph_outcomes(n, pi):
+        graph = graph_from_edges(n, edges)
+        probs.append(prob)
+        means.append([[cond_exp_given_graph(graph, cfg, i, j)
+                       for j in range(p)] for i in range(p)])
+    probs, means = np.array(probs), np.array(means)
+    first = np.einsum("g,gij->ij", probs, means)
+    var_cond = np.einsum("g,gij->ij", probs, means**2) - first**2
+    abs_cross = np.zeros((p, p, p))
+    for i in range(p):
+        for prob, w, wi in degree_construction_outcomes(n, pi, degrees, i):
+            dw = np.subtract(wi, w)
+            abs_cross[i] += prob * np.abs(np.outer(dw, dw))
+    return var_cond, abs_cross
 
 
 # ---------------------------------------------------------------------------

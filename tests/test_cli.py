@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, exit codes, deterministic output."""
 
+import gc
 import importlib
 import inspect
 import json
@@ -365,6 +366,37 @@ class TestImports:
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 []"
+
+
+class TestExit:
+    @pytest.mark.parametrize("argv", [
+        ["stein-check", "--h", "cosine:a=1", "--grid-points", "3"],
+        ["stein-check"]])
+    def test_process_exits_with_heap_frozen(self, tmp_path, argv):
+        """A CLI process freezes its heap at exit, after a run and after a
+        usage error alike. The probe is registered first, so it runs after
+        the CLI's exit handler."""
+        package_root = os.path.dirname(os.path.dirname(steinlab.__file__))
+        script = ("import atexit, gc, sys\n"
+                  "from steinlab import cli\n"
+                  "atexit.register(lambda: print(gc.get_freeze_count(),\n"
+                  "                              file=sys.stderr))\n"
+                  f"sys.exit(cli.main({argv!r}))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=tmp_path,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+        assert proc.returncode in (0, 1), proc.stderr
+        assert int(proc.stderr.splitlines()[-1]) > 0
+
+    def test_in_process_call_keeps_the_collector(self, capsys):
+        """The freeze waits for the interpreter's exit: a call in a running
+        process freezes nothing."""
+        before = gc.get_freeze_count()
+        code, _, _ = _run(["stein-check", "--h", "cosine:a=1",
+                           "--grid-points", "3"], capsys)
+        assert code == 0
+        assert gc.get_freeze_count() == before
 
 
 class TestUsageErrors:

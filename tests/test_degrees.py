@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from steinlab import degrees as dg
+from steinlab.bounds import CouplingStats, bound_multivariate_size_bias
 from steinlab.errors import InvariantViolation, NotPositiveDefinite
 from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
@@ -668,6 +669,25 @@ class TestEstimatedStatistics:
             se_cond = 4000**-0.5 * chunk.cond_exp().std(axis=0)[i]
             assert np.all(np.abs(diff.mean(axis=0) - cond[i])
                           <= 4 * (se + se_cond))
+
+    def test_bound_matches_exact_enumeration(self):
+        """At n = 5 every input of the bound is a finite sum over the 2^10
+        graphs and the coupling's outcomes. At c = 2, degrees 1, 2 and unit
+        norms the exact bound is 23.055 (terms 6.916 and 16.139); the
+        estimated bound and each of its terms lie within 4 standard errors
+        of their exact values."""
+        cfg = dg.ErdosRenyiConfig.from_c(5, 2.0, (1, 2))
+        model = dg.DegreeCountCoupler(cfg)
+        var_cond, abs_cross = oracles.degree_coupling_stats(cfg)
+        exact = bound_multivariate_size_bias(
+            CouplingStats(model.lam, model.sigma, var_cond, abs_cross),
+            1.0, 1.0)
+        stats, _ = dg.estimate_coupling_stats(model, 50_000, seed=0,
+                                              score=_first)
+        estimate = bound_multivariate_size_bias(stats, 1.0, 1.0)
+        assert abs(estimate.total - exact.total) <= 4 * estimate.stderr
+        for term, exact_term in zip(estimate.terms, exact.terms):
+            assert abs(term.value - exact_term.value) <= 4 * term.stderr
 
     def test_covariance_identity(self):
         cfg = dg.ErdosRenyiConfig.from_c(30, 2.0, (1, 2))

@@ -6,6 +6,8 @@ checked through the residual of the defining identity. Every residual and
 cap comes from :meth:`SteinSolution.run_checks`, the one check path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,3 +142,29 @@ class TestOneCheckPath:
             "g", "pde_residual"] + ["derivative_violation"] * 3
         assert len(calls[0][1][0]) == len(grid) * distinct
         assert [args[1] for _, args in calls[2:]] == [1, 2, 3]
+
+
+class TestBatchMemory:
+    H = SmoothTestFunction("cosine", p=2, a=(1.0, 0.5))
+
+    def test_blocks_give_the_one_block_values(self, monkeypatch):
+        """g at the converged level is the same in blocks of a few rows as
+        in one block."""
+        w = grid_points(2, 2.0, 15)
+        whole = SteinSolution(self.H).g(w)
+        monkeypatch.setattr(stein, "G_BLOCK_VALUES", 64 * 7)
+        np.testing.assert_allclose(SteinSolution(self.H).g(w), whole,
+                                   rtol=0.0, atol=1e-14)
+
+    def test_check_peak_is_capped(self):
+        """At 61 grid points the checks evaluate g at 107,909 points, which
+        in one block peaked at 108 MiB traced."""
+        grid = grid_points(2, 2.0, 61)
+        tracemalloc.start()
+        try:
+            SteinSolution(self.H).run_checks(grid,
+                                             self.H.derivative_norms())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20

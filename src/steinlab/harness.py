@@ -2,16 +2,21 @@
 
 Every experiment draws randomness from counter-based Philox streams keyed by
 ``(master seed, chunk index)``, so a run is reproducible bit-for-bit no matter
-how many worker threads execute the chunks. Chunk results are merged in chunk
-order (never completion order) to keep floating-point summation canonical.
-An experiment makes one such pass: each chunk's draws of W feed both the
-bound's statistics and the gap's score, each in an :class:`Accumulator`.
+how many workers execute the chunks. On Linux the workers are processes:
+:func:`parallel_mc` forks up to ``STEIN_LAB_THREADS`` - 1 children and works
+through chunks itself too; elsewhere every chunk runs in the calling process.
+Chunk results are merged in chunk order (never completion order) to keep
+floating-point summation canonical. An experiment makes one such pass: each
+chunk's draws of W feed both the bound's statistics and the gap's score, each
+in an :class:`Accumulator`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import sys
 from dataclasses import dataclass
 from functools import reduce
 
@@ -24,18 +29,31 @@ AUX_STREAM_BASE = 1 << 62
 MIN_SAMPLES = 100
 
 ENV_THREADS = "STEIN_LAB_THREADS"
+# Worker processes are forked on Linux only; elsewhere a pass runs in-process.
+FORKS = sys.platform.startswith("linux") and hasattr(os, "fork")
 
 
-def thread_count() -> int:
-    """Worker cap from the environment; affects speed only, never results."""
-    raw = os.environ.get(ENV_THREADS, "")
+def _usable_cpus() -> int:
     try:
-        n = int(raw)
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def worker_count() -> int:
+    """Worker processes per pass; affects speed only, never results.
+
+    ``STEIN_LAB_THREADS`` sets the count, capped at the CPUs this process
+    may use but never below 2; unset or invalid, it is ``min(4, CPUs)``.
+    """
+    cpus = _usable_cpus()
+    try:
+        n = int(os.environ.get(ENV_THREADS, ""))
     except ValueError:
         n = 0
     if n < 1:
-        n = min(4, os.cpu_count() or 1)
-    return n
+        return min(4, cpus)
+    return min(n, max(2, cpus))
 
 
 @dataclass(frozen=True)
@@ -176,18 +194,135 @@ def parallel_mc(task, cfg: StreamConfig, samples: int, empty=None):
     ``task`` must be a pure function of its stream; chunk ``k`` always receives
     ``cfg.stream(k)``, so the merged result is identical for a fixed
     ``(seed, chunk_size, samples)`` regardless of worker count or scheduling.
+    With more than one worker, chunk results must pickle.
     """
     sizes = cfg.chunks(samples)
     if not sizes:
         return empty
-    workers = min(thread_count(), len(sizes))
+    workers = min(worker_count(), len(sizes)) if FORKS else 1
     if workers == 1:
         results = [task(cfg.stream(k), size) for k, size in enumerate(sizes)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(task, cfg.stream(k), size)
-                for k, size in enumerate(sizes)
-            ]
-            results = [f.result() for f in futures]
+        results = _forked(task, cfg, sizes, workers)
     return reduce(merge_results, results)
+
+
+class _Token:
+    """The next unclaimed chunk index, passed around as the one message in a
+    pipe: reading it takes the index, writing back releases it."""
+
+    def __init__(self, first: int):
+        self.read_fd, self.write_fd = os.pipe()
+        self._put(first)
+
+    def _take(self) -> int:
+        return int.from_bytes(os.read(self.read_fd, 8), "little")
+
+    def _put(self, k: int) -> None:
+        os.write(self.write_fd, k.to_bytes(8, "little"))
+
+    def claim(self) -> int:
+        k = self._take()
+        self._put(k + 1)
+        return k
+
+    def stop(self, end: int) -> None:
+        """Leave no index below ``end`` to claim."""
+        self._put(max(self._take(), end))
+
+    def close(self) -> None:
+        os.close(self.read_fd)
+        os.close(self.write_fd)
+
+
+def _work(task, cfg, sizes, token) -> dict:
+    """Run the chunks this worker claims; ``{index: result}``."""
+    done = {}
+    while (k := token.claim()) < len(sizes):
+        try:
+            done[k] = task(cfg.stream(k), sizes[k])
+        except BaseException:
+            token.stop(len(sizes))
+            raise
+    return done
+
+
+def _child(task, cfg, sizes, token, out_fd) -> None:
+    """Worker process body: claim chunks, send ``{index: result}`` or the
+    exception raised, pickled, and leave without unwinding the parent's
+    stack."""
+    try:
+        try:
+            outcome = _work(task, cfg, sizes, token)
+        except BaseException as exc:
+            outcome = exc
+        try:
+            payload = pickle.dumps(outcome)
+        except Exception:
+            payload = pickle.dumps(RuntimeError(
+                f"worker process failed: {outcome!r}"))
+        with os.fdopen(out_fd, "wb") as out:
+            out.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _read_to_end(fd: int) -> bytes:
+    parts = []
+    while part := os.read(fd, 1 << 16):
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _reap(pid: int, fd: int) -> int:
+    os.close(fd)
+    return os.waitpid(pid, 0)[1]
+
+
+def _outcome(pid: int, status: int, payload: bytes) -> dict:
+    if not payload:
+        raise RuntimeError(f"worker process {pid} ended with status "
+                           f"{os.waitstatus_to_exitcode(status)} and sent "
+                           "no results")
+    outcome = pickle.loads(payload)
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
+def _forked(task, cfg: StreamConfig, sizes: list, workers: int) -> list:
+    """Chunk results in chunk order, from this process and ``workers - 1``
+    forked children, each chunk index claimed once from a shared token.
+
+    Every child is reaped before this returns or raises; when this process
+    fails, the children are killed first. The workers are forked, not
+    spawned: a task is a closure over its model, which could not be sent to
+    a spawned worker, and a forked one does not import numpy again.
+    """
+    # Chunk 0 is this process's. Making its stream first also loads
+    # numpy.random here, once, rather than in every child.
+    first = cfg.stream(0)
+    token = _Token(1)
+    children = []
+    try:
+        for _ in range(workers - 1):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _child(task, cfg, sizes, token, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        done = {0: task(first, sizes[0])}
+        done.update(_work(task, cfg, sizes, token))
+        payloads = [_read_to_end(fd) for _, fd in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        token.close()
+        statuses = [_reap(pid, fd) for pid, fd in children]
+    for (pid, _), status, payload in zip(children, statuses, payloads):
+        done.update(_outcome(pid, status, payload))
+    return [done[k] for k in range(len(sizes))]

@@ -387,7 +387,7 @@ class GaussianSumCoupler(_SumCoupler):
         psi = self.psi
         tilt = self.tilted
         # psi(u) is not held past this line: a live (b, n) array here made
-        # the pair loop's first call in each thread trim and re-fault its
+        # the pair loop's first call in each worker trim and re-fault its
         # heap on every block (117k minor page faults against 1.1k at n = 64)
         w = psi(u).sum(axis=1)
         base = n * tilt.psi_mean - w

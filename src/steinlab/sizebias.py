@@ -58,7 +58,7 @@ def sub_batch_sizes(size: int, cost: float, budget: float) -> list[int]:
     """Rows per sub-batch for a batch of ``size`` rows of ``cost`` stored
     values each: as many as ``budget`` values hold (at least one), all full
     but the last. Only the arguments enter, so a chunk's stream is used the
-    same way at any thread count."""
+    same way at any worker count."""
     per = max(1, int(budget // cost))
     full, rest = divmod(size, per)
     return [per] * full + ([rest] if rest else [])

@@ -398,6 +398,31 @@ class TestExit:
         assert code == 0
         assert gc.get_freeze_count() == before
 
+    def test_heap_kept_once_and_only_for_monte_carlo(self, capsys,
+                                                      monkeypatch):
+        """A command that runs Monte Carlo chunks sets glibc's mmap
+        threshold to its 32 MiB maximum and the trim threshold to 1 GiB,
+        once per process; stein-check leaves the allocator alone."""
+        calls = []
+
+        class LibC:
+            def mallopt(self, *args):
+                calls.append(args)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: LibC())
+        cli._keep_heap.cache_clear()
+        try:
+            assert _run(["stein-check", "--h", "cosine:a=1",
+                         "--grid-points", "3"], capsys)[0] == 0
+            assert calls == []
+            for _ in range(2):
+                assert _run(["degree-count", "--n", "10", "--c", "2",
+                             "--degrees", "1", "--samples", "200"],
+                            capsys)[0] == 0
+            assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+        finally:
+            cli._keep_heap.cache_clear()
+
 
 class TestUsageErrors:
     def test_bad_flag(self, capsys):

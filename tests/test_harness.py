@@ -1,12 +1,14 @@
 """Deterministic seeded streams, mergeable accumulators, parallel driver."""
 
 import os
+import select
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinlab import harness
 from steinlab.harness import Accumulator, StreamConfig, parallel_mc
 
 
@@ -110,3 +112,85 @@ class TestParallelMC:
         empty = Accumulator()
         out = parallel_mc(_toy_task, cfg, 0, empty=empty)
         assert out is empty and out.count == 0
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("raw,cpus,expected", [
+        ("", 1, 1), ("", 2, 2), ("", 64, 4), ("junk", 64, 4), ("0", 3, 3),
+        ("1", 64, 1), ("3", 64, 3), ("1000", 8, 8), ("1000", 1, 2),
+        ("8", 1, 2),
+    ])
+    def test_capped_at_usable_cpus_but_not_below_two(self, monkeypatch, raw,
+                                                     cpus, expected):
+        monkeypatch.setenv("STEIN_LAB_THREADS", raw)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+        assert harness.worker_count() == expected
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("STEIN_LAB_THREADS", "1000")
+        assert harness.worker_count() == 3
+        monkeypatch.delenv("STEIN_LAB_THREADS")
+        assert harness.worker_count() == 3
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not harness.FORKS, reason="chunks run in-process here")
+class TestWorkerProcesses:
+    @pytest.fixture(autouse=True)
+    def _two_workers(self, monkeypatch):
+        monkeypatch.setenv("STEIN_LAB_THREADS", "2")
+
+    def test_error_in_a_child_chunk_reraised(self):
+        caller = os.getpid()
+        taken, release = os.pipe()
+
+        def task(rng, size):
+            if os.getpid() != caller:
+                os.write(release, b"x")
+                raise ValueError("chunk failed in a child")
+            # Hold chunk 0 until the child has taken chunk 1.
+            select.select([taken], [], [], 10.0)
+            return _toy_task(rng, size)
+
+        try:
+            with pytest.raises(ValueError) as info:
+                parallel_mc(task, StreamConfig(0, 10), 20)
+        finally:
+            os.close(taken)
+            os.close(release)
+        assert info.type is ValueError
+        assert str(info.value) == "chunk failed in a child"
+        _assert_no_child_left()
+
+    def test_error_in_the_callers_chunk_reraised(self):
+        caller = os.getpid()
+
+        def task(rng, size):
+            if os.getpid() == caller:
+                raise ValueError("chunk failed in the caller")
+            return _toy_task(rng, size)
+
+        with pytest.raises(ValueError) as info:
+            parallel_mc(task, StreamConfig(0, 10), 40)
+        assert info.type is ValueError
+        assert str(info.value) == "chunk failed in the caller"
+        _assert_no_child_left()
+
+    def test_more_chunks_than_a_pipe_holds(self, monkeypatch):
+        """20,000 one-draw chunks: more chunk indices than a 64 KiB pipe
+        holds at 4 bytes each."""
+        cfg = StreamConfig(0, 1)
+        two = parallel_mc(_toy_task, cfg, 20_000)
+        monkeypatch.setenv("STEIN_LAB_THREADS", "1")
+        one = parallel_mc(_toy_task, cfg, 20_000)
+        assert two.count == one.count == 20_000
+        np.testing.assert_array_equal(two.sums, one.sums)
+        _assert_no_child_left()

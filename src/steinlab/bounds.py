@@ -2,8 +2,10 @@
 
 Two theorems consume size-bias coupling statistics (univariate and
 multivariate) and two consume local-dependence statistics. All matrix norms
-are max-absolute-entry, the convention the formulas are stated in; the
-spectral norm of the whitening matrix is logged alongside for diagnostics.
+are max-absolute-entry, the convention the formulas are stated in. The
+multivariate bounds take the whitening matrix ``S = Sigma^{-1/2}`` from their
+caller, which is made once per model; ``run_experiment`` logs its spectral
+norm beside the max norm for diagnostics.
 
 Standard errors of estimated inputs are propagated to each term by a
 first-order delta method and reported, but never added to the bound itself.
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NonfiniteNorm
-from .linalg import inverse_sqrt, max_abs_norm, spectral_max_abs, symmetrize
+from .linalg import max_abs_norm
 
 SQRT_HALF_PI = float(np.sqrt(np.pi / 2.0))
 
@@ -118,7 +120,7 @@ def _require_finite(**norms):
             raise NonfiniteNorm(f"{name} must be finite, got {value}")
 
 
-def _sqrt_with_sem(v, sem):
+def sqrt_with_sem(v, sem):
     """Delta-method propagation through sqrt; at v = 0 use sqrt(sem)."""
     v = np.maximum(np.asarray(v, dtype=float), 0.0)
     sem = np.asarray(sem, dtype=float)
@@ -157,7 +159,7 @@ def bound_univariate_size_bias(stats: CouplingStats,
     if sigma_sq <= 0:
         raise ValueError("sigma^2 must be positive")
     sigma = np.sqrt(sigma_sq)
-    root, root_sem = _sqrt_with_sem(var_cond, stats.var_cond_sem[0, 0])
+    root, root_sem = sqrt_with_sem(var_cond, stats.var_cond_sem[0, 0])
     c1 = 2.0 * h_norm * lam / sigma_sq
     c2 = dh_norm * lam / sigma**3
     terms = [
@@ -191,21 +193,20 @@ def floor_mean_sq_diff(stats: CouplingStats) -> CouplingStats:
                    abs_cross_sem=np.zeros((1, 1, 1)))
 
 
-def bound_multivariate_size_bias(stats: CouplingStats,
+def bound_multivariate_size_bias(stats: CouplingStats, isqrt: np.ndarray,
                                  d2h_norm: float, d3h_norm: float) -> BoundReport:
     """Multivariate size-bias bound:
 
     ``(p^2/2) ||S||^2 ||D2h|| sum_ij lam_i sqrt(var_cond[i,j])
       + (p^3/6) ||S||^3 ||D3h|| sum_ijk lam_i abs_cross[i,j,k]``,
-    with ``S`` the inverse square root of the covariance and ``||.||`` the
-    max-absolute-entry norm.
+    with ``S = isqrt`` the inverse square root of ``stats.sigma`` and
+    ``||.||`` the max-absolute-entry norm.
     """
     _require_finite(d2h_norm=d2h_norm, d3h_norm=d3h_norm)
     p = stats.p
-    isqrt = inverse_sqrt(symmetrize(stats.sigma))
     snorm = max_abs_norm(isqrt)
     lam = np.asarray(stats.lam, dtype=float)
-    root, root_sem = _sqrt_with_sem(stats.var_cond, stats.var_cond_sem)
+    root, root_sem = sqrt_with_sem(stats.var_cond, stats.var_cond_sem)
     c1 = 0.5 * p**2 * snorm**2 * d2h_norm
     t1 = c1 * float(lam @ root.sum(axis=1))
     t1_sem = c1 * float(np.sqrt(np.sum((lam[:, None] * root_sem) ** 2)))
@@ -220,8 +221,6 @@ def bound_multivariate_size_bias(stats: CouplingStats,
     ]
     inputs = {
         "p": p, "lambda": lam, "sigma": stats.sigma,
-        "sigma_isqrt_max_norm": snorm,
-        "sigma_isqrt_spectral_norm": spectral_max_abs(isqrt),
         "d2h_norm": d2h_norm, "d3h_norm": d3h_norm,
         "sigma_field": stats.sigma_field,
     }
@@ -256,16 +255,17 @@ def bound_univariate_local(sigma_sq: float, t1: float, t2: float, t3: float,
     return _finish("univariate-local-dependence", terms, inputs)
 
 
-def bound_multivariate_local(stats: LocalDepStats, dh_norm: float,
-                             d2h_norm: float, d3h_norm: float) -> BoundReport:
+def bound_multivariate_local(stats: LocalDepStats, isqrt: np.ndarray,
+                             dh_norm: float, d2h_norm: float,
+                             d3h_norm: float) -> BoundReport:
     """Multivariate local-dependence bound:
 
     ``(p^2/2) ||S||^2 ||D2h|| sum_ij t1[i,j] + p ||S|| ||Dh|| t2
-      + (p^3/6) ||S||^3 ||D3h|| sum_ijk t3[i,j,k]``.
+      + (p^3/6) ||S||^3 ||D3h|| sum_ijk t3[i,j,k]``,
+    with ``S = isqrt`` the inverse square root of ``stats.sigma``.
     """
     _require_finite(dh_norm=dh_norm, d2h_norm=d2h_norm, d3h_norm=d3h_norm)
     p = stats.p
-    isqrt = inverse_sqrt(symmetrize(stats.sigma))
     snorm = max_abs_norm(isqrt)
     c1 = 0.5 * p**2 * snorm**2 * d2h_norm
     c2 = p * snorm * dh_norm
@@ -279,8 +279,21 @@ def bound_multivariate_local(stats: LocalDepStats, dh_norm: float,
     ]
     inputs = {
         "p": p, "sigma": stats.sigma,
-        "sigma_isqrt_max_norm": snorm,
-        "sigma_isqrt_spectral_norm": spectral_max_abs(isqrt),
         "dh_norm": dh_norm, "d2h_norm": d2h_norm, "d3h_norm": d3h_norm,
     }
     return _finish("multivariate-local-dependence", terms, inputs)
+
+
+def isqrt_norm_bound_check(isqrt: np.ndarray, b_const: float,
+                           count: int) -> dict:
+    """Numerical check of the whitening-norm cap
+    ``||Sigma^{-1/2}|| <= (B / count)^{1/2}`` (max-absolute-entry norm),
+    given a model's ``Sigma^{-1/2}``, its constant B and the number of
+    summands ``count`` (vertices for degree counts, edges for colourings).
+
+    A violation is flagged, not raised: the inequality is verified rather
+    than relied upon.
+    """
+    cap = float(np.sqrt(b_const / count))
+    return {"B": b_const, "cap": cap,
+            "holds": bool(max_abs_norm(isqrt) <= cap * (1.0 + 1e-12))}

@@ -197,6 +197,13 @@ def _degree_model(args, n: int):
     flag, value = ("--pi", args.pi) if args.pi is not None else ("--c", args.c)
     if not np.isfinite(value):
         raise _UsageError(f"{flag} must be finite, got {value}")
+    if n >= 2:  # below that the config names n, and c/(n-1) is undefined
+        pi = value if args.pi is not None else value / (n - 1)
+        if not 0.0 < pi < 1.0:
+            implied = "" if args.pi is not None else (
+                f" at n = {n}, so pi = c/(n-1) = {pi:g}")
+            raise _UsageError(f"{flag} = {value}{implied}: the edge "
+                              f"probability must lie strictly in (0, 1)")
     cfg = (ErdosRenyiConfig(n, args.pi, tuple(args.degrees))
            if args.pi is not None else
            ErdosRenyiConfig.from_c(n, args.c, tuple(args.degrees)))

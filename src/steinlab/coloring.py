@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import LocalDepStats, bound_multivariate_local
-from .errors import AsymmetricNeighborhoods, BadSpec, NotPositiveDefinite
+from .bounds import (LocalDepStats, bound_multivariate_local,
+                     isqrt_norm_bound_check, sqrt_with_sem)
+from .errors import AsymmetricNeighborhoods, BadSpec
 from .harness import Accumulator, StreamConfig, parallel_mc
-from .linalg import inverse_sqrt, max_abs_norm
+from .linalg import inverse_sqrt
 from .specs import read_spec
 
 
@@ -210,11 +211,6 @@ def theoretical_moments(g: RegularGraph, cfg: ColoringConfig):
     sigma = -n_edges * (2 * d - 1) * np.outer(pi**2, pi**2)
     diag = n_edges * pi**2 * (1 - pi**2) + 2 * n_edges * (d - 1) * (pi**3 - pi**4)
     np.fill_diagonal(sigma, diag)
-    vals = np.linalg.eigvalsh(sigma)
-    if np.min(vals) <= 1e-12 * max(np.max(vals), 1e-300):
-        raise NotPositiveDefinite(
-            f"coloring covariance is not PD (eigenvalues {np.sort(vals)})"
-        )
     return lam, sigma
 
 
@@ -284,11 +280,7 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, sigma: np.ndarray,
                 Accumulator(shape=(p, p, p)).add(triple), scores)
 
     sq_acc, triple_acc, scores = parallel_mc(task, stream_cfg, samples)
-    mean_sq = sq_acc.mean
-    t1 = np.sqrt(np.maximum(mean_sq, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1_sem = np.where(t1 > 0, sq_acc.sem / np.where(t1 > 0, 2 * t1, 1.0),
-                          np.sqrt(sq_acc.sem))
+    t1, t1_sem = sqrt_with_sem(sq_acc.mean, sq_acc.sem)
     return LocalDepStats(
         p=p, sigma=sigma, t1=t1, t2=0.0, t3=triple_acc.mean,
         t1_sem=t1_sem, t3_sem=triple_acc.sem,
@@ -301,34 +293,22 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, sigma: np.ndarray,
 
 def spectral_checks(g: RegularGraph, cfg: ColoringConfig,
                     sigma: np.ndarray) -> dict:
-    """PSD margin of ``Sigma - N H`` and the whitening-norm cap, for the
-    covariance ``sigma`` of :func:`theoretical_moments`.
-
-    ``H = diag(pi_i^2 - pi_i^3)``; the covariance dominates ``N H`` in the
-    PSD order, which caps the max-abs-entry norm of the inverse square root
-    by ``N^{-1/2} B^{1/2}``.
+    """PSD margin of ``Sigma - N H``, ``H = diag(pi_i^2 - pi_i^3)``, for the
+    covariance ``sigma`` of :func:`theoretical_moments`: the domination
+    that caps ``||Sigma^{-1/2}||`` by ``N^{-1/2} B^{1/2}``, the cap
+    :func:`~steinlab.bounds.isqrt_norm_bound_check` verifies.
     """
-    n_edges = g.num_edges
     pi = np.asarray(cfg.probs)
-    h_diag = np.diag(n_edges * (pi**2 - pi**3))
-    vals = np.linalg.eigvalsh(sigma - h_diag)
-    isqrt = inverse_sqrt(sigma)
-    lhs = max_abs_norm(isqrt)
-    cap = float(np.sqrt(cfg.b_const / n_edges))
-    return {
-        "min_eig_margin": float(np.min(vals)),
-        "psd_holds": bool(np.min(vals) >= -1e-10),
-        "max_norm": lhs,
-        "cap": cap,
-        "norm_holds": bool(lhs <= cap * (1.0 + 1e-12)),
-        "B": cfg.b_const,
-    }
+    vals = np.linalg.eigvalsh(sigma - np.diag(g.num_edges * (pi**2 - pi**3)))
+    return {"min_eig_margin": float(np.min(vals)),
+            "psd_holds": bool(np.min(vals) >= -1e-10)}
 
 
 class ColoringModel:
     """Monochromatic edge counts for
     :func:`steinlab.experiment.run_experiment`, certified by the multivariate
-    local-dependence bound."""
+    local-dependence bound. A colouring whose covariance cannot be whitened
+    (one colour, or one of negligible mass) is refused here."""
 
     name = "color-match"
 
@@ -336,6 +316,7 @@ class ColoringModel:
                  graph_name: str = "regular"):
         self.g, self.cfg, self.p = g, cfg, cfg.p
         self.lam, self.sigma = theoretical_moments(g, cfg)
+        self.isqrt = inverse_sqrt(self.sigma)
         self.config = {"graph": graph_name, "n": g.n, "d": g.d,
                        "edges": g.num_edges, "colors": list(cfg.probs)}
 
@@ -343,9 +324,11 @@ class ColoringModel:
         stats, scores = local_dep_stats(self.g, self.cfg, self.sigma, samples,
                                         seed=seed, chunk_size=chunk_size,
                                         score=score)
-        return (bound_multivariate_local(stats, norms.d1, norms.d2, norms.d3),
-                stats, scores)
+        return (bound_multivariate_local(stats, self.isqrt, norms.d1,
+                                         norms.d2, norms.d3), stats, scores)
 
     def extras(self, stats) -> dict:
         return {"spectral": spectral_checks(self.g, self.cfg, self.sigma),
+                "isqrt_norm_bound": isqrt_norm_bound_check(
+                    self.isqrt, self.cfg.b_const, self.g.num_edges),
                 "t1": stats.t1, "t3_total": float(np.sum(stats.t3))}

@@ -39,10 +39,11 @@ from math import comb, exp, isqrt, log, log1p
 
 import numpy as np
 
-from .bounds import CouplingStats, bound_multivariate_size_bias
+from .bounds import (CouplingStats, bound_multivariate_size_bias,
+                     isqrt_norm_bound_check)
 from .errors import NotPositiveDefinite
 from .harness import Accumulator
-from .linalg import DEFAULT_PD_TOL, inverse_sqrt, max_abs_norm
+from .linalg import DEFAULT_PD_TOL, inverse_sqrt
 from .sizebias import (CoupledPairSampler, distinct_labels, log_binomial,
                         rank_in_group, sub_batch_sizes)
 
@@ -547,20 +548,6 @@ def _sub_batch_sizes(size: int, n: int, c: float) -> list[int]:
     return sub_batch_sizes(size, n * (1.0 + c / 2.0), SUB_BATCH_SLOTS)
 
 
-def isqrt_norm_bound_check(sigma_isqrt: np.ndarray, b_const: float,
-                           n: int) -> dict:
-    """Numerical check of ``||Sigma^{-1/2}|| <= n^{-1/2} B^{1/2}``, given
-    the model's ``Sigma^{-1/2}`` and B.
-
-    Violations are flagged, not raised: the inequality is verified rather
-    than relied upon.
-    """
-    lhs = max_abs_norm(sigma_isqrt)
-    rhs = np.sqrt(b_const / n)
-    return {"holds": bool(lhs <= rhs * (1.0 + 1e-12)),
-            "max_norm": lhs, "cap": float(rhs), "B": b_const}
-
-
 def estimate_coupling_stats(model: DegreeCountCoupler, samples: int,
                             seed: int = 0, chunk_size: int = 512, *,
                             score) -> tuple[CouplingStats, Accumulator]:
@@ -585,8 +572,8 @@ class DegreeCountCoupler(CoupledPairSampler):
     are exact. Time is linear in a batch's edges and vertices, and memory
     in a sub-batch's. A configuration whose covariance cannot be whitened
     is refused here, with the degree to leave out when one is to blame;
-    the moments, B and ``isqrt`` (``Sigma^{-1/2}``) made for that check
-    are kept for the report's.
+    ``isqrt`` (``Sigma^{-1/2}``), made for that check, is the whitening the
+    gap, the bound and the norm-cap check all read.
     """
 
     name = "degree-count"
@@ -620,8 +607,8 @@ class DegreeCountCoupler(CoupledPairSampler):
     def bound(self, norms, samples: int, seed: int, chunk_size: int, score):
         stats, scores = estimate_coupling_stats(
             self, samples, seed=seed, chunk_size=chunk_size, score=score)
-        return (bound_multivariate_size_bias(stats, norms.d2, norms.d3),
-                stats, scores)
+        return (bound_multivariate_size_bias(stats, self.isqrt, norms.d2,
+                                             norms.d3), stats, scores)
 
     def extras(self, stats) -> dict:
         return {"isqrt_norm_bound": isqrt_norm_bound_check(

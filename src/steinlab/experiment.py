@@ -4,7 +4,7 @@ nonlinear-sum models."""
 from __future__ import annotations
 
 from .harness import require_samples
-from .linalg import inverse_sqrt, max_abs_norm, spectral_max_abs, whiten
+from .linalg import max_abs_norm, spectral_max_abs, whiten
 from .report import ExperimentReport
 from .testfuncs import phi_h
 
@@ -16,7 +16,8 @@ def run_experiment(model, h, samples: int, seed: int = 0,
     ``model`` is a size-bias model (a
     :class:`~steinlab.sizebias.CoupledPairSampler`) or the coloring model,
     which has the same interface: ``name`` (the report's ``experiment``);
-    ``p``, ``lam`` and ``sigma`` (dimension, mean vector, covariance);
+    ``p``, ``lam``, ``sigma`` and ``isqrt`` (dimension, mean vector,
+    covariance, and ``Sigma^{-1/2}``, made once by the model);
     ``bound(norms, samples, seed, chunk_size, score)``, which runs the
     model's one statistics pass and returns ``(BoundReport, stats,
     scores)``, with ``scores`` the :class:`~steinlab.harness.Accumulator`
@@ -32,12 +33,11 @@ def run_experiment(model, h, samples: int, seed: int = 0,
     require_samples(samples)
     if h.p != model.p:
         raise ValueError(f"test function has p={h.p}, model has p={model.p}")
-    isqrt = inverse_sqrt(model.sigma)
     norms = h.derivative_norms()
     phi = phi_h(h)
 
     def score(w):
-        return h.evaluate(whiten(w, model.lam, isqrt))
+        return h.evaluate(whiten(w, model.lam, model.isqrt))
 
     bound, stats, scores = model.bound(norms, samples, seed, chunk_size, score)
     bound.seed = seed
@@ -46,8 +46,8 @@ def run_experiment(model, h, samples: int, seed: int = 0,
         experiment=model.name,
         config={**model.config, "h": h.spec_string()},
         lam=model.lam, sigma=model.sigma,
-        sigma_isqrt_max_norm=max_abs_norm(isqrt),
-        sigma_isqrt_spectral_norm=spectral_max_abs(isqrt),
+        sigma_isqrt_max_norm=max_abs_norm(model.isqrt),
+        sigma_isqrt_spectral_norm=spectral_max_abs(model.isqrt),
         bound=bound, gap=gap, gap_stderr=gap_sem,
         passed=gap <= bound.total + 3.0 * gap_sem,
         seed=seed, samples=samples, chunk_size=chunk_size,

@@ -19,7 +19,7 @@ def max_abs_norm(a) -> float:
     """Maximum absolute entry of a vector or matrix.
 
     This is the norm convention used throughout the bound formulas:
-    ``||a|| = max_i |a_i|`` for vectors and ``max_ij |a_ij]`` for matrices.
+    ``||a|| = max_i |a_i|`` for vectors and ``max_ij |a_ij|`` for matrices.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:

@@ -30,6 +30,7 @@ from .bounds import (CouplingStats, bound_univariate_size_bias,
 from .errors import (InfeasibleAdjustment, InvariantViolation,
                      NonfiniteMoment, NotPositiveDefinite)
 from .harness import Accumulator
+from .linalg import inverse_sqrt
 from .sizebias import (CoupledPairSampler, DiscreteDistribution,
                         distinct_labels, sub_batch_sizes)
 
@@ -241,6 +242,7 @@ class _SumCoupler(CoupledPairSampler):
         self.psi = cfg.psi
         self.lam = np.array([lam])
         self.sigma = np.array([[sigma_sq]])
+        self.isqrt = inverse_sqrt(self.sigma)
 
     def w(self, u: np.ndarray) -> np.ndarray:
         return self.psi(u).sum(axis=1)[:, None]

@@ -163,9 +163,10 @@ class CoupledPairSampler:
     """A size-bias model: W, its coupling, and the exact conditional means.
 
     Subclasses set ``name`` (the report's ``experiment``), ``p``, ``lam``
-    (mean vector, shape (p,)), ``sigma`` (covariance, (p, p)),
-    ``sigma_field`` (what ``cond_exp`` conditions on) and ``config`` (their
-    fields of the report), and implement :meth:`draw`, :meth:`w`,
+    (mean vector, shape (p,)), ``sigma`` (covariance, (p, p)), ``isqrt``
+    (``Sigma^{-1/2}``, made once from ``sigma``), ``sigma_field`` (what
+    ``cond_exp`` conditions on) and ``config`` (their fields of the
+    report), and implement :meth:`draw`, :meth:`w`,
     :meth:`couple`, :meth:`cond_exp`, :meth:`bound` and :meth:`extras`.
     """
 

@@ -9,8 +9,9 @@ from steinlab.bounds import (CouplingStats, LocalDepStats,
                              bound_multivariate_local,
                              bound_multivariate_size_bias,
                              bound_univariate_local,
-                             bound_univariate_size_bias, floor_mean_sq_diff)
-from steinlab.errors import NonfiniteNorm, NotPositiveDefinite
+                             bound_univariate_size_bias, floor_mean_sq_diff,
+                             isqrt_norm_bound_check)
+from steinlab.errors import NonfiniteNorm
 from steinlab.linalg import inverse_sqrt, max_abs_norm
 
 
@@ -79,6 +80,18 @@ class TestMeanSqDiffFloor:
         assert floor_mean_sq_diff(stats) is stats
 
 
+def _size_bias(stats, d2h_norm, d3h_norm):
+    """The multivariate size-bias bound at the whitening of ``stats.sigma``."""
+    return bound_multivariate_size_bias(stats, inverse_sqrt(stats.sigma),
+                                        d2h_norm, d3h_norm)
+
+
+def _local(stats, dh_norm, d2h_norm, d3h_norm):
+    """The multivariate local bound at the whitening of ``stats.sigma``."""
+    return bound_multivariate_local(stats, inverse_sqrt(stats.sigma),
+                                    dh_norm, d2h_norm, d3h_norm)
+
+
 def _mv_stats(p=2, seed=0):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((p, p))
@@ -95,21 +108,21 @@ class TestMultivariateSizeBias:
         stats = _mv_stats()
         stats.var_cond *= 0.0
         stats.abs_cross *= 0.0
-        assert bound_multivariate_size_bias(stats, 1.0, 1.0).total == 0.0
+        assert _size_bias(stats, 1.0, 1.0).total == 0.0
 
     def test_p1_worked_arithmetic(self):
         """0.5 * 2 * 0.2 + (1/6) * 6 * 0.1 = 0.3 at unit whitening norm."""
         stats = CouplingStats(
             lam=np.array([1.0]), sigma=np.array([[1.0]]),
             var_cond=np.array([[0.04]]), abs_cross=np.array([[[0.1]]]))
-        rep = bound_multivariate_size_bias(stats, 2.0, 6.0)
+        rep = _size_bias(stats, 2.0, 6.0)
         np.testing.assert_allclose(rep.total, 0.3, rtol=1e-14)
 
     def test_p1_exact_formula(self):
         stats = CouplingStats(
             lam=np.array([1.7]), sigma=np.array([[2.5]]),
             var_cond=np.array([[0.09]]), abs_cross=np.array([[[0.4]]]))
-        rep = bound_multivariate_size_bias(stats, 1.3, 0.7)
+        rep = _size_bias(stats, 1.3, 0.7)
         snorm = 1.0 / np.sqrt(2.5)
         expected = (0.5 * snorm**2 * 1.3 * 1.7 * 0.3
                     + (1.0 / 6.0) * snorm**3 * 0.7 * 1.7 * 0.4)
@@ -118,12 +131,12 @@ class TestMultivariateSizeBias:
     def test_homogeneity_in_whitening_norm(self):
         """Scaling Sigma by 1/t^2 scales term1 by t^2 and term2 by t^3."""
         stats = _mv_stats(seed=3)
-        base = bound_multivariate_size_bias(stats, 1.0, 1.0)
+        base = _size_bias(stats, 1.0, 1.0)
         t = 1.7
         scaled = CouplingStats(
             lam=stats.lam, sigma=stats.sigma / t**2,
             var_cond=stats.var_cond, abs_cross=stats.abs_cross)
-        rep = bound_multivariate_size_bias(scaled, 1.0, 1.0)
+        rep = _size_bias(scaled, 1.0, 1.0)
         np.testing.assert_allclose(rep.terms[0].value,
                                    t**2 * base.terms[0].value, rtol=1e-9)
         np.testing.assert_allclose(rep.terms[1].value,
@@ -132,7 +145,7 @@ class TestMultivariateSizeBias:
     def test_matches_loop_expansion(self):
         stats = _mv_stats(p=3, seed=5)
         d2, d3 = 0.8, 1.4
-        rep = bound_multivariate_size_bias(stats, d2, d3)
+        rep = _size_bias(stats, d2, d3)
         snorm = max_abs_norm(inverse_sqrt(stats.sigma))
         p = stats.p
         term1 = 0.0
@@ -148,17 +161,11 @@ class TestMultivariateSizeBias:
         term2 *= (p**3 / 6.0) * snorm**3 * d3
         np.testing.assert_allclose(rep.total, term1 + term2, rtol=1e-12)
 
-    def test_indefinite_sigma_rejected(self):
-        stats = _mv_stats()
-        stats.sigma = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NotPositiveDefinite):
-            bound_multivariate_size_bias(stats, 1.0, 1.0)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 100), st.integers(0, 3), st.floats(0.01, 1.0))
     def test_monotone_in_every_statistic(self, seed, which, bump):
         stats = _mv_stats(p=2, seed=seed)
-        base = bound_multivariate_size_bias(stats, 1.0, 1.0).total
+        base = _size_bias(stats, 1.0, 1.0).total
         if which == 0:
             stats.var_cond[0, 1] += bump
         elif which == 1:
@@ -169,7 +176,7 @@ class TestMultivariateSizeBias:
             stats = CouplingStats(
                 lam=stats.lam, sigma=stats.sigma,
                 var_cond=stats.var_cond, abs_cross=stats.abs_cross)
-        bumped = bound_multivariate_size_bias(stats, 1.0, 1.0).total
+        bumped = _size_bias(stats, 1.0, 1.0).total
         assert bumped >= base - 1e-12
 
 
@@ -208,16 +215,14 @@ class TestMultivariateLocal:
                              t3=np.array([[[t3]]]))
 
     def test_zero_terms(self):
-        rep = bound_multivariate_local(self._stats(t1=0.0, t2=0.0, t3=0.0),
-                                       1.0, 1.0, 1.0)
+        rep = _local(self._stats(t1=0.0, t2=0.0, t3=0.0), 1.0, 1.0, 1.0)
         assert rep.total == 0.0
 
     def test_p1_term_shapes_match_univariate(self):
         """Same statistics, same sigma powers; only the norm conventions
         and constants differ between the p = 1 and univariate forms."""
         sigma_sq, t1, t2, t3 = 2.0, 0.3, 0.1, 0.4
-        mv = bound_multivariate_local(self._stats(sigma_sq, t1, t2, t3),
-                                      1.0, 1.0, 1.0)
+        mv = _local(self._stats(sigma_sq, t1, t2, t3), 1.0, 1.0, 1.0)
         uv = bound_univariate_local(sigma_sq, t1, t2, t3, 1.0, 1.0)
         np.testing.assert_allclose(mv.terms[0].value / uv.terms[0].value,
                                    0.25, rtol=1e-12)
@@ -235,9 +240,23 @@ class TestMultivariateLocal:
                               t2=float(rng.uniform(0, 1)),
                               t3=rng.uniform(0, 1, (p, p, p)))
         d1, d2, d3 = 0.5, 1.1, 0.9
-        rep = bound_multivariate_local(stats, d1, d2, d3)
+        rep = _local(stats, d1, d2, d3)
         snorm = max_abs_norm(inverse_sqrt(stats.sigma))
         expected = (0.5 * p**2 * snorm**2 * d2 * stats.t1.sum()
                     + p * snorm * d1 * stats.t2
                     + (p**3 / 6.0) * snorm**3 * d3 * stats.t3.sum())
         np.testing.assert_allclose(rep.total, expected, rtol=1e-12)
+
+
+class TestIsqrtNormBound:
+    def test_cap_and_flag(self):
+        """cap = sqrt(B / count) = sqrt(8 / 2) = 2: a max entry of 2 holds
+        and one of 2.001 is flagged."""
+        at_cap = isqrt_norm_bound_check(np.diag([2.0, -1.0]), 8.0, 2)
+        assert at_cap == {"B": 8.0, "cap": 2.0, "holds": True}
+        assert not isqrt_norm_bound_check(np.diag([1.0, -2.001]), 8.0,
+                                          2)["holds"]
+
+    def test_infinite_b_always_holds(self):
+        check = isqrt_norm_bound_check(np.eye(2), float("inf"), 10)
+        assert check["cap"] == float("inf") and check["holds"]

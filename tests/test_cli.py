@@ -55,26 +55,70 @@ class TestExperiments:
         assert code == 0
         assert json.loads(out)["experiment"] == "color-match"
 
+    DEGREE_RUN = ["degree-count", "--n", "20", "--c", "2", "--degrees", "1,2",
+                  "--samples", "2000"]
+    COLOR_RUN = ["color-match", "--graph", "cycle:16", "--colors", "0.5,0.5",
+                 "--samples", "2000"]
+    # per module: its closed-form moments, and the eigendecompositions of a
+    # run (inverse_sqrt's, the logged spectral norm's, and for colourings
+    # the PSD margin's)
+    MOMENTS = {"degrees": ("theoretical_moments", 2),
+               "coloring": ("theoretical_moments", 3),
+               "nonlinear": ("gaussian_moments", 2)}
+
     @pytest.mark.parametrize("module,argv", [
-        ("degrees", ["degree-count", "--n", "20", "--c", "2",
-                     "--degrees", "1,2", "--samples", "2000"]),
-        ("coloring", ["color-match", "--graph", "cycle:16",
-                      "--colors", "0.5,0.5", "--samples", "2000"])])
+        ("degrees", DEGREE_RUN), ("coloring", COLOR_RUN),
+        ("nonlinear", ["nonlinear", "--model", "gauss:rho=0.1,n=20",
+                       "--psi", "square", "--samples", "2000"])])
     def test_moments_computed_once_per_run(self, monkeypatch, capsys,
                                            module, argv):
-        """A run computes its model's closed-form moments and their inverse
-        square root in the model's module once each; the report's checks
-        reuse them."""
-        mod = importlib.import_module(f"steinlab.{module}")
-        calls = {"theoretical_moments": 0, "inverse_sqrt": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(mod, name), _name=name, **kw):
-                calls[_name] += 1
+        """A run computes its model's closed-form moments once and whitens
+        once, in the model; the driver, the bound and the report's checks
+        reuse that ``Sigma^{-1/2}``. Every steinlab module that binds
+        ``inverse_sqrt`` is counted, and so is every eigendecomposition."""
+        moments, eigs = self.MOMENTS[module]
+        calls = {moments: 0, "inverse_sqrt": 0, "eig": 0}
+
+        def counted(owner, name, key):
+            def wrapper(*args, _fn=getattr(owner, name), **kw):
+                calls[key] += 1
                 return _fn(*args, **kw)
-            monkeypatch.setattr(mod, name, counted)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(importlib.import_module(f"steinlab.{module}"), moments,
+                moments)
+        for info in pkgutil.iter_modules(steinlab.__path__):
+            mod = importlib.import_module(f"steinlab.{info.name}")
+            if info.name != "linalg" and hasattr(mod, "inverse_sqrt"):
+                counted(mod, "inverse_sqrt", "inverse_sqrt")
+        counted(np.linalg, "eigh", "eig")
+        counted(np.linalg, "eigvalsh", "eig")
         code, _, _ = _run(argv, capsys)
         assert code == 0
-        assert calls == {"theoretical_moments": 1, "inverse_sqrt": 1}
+        assert calls == {moments: 1, "inverse_sqrt": 1, "eig": eigs}
+
+    def test_whitening_norms_reported_once(self, capsys):
+        """The norms of ``Sigma^{-1/2}`` appear once each, at the top level,
+        and both multivariate models report the same norm-cap check."""
+        def keys(node):
+            if isinstance(node, dict):
+                for k, v in node.items():
+                    yield k
+                    yield from keys(v)
+            elif isinstance(node, list):
+                for v in node:
+                    yield from keys(v)
+
+        caps = []
+        for argv in (self.DEGREE_RUN, self.COLOR_RUN):
+            code, out, _ = _run(argv, capsys)
+            assert code == 0
+            report = json.loads(out)
+            found = list(keys(report))
+            for name in ("sigma_isqrt_max_norm", "sigma_isqrt_spectral_norm"):
+                assert found.count(name) == 1 and name in report
+            caps.append(sorted(report["isqrt_norm_bound"]))
+        assert caps == [["B", "cap", "holds"]] * 2
 
     def test_nonlinear(self, capsys):
         code, out, _ = _run(["nonlinear", "--model", "gauss:rho=0.1,n=20",
@@ -430,11 +474,6 @@ class TestUsageErrors:
         # bound violations
         assert main(["degree-count", "--badflag"]) == 1
 
-    def test_invalid_pi(self, capsys):
-        code, _, err = _run(["degree-count", "--n", "10", "--pi", "1.5",
-                             "--degrees", "1"], capsys)
-        assert code == 1 and "error" in err
-
     DEGREE = ["degree-count", "--n", "20", "--c", "2", "--degrees", "1,2"]
     COLOR = ["color-match", "--graph", "cycle:16", "--colors", "0.5,0.5"]
     GAUSS = ["nonlinear", "--model", "gauss:rho=0.1,n=20", "--psi", "square"]
@@ -551,6 +590,19 @@ class TestUsageErrors:
           "--oracle"], "unrecognized arguments: --oracle"),
         (["nonlinear", "--model", "gauss:rho=0.1,n=64", "--psi", "square",
           "--raw-psi"], "unrecognized arguments: --raw-psi"),
+        # an edge probability outside (0, 1) names its flag and value
+        (["degree-count", "--n", "10", "--pi", "1.5", "--degrees", "1"],
+         "--pi = 1.5: the edge probability must lie strictly in (0, 1)"),
+        (["degree-count", "--n", "10", "--pi", "0", "--degrees", "1"],
+         "--pi = 0.0: the edge probability must lie strictly in (0, 1)"),
+        (["degree-count", "--n", "3", "--c", "2", "--degrees", "1"],
+         "--c = 2.0 at n = 3, so pi = c/(n-1) = 1: the edge probability "
+         "must lie strictly in (0, 1)"),
+        (["sweep", "degree-count", "--n", "20,3", "--c", "2", "--degrees",
+          "1"], "--c = 2.0 at n = 3, so pi = c/(n-1) = 1"),
+        # a colour of mass 1e-6 leaves the covariance numerically singular
+        (["color-match", "--graph", "cycle:16", "--colors",
+          "0.4999995,0.4999995,0.000001"], "fail the relative threshold 1e-10"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from steinlab import coloring as cm
+from steinlab.bounds import isqrt_norm_bound_check
 from steinlab.errors import AsymmetricNeighborhoods, NotPositiveDefinite
 from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
@@ -71,9 +72,14 @@ class TestTheoreticalMoments:
                                            [-0.5625, 0.9375]], rtol=1e-15)
 
     def test_single_color_degenerate(self):
+        """One colour makes W constant, and one of mass 1e-6 leaves Sigma
+        numerically singular: the model refuses to whiten either."""
         g = cm.cycle_graph(5)
         with pytest.raises(NotPositiveDefinite):
-            cm.theoretical_moments(g, cm.ColoringConfig((1.0,)))
+            cm.ColoringModel(g, cm.ColoringConfig((1.0,)))
+        with pytest.raises(NotPositiveDefinite, match="threshold 1e-10"):
+            cm.ColoringModel(g, cm.ColoringConfig((0.4999995, 0.4999995,
+                                                   0.000001)))
 
     def test_matching_is_independent_edges(self):
         """d = 1: disjoint edges, so the count is a sum of independent
@@ -198,10 +204,11 @@ class TestSpectralChecks:
                                        cm.random_regular_graph(30, 3, seed=4)])
     def test_domination_and_norm_cap(self, graph):
         cfg = cm.ColoringConfig((0.3, 0.45, 0.25))
-        _, sigma = cm.theoretical_moments(graph, cfg)
-        out = cm.spectral_checks(graph, cfg, sigma)
+        model = cm.ColoringModel(graph, cfg)
+        out = cm.spectral_checks(graph, cfg, model.sigma)
         assert out["psd_holds"] and out["min_eig_margin"] >= -1e-10
-        assert out["norm_holds"]
+        assert isqrt_norm_bound_check(model.isqrt, cfg.b_const,
+                                      graph.num_edges)["holds"]
 
 
 class TestExperiment:

@@ -9,7 +9,8 @@ import pytest
 
 import oracles
 from steinlab import degrees as dg
-from steinlab.bounds import CouplingStats, bound_multivariate_size_bias
+from steinlab.bounds import (CouplingStats, bound_multivariate_size_bias,
+                             isqrt_norm_bound_check)
 from steinlab.errors import InvariantViolation, NotPositiveDefinite
 from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
@@ -681,10 +682,10 @@ class TestEstimatedStatistics:
         var_cond, abs_cross = oracles.degree_coupling_stats(cfg)
         exact = bound_multivariate_size_bias(
             CouplingStats(model.lam, model.sigma, var_cond, abs_cross),
-            1.0, 1.0)
+            model.isqrt, 1.0, 1.0)
         stats, _ = dg.estimate_coupling_stats(model, 50_000, seed=0,
                                               score=_first)
-        estimate = bound_multivariate_size_bias(stats, 1.0, 1.0)
+        estimate = bound_multivariate_size_bias(stats, model.isqrt, 1.0, 1.0)
         assert abs(estimate.total - exact.total) <= 4 * estimate.stderr
         for term, exact_term in zip(estimate.terms, exact.terms):
             assert abs(term.value - exact_term.value) <= 4 * term.stderr
@@ -726,8 +727,7 @@ class TestExperiment:
     def test_isqrt_norm_bound_flag(self):
         cfg = dg.ErdosRenyiConfig.from_c(30, 2.0, (1, 2))
         model = dg.DegreeCountCoupler(cfg)
-        check = dg.isqrt_norm_bound_check(model.isqrt, model.b_const, cfg.n)
-        lam, sigma, b_const = dg.theoretical_moments(cfg)
+        check = isqrt_norm_bound_check(model.isqrt, model.b_const, cfg.n)
+        _, sigma, b_const = dg.theoretical_moments(cfg)
         assert check["holds"] and check["B"] == b_const
-        np.testing.assert_allclose(check["max_norm"],
-                                   max_abs_norm(inverse_sqrt(sigma)))
+        assert max_abs_norm(inverse_sqrt(sigma)) <= check["cap"]

@@ -30,7 +30,7 @@ class _GivenLaw(CoupledPairSampler):
         self.draw_w = draw_w
         self.lam = np.asarray(lam, dtype=float)
         self.p = len(self.lam)
-        self.sigma = np.eye(self.p)
+        self.sigma = self.isqrt = np.eye(self.p)
 
     def draw(self, rng, size):
         yield self.draw_w(rng, size)
@@ -46,8 +46,8 @@ class _GivenLaw(CoupledPairSampler):
 
     def bound(self, norms, samples, seed, chunk_size, score):
         stats, scores = self.coupling_stats(samples, seed, chunk_size, score)
-        return (bound_multivariate_size_bias(stats, norms.d2, norms.d3),
-                stats, scores)
+        return (bound_multivariate_size_bias(stats, self.isqrt, norms.d2,
+                                             norms.d3), stats, scores)
 
     def extras(self, stats):
         return {}

@@ -10,6 +10,8 @@ from scipy import stats as sps
 
 import oracles
 from steinlab import nonlinear as nl
+from steinlab.bounds import (CouplingStats, bound_univariate_size_bias,
+                             floor_mean_sq_diff)
 from steinlab.errors import InfeasibleAdjustment, NotPositiveDefinite
 from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
@@ -516,7 +518,9 @@ class TestMultinomialCoupler:
         vectors, a uniform picked cell, the tilted new count and the moved
         row's exact law, Var E[W* - W | U] = 8.50166 and E (W* - W)^2 =
         26.1242. The raw estimates at 50,000 draws, seed 0, lie within 4
-        standard errors of both."""
+        standard errors of both; so do the reported bound (h = cosine a=1)
+        and each of its terms, on the floored path the CLI takes, of the
+        bound at the exact inputs, whose floor 0.694 does not bind."""
         psi = nl.parse_psi("square")
         n, balls = 3, 6
         model = nl.MultinomialSumCoupler(nl.MultinomialSumConfig(n, 2, psi))
@@ -542,12 +546,19 @@ class TestMultinomialCoupler:
             for row, prob in oracles.moved_row_law(counts, idx, y).items())
         np.testing.assert_allclose([var_cond, mean_sq], [8.50166, 26.1242],
                                    atol=1e-4)
-        stats, _ = nl.estimate_nonlinear_stats(model, 50_000, seed=0,
-                                               score=lambda v: v[:, 0])
+        norms = SmoothTestFunction("cosine", p=1, a=(1.0,)).derivative_norms()
+        bound, stats, _ = model.bound(norms, 50_000, 0, 8192,
+                                      lambda v: v[:, 0])
         assert abs(stats.var_cond.item() - var_cond) \
             <= 4 * stats.var_cond_sem.item()
         assert abs(stats.abs_cross.item() - mean_sq) \
             <= 4 * stats.abs_cross_sem.item()
+        exact = bound_univariate_size_bias(floor_mean_sq_diff(CouplingStats(
+            model.lam, model.sigma, np.array([[var_cond]]),
+            np.array([[[mean_sq]]]))), norms.h, norms.d1)
+        assert abs(bound.total - exact.total) <= 4 * bound.stderr
+        for term, exact_term in zip(bound.terms, exact.terms):
+            assert abs(term.value - exact_term.value) <= 4 * term.stderr
 
     def test_infeasible_adjustment_raises(self):
         counts = np.array([[2, 1, 1]])

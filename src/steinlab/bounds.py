@@ -68,7 +68,6 @@ class LocalDepStats:
     """
 
     p: int
-    sigma: np.ndarray
     t1: np.ndarray
     t2: float
     t3: np.ndarray
@@ -220,8 +219,7 @@ def bound_multivariate_size_bias(stats: CouplingStats, isqrt: np.ndarray,
         BoundTerm("absolute-cross-moment", t2, t2_sem),
     ]
     inputs = {
-        "p": p, "lambda": lam, "sigma": stats.sigma,
-        "d2h_norm": d2h_norm, "d3h_norm": d3h_norm,
+        "p": p, "d2h_norm": d2h_norm, "d3h_norm": d3h_norm,
         "sigma_field": stats.sigma_field,
     }
     return _finish("multivariate-size-bias", terms, inputs)
@@ -262,7 +260,7 @@ def bound_multivariate_local(stats: LocalDepStats, isqrt: np.ndarray,
 
     ``(p^2/2) ||S||^2 ||D2h|| sum_ij t1[i,j] + p ||S|| ||Dh|| t2
       + (p^3/6) ||S||^3 ||D3h|| sum_ijk t3[i,j,k]``,
-    with ``S = isqrt`` the inverse square root of ``stats.sigma``.
+    with ``S = isqrt`` the inverse square root of the covariance Sigma.
     """
     _require_finite(dh_norm=dh_norm, d2h_norm=d2h_norm, d3h_norm=d3h_norm)
     p = stats.p
@@ -277,10 +275,8 @@ def bound_multivariate_local(stats: LocalDepStats, isqrt: np.ndarray,
         BoundTerm("triple-moment", c3 * float(np.sum(stats.t3)),
                   c3 * float(np.sqrt(np.sum(stats.t3_sem**2)))),
     ]
-    inputs = {
-        "p": p, "sigma": stats.sigma,
-        "dh_norm": dh_norm, "d2h_norm": d2h_norm, "d3h_norm": d3h_norm,
-    }
+    inputs = {"p": p, "dh_norm": dh_norm, "d2h_norm": d2h_norm,
+              "d3h_norm": d3h_norm}
     return _finish("multivariate-local-dependence", terms, inputs)
 
 

@@ -3,11 +3,13 @@
 Each vertex of a fixed d-regular graph receives one of p colors
 independently; ``W_i`` counts the edges whose two endpoints both got color
 i. The indicator of edge e being monochromatic in color i depends only on
-the colors of e's endpoints, so the edges sharing a vertex with e (the set
+the colors of e's endpoints, so the edges at either endpoint of e (the set
 ``S_e``, of size 2d-1 including e itself) form an exact dependency
 neighborhood: everything outside it is independent. That makes the
 local-dependence bound applicable with its middle term identically zero,
-and gives closed forms for the mean and covariance.
+and gives closed forms for the mean and covariance. The edge list alone
+fixes every ``S_e``: sums over it are per-vertex sums at e's two
+endpoints, less e's own term counted twice.
 """
 
 from __future__ import annotations
@@ -19,29 +21,30 @@ import numpy as np
 
 from .bounds import (LocalDepStats, bound_multivariate_local,
                      isqrt_norm_bound_check, sqrt_with_sem)
-from .errors import AsymmetricNeighborhoods, BadSpec
+from .errors import BadSpec
 from .harness import Accumulator, StreamConfig, parallel_mc
 from .linalg import inverse_sqrt
+from .sizebias import sub_batch_sizes
 from .specs import read_spec
+
+# Edge-colour values (rows x edges x colours) in one sub-batch of colourings:
+# 16 MB for each float64 table of that shape the statistics pass keeps.
+SUB_BATCH_VALUES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
-# Regular graphs with per-edge neighborhoods
+# Regular graphs
 # ---------------------------------------------------------------------------
 
 @dataclass
 class RegularGraph:
-    """A d-regular graph with the edge-neighborhood index built once.
-
-    ``neighborhoods[e]`` lists the ``2d - 1`` edges sharing a vertex with
-    edge ``e`` (including ``e``); symmetry ``f in S_e iff e in S_f`` holds by
-    construction and is validated.
-    """
+    """A simple d-regular graph on vertices ``0..n-1``, given by its edge
+    list alone: ``S_e``, the ``2d - 1`` edges at either endpoint of e, is
+    never listed, and sums over it come from per-vertex sums."""
 
     n: int
     d: int
-    edges: np.ndarray          # (N, 2) with u < v
-    neighborhoods: np.ndarray  # (N, 2d-1) edge indices
+    edges: np.ndarray  # (N, 2) with u < v, sorted and distinct
 
     @property
     def num_edges(self) -> int:
@@ -49,43 +52,18 @@ class RegularGraph:
 
     def validate(self):
         n, d = self.n, self.d
-        deg = (np.bincount(self.edges[:, 0], minlength=n)
-               + np.bincount(self.edges[:, 1], minlength=n))
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        if not np.all(u < v) or not np.all(np.diff(u * n + v) > 0):
+            raise ValueError("edges must be sorted and distinct, with u < v")
+        deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
         if not np.all(deg == d):
             raise ValueError("graph is not d-regular")
-        if self.neighborhoods.shape != (self.num_edges, 2 * d - 1):
-            raise ValueError("neighborhood index has the wrong shape")
-        sets = [set(row.tolist()) for row in self.neighborhoods]
-        for e, members in enumerate(sets):
-            if e not in members:
-                raise AsymmetricNeighborhoods(f"edge {e} missing from its own S_e")
-            for f in members:
-                if e not in sets[f]:
-                    raise AsymmetricNeighborhoods(
-                        f"edge {f} in S_{e} but {e} not in S_{f}"
-                    )
-
-
-def _build_neighborhoods(n: int, edges: np.ndarray) -> np.ndarray:
-    num = edges.shape[0]
-    incident = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(edges):
-        incident[int(u)].append(e)
-        incident[int(v)].append(e)
-    rows = []
-    for e, (u, v) in enumerate(edges):
-        members = sorted(set(incident[int(u)]) | set(incident[int(v)]))
-        rows.append(members)
-    width = max(len(r) for r in rows)
-    if any(len(r) != width for r in rows):
-        raise ValueError("irregular neighborhood sizes; graph not simple-regular")
-    return np.array(rows, dtype=np.int64)
 
 
 def _finish_graph(n: int, d: int, pairs) -> RegularGraph:
     edges = np.array(sorted((min(a, b), max(a, b)) for a, b in pairs),
                      dtype=np.int64)
-    g = RegularGraph(n, d, edges, _build_neighborhoods(n, edges))
+    g = RegularGraph(n, d, edges)
     g.validate()
     return g
 
@@ -221,34 +199,46 @@ def sample_colors(g: RegularGraph, cfg: ColoringConfig,
     return np.searchsorted(cum, rng.random((size, g.n)), side="right")
 
 
+def _indicators(g: RegularGraph, colors: np.ndarray, p: int) -> np.ndarray:
+    """``(B, N, p)`` table: 1.0 where edge e is monochromatic in colour i.
+
+    Row e of a colouring is row ``c`` of ``eye(p + 1, p)``, with c the
+    colour of a monochromatic edge and ``c = p``, a zero row, otherwise.
+    """
+    cu, cv = (np.take(colors, end, axis=1) for end in g.edges.T)
+    return np.take(np.eye(p + 1, p), np.where(cu == cv, cu, p), axis=0)
+
+
 def counts_from_colors(g: RegularGraph, colors: np.ndarray,
                        p: int) -> np.ndarray:
     """Monochromatic edge counts per color for a batch of colorings."""
-    colors = np.atleast_2d(colors)
-    cu = colors[:, g.edges[:, 0]]
-    cv = colors[:, g.edges[:, 1]]
-    mono = cu == cv
-    return np.stack([(mono & (cu == i)).sum(axis=1) for i in range(p)],
-                    axis=1).astype(float)
+    return _indicators(g, np.atleast_2d(colors), p).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Local-dependence statistics
 # ---------------------------------------------------------------------------
 
-def _centered_indicators(g: RegularGraph, colors: np.ndarray,
-                         cfg: ColoringConfig):
-    """Centered edge indicators ``X_ei`` and their neighborhood sums."""
-    pi = np.asarray(cfg.probs)
-    cu = colors[:, g.edges[:, 0]]
-    cv = colors[:, g.edges[:, 1]]
-    mono = cu == cv
-    x = np.stack(
-        [(mono & (cu == i)).astype(float) - pi[i] ** 2 for i in range(cfg.p)],
-        axis=2,
-    )  # (B, N, p)
-    neigh = x[:, g.neighborhoods, :].sum(axis=2)  # (B, N, p)
-    return x, neigh
+def _neighborhood_sums(g: RegularGraph, ind: np.ndarray,
+                       pi: np.ndarray) -> np.ndarray:
+    """``N_ei``, the sum of the centered indicators ``X_fi = ind_fi - pi_i^2``
+    over the edges f of ``S_e``, for each row of ``ind``.
+
+    With ``V_wi`` the sum of ``ind_fi`` over the d edges f at vertex w, and
+    since the edges at u and those at v share only e = (u, v) in a simple
+    graph, ``N_ei = V_ui + V_vi - ind_ei - (2d - 1) pi_i^2``.
+    """
+    rows, _, p = ind.shape
+    slots = (np.arange(0, rows * g.n, g.n)[:, None, None] + g.edges).ravel()
+    vertex = np.stack([np.bincount(slots, np.repeat(ind[:, :, i], 2),
+                                   rows * g.n) for i in range(p)],
+                      axis=1).reshape(rows, g.n, p)
+    del slots
+    out = np.take(vertex, g.edges[:, 0], axis=1)
+    out += np.take(vertex, g.edges[:, 1], axis=1)
+    out -= ind
+    out -= (2 * g.d - 1) * pi**2
+    return out
 
 
 def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, sigma: np.ndarray,
@@ -256,6 +246,11 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, sigma: np.ndarray,
                     score) -> tuple[LocalDepStats, Accumulator]:
     """Monte Carlo estimates of the local-dependence bound inputs, and the
     accumulated ``score`` of the same colorings' counts W.
+
+    Each chunk draws its colorings in sub-batches of at most
+    :data:`SUB_BATCH_VALUES` edge-colour values. One indicator table per
+    sub-batch gives W (its column sums), the centered indicators and, by
+    :func:`_neighborhood_sums`, their sums over each ``S_e``.
 
     ``t2`` is exactly zero: an edge's indicator is a function of its two
     endpoint colors, and every edge outside its neighborhood touches neither
@@ -265,26 +260,35 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, sigma: np.ndarray,
     correlated pairs.
     """
     p = cfg.p
-    stream_cfg = StreamConfig(seed, chunk_size)
+    pi = np.asarray(cfg.probs)
+
+    def sub_batch(rng, size):
+        """Squared centered pair sums, absolute triple products, scores."""
+        ind = _indicators(g, sample_colors(g, cfg, rng, size), p)
+        scores = score(ind.sum(axis=1))
+        neigh = _neighborhood_sums(g, ind, pi)
+        x = ind  # centered in place: X = ind - pi^2
+        x -= pi**2
+        sq = (np.matmul(x.transpose(0, 2, 1), neigh) - sigma) ** 2
+        ax = np.abs(x, out=x).transpose(0, 2, 1)
+        np.abs(neigh, out=neigh)
+        triple = np.stack([ax @ (neigh * neigh[:, :, [j]]) for j in range(p)],
+                          axis=2)
+        return sq, triple, scores
 
     def task(rng, size):
-        colors = sample_colors(g, cfg, rng, size)
-        scores = Accumulator().add(score(counts_from_colors(g, colors, p)))
-        x, neigh = _centered_indicators(g, colors, cfg)
-        quad = np.einsum("bei,bej->bij", x, neigh)
-        q_centered = quad - sigma
-        sq = q_centered**2
-        triple = np.einsum("bei,bej,bek->bijk", np.abs(x), np.abs(neigh),
-                           np.abs(neigh))
-        return (Accumulator(shape=(p, p)).add(sq),
-                Accumulator(shape=(p, p, p)).add(triple), scores)
+        accs = (Accumulator(shape=(p, p)), Accumulator(shape=(p, p, p)),
+                Accumulator())
+        for part in sub_batch_sizes(size, g.num_edges * p, SUB_BATCH_VALUES):
+            for acc, values in zip(accs, sub_batch(rng, part)):
+                acc.add(values)
+        return accs
 
-    sq_acc, triple_acc, scores = parallel_mc(task, stream_cfg, samples)
+    sq_acc, triple_acc, scores = parallel_mc(
+        task, StreamConfig(seed, chunk_size), samples)
     t1, t1_sem = sqrt_with_sem(sq_acc.mean, sq_acc.sem)
-    return LocalDepStats(
-        p=p, sigma=sigma, t1=t1, t2=0.0, t3=triple_acc.mean,
-        t1_sem=t1_sem, t3_sem=triple_acc.sem,
-    ), scores
+    return LocalDepStats(p=p, t1=t1, t2=0.0, t3=triple_acc.mean,
+                         t1_sem=t1_sem, t3_sem=triple_acc.sem), scores
 
 
 # ---------------------------------------------------------------------------

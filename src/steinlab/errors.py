@@ -29,10 +29,6 @@ class NonfiniteNorm(SteinLabError):
     """A bound evaluator received an infinite or NaN derivative norm."""
 
 
-class AsymmetricNeighborhoods(SteinLabError):
-    """A dependency-neighborhood structure is not symmetric."""
-
-
 class BadSpec(SteinLabError, ValueError):
     """A ``kind:key=value,...`` spec string is malformed or incomplete."""
 

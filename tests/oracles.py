@@ -546,6 +546,14 @@ def covariance_identity_z(coupler, sigma, samples, rng):
 # Monochromatic edge counts: every coloring of a small graph
 # ---------------------------------------------------------------------------
 
+def edge_neighborhoods(g):
+    """``(N, N)`` 0/1 matrix whose row e marks the edges of ``S_e``: those
+    sharing an endpoint with e, e included. Built pair by pair from the
+    edge list."""
+    ends = [set(edge) for edge in g.edges.tolist()]
+    return np.array([[float(bool(a & b)) for b in ends] for a in ends])
+
+
 def coloring_moments(g, cfg):
     """Exact ``(lam, sigma, t1, t3)`` of the monochromatic edge counts by
     enumerating all ``p^n`` colorings.
@@ -572,7 +580,7 @@ def coloring_moments(g, cfg):
     sigma = second - np.outer(lam, lam)
     # centered indicators and their exact pairwise means
     x = raw - pi**2  # (M, N, p)
-    neigh = x[:, g.neighborhoods, :].sum(axis=2)
+    neigh = np.einsum("ef,mfi->mei", edge_neighborhoods(g), x)
     quad = np.einsum("mei,mej->mij", x, neigh)
     pair_mean = np.einsum("m,mij->ij", weights, quad)
     centered = quad - pair_mean

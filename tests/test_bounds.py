@@ -86,9 +86,9 @@ def _size_bias(stats, d2h_norm, d3h_norm):
                                         d2h_norm, d3h_norm)
 
 
-def _local(stats, dh_norm, d2h_norm, d3h_norm):
-    """The multivariate local bound at the whitening of ``stats.sigma``."""
-    return bound_multivariate_local(stats, inverse_sqrt(stats.sigma),
+def _local(stats, sigma, dh_norm, d2h_norm, d3h_norm):
+    """The multivariate local bound at the whitening of ``sigma``."""
+    return bound_multivariate_local(stats, inverse_sqrt(sigma),
                                     dh_norm, d2h_norm, d3h_norm)
 
 
@@ -209,20 +209,21 @@ class TestUnivariateLocal:
 
 
 class TestMultivariateLocal:
-    def _stats(self, sigma_sq=2.0, t1=0.3, t2=0.1, t3=0.4):
-        return LocalDepStats(p=1, sigma=np.array([[sigma_sq]]),
-                             t1=np.array([[t1]]), t2=t2,
+    def _stats(self, t1=0.3, t2=0.1, t3=0.4):
+        return LocalDepStats(p=1, t1=np.array([[t1]]), t2=t2,
                              t3=np.array([[[t3]]]))
 
     def test_zero_terms(self):
-        rep = _local(self._stats(t1=0.0, t2=0.0, t3=0.0), 1.0, 1.0, 1.0)
+        rep = _local(self._stats(t1=0.0, t2=0.0, t3=0.0), np.array([[2.0]]),
+                     1.0, 1.0, 1.0)
         assert rep.total == 0.0
 
     def test_p1_term_shapes_match_univariate(self):
         """Same statistics, same sigma powers; only the norm conventions
         and constants differ between the p = 1 and univariate forms."""
         sigma_sq, t1, t2, t3 = 2.0, 0.3, 0.1, 0.4
-        mv = _local(self._stats(sigma_sq, t1, t2, t3), 1.0, 1.0, 1.0)
+        mv = _local(self._stats(t1, t2, t3), np.array([[sigma_sq]]),
+                    1.0, 1.0, 1.0)
         uv = bound_univariate_local(sigma_sq, t1, t2, t3, 1.0, 1.0)
         np.testing.assert_allclose(mv.terms[0].value / uv.terms[0].value,
                                    0.25, rtol=1e-12)
@@ -235,13 +236,13 @@ class TestMultivariateLocal:
         rng = np.random.default_rng(9)
         p = 3
         a = rng.standard_normal((p, p))
-        stats = LocalDepStats(p=p, sigma=a @ a.T + p * np.eye(p),
-                              t1=rng.uniform(0, 1, (p, p)),
+        sigma = a @ a.T + p * np.eye(p)
+        stats = LocalDepStats(p=p, t1=rng.uniform(0, 1, (p, p)),
                               t2=float(rng.uniform(0, 1)),
                               t3=rng.uniform(0, 1, (p, p, p)))
         d1, d2, d3 = 0.5, 1.1, 0.9
-        rep = _local(stats, d1, d2, d3)
-        snorm = max_abs_norm(inverse_sqrt(stats.sigma))
+        rep = _local(stats, sigma, d1, d2, d3)
+        snorm = max_abs_norm(inverse_sqrt(sigma))
         expected = (0.5 * p**2 * snorm**2 * d2 * stats.t1.sum()
                     + p * snorm * d1 * stats.t2
                     + (p**3 / 6.0) * snorm**3 * d3 * stats.t3.sum())

@@ -1,12 +1,14 @@
 """Monochromatic edge counts: graphs, moments, dependency statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from steinlab import coloring as cm
 from steinlab.bounds import isqrt_norm_bound_check
-from steinlab.errors import AsymmetricNeighborhoods, NotPositiveDefinite
+from steinlab.errors import NotPositiveDefinite
 from steinlab.experiment import run_experiment
 from steinlab.harness import StreamConfig
 from steinlab.testfuncs import SmoothTestFunction
@@ -39,17 +41,21 @@ class TestGraphBuilders:
         graph.validate()
         assert graph.d == expected_d
         assert graph.num_edges == expected_edges
-        # |S_e| = 2d - 1 and e is a member of its own neighborhood
-        assert graph.neighborhoods.shape[1] == 2 * expected_d - 1
-        for e in range(graph.num_edges):
-            assert e in set(graph.neighborhoods[e].tolist())
+        # simple: no loop and no repeated edge, so |S_e| = 2d - 1
+        pairs = {tuple(e) for e in graph.edges.tolist()}
+        assert len(pairs) == graph.num_edges
+        assert all(u < v for u, v in pairs)
 
-    def test_neighborhood_symmetry_detected(self):
-        g = cm.cycle_graph(5)
-        broken = cm.RegularGraph(g.n, g.d, g.edges,
-                                 np.roll(g.neighborhoods, 1, axis=0))
-        with pytest.raises(AsymmetricNeighborhoods):
-            broken.validate()
+    @pytest.mark.parametrize("n,d,edges", [
+        (5, 3, cm.cycle_graph(5).edges),            # not d-regular
+        (4, 2, [[0, 1], [0, 1], [2, 3], [2, 3]]),   # a repeated edge
+        (2, 2, [[0, 0], [1, 1]]),                   # loops
+        (4, 1, [[2, 3], [0, 1]]),                   # unsorted
+    ])
+    def test_validate_rejects(self, n, d, edges):
+        graph = cm.RegularGraph(n, d, np.array(edges, dtype=np.int64))
+        with pytest.raises(ValueError):
+            graph.validate()
 
     def test_parse_specs(self):
         assert cm.parse_graph_spec("cycle:12").num_edges == 12
@@ -187,6 +193,22 @@ class TestLocalDependenceStats:
         assert np.all(np.abs(stats.t3 - exact_t3)
                       <= 5 * stats.t3_sem + 1e-6)
 
+    @pytest.mark.parametrize("graph", [
+        cm.cycle_graph(8), cm.complete_graph(3), cm.complete_graph(5),
+        cm.matching_graph(6), cm.random_regular_graph(16, 3),
+        cm.random_regular_graph(7, 6)])
+    def test_neighborhood_sums_match_brute_force(self, graph):
+        """The pass's S_e sums, from vertex sums, equal sums over each S_e
+        listed pair by pair from the edge list (d = 1: S_e = {e})."""
+        cfg = cm.ColoringConfig((0.3, 0.3, 0.4))
+        colors = cm.sample_colors(graph, cfg, StreamConfig(6).stream(0), 64)
+        ind = cm._indicators(graph, colors, cfg.p)
+        pi = np.asarray(cfg.probs)
+        expected = np.einsum("ef,mfi->mei", oracles.edge_neighborhoods(graph),
+                             ind - pi**2)
+        np.testing.assert_allclose(cm._neighborhood_sums(graph, ind, pi),
+                                   expected, rtol=0, atol=1e-12)
+
     def test_deterministic_given_seed(self):
         g = cm.cycle_graph(12)
         cfg = cm.ColoringConfig((0.5, 0.5))
@@ -195,6 +217,47 @@ class TestLocalDependenceStats:
         np.testing.assert_array_equal(a.t1, b.t1)
         np.testing.assert_array_equal(a.t3, b.t3)
         np.testing.assert_array_equal(a_scores.sums, b_scores.sums)
+
+
+class TestSubBatches:
+    """A chunk's colourings run in sub-batches of at most
+    ``SUB_BATCH_VALUES`` edge-colour values."""
+
+    GRAPH = cm.random_regular_graph(16, 3, seed=1)  # 24 edges
+    CFG = cm.ColoringConfig((0.4, 0.6))
+    SPLIT = 7 * 24 * 2  # 7 colourings per sub-batch
+
+    def test_split_pass_matches_unsplit(self, monkeypatch):
+        whole, whole_scores = _local_dep_stats(self.GRAPH, self.CFG,
+                                               samples=1000, seed=8)
+        monkeypatch.setattr(cm, "SUB_BATCH_VALUES", self.SPLIT)
+        parts = cm.sub_batch_sizes(1000, self.GRAPH.num_edges * self.CFG.p,
+                                   cm.SUB_BATCH_VALUES)
+        assert parts[:2] == [7, 7]
+        split, split_scores = _local_dep_stats(self.GRAPH, self.CFG,
+                                               samples=1000, seed=8)
+        for name in ("t1", "t3", "t1_sem", "t3_sem"):
+            np.testing.assert_allclose(getattr(split, name),
+                                       getattr(whole, name), rtol=1e-12)
+        assert split_scores.count == whole_scores.count == 1000
+        np.testing.assert_allclose(split_scores.sums, whole_scores.sums,
+                                   rtol=1e-12)
+
+    def test_pass_peak_memory(self):
+        """One 2048-colouring chunk on 2000 edges and 2 colours, drawn in
+        sub-batches of 16 MiB tables, peaks at 60 MiB; a (B, N, 2d-1, p)
+        gather of the centered indicators would take 459 MB alone."""
+        g = cm.random_regular_graph(1000, 4, seed=5)
+        cfg = cm.ColoringConfig((0.4, 0.6))
+        _, sigma = cm.theoretical_moments(g, cfg)
+        tracemalloc.start()
+        try:
+            cm.local_dep_stats(g, cfg, sigma, 2048, seed=3, chunk_size=2048,
+                               score=_first)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * 2**20
 
 
 class TestSpectralChecks:

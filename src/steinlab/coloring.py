@@ -209,12 +209,6 @@ def _indicators(g: RegularGraph, colors: np.ndarray, p: int) -> np.ndarray:
     return np.take(np.eye(p + 1, p), np.where(cu == cv, cu, p), axis=0)
 
 
-def counts_from_colors(g: RegularGraph, colors: np.ndarray,
-                       p: int) -> np.ndarray:
-    """Monochromatic edge counts per color for a batch of colorings."""
-    return _indicators(g, np.atleast_2d(colors), p).sum(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Local-dependence statistics
 # ---------------------------------------------------------------------------

@@ -18,15 +18,16 @@ exponentials, value for value numpy's own geometric draws, so a chunk's
 edges are fixed by its stream alone. The run is built a piece of
 draws at a time: each piece's pair codes decode to vertex pairs in closed
 form and go straight into the edge lists. One pass over the edges then
-counts the degrees and tabulates each graph's degree histogram, whose
-columns are W, and its degree-pair counts; the exact conditional
-expectation is a contraction of those small tables, and the coupling is
-one vectorised edge move per graph. Time is linear in a chunk's edges and
-vertices. Memory is capped: a chunk's graphs run in sub-batches of at most
-:data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots (``n (1 + c/2)``
-per graph), about 3 stored bytes each at c = 2 up to n = 2**15:
-they are the states :meth:`DegreeCountCoupler.draw` yields, so the
-statistics pass, which also scores each graph's W for the gap, and the
+counts the degrees and each graph's degree histogram, whose columns are W,
+and counts each edge once in an unordered histogram of the degree pairs
+edges join; both directions of an edge are read off it. The exact
+conditional expectation is a contraction of those small tables, and the
+coupling is one vectorised edge move per graph. Time is linear in a chunk's
+edges and vertices. Memory is capped: a chunk's graphs run in sub-batches
+of at most :data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots
+(``n (1 + c/2)`` per graph), about 3 stored bytes each at c = 2 up to
+n = 2**15: they are the states :meth:`DegreeCountCoupler.draw` yields, so
+the statistics pass, which also scores each graph's W for the gap, and the
 coupling draws all run on them. Scalar reference versions live in the test
 suite.
 """
@@ -58,7 +59,9 @@ from .sizebias import (CoupledPairSampler, distinct_labels, log_binomial,
 SUB_BATCH_SLOTS = 1 << 23
 # Vertices plus edges per group of graphs that tabulating a chunk and its
 # coupling draws work through at a time, so that their per-edge int64
-# transients stay small.
+# transients stay small. A group's degree-pair histogram has (max degree)^2
+# bins per graph, at most a few times this many while the max degree is
+# c + O(sqrt(c)), as it is wherever the degree counts can be whitened.
 _GROUP_SLOTS = 1 << 16
 
 
@@ -302,9 +305,9 @@ def _vertex_dtype(n: int):
 
 
 def _pair_columns(degrees) -> dict:
-    """The column of the degree-pair table for each neighbour degree the
-    conditional means read, ``d - 1``, ``d`` and ``d + 1`` for each target
-    d; the table has one more column, for every other degree."""
+    """The column of ``edges_to`` for each neighbour degree the conditional
+    means read, ``d - 1``, ``d`` and ``d + 1`` (those >= 0) for each target
+    d, in increasing order; no other degree has a column."""
     tvals = sorted({t for d in degrees for t in (d - 1, d, d + 1) if t >= 0})
     return {t: k for k, t in enumerate(tvals)}
 
@@ -338,9 +341,9 @@ class _GraphChunk:
     :func:`_decode_pair_codes` maps the codes to vertex pairs, written
     straight into the edge arrays. Those grow as the trials still left
     require, with a few standard deviations of room, so they are rarely
-    copied. :meth:`_tabulate` then counts the degrees and tabulates them in
-    one pass over the groups of :meth:`_groups`; no step holds a transient
-    the size of the chunk.
+    copied. :meth:`_tabulate` then counts the degrees and, each edge once,
+    the unordered degree pairs the edges join, in one pass over the groups
+    of :meth:`_groups`; no step holds a transient the size of the chunk.
     """
 
     __slots__ = ("size", "n", "degrees", "u", "v", "deg", "starts",
@@ -383,20 +386,19 @@ class _GraphChunk:
         """Count the degrees and tabulate them, in one pass over the groups
         of :meth:`_groups`.
 
-        ``count[b, a]`` is the number of degree-a vertices of graph b, and
-        ``edges_to[b, a, k]`` the number of edges from a degree-a vertex of
-        graph b to a neighbour whose degree has column k of
-        :func:`_pair_columns`. Both are exact integer counts, held as floats,
-        for a ranging up to ``top = max(max degree, max(degrees)) + 2``
-        chunk-wide: each group's tables are made at its own top and padded
-        with zeros. Per-vertex keys are intp, so no product is formed in
-        the narrow vertex type.
+        ``count[b, a]`` is the number of degree-a vertices of graph b. Each
+        edge is counted once, in an unordered pair histogram: ``H[b, x, y]``
+        is the number of edges ``u < v`` of graph b with ``D(u) = x`` and
+        ``D(v) = y``. ``edges_to[b, a, k] = H[b, a, t] + H[b, t, a]``, with t
+        the degree of column k of :func:`_pair_columns`, is then the number
+        of edges from a degree-a vertex of graph b to a degree-t neighbour.
+        Both are exact integer counts, held as floats, for a ranging up to
+        ``top = max(max degree, max(degrees)) + 2`` chunk-wide: each group's
+        tables are made at its own top and padded with zeros. Per-vertex
+        keys are intp, so no product is formed in the narrow vertex type.
         """
         n, degrees = self.n, self.degrees
-        cols = _pair_columns(degrees)
-        width = len(cols) + 1  # the last column collects every other t
-        slot = np.full(n + 1, len(cols))
-        slot[list(cols)] = list(cols.values())
+        tvals = np.array(list(_pair_columns(degrees)))
         self.deg = np.empty((self.size, n), dtype=_vertex_dtype(n))
         parts = []
         for rows, edges in self._groups():
@@ -408,19 +410,22 @@ class _GraphChunk:
             deg += np.bincount(at_v, minlength=deg.size)
             self.deg[rows] = deg.reshape(graphs, n)
             top = max(int(deg.max()), max(degrees)) + 2
-            # per vertex: (row top + deg) width, and the column of its degree
+            # per vertex: (row top + deg) top, the first key of its H row
             key = np.repeat(np.arange(0, graphs * top, top), n) + deg
             count = np.bincount(key, minlength=graphs * top)
-            key *= width
-            to = slot[deg]
-            pairs = np.bincount(key[at_u] + to[at_v],
-                                minlength=count.size * width)
-            pairs += np.bincount(key[at_v] + to[at_u], minlength=pairs.size)
+            key *= top
+            at_u = key[at_u]  # each edge's pair key, made in place
+            at_u += deg[at_v]
+            del at_v
+            pairs = np.bincount(at_u, minlength=count.size * top).reshape(
+                graphs, top, top)
             parts.append((rows, count.reshape(graphs, top),
-                          pairs.reshape(graphs, top, width)))
+                          pairs[:, :, tvals]
+                          + pairs[:, tvals].transpose(0, 2, 1)))
+            del at_u, pairs  # gone before the next group's edges come
         top = max(count.shape[1] for _, count, _ in parts)
         self.count = np.zeros((self.size, top))
-        self.edges_to = np.zeros((self.size, top, width))
+        self.edges_to = np.zeros((self.size, top, tvals.size))
         for rows, count, pairs in parts:
             self.count[rows, :count.shape[1]] = count
             self.edges_to[rows, :count.shape[1]] = pairs

@@ -295,6 +295,28 @@ def graph_chunk_arrays(rng, size, cfg):
     return gid, u, v, deg
 
 
+def degree_tables(graph, top, degrees):
+    """``(count, edges_to)`` of one graph, vertex by vertex and edge by edge:
+    ``count[a]`` vertices have degree a, and ``edges_to[a, k]`` edges run
+    from a degree-a vertex to a neighbour whose degree is the k-th smallest
+    of the ``d - 1``, ``d`` and ``d + 1`` (those >= 0) over ``degrees``.
+    Degrees are counted from the edge list; a runs over ``range(top)``."""
+    tvals = sorted({t for d in degrees for t in (d - 1, d, d + 1) if t >= 0})
+    deg = [0] * graph.n
+    for u, v in graph.edges.tolist():
+        deg[u] += 1
+        deg[v] += 1
+    count = np.zeros(top)
+    for x in range(graph.n):
+        count[deg[x]] += 1
+    edges_to = np.zeros((top, len(tvals)))
+    for u, v in graph.edges.tolist():
+        for a, b in ((u, v), (v, u)):
+            if deg[b] in tvals:
+                edges_to[deg[a], tvals.index(deg[b])] += 1
+    return count, edges_to
+
+
 @dataclass
 class DegreeCouplingDraw:
     """One coupling draw: the graph, the chosen vertex, and both counts."""
@@ -552,6 +574,15 @@ def edge_neighborhoods(g):
     edge list."""
     ends = [set(edge) for edge in g.edges.tolist()]
     return np.array([[float(bool(a & b)) for b in ends] for a in ends])
+
+
+def counts_from_colors(g, colors, p):
+    """Monochromatic edge counts per colour, ``(B, p)`` floats, for a batch
+    of colourings: for each colour, the edges whose two ends both have it."""
+    colors = np.atleast_2d(colors)
+    cu, cv = colors[:, g.edges[:, 0]], colors[:, g.edges[:, 1]]
+    return np.stack([((cu == i) & (cv == i)).sum(axis=1) for i in range(p)],
+                    axis=1).astype(float)
 
 
 def coloring_moments(g, cfg):

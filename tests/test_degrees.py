@@ -281,6 +281,28 @@ class TestSampling:
         if n == 7:
             assert np.any(np.diff(chunk.starts) == 0)
 
+    @pytest.mark.parametrize("n,pi,degrees,size,seed", [
+        (14, 0.2, (1, 3), 64, 8),
+        (30, 2.0 / 29, (0, 1, 2), 64, 9),
+        (12, 0.5, (0, 11), 64, 10),
+        (9, 0.5, (3, 5, 8), 64, 11),
+        (7, 0.01, (0, 1), 30, 5),
+    ], ids=["sparse", "c2-from-zero", "extremes", "dense", "no-edges"])
+    def test_tables_match_scalar_oracle(self, n, pi, degrees, size, seed):
+        """Every graph's degree histogram and degree-pair table equal those
+        counted vertex by vertex and edge by edge, exactly, also for target
+        degrees 0 and n - 1 and for graphs with no edges."""
+        cfg = dg.ErdosRenyiConfig(n, pi, degrees)
+        chunk = dg._GraphChunk(StreamConfig(seed).stream(0), size, cfg)
+        top = chunk.count.shape[1]
+        assert top == max(int(chunk.deg.max()), max(degrees)) + 2
+        for b, graph in enumerate(_chunk_graphs(chunk)):
+            count, edges_to = oracles.degree_tables(graph, top, degrees)
+            np.testing.assert_array_equal(chunk.count[b], count)
+            np.testing.assert_array_equal(chunk.edges_to[b], edges_to)
+        if n == 7:
+            assert np.any(np.diff(chunk.starts) == 0)
+
 
 class TestCoupling:
     def test_already_at_target_is_identity(self):
@@ -450,6 +472,25 @@ class TestSubBatches:
         assert max(per_slot.values()) < 4.5, per_slot
         assert max(peaks.values()) < 20 * 2**20, peaks
 
+    @pytest.mark.parametrize("n,c,size,bound", [(300, 200, 16, 5.5),
+                                                (2000, 1000, 2, 13.5)])
+    def test_dense_tabulation_memory_per_slot(self, n, c, size, bound):
+        """On dense graphs, whose degree-pair histograms have (max degree)^2
+        bins per graph, one tabulation peaks under ``bound`` traced bytes
+        per edge-plus-vertex slot: measured 4.8 at n = 300, two graphs per
+        group, and 12.0 at n = 2000, one graph per group. Counting each
+        edge in both directions, with each group's edge keys kept until the
+        next group's were made, it peaked at 6.4 and 16.1."""
+        cfg = dg.ErdosRenyiConfig.from_c(n, c, (c, c + 1))
+        chunk = dg._GraphChunk(StreamConfig(45).stream(0), size, cfg)
+        tracemalloc.start()
+        try:
+            chunk._tabulate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (chunk.u.size + chunk.deg.size) < bound
+
     def test_chunk_keeps_no_int64_edges_or_graph_ids(self):
         """The per-edge and per-vertex arrays have the vertex type, int16 at
         n = 300, the only int64 array is ``starts`` with one entry per
@@ -465,7 +506,8 @@ class TestSubBatches:
         assert arrays.pop("starts").shape == (chunk.size + 1,)
         top = int(chunk.deg.max()) + 2
         assert arrays.pop("count").shape == (chunk.size, top)
-        assert arrays.pop("edges_to").shape == (chunk.size, top, 5)
+        assert arrays.pop("edges_to").shape == (
+            chunk.size, top, len(dg._pair_columns(cfg.degrees)))
         gid = _chunk_gid(chunk)
         for name, values in arrays.items():
             assert values.dtype == dg._vertex_dtype(cfg.n) == np.int16, name

@@ -7,6 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import oracles
 from steinlab import cli
 from steinlab import coloring as cm
 from steinlab import degrees as dg
@@ -95,8 +96,8 @@ def _color_case():
     model = cm.ColoringModel(g, cfg)
 
     def sample_w(rng, size):
-        return cm.counts_from_colors(g, cm.sample_colors(g, cfg, rng, size),
-                                     cfg.p)
+        return oracles.counts_from_colors(
+            g, cm.sample_colors(g, cfg, rng, size), cfg.p)
     return model, sample_w
 
 

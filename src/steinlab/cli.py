@@ -1,18 +1,22 @@
 """Command-line front door.
 
-``degree-count``, ``color-match`` and ``nonlinear`` build one model each and
-run it through :func:`steinlab.experiment.run_experiment`; ``sweep`` builds
-its rows with the same model constructors, and ``validate-couplings``
-checks the coupling of the same size-bias model classes. Each subcommand
-writes a JSON report (CSV for ``sweep``) to ``--out`` or stdout and a
-one-line summary to stderr. Exit status is 0 when every certified check
-passes, 2 when a bound or validation check is violated, and 1 for usage or
-configuration errors. All randomness flows from ``--seed``; re-running with
-the same arguments gives byte-identical output regardless of
-``STEIN_LAB_THREADS``. That variable caps the worker processes among which
-a Monte Carlo pass shares its chunks: forked on Linux, while elsewhere the
-pass runs in-process. The closed-form moments every report rests on are
-checked against exact enumeration by the test suite.
+Every model is built from one table, :data:`steinlab.specs.MODELS`, keyed
+by spec kind (``degree``, ``gauss``, ``multinomial``, ``color``; ``/``
+separates a list value). ``degree-count``, ``color-match`` and
+``nonlinear`` map their flags onto the same builders and run one model each
+through :func:`steinlab.experiment.run_experiment`; ``sweep --model SPEC
+--n LIST`` runs a spec once per n, which ``--n`` supplies and the spec
+leaves out; ``validate-couplings`` checks the models its registry of specs
+names. Each subcommand writes a JSON report (CSV for ``sweep``) to
+``--out`` or stdout and a one-line summary to stderr. Exit status is 0 when
+every certified check passes, 2 when a bound or validation check is
+violated, and 1 for usage or configuration errors. All randomness flows
+from ``--seed``; re-running with the same arguments gives byte-identical
+output regardless of ``STEIN_LAB_THREADS``. That variable caps the worker
+processes among which a Monte Carlo pass shares its chunks: forked on
+Linux, while elsewhere the pass runs in-process. The closed-form moments
+every report rests on are checked against exact enumeration by the test
+suite.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import numpy as np
 from .errors import SteinLabError
 from .experiment import run_experiment
 from .report import stable_json
-from .specs import read_spec
+from .sizebias import verify_characterization
+from .specs import build_model, degree_model, graph_color_model
 from .stein import SteinSolution, grid_points
 from .testfuncs import SmoothTestFunction, parse_test_function
 
@@ -139,15 +144,17 @@ def build_parser() -> _Parser:
     _add_common(val, samples_default=1_000_000, chunk_default=16384)
 
     swp = subs.add_parser("sweep",
-                          help="run one experiment across sizes; CSV output")
-    swp.add_argument("experiment", choices=["degree-count", "color-match"])
-    swp.add_argument("--n", type=_list_of(int), required=True)
-    swp.add_argument("--c", type=float, default=None)
-    swp.add_argument("--pi", type=float, default=None)
-    swp.add_argument("--degrees", type=_list_of(int), default=None)
-    swp.add_argument("--graph-family", default="cycle",
-                     help="cycle | regular:d=3 (color-match only)")
-    swp.add_argument("--colors", type=_list_of(float), default=None)
+                          help="run one model spec across sizes; CSV output")
+    swp.add_argument("--model", required=True,
+                     help="a model spec without n, which --n sets: "
+                          "degree:c=2,degrees=1/2 (or pi= for c=) | "
+                          "gauss:rho=0.1,psi=square | "
+                          "multinomial:k=2,psi=square | "
+                          "color:graph=regular,d=3,colors=0.5/0.5 (graph: "
+                          "cycle|complete|matching|regular, d for regular "
+                          "only); '/' separates a list")
+    swp.add_argument("--n", type=_list_of(int), required=True,
+                     help="comma list of sizes, one CSV row each")
     swp.add_argument("--h", default=None)
     _add_common(swp, samples_default=20_000, chunk_default=512)
     return parser
@@ -190,59 +197,20 @@ def _run_single(args, model) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-# Each subcommand imports its model module; a run loads only what it uses.
-
-def _degree_model(args, n: int):
-    from .degrees import DegreeCountCoupler, ErdosRenyiConfig
-    flag, value = ("--pi", args.pi) if args.pi is not None else ("--c", args.c)
-    if not np.isfinite(value):
-        raise _UsageError(f"{flag} must be finite, got {value}")
-    if n >= 2:  # below that the config names n, and c/(n-1) is undefined
-        pi = value if args.pi is not None else value / (n - 1)
-        if not 0.0 < pi < 1.0:
-            implied = "" if args.pi is not None else (
-                f" at n = {n}, so pi = c/(n-1) = {pi:g}")
-            raise _UsageError(f"{flag} = {value}{implied}: the edge "
-                              f"probability must lie strictly in (0, 1)")
-    cfg = (ErdosRenyiConfig(n, args.pi, tuple(args.degrees))
-           if args.pi is not None else
-           ErdosRenyiConfig.from_c(n, args.c, tuple(args.degrees)))
-    return DegreeCountCoupler(cfg)
-
-
-def _color_model(args, spec: str):
-    from . import coloring
-    if len(args.colors) < 2:
-        raise _UsageError("--colors needs at least 2 colors: with one color "
-                          "every edge is monochromatic, so W is constant")
-    graph = coloring.parse_graph_spec(spec, seed=args.seed)
-    cfg = coloring.ColoringConfig(tuple(args.colors))
-    return coloring.ColoringModel(graph, cfg, spec)
-
-
 def _run_degree(args) -> int:
-    return _run_single(args, _degree_model(args, args.n))
+    return _run_single(args, degree_model(args.n, args.degrees, c=args.c,
+                                          pi=args.pi, flag="--"))
 
 
 def _run_color(args) -> int:
-    return _run_single(args, _color_model(args, args.graph))
+    return _run_single(args, graph_color_model(args.graph, args.colors,
+                                               seed=args.seed, flag="--"))
 
 
 def _run_nonlinear(args) -> int:
-    from . import nonlinear
-    psi = nonlinear.parse_psi(args.psi)
-    kind = args.model.partition(":")[0]
-    if kind == "gauss":
-        kv = read_spec(args.model, {"n": int, "rho": float}, required=("n",))
-        model = nonlinear.GaussianSumCoupler(nonlinear.GaussianSumConfig(
-            kv["n"], psi, rho=kv.get("rho", 0.0)))
-    elif kind == "multinomial":
-        kv = read_spec(args.model, {"n": int, "k": int}, required=("n", "k"))
-        model = nonlinear.MultinomialSumCoupler(
-            nonlinear.MultinomialSumConfig(kv["n"], kv["k"], psi))
-    else:
+    if args.model.partition(":")[0] not in ("gauss", "multinomial"):
         raise _UsageError(f"unknown model {args.model!r}")
-    return _run_single(args, model)
+    return _run_single(args, build_model(args.model, psi=args.psi))
 
 
 def _run_stein(args) -> int:
@@ -285,17 +253,36 @@ def _run_stein(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+# validate-couplings' registry: each size-bias model class the experiments
+# run, at a small, fixed configuration. Entry ``k`` of the sorted registry
+# draws from ``seed + k``, so a subset selected with ``--which`` reproduces
+# the full run's entries.
+COUPLERS = {
+    "degree-count": "degree:n=20,c=2,degrees=1/2",
+    "gauss-square": "gauss:n=8,rho=0.2,psi=square",
+    "gauss-exp": "gauss:n=8,rho=0.15,psi=exp",
+    "gauss-indicator": "gauss:n=8,rho=0.2,psi=indicator",
+    "multinomial-square": "multinomial:n=6,k=2,psi=square",
+    "multinomial-exp": "multinomial:n=6,k=2,psi=exp",
+}
+
+
 def _run_validate(args) -> int:
-    from . import validation
-    names = None if args.which == "all" else [s.strip()
-                                              for s in args.which.split(",")]
-    try:
-        results = validation.validate_couplers(names, samples=args.samples,
-                                               seed=args.seed,
-                                               threshold=args.threshold,
-                                               chunk_size=args.chunk_size)
-    except KeyError as exc:
-        raise _UsageError(str(exc))
+    order = sorted(COUPLERS)
+    names = order if args.which == "all" else [s.strip() for s in
+                                               args.which.split(",")]
+    results = {}
+    for name in names:
+        if name not in COUPLERS:
+            raise _UsageError(f"unknown coupler {name!r}")
+        res = verify_characterization(build_model(COUPLERS[name]),
+                                      samples=args.samples,
+                                      seed=args.seed + order.index(name),
+                                      chunk_size=args.chunk_size)
+        results[name] = {"labels": res.labels, "zscores": res.zscores,
+                         "max_abs_z": res.max_abs_z,
+                         "pass": res.passed(args.threshold),
+                         "samples": args.samples}
     ok = all(entry["pass"] for entry in results.values())
     payload = {"experiment": "validate-couplings",
                "threshold": args.threshold, "results": results,
@@ -309,31 +296,10 @@ def _run_validate(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    if args.experiment == "degree-count":
-        if args.degrees is None:
-            raise _UsageError("sweep degree-count needs --degrees")
-        if (args.c is None) == (args.pi is None):
-            raise _UsageError("sweep degree-count needs exactly one of "
-                              "--c and --pi")
-
-        def build(n):
-            return _degree_model(args, n)
-    else:
-        if args.colors is None:
-            raise _UsageError("sweep color-match needs --colors")
-        family = args.graph_family
-        kind, _, rest = family.partition(":")
-        if family != "cycle" and kind != "regular":
-            raise _UsageError(f"unknown graph family {family!r}")
-
-        def build(n):
-            spec = (f"cycle:{n}" if family == "cycle" else
-                    ",".join(filter(None, [f"regular:n={n}", rest])))
-            return _color_model(args, spec)
     rows = []
     all_passed = True
     for n in args.n:
-        report = _run_model(args, build(n))
+        report = _run_model(args, build_model(args.model, seed=args.seed, n=n))
         all_passed = all_passed and report.passed
         rows.append((n, report.bound.total, report.gap, report.gap_stderr))
     lines = ["n,bound,gap,gap_stderr"]
@@ -385,10 +351,7 @@ def main(argv=None) -> int:
             "sweep": _run_sweep,
         }[args.command]
         code = runner(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SteinLabError, ValueError, KeyError) as exc:
+    except (_UsageError, SteinLabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"wall time: {time.monotonic() - started:.2f}s", file=sys.stderr)

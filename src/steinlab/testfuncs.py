@@ -28,7 +28,7 @@ from math import exp, sqrt
 import numpy as np
 
 from .errors import BadSpec, DimensionMismatch
-from .specs import read_spec
+from .specs import list_of, read_spec
 
 # Gauss-Hermite nodes per axis for standard-normal expectations.
 GH_NODES = 40
@@ -233,15 +233,11 @@ def phi_h(h: SmoothTestFunction, nodes: int = GH_NODES) -> float:
 # CLI spec parsing: e.g. "cosine:a=1,0.5:b=0"
 # ---------------------------------------------------------------------------
 
-def float_list(raw: str) -> tuple:
-    return tuple(float(x) for x in raw.split(","))
-
-
 # Keys each test-function kind takes, with their types; ``a`` is a comma list.
 _SPEC_FIELDS = {
-    "cosine": {"a": float_list, "b": float},
+    "cosine": {"a": list_of(float, ","), "b": float},
     "gauss-radial": {"p": int, "scale": float},
-    "product-logistic": {"a": float_list},
+    "product-logistic": {"a": list_of(float, ",")},
 }
 _SPEC_ALIASES = {"gaussradial": "gauss-radial", "logistic": "product-logistic"}
 

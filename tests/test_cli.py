@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import steinlab
-from steinlab import cli, validation
+from steinlab import cli
 from steinlab.cli import main
 from steinlab.errors import SteinLabError
 from steinlab.sizebias import CoupledPairSampler
+from steinlab.specs import build_model
 
 
 def _run(argv, capsys):
@@ -205,7 +206,7 @@ class TestExperiments:
                         and cls is not CoupledPairSampler
                         and not cls.__name__.startswith("_")
                         and cls.__module__ == module.__name__}
-        built = {type(build()) for build in validation.build_registry().values()}
+        built = {type(build_model(spec)) for spec in cli.COUPLERS.values()}
         assert built == defined
 
         ran = []
@@ -217,8 +218,8 @@ class TestExperiments:
         monkeypatch.setattr(cli, "run_experiment", capture)
         for argv in (["degree-count", "--n", "20", "--c", "2",
                       "--degrees", "1,2"],
-                     ["sweep", "degree-count", "--n", "16", "--c", "2",
-                      "--degrees", "1,2"],
+                     ["sweep", "--model", "degree:c=2,degrees=1/2",
+                      "--n", "16"],
                      ["nonlinear", "--model", "gauss:rho=0.1,n=20",
                       "--psi", "square"],
                      ["nonlinear", "--model", "multinomial:n=10,k=2",
@@ -245,9 +246,8 @@ class TestExperiments:
 class TestSweep:
     def test_degree_sweep_csv(self, tmp_path, capsys):
         out_file = tmp_path / "sweep.csv"
-        code, _, _ = _run(["sweep", "degree-count", "--n", "16,32",
-                           "--c", "2", "--degrees", "1,2",
-                           "--samples", "1500", "--seed", "5",
+        code, _, _ = _run(["sweep", "--model", "degree:c=2,degrees=1/2",
+                           "--n", "16,32", "--samples", "1500", "--seed", "5",
                            "--out", str(out_file)], capsys)
         assert code == 0
         lines = out_file.read_text().strip().splitlines()
@@ -257,9 +257,9 @@ class TestSweep:
         assert n_vals == [16, 32]
 
     def test_color_sweep(self, capsys):
-        code, out, _ = _run(["sweep", "color-match", "--n", "12,24",
-                             "--colors", "0.5,0.5", "--graph-family",
-                             "cycle", "--samples", "1500", "--seed", "5"],
+        code, out, _ = _run(["sweep", "--model",
+                             "color:graph=cycle,colors=0.5/0.5", "--n",
+                             "12,24", "--samples", "1500", "--seed", "5"],
                             capsys)
         assert code == 0
         assert out.startswith("n,bound,gap")
@@ -271,40 +271,39 @@ class TestSweep:
         report = json.loads(out)
         return f"{report['bound']['total']!r},{report['gap']!r}"
 
-    def test_degree_sweep_pi_rows_match_single_runs(self, capsys):
-        code, out, _ = _run(["sweep", "degree-count", "--n", "12,20",
-                             "--pi", "0.15", "--degrees", "1,2",
+    @pytest.mark.parametrize("spec,sizes,single", [
+        ("degree:pi=0.15,degrees=1/2", (12, 20),
+         ["degree-count", "--n", "{n}", "--pi", "0.15", "--degrees", "1,2"]),
+        ("color:graph=regular,d=3,colors=0.5/0.5", (20, 30),
+         ["color-match", "--graph", "regular:n={n},d=3", "--colors",
+          "0.5,0.5"]),
+        ("gauss:rho=0.1,psi=square", (10, 20),
+         ["nonlinear", "--model", "gauss:rho=0.1,n={n}", "--psi", "square"]),
+        ("multinomial:k=2,psi=square", (5, 10),
+         ["nonlinear", "--model", "multinomial:n={n},k=2", "--psi",
+          "square"]),
+    ], ids=["degree", "color", "gauss", "multinomial"])
+    def test_sweep_rows_match_single_runs(self, spec, sizes, single, capsys):
+        code, out, _ = _run(["sweep", "--model", spec,
+                             "--n", ",".join(map(str, sizes)),
                              "--samples", "1000", "--seed", "5"], capsys)
         assert code == 0
         rows = out.strip().splitlines()[1:]
-        for n, row in zip((12, 20), rows):
-            single = self._single_run(
-                ["degree-count", "--n", str(n), "--pi", "0.15",
-                 "--degrees", "1,2", "--samples", "1000", "--seed", "5",
-                 "--chunk-size", "512"], capsys)
-            assert row.startswith(f"{n},{single},")
-
-    def test_color_sweep_regular_rows_match_single_runs(self, capsys):
-        code, out, _ = _run(["sweep", "color-match", "--n", "20,30",
-                             "--colors", "0.5,0.5",
-                             "--graph-family", "regular:d=3",
-                             "--samples", "1000", "--seed", "5"], capsys)
-        assert code == 0
-        rows = out.strip().splitlines()[1:]
-        for n, row in zip((20, 30), rows):
-            single = self._single_run(
-                ["color-match", "--graph", f"regular:n={n},d=3",
-                 "--colors", "0.5,0.5", "--samples", "1000", "--seed", "5",
-                 "--chunk-size", "512"], capsys)
-            assert row.startswith(f"{n},{single},")
+        for n, row in zip(sizes, rows, strict=True):
+            argv = [arg.format(n=n) for arg in single]
+            run = self._single_run(argv + ["--samples", "1000", "--seed", "5",
+                                           "--chunk-size", "512"], capsys)
+            assert row.startswith(f"{n},{run},")
 
     def test_missing_flags_are_usage_errors(self, capsys):
-        code, _, err = _run(["sweep", "degree-count", "--n", "16"], capsys)
-        assert code == 1 and "--degrees" in err
-        # degree-count's own parser takes one of --c and --pi, never both
-        code, _, err = _run(["sweep", "degree-count", "--n", "16", "--c", "2",
-                             "--pi", "0.3", "--degrees", "1,2"], capsys)
-        assert code == 1 and "--c" in err and "--pi" in err
+        code, _, err = _run(["sweep", "--model", "degree:c=2", "--n", "16"],
+                            capsys)
+        assert code == 1 and "missing key 'degrees'" in err
+        # a degree spec takes one of c and pi, never both
+        code, _, err = _run(["sweep", "--model",
+                             "degree:c=2,pi=0.3,degrees=1/2", "--n", "16"],
+                            capsys)
+        assert code == 1 and "exactly one of c and pi" in err
 
 
 class TestDeterminism:
@@ -411,6 +410,28 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.splitlines()[-1] == "0 []"
 
+    @pytest.mark.parametrize("argv,unused", [
+        (["sweep", "--model", "gauss:rho=0.1,psi=square", "--n", "10"],
+         ["steinlab.coloring", "steinlab.degrees"]),
+        (["degree-count", "--n", "10", "--c", "2", "--degrees", "1"],
+         ["steinlab.coloring", "steinlab.nonlinear"]),
+    ], ids=["sweep-gauss", "degree-count"])
+    def test_run_loads_only_its_model_module(self, tmp_path, argv, unused):
+        """A model spec's builder imports its model module when it is
+        called, so a run leaves the other models' modules unloaded."""
+        package_root = os.path.dirname(os.path.dirname(steinlab.__file__))
+        script = ("import sys\n"
+                  "from steinlab import cli\n"
+                  f"code = cli.main({argv + ['--samples', '200']!r})\n"
+                  f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
+                  "print(code, loaded, file=sys.stderr)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=tmp_path,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "0 []"
+
 
 class TestExit:
     @pytest.mark.parametrize("argv", [
@@ -498,8 +519,8 @@ class TestUsageErrors:
          "n='ten' is not a valid int"),
         (["color-match", "--graph", "regular:n=20", "--colors", "0.5,0.5"],
          "'regular:n=20' is missing key 'd'"),
-        (["sweep", "color-match", "--n", "20", "--colors", "0.5,0.5",
-          "--graph-family", "regular"], "'regular:n=20' is missing key 'd'"),
+        (["sweep", "--model", "color:graph=regular,colors=0.5/0.5", "--n",
+          "20"], "'regular:n=20' is missing key 'd'"),
         (["validate-couplings", "--which", "degree-count", "--samples", "0"],
          "at least 100 samples, got 0"),
         (["validate-couplings", "--which", "gauss-square", "--samples", "1"],
@@ -542,8 +563,8 @@ class TestUsageErrors:
         # an empty or non-finite list names its flag
         (["degree-count", "--n", "20", "--c", "2", "--degrees", ","],
          "argument --degrees: ',' is not a list of finite numbers"),
-        (["sweep", "degree-count", "--n", ",", "--c", "2", "--degrees",
-          "1,2"], "argument --n: ',' is not a list of finite numbers"),
+        (["sweep", "--model", "degree:c=2,degrees=1/2", "--n", ","],
+         "argument --n: ',' is not a list of finite numbers"),
         (["color-match", "--graph", "cycle:16", "--colors", "0.5,nan"],
          "argument --colors: '0.5,nan' is not a list of finite numbers"),
         (["degree-count", "--n", "20", "--c", "2", "--degrees", "1,x"],
@@ -568,10 +589,10 @@ class TestUsageErrors:
          "--c must be finite, got inf"),
         (["degree-count", "--n", "20", "--pi", "nan", "--degrees", "1,2"],
          "--pi must be finite, got nan"),
-        (["sweep", "degree-count", "--n", "20,40", "--c", "nan", "--degrees",
-          "1,2"], "--c must be finite, got nan"),
-        (["sweep", "degree-count", "--n", "20", "--pi", "inf", "--degrees",
-          "1,2"], "--pi must be finite, got inf"),
+        (["sweep", "--model", "degree:c=nan,degrees=1/2", "--n", "20,40"],
+         "error: c must be finite, got nan"),
+        (["sweep", "--model", "degree:pi=inf,degrees=1/2", "--n", "20"],
+         "error: pi must be finite, got inf"),
         # a graph size that is not an integer names the spec
         (["color-match", "--graph", "cycle:abc", "--colors", "0.5,0.5"],
          "spec 'cycle:abc': size 'abc' is not a valid int"),
@@ -598,11 +619,18 @@ class TestUsageErrors:
         (["degree-count", "--n", "3", "--c", "2", "--degrees", "1"],
          "--c = 2.0 at n = 3, so pi = c/(n-1) = 1: the edge probability "
          "must lie strictly in (0, 1)"),
-        (["sweep", "degree-count", "--n", "20,3", "--c", "2", "--degrees",
-          "1"], "--c = 2.0 at n = 3, so pi = c/(n-1) = 1"),
+        (["sweep", "--model", "degree:c=2,degrees=1", "--n", "20,3"],
+         "error: c = 2.0 at n = 3, so pi = c/(n-1) = 1"),
         # a colour of mass 1e-6 leaves the covariance numerically singular
         (["color-match", "--graph", "cycle:16", "--colors",
           "0.4999995,0.4999995,0.000001"], "fail the relative threshold 1e-10"),
+        # a key set both in a spec and by a flag is refused, never overridden
+        (["nonlinear", "--model", "gauss:n=20,psi=exp", "--psi", "square"],
+         "key 'psi' is also set by --psi"),
+        (["sweep", "--model", "degree:n=10,c=2,degrees=1", "--n", "20"],
+         "key 'n' is also set by --n"),
+        (["validate-couplings", "--which", "nope"],
+         "error: unknown coupler 'nope'"),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)

@@ -296,10 +296,13 @@ def _run_validate(args) -> int:
 
 
 def _run_sweep(args) -> int:
+    # Every row's model is built before any row runs, so a spec that is
+    # invalid at some n is refused before any Monte Carlo is spent.
+    models = [build_model(args.model, seed=args.seed, n=n) for n in args.n]
     rows = []
     all_passed = True
-    for n in args.n:
-        report = _run_model(args, build_model(args.model, seed=args.seed, n=n))
+    for n, model in zip(args.n, models):
+        report = _run_model(args, model)
         all_passed = all_passed and report.passed
         rows.append((n, report.bound.total, report.gap, report.gap_stderr))
     lines = ["n,bound,gap,gap_stderr"]

@@ -2,9 +2,11 @@
 
 Every experiment draws randomness from counter-based Philox streams keyed by
 ``(master seed, chunk index)``, so a run is reproducible bit-for-bit no matter
-how many workers execute the chunks. On Linux the workers are processes:
-:func:`parallel_mc` forks up to ``STEIN_LAB_THREADS`` - 1 children and works
-through chunks itself too; elsewhere every chunk runs in the calling process.
+how many workers execute the chunks. The chunks run on a fixed schedule:
+with N workers, worker j runs chunks j, j + N, j + 2N, ..., and the calling
+process is worker 0. On Linux :func:`parallel_mc` forks the other N - 1, N
+being :func:`worker_count` or the number of chunks if that is smaller;
+elsewhere N is 1 and every chunk runs in the calling process.
 Chunk results are merged in chunk order (never completion order) to keep
 floating-point summation canonical. An experiment makes one such pass: each
 chunk's draws of W feed both the bound's statistics and the gap's score, each
@@ -188,72 +190,38 @@ def merge_results(a, b):
     raise TypeError(f"cannot merge chunk results of type {type(a)!r}")
 
 
-def parallel_mc(task, cfg: StreamConfig, samples: int, empty=None):
+def parallel_mc(task, cfg: StreamConfig, samples: int):
     """Run ``task(rng, size)`` over seeded chunks and fold results in order.
 
     ``task`` must be a pure function of its stream; chunk ``k`` always receives
     ``cfg.stream(k)``, so the merged result is identical for a fixed
-    ``(seed, chunk_size, samples)`` regardless of worker count or scheduling.
+    ``(seed, chunk_size, samples)`` regardless of worker count.
     With more than one worker, chunk results must pickle.
     """
     sizes = cfg.chunks(samples)
     if not sizes:
-        return empty
+        raise ValueError(f"a Monte Carlo pass needs at least one sample, "
+                         f"got {samples}")
     workers = min(worker_count(), len(sizes)) if FORKS else 1
-    if workers == 1:
-        results = [task(cfg.stream(k), size) for k, size in enumerate(sizes)]
-    else:
-        results = _forked(task, cfg, sizes, workers)
-    return reduce(merge_results, results)
+    return reduce(merge_results, _scheduled(task, cfg, sizes, workers))
 
 
-class _Token:
-    """The next unclaimed chunk index, passed around as the one message in a
-    pipe: reading it takes the index, writing back releases it."""
-
-    def __init__(self, first: int):
-        self.read_fd, self.write_fd = os.pipe()
-        self._put(first)
-
-    def _take(self) -> int:
-        return int.from_bytes(os.read(self.read_fd, 8), "little")
-
-    def _put(self, k: int) -> None:
-        os.write(self.write_fd, k.to_bytes(8, "little"))
-
-    def claim(self) -> int:
-        k = self._take()
-        self._put(k + 1)
-        return k
-
-    def stop(self, end: int) -> None:
-        """Leave no index below ``end`` to claim."""
-        self._put(max(self._take(), end))
-
-    def close(self) -> None:
-        os.close(self.read_fd)
-        os.close(self.write_fd)
-
-
-def _work(task, cfg, sizes, token) -> dict:
-    """Run the chunks this worker claims; ``{index: result}``."""
-    done = {}
-    while (k := token.claim()) < len(sizes):
-        try:
-            done[k] = task(cfg.stream(k), sizes[k])
-        except BaseException:
-            token.stop(len(sizes))
-            raise
+def _work(task, cfg, sizes, j, workers, first) -> dict:
+    """Worker ``j``'s chunks ``j, j + workers, j + 2 * workers, ...`` as
+    ``{index: result}``; ``first`` is chunk ``j``'s stream."""
+    done = {j: task(first, sizes[j])}
+    for k in range(j + workers, len(sizes), workers):
+        done[k] = task(cfg.stream(k), sizes[k])
     return done
 
 
-def _child(task, cfg, sizes, token, out_fd) -> None:
-    """Worker process body: claim chunks, send ``{index: result}`` or the
-    exception raised, pickled, and leave without unwinding the parent's
-    stack."""
+def _child(task, cfg, sizes, j, workers, out_fd) -> None:
+    """Worker process body: run worker ``j``'s chunks, send
+    ``{index: result}`` or the exception raised, pickled, and leave without
+    unwinding the parent's stack."""
     try:
         try:
-            outcome = _work(task, cfg, sizes, token)
+            outcome = _work(task, cfg, sizes, j, workers, cfg.stream(j))
         except BaseException as exc:
             outcome = exc
         try:
@@ -290,38 +258,39 @@ def _outcome(pid: int, status: int, payload: bytes) -> dict:
     return outcome
 
 
-def _forked(task, cfg: StreamConfig, sizes: list, workers: int) -> list:
-    """Chunk results in chunk order, from this process and ``workers - 1``
-    forked children, each chunk index claimed once from a shared token.
+def _scheduled(task, cfg: StreamConfig, sizes: list, workers: int) -> list:
+    """Chunk results in chunk order, on a fixed schedule: worker ``j`` runs
+    chunks ``j, j + workers, j + 2 * workers, ...``. This process is
+    worker 0, and workers 1 to ``workers - 1`` are forked children, so one
+    worker forks nothing.
 
     Every child is reaped before this returns or raises; when this process
-    fails, the children are killed first. The workers are forked, not
-    spawned: a task is a closure over its model, which could not be sent to
-    a spawned worker, and a forked one does not import numpy again.
+    fails, the children are killed first. A failing child sends its
+    exception, which is raised once this process's own chunks are done. The
+    workers are forked, not spawned: a task is a closure over its model,
+    which could not be sent to a spawned worker, and a forked one does not
+    import numpy again.
     """
-    # Chunk 0 is this process's. Making its stream first also loads
-    # numpy.random here, once, rather than in every child.
+    # Making chunk 0's stream before any fork also loads numpy.random here,
+    # once, rather than in every child.
     first = cfg.stream(0)
-    token = _Token(1)
     children = []
     try:
-        for _ in range(workers - 1):
+        for j in range(1, workers):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _child(task, cfg, sizes, token, write_fd)
+                _child(task, cfg, sizes, j, workers, write_fd)
             os.close(write_fd)
             children.append((pid, read_fd))
-        done = {0: task(first, sizes[0])}
-        done.update(_work(task, cfg, sizes, token))
+        done = _work(task, cfg, sizes, 0, workers, first)
         payloads = [_read_to_end(fd) for _, fd in children]
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        token.close()
         statuses = [_reap(pid, fd) for pid, fd in children]
     for (pid, _), status, payload in zip(children, statuses, payloads):
         done.update(_outcome(pid, status, payload))

@@ -305,6 +305,14 @@ class TestSweep:
                             capsys)
         assert code == 1 and "exactly one of c and pi" in err
 
+    def test_bad_row_refused_before_any_row_runs(self, capsys):
+        code, out, err = _run(["sweep", "--model", "degree:c=2,degrees=1",
+                               "--n", "2000,3", "--samples", "4000"], capsys)
+        assert code == 1
+        assert "c = 2.0 at n = 3" in err
+        assert "degree-count:" not in err
+        assert out == ""
+
 
 class TestDeterminism:
     @staticmethod

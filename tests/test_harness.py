@@ -2,6 +2,8 @@
 
 import os
 import select
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -108,10 +110,11 @@ class TestParallelMC:
         np.testing.assert_allclose(merged.sums[0], whole.sums[0], rtol=1e-12)
 
     def test_empty_task_list(self):
+        """A pass over no chunks is refused, naming the sample count."""
         cfg = StreamConfig(seed=5, chunk_size=50)
-        empty = Accumulator()
-        out = parallel_mc(_toy_task, cfg, 0, empty=empty)
-        assert out is empty and out.count == 0
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match=f"got {samples}$"):
+                parallel_mc(_toy_task, cfg, samples)
 
 
 class TestWorkerCount:
@@ -185,12 +188,50 @@ class TestWorkerProcesses:
         _assert_no_child_left()
 
     def test_more_chunks_than_a_pipe_holds(self, monkeypatch):
-        """20,000 one-draw chunks: more chunk indices than a 64 KiB pipe
-        holds at 4 bytes each."""
+        """20,000 one-draw chunks: the child's pickled results are far
+        larger than a 64 KiB pipe buffer."""
         cfg = StreamConfig(0, 1)
         two = parallel_mc(_toy_task, cfg, 20_000)
         monkeypatch.setenv("STEIN_LAB_THREADS", "1")
         one = parallel_mc(_toy_task, cfg, 20_000)
         assert two.count == one.count == 20_000
         np.testing.assert_array_equal(two.sums, one.sums)
+        _assert_no_child_left()
+
+    def test_child_killed_mid_chunk(self):
+        caller = os.getpid()
+
+        def task(rng, size):
+            if os.getpid() != caller:
+                rng.random(size)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return _toy_task(rng, size)
+
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="sent no results"):
+            parallel_mc(task, StreamConfig(0, 10), 40)
+        assert time.monotonic() - started < 5.0
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_fixed_round_robin_schedule(self, monkeypatch, workers):
+        """Each chunk runs once, chunk k in worker k % workers, and worker 0
+        is the calling process."""
+        monkeypatch.setattr(harness, "worker_count", lambda: workers)
+        chunks = 11
+
+        def task(rng, size):
+            k = int(rng.bit_generator.state["state"]["key"][1])
+            ran = np.zeros((1, 2, chunks))
+            ran[0, :, k] = 1, os.getpid()
+            return Accumulator(shape=(2, chunks)).add(ran)
+
+        out = parallel_mc(task, StreamConfig(0, 10), 10 * chunks)
+        runs, pids = out.sums[0]
+        np.testing.assert_array_equal(runs, 1)
+        caller = os.getpid()
+        assert ([pid == caller for pid in pids]
+                == [k % workers == 0 for k in range(chunks)])
+        assert all(pids[k] == pids[k % workers] for k in range(chunks))
+        assert len(set(pids[:workers])) == workers
         _assert_no_child_left()

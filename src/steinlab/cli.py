@@ -7,16 +7,18 @@ separates a list value). ``degree-count``, ``color-match`` and
 through :func:`steinlab.experiment.run_experiment`; ``sweep --model SPEC
 --n LIST`` runs a spec once per n, which ``--n`` supplies and the spec
 leaves out; ``validate-couplings`` checks the models its registry of specs
-names. Each subcommand writes a JSON report (CSV for ``sweep``) to
-``--out`` or stdout and a one-line summary to stderr. Exit status is 0 when
-every certified check passes, 2 when a bound or validation check is
-violated, and 1 for usage or configuration errors. All randomness flows
-from ``--seed``; re-running with the same arguments gives byte-identical
-output regardless of ``STEIN_LAB_THREADS``. That variable caps the worker
-processes among which a Monte Carlo pass shares its chunks: forked on
-Linux, while elsewhere the pass runs in-process. The closed-form moments
-every report rests on are checked against exact enumeration by the test
-suite.
+names, at a fixed z threshold; ``stein-check`` checks ``--h``'s Stein
+solution at a fixed grid extent and tolerance, with a step that follows
+``h``'s length scale. Each subcommand writes a JSON report (CSV for
+``sweep``) to ``--out`` or stdout and a one-line summary to stderr. Exit
+status is 0 when every certified check passes, 2 when a bound or validation
+check is violated, and 1 for usage or configuration errors. All randomness
+flows from ``--seed``; re-running with the same arguments gives
+byte-identical output regardless of ``STEIN_LAB_THREADS``. That variable
+caps the worker processes among which a Monte Carlo pass shares its chunks:
+forked on Linux, while elsewhere the pass runs in-process. The closed-form
+moments every report rests on are checked against exact enumeration by the
+test suite.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ import numpy as np
 from .errors import SteinLabError
 from .experiment import run_experiment
 from .report import stable_json
-from .sizebias import verify_characterization
+from .sizebias import Z_THRESHOLD, verify_characterization
 from .specs import build_model, degree_model, graph_color_model
-from .stein import SteinSolution, grid_points
-from .testfuncs import SmoothTestFunction, parse_test_function
+from .stein import CHECK_TOL, GRID_EXTENT, SteinSolution, grid_points
+from .testfuncs import GH_NODES, SmoothTestFunction, parse_test_function
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,19 +122,16 @@ def build_parser() -> _Parser:
     _add_common(non, chunk_default=8192)
 
     stn = subs.add_parser("stein-check",
-                          help="verify the smoothing-equation solution "
-                               "residual and derivative caps")
+                          help="verify the Stein solution's residual and "
+                               "derivative caps at a fixed grid extent and "
+                               "tolerance; the step follows h's length scale")
     stn.add_argument("--h", required=True)
-    stn.add_argument("--extent", type=float, default=2.0)
-    stn.add_argument("--grid-points", type=int, default=21)
-    stn.add_argument("--fd-step", type=float, default=1e-3,
-                     help="finite-difference step of the PDE residual and "
-                          "of the order-1 and order-2 derivative stencils")
-    stn.add_argument("--gh-nodes", type=int, default=40,
+    stn.add_argument("--grid-points", type=int,
+                     default=grid_points.__defaults__[0])
+    stn.add_argument("--gh-nodes", type=int, default=GH_NODES,
                      help="Gauss-Hermite nodes per axis for the Gaussian "
                           "smoothing of product-logistic; cosine and "
                           "gauss-radial use closed forms")
-    stn.add_argument("--tol", type=float, default=1e-3)
     stn.add_argument("--out", default=None)
 
     val = subs.add_parser("validate-couplings",
@@ -140,7 +139,6 @@ def build_parser() -> _Parser:
                                "model coupler")
     val.add_argument("--which", default="all",
                      help="comma list of registry names, or 'all'")
-    val.add_argument("--threshold", type=float, default=4.0)
     _add_common(val, samples_default=1_000_000, chunk_default=16384)
 
     swp = subs.add_parser("sweep",
@@ -221,24 +219,20 @@ def _run_stein(args) -> int:
     if args.gh_nodes < 2:
         raise _UsageError(f"--gh-nodes must be at least 2, got "
                           f"{args.gh_nodes}")
-    for flag, value in (("--extent", args.extent),
-                        ("--fd-step", args.fd_step), ("--tol", args.tol)):
-        if not 0 < value < np.inf:
-            raise _UsageError(f"{flag} must be positive, got {value}")
     sol = SteinSolution(h, gh_nodes=args.gh_nodes)
-    grid = grid_points(h.p, args.extent, args.grid_points)
+    grid = grid_points(h.p, args.grid_points)
     norms = h.derivative_norms()
-    checks = sol.run_checks(grid, norms, fd_step=args.fd_step)
+    checks = sol.run_checks(grid, norms)
     residual = checks["max_pde_residual"]
     violations = {f"order_{k}": checks[f"derivative_violation_{k}"]
                   for k in (1, 2, 3)}
-    ok = residual <= args.tol and all(v <= args.tol
-                                      for v in violations.values())
+    ok = residual <= CHECK_TOL and all(v <= CHECK_TOL
+                                       for v in violations.values())
     payload = {
         "experiment": "stein-check",
-        "config": {"h": h.spec_string(), "p": h.p, "extent": args.extent,
-                   "grid_points": args.grid_points, "fd_step": args.fd_step,
-                   "gh_nodes": args.gh_nodes, "tol": args.tol},
+        "config": {"h": h.spec_string(), "p": h.p, "extent": GRID_EXTENT,
+                   "grid_points": args.grid_points, "fd_step": sol.fd_step,
+                   "gh_nodes": args.gh_nodes, "tol": CHECK_TOL},
         "max_pde_residual": residual,
         "derivative_violations": violations,
         "norms": {"h": norms.h, "d1": norms.d1, "d2": norms.d2,
@@ -271,21 +265,24 @@ def _run_validate(args) -> int:
     order = sorted(COUPLERS)
     names = order if args.which == "all" else [s.strip() for s in
                                                args.which.split(",")]
-    results = {}
     for name in names:
         if name not in COUPLERS:
             raise _UsageError(f"unknown coupler {name!r}")
+        if names.count(name) > 1:
+            raise _UsageError(f"--which names {name!r} more than once")
+    results = {}
+    for name in names:
         res = verify_characterization(build_model(COUPLERS[name]),
                                       samples=args.samples,
                                       seed=args.seed + order.index(name),
                                       chunk_size=args.chunk_size)
         results[name] = {"labels": res.labels, "zscores": res.zscores,
                          "max_abs_z": res.max_abs_z,
-                         "pass": res.passed(args.threshold),
+                         "pass": res.passed(),
                          "samples": args.samples}
     ok = all(entry["pass"] for entry in results.values())
     payload = {"experiment": "validate-couplings",
-               "threshold": args.threshold, "results": results,
+               "threshold": Z_THRESHOLD, "results": results,
                "pass": bool(ok)}
     _emit(stable_json(payload), args.out)
     for name in sorted(results):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bounds import (LocalDepStats, bound_multivariate_local,
                      isqrt_norm_bound_check, sqrt_with_sem)
-from .errors import BadSpec
+from .errors import BadSpec, NotPositiveDefinite
 from .harness import Accumulator, StreamConfig, parallel_mc
 from .linalg import inverse_sqrt
 from .sizebias import sub_batch_sizes
@@ -306,7 +306,8 @@ class ColoringModel:
     """Monochromatic edge counts for
     :func:`steinlab.experiment.run_experiment`, certified by the multivariate
     local-dependence bound. A colouring whose covariance cannot be whitened
-    (one colour, or one of negligible mass) is refused here."""
+    (one colour, or one of negligible mass) is refused here, naming the
+    colour of negligible mass."""
 
     name = "color-match"
 
@@ -314,7 +315,16 @@ class ColoringModel:
                  graph_name: str = "regular"):
         self.g, self.cfg, self.p = g, cfg, cfg.p
         self.lam, self.sigma = theoretical_moments(g, cfg)
-        self.isqrt = inverse_sqrt(self.sigma)
+        try:
+            self.isqrt = inverse_sqrt(self.sigma)
+        except NotPositiveDefinite as exc:
+            if cfg.p == 1:
+                raise
+            low = int(np.argmin(cfg.probs))
+            raise NotPositiveDefinite(
+                f"color {low + 1} has mass {cfg.probs[low]:.3g}, too little "
+                f"for its count to vary, so the covariance is singular; "
+                f"give it more mass in --colors") from exc
         self.config = {"graph": graph_name, "n": g.n, "d": g.d,
                        "edges": g.num_edges, "colors": list(cfg.probs)}
 

@@ -44,7 +44,7 @@ from .bounds import (CouplingStats, bound_multivariate_size_bias,
                      isqrt_norm_bound_check)
 from .errors import NotPositiveDefinite
 from .harness import Accumulator
-from .linalg import DEFAULT_PD_TOL, inverse_sqrt
+from .linalg import PD_TOL, inverse_sqrt
 from .sizebias import (CoupledPairSampler, distinct_labels, log_binomial,
                         rank_in_group, sub_batch_sizes)
 
@@ -106,7 +106,7 @@ def _singular_message(degrees, sigma, exc) -> str:
     degree whose count barely varies, if there is one."""
     var = np.diag(sigma)
     low = int(np.argmin(var))
-    if var[low] <= DEFAULT_PD_TOL * var.max():
+    if var[low] <= PD_TOL * var.max():
         d = degrees[low]
         return (f"the count of degree {d} has variance {var[low]:.3g} "
                 f"against {var.max():.3g}, so the covariance is singular; "

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-DEFAULT_PD_TOL = 1e-10
+PD_TOL = 1e-10
 SYMMETRY_RTOL = 1e-12
 
 
@@ -27,7 +27,7 @@ def max_abs_norm(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def symmetrize(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def symmetrize(a: np.ndarray) -> np.ndarray:
     """Average ``a`` with its transpose, checking it was symmetric to begin with.
 
     Guards against asymmetry accumulated by floating point when covariance
@@ -39,12 +39,12 @@ def symmetrize(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DimensionMismatch("matrix has nonfinite entries")
     scale = max(max_abs_norm(a), 1.0)
-    if max_abs_norm(a - a.T) > rtol * scale:
+    if max_abs_norm(a - a.T) > SYMMETRY_RTOL * scale:
         raise DimensionMismatch("matrix is not symmetric within tolerance")
     return 0.5 * (a + a.T)
 
 
-def inverse_sqrt(sigma: np.ndarray, tol: float = DEFAULT_PD_TOL) -> np.ndarray:
+def inverse_sqrt(sigma: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root ``M`` with ``M @ sigma @ M = I``.
 
     Computed by eigendecomposition with eigenvalue reciprocal-square-roots.
@@ -52,14 +52,14 @@ def inverse_sqrt(sigma: np.ndarray, tol: float = DEFAULT_PD_TOL) -> np.ndarray:
     Raises
     ------
     NotPositiveDefinite
-        If any eigenvalue is at most ``tol`` times the largest one, which
+        If any eigenvalue is at most ``PD_TOL`` times the largest one, which
         signals the matrix is unusable for whitening.
     """
     vals, vecs = np.linalg.eigh(symmetrize(sigma))
     top = float(np.max(vals)) if vals.size else 0.0
-    if top <= 0.0 or np.any(vals <= tol * top):
+    if top <= 0.0 or np.any(vals <= PD_TOL * top):
         raise NotPositiveDefinite(
-            f"eigenvalues {np.sort(vals)} fail the relative threshold {tol}"
+            f"eigenvalues {np.sort(vals)} fail the relative threshold {PD_TOL}"
         )
     m = (vecs * (1.0 / np.sqrt(vals))) @ vecs.T
     return 0.5 * (m + m.T)

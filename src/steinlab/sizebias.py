@@ -44,6 +44,7 @@ from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
 # Stream-index stride separating the estimation passes for different
 # coordinates under one master seed.
 COORD_STREAM_STRIDE = 1 << 32
+Z_THRESHOLD = 4.0  # largest |z| of the identity's checks that passes
 
 
 def log_binomial(n: int, k) -> np.ndarray:
@@ -266,8 +267,8 @@ class CharacterizationResult:
     def max_abs_z(self) -> float:
         return float(np.max(np.abs(self.zscores)))
 
-    def passed(self, threshold: float = 4.0) -> bool:
-        return bool(np.all(np.abs(self.zscores) <= threshold))
+    def passed(self) -> bool:
+        return bool(np.all(np.abs(self.zscores) <= Z_THRESHOLD))
 
 
 def default_g_suite(p: int, median: float):
@@ -288,7 +289,7 @@ def verify_characterization(sampler: CoupledPairSampler,
     indicator cuts at the median of a pilot draw of W, estimates the
     coupled per-draw difference ``W_i G(W) - lambda_i G(W^i)`` and reports
     its mean over its standard error. Validation passes when all
-    ``|z| <= 4``.
+    ``|z| <=`` :data:`Z_THRESHOLD`.
     """
     require_samples(samples)
     cfg = StreamConfig(seed, chunk_size)

@@ -10,7 +10,8 @@ bounds ``|d^k g| <= ||D^k h|| / k``. This module evaluates ``g`` as a
 one-dimensional integral over the smoothing time, whose integrand is the
 test function's Gaussian smoothing ``h.smoothed_mean`` (a closed form or a
 product of one-dimensional sums, in any dimension), and verifies both facts
-pointwise with finite differences in :meth:`SteinSolution.run_checks`.
+pointwise with finite differences in :meth:`SteinSolution.run_checks`,
+whose step for the residual and orders 1 and 2 follows ``h.length_scale``.
 
 The substitution ``s = e^{-u}`` turns the integral into
 ``-int_0^1 [E h(w s + sqrt(1-s^2) Z) - phi] ds / s``. We integrate in the
@@ -29,12 +30,14 @@ import numpy as np
 from .errors import DimensionMismatch, QuadratureNotConverged
 from .testfuncs import GH_NODES, SmoothTestFunction, phi_h
 
-FD_STEP_LOW_ORDER = 1e-3   # finite-difference step for orders 1 and 2
+FD_STEP_LOW_ORDER = 1e-3   # orders 1 and 2, times min(1, h.length_scale)
 FD_STEP_THIRD = 5e-3       # order 3 trades truncation against quadrature noise
 G_TOL = 1e-8               # refinement tolerance on values of g
 LEGENDRE_START = 32        # Gauss-Legendre nodes of the first level
 LEGENDRE_MAX = 512         # nodes of the last level tried
 G_BLOCK_VALUES = 1 << 18   # node-point values of one block of a g batch
+GRID_EXTENT = 2.0          # half-width of the cube the check grid covers
+CHECK_TOL = 1e-3           # largest residual or cap excess that passes
 
 
 @lru_cache(maxsize=32)
@@ -58,6 +61,7 @@ class SteinSolution:
         self.p = h.p
         self.gh_nodes = gh_nodes
         self.phi = phi_h(h, gh_nodes)
+        self.fd_step = FD_STEP_LOW_ORDER * min(1.0, h.length_scale)
         self.s_nodes: np.ndarray | None = None
         self.s_weights: np.ndarray | None = None
 
@@ -115,19 +119,18 @@ class SteinSolution:
 
     # Checks ---------------------------------------------------------------
 
-    def run_checks(self, grid, norms,
-                   fd_step: float = FD_STEP_LOW_ORDER) -> dict:
+    def run_checks(self, grid, norms) -> dict:
         """The PDE residual and the derivative caps of orders 1 to 3 on
         ``grid``, against the certified sup-norms ``norms``.
 
         Orders 1 and 2 and the residual take central differences with step
-        ``fd_step``, order 3 with :data:`FD_STEP_THIRD`. One ``g`` batch
+        :attr:`fd_step`, order 3 with :data:`FD_STEP_THIRD`. One ``g`` batch
         covers every distinct offset point of every stencil;
         :meth:`pde_residual` and :meth:`derivative_violation` read it.
         """
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         m, p = grid.shape
-        steps = {1: fd_step, 2: fd_step, 3: FD_STEP_THIRD}
+        steps = {1: self.fd_step, 2: self.fd_step, 3: FD_STEP_THIRD}
         # the residual's shifts are the order-1 stencils' offsets
         offsets: dict[tuple, int] = {(0.0,) * p: 0}
         for k, step in steps.items():
@@ -139,24 +142,23 @@ class SteinSolution:
         vals = self.g(points).reshape(m, len(offsets))
         g_at = {off: vals[:, col] for off, col in offsets.items()}
         out = {"max_pde_residual":
-               float(np.max(self.pde_residual(grid, g_at, fd_step)))}
+               float(np.max(self.pde_residual(grid, g_at)))}
         for k, step in steps.items():
             out[f"derivative_violation_{k}"] = self.derivative_violation(
                 g_at, k, norms.order(k), step)
         return out
 
-    def pde_residual(self, grid: np.ndarray, g_at: dict,
-                     fd_step: float) -> np.ndarray:
+    def pde_residual(self, grid: np.ndarray, g_at: dict) -> np.ndarray:
         """``|tr D^2 g(w) - w . grad g(w) - (h(w) - phi)|`` per row ``w`` of
         ``grid``, where ``g_at[offset]`` holds ``g(grid + offset)`` for the
         zero offset and the ``+-fd_step`` shifts along each axis."""
         g0 = g_at[(0.0,) * self.p]
         lap = np.zeros(grid.shape[0])
         dot = np.zeros(grid.shape[0])
-        for i, shift in enumerate(_stencils(1, fd_step, self.p)):
+        for i, shift in enumerate(_stencils(1, self.fd_step, self.p)):
             up, dn = (g_at[off] for off in shift)
-            lap += (up - 2.0 * g0 + dn) / fd_step**2
-            dot += grid[:, i] * (up - dn) / (2.0 * fd_step)
+            lap += (up - 2.0 * g0 + dn) / self.fd_step**2
+            dot += grid[:, i] * (up - dn) / (2.0 * self.fd_step)
         return np.abs(lap - dot - (self.h.evaluate(grid) - self.phi))
 
     def derivative_violation(self, g_at: dict, k: int, norm_k: float,
@@ -202,8 +204,8 @@ def _fd_stencil(axes, step: float, p: int):
     return stencil
 
 
-def grid_points(p: int, extent: float = 2.0, per_axis: int = 21) -> np.ndarray:
-    """Uniform grid over ``[-extent, extent]^p`` as an ``(m, p)`` array."""
-    axis = np.linspace(-extent, extent, per_axis)
+def grid_points(p: int, per_axis: int = 21) -> np.ndarray:
+    """Uniform ``(m, p)`` grid over ``[-GRID_EXTENT, GRID_EXTENT]^p``."""
+    axis = np.linspace(-GRID_EXTENT, GRID_EXTENT, per_axis)
     grids = np.meshgrid(*([axis] * p), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)

@@ -21,9 +21,9 @@ Gauss-Hermite sums. So every family works in any dimension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
-from math import exp, sqrt
+from math import exp, inf, sqrt
 
 import numpy as np
 
@@ -109,6 +109,20 @@ class SmoothTestFunction:
             raise ValueError(f"{self.kind} parameters must be finite")
         if self.kind == "gauss-radial" and self.scale <= 0:
             raise ValueError("gauss-radial scale must be positive")
+        try:
+            finite = np.all(np.isfinite(astuple(self.derivative_norms())))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            raise ValueError(f"{self.kind} derivative sup-norms overflow a "
+                             f"float")
+
+    @property
+    def length_scale(self) -> float:
+        """``scale`` for gauss-radial, else ``1 / max |a_i|`` (inf at 0)."""
+        if self.kind == "gauss-radial":
+            return self.scale
+        return 1.0 / max(map(abs, self.a)) if any(self.a) else inf
 
     # Evaluation ---------------------------------------------------------
 

@@ -647,6 +647,7 @@ class PolynomialTestFunction:
 
     f: object
     p: int
+    length_scale = 1.0
 
     def evaluate(self, points):
         return self.f(np.atleast_2d(np.asarray(points, dtype=float)))

@@ -35,6 +35,34 @@ class TestSteinCheck:
         assert payload["pass"] is True
         assert payload["max_pde_residual"] <= 1e-3
 
+    @pytest.mark.parametrize("spec,length", [
+        ("gauss-radial:p=2:scale=0.01", 0.01),
+        ("gauss-radial:p=2:scale=0.001", 0.001),
+        ("cosine:a=1000", 0.001)])
+    def test_step_follows_the_length_scale_of_h(self, spec, length, capsys):
+        """A sharp h is differenced on its own scale: a step of 1e-3 reads
+        residuals 1.25e-3, 0.112 and 0.081 on these and fails them. At 21
+        points per axis the 0.001 case still fails, since g's quadrature
+        level is chosen on a subsample of the batch that misses the peak."""
+        code, out, _ = _run(["stein-check", "--h", spec, "--grid-points",
+                             "5"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["max_pde_residual"] < 1e-6
+        assert report["config"]["fd_step"] == pytest.approx(1e-3 * length)
+
+    def test_benchmark_run_config(self, capsys):
+        """The benchmark's stein-check run reports the fixed extent and
+        tolerance, the step for a length scale of 1 and the default
+        Gauss-Hermite nodes."""
+        code, out, _ = _run(["stein-check", "--h", "cosine:a=1,0.5",
+                             "--grid-points", "11"], capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert {key: config[key] for key in
+                ("extent", "fd_step", "gh_nodes", "tol")} == {
+            "extent": 2.0, "fd_step": 0.001, "gh_nodes": 40, "tol": 0.001}
+
 
 class TestExperiments:
     def test_degree_count_writes_report(self, tmp_path, capsys):
@@ -550,8 +578,9 @@ class TestUsageErrors:
         (["nonlinear", "--model", "gauss:rho=-0.5,n=64", "--psi", "square"],
          "rho = -0.5 at n = 64 is not positive definite: "
          "need -1/(n-1) < rho < 1, here -0.015873 < rho < 1"),
-        (["stein-check", "--h", "cosine:a=1", "--fd-step", "0",
-          "--grid-points", "3"], "--fd-step must be positive, got 0.0"),
+        # the check settings are constants, not flags
+        (["stein-check", "--h", "cosine:a=1", "--fd-step", "0.001"],
+         "unrecognized arguments: --fd-step 0.001"),
         (["degree-count", "--n", "1", "--c", "1", "--degrees", "0"],
          "need n >= 2 vertices, got n = 1"),
         (["stein-check", "--h", "gauss-radial:p=0", "--grid-points", "3"],
@@ -577,16 +606,16 @@ class TestUsageErrors:
          "argument --colors: '0.5,nan' is not a list of finite numbers"),
         (["degree-count", "--n", "20", "--c", "2", "--degrees", "1,x"],
          "argument --degrees: invalid int list value: '1,x'"),
-        (["stein-check", "--h", "cosine:a=1", "--extent", "nan"],
-         "--extent must be positive, got nan"),
-        (["stein-check", "--h", "cosine:a=1", "--extent", "0"],
-         "--extent must be positive, got 0.0"),
-        (["stein-check", "--h", "cosine:a=1", "--extent", "-1"],
-         "--extent must be positive, got -1.0"),
-        (["stein-check", "--h", "cosine:a=1", "--tol", "nan"],
-         "--tol must be positive, got nan"),
-        (["stein-check", "--h", "cosine:a=1", "--fd-step", "inf"],
-         "--fd-step must be positive, got inf"),
+        (["stein-check", "--h", "cosine:a=1", "--extent", "2"],
+         "unrecognized arguments: --extent 2"),
+        (["stein-check", "--h", "cosine:a=1", "--tol", "0.001"],
+         "unrecognized arguments: --tol 0.001"),
+        (["validate-couplings", "--which", "gauss-square", "--threshold",
+          "4"], "unrecognized arguments: --threshold 4"),
+        (["validate-couplings", "--which", "degree-count,degree-count"],
+         "--which names 'degree-count' more than once"),
+        (["color-match", "--graph", "cycle:16", "--colors", "1e-300,1"],
+         "color 1 has mass 1e-300, too little for its count to vary"),
         (["color-match", "--graph", "cycle:16", "--colors", "0.5,0.5",
           "--h", "cosine:a=nan,1"], "--h: cosine parameters must be finite"),
         (["stein-check", "--h", "gauss-radial:p=2:scale=nan"],
@@ -631,7 +660,8 @@ class TestUsageErrors:
          "error: c = 2.0 at n = 3, so pi = c/(n-1) = 1"),
         # a colour of mass 1e-6 leaves the covariance numerically singular
         (["color-match", "--graph", "cycle:16", "--colors",
-          "0.4999995,0.4999995,0.000001"], "fail the relative threshold 1e-10"),
+          "0.4999995,0.4999995,0.000001"],
+         "color 3 has mass 1e-06, too little for its count to vary"),
         # a key set both in a spec and by a flag is refused, never overridden
         (["nonlinear", "--model", "gauss:n=20,psi=exp", "--psi", "square"],
          "key 'psi' is also set by --psi"),
@@ -645,3 +675,18 @@ class TestUsageErrors:
         assert code == 1
         assert message in err and "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("spec", ["cosine:a=1e300,1", "logistic:a=1e200",
+                                      "gauss-radial:p=1:scale=1e-120",
+                                      "gauss-radial:p=1:scale=1e-105"])
+    @pytest.mark.parametrize("command", [["stein-check"], DEGREE],
+                             ids=["stein-check", "degree-count"])
+    def test_overflowing_h_is_refused(self, command, spec, capsys):
+        """An h whose derivative sup-norms overflow a float is refused
+        when parsed, before any run. The first three raise in the norm
+        arithmetic; the last divides by a subnormal ``s**3`` and reads
+        ``||D^3 h|| = inf``."""
+        code, out, err = _run(command + ["--h", spec], capsys)
+        assert code == 1 and out == ""
+        assert "error: --h: " in err
+        assert "derivative sup-norms overflow a float" in err

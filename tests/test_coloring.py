@@ -83,7 +83,8 @@ class TestTheoreticalMoments:
         g = cm.cycle_graph(5)
         with pytest.raises(NotPositiveDefinite):
             cm.ColoringModel(g, cm.ColoringConfig((1.0,)))
-        with pytest.raises(NotPositiveDefinite, match="threshold 1e-10"):
+        with pytest.raises(NotPositiveDefinite,
+                           match="color 3 has mass 1e-06, too little"):
             cm.ColoringModel(g, cm.ColoringConfig((0.4999995, 0.4999995,
                                                    0.000001)))
 

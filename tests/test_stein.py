@@ -79,7 +79,7 @@ class TestResidual:
         SmoothTestFunction("product-logistic", p=1, a=(1.5,)),
     ], ids=lambda h: h.spec_string())
     def test_builtin_residual_1d(self, h):
-        grid = grid_points(1, 2.0, 21)
+        grid = grid_points(1, 21)
         assert _checks(h, grid)["max_pde_residual"] <= 1e-3
 
     @pytest.mark.parametrize("h", [
@@ -88,30 +88,30 @@ class TestResidual:
         SmoothTestFunction("product-logistic", p=2, a=(1.0, 2.0)),
     ], ids=lambda h: h.spec_string())
     def test_builtin_residual_2d(self, h):
-        grid = grid_points(2, 2.0, 9)
+        grid = grid_points(2, 9)
         assert _checks(h, grid)["max_pde_residual"] <= 1e-3
 
 
 class TestDerivativeBound:
     def test_constant_no_violation(self):
         h = SmoothTestFunction("cosine", p=1, a=(0.0,))
-        grid = grid_points(1, 2.0, 9)
+        grid = grid_points(1, 9)
         assert _checks(h, grid)["derivative_violation_1"] <= 0.0
 
     def test_quadratic_bound_is_tight(self):
         """|g''| = 1 against the cap ||D^2 h|| / 2 = 1: violation ~ 0."""
-        grid = grid_points(1, 2.0, 9)
+        grid = grid_points(1, 9)
         v = _checks(SQUARE, grid, SQUARE_NORMS)["derivative_violation_2"]
         assert abs(v) <= 1e-4
 
     def test_cosine_first_derivative(self):
         h = SmoothTestFunction("cosine", p=1, a=(1.0,))
-        grid = grid_points(1, 2.0, 21)
+        grid = grid_points(1, 21)
         assert _checks(h, grid)["derivative_violation_1"] <= 1e-3
 
     def test_all_orders_cosine_2d(self):
         h = SmoothTestFunction("cosine", p=2, a=(1.0, 0.5))
-        grid = grid_points(2, 2.0, 7)
+        grid = grid_points(2, 7)
         checks = _checks(h, grid)
         for k in (1, 2, 3):
             assert checks[f"derivative_violation_{k}"] <= 1e-3
@@ -131,7 +131,7 @@ class TestOneCheckPath:
 
             monkeypatch.setattr(SteinSolution, name, spy)
         h = SmoothTestFunction("cosine", p=2, a=(1.0, 0.5))
-        grid = grid_points(2, 2.0, 5)
+        grid = grid_points(2, 5)
         # offsets besides zero: order 1 at step e, (+-e, 0) and (0, +-e);
         # order 2 adds (+-2e, 0), (0, +-2e) and (+-e, +-e); order 3 at its
         # own step t, (+-t, 0), (+-3t, 0), (+-2t, +-t), (0, +-t),
@@ -150,7 +150,7 @@ class TestBatchMemory:
     def test_blocks_give_the_one_block_values(self, monkeypatch):
         """g at the converged level is the same in blocks of a few rows as
         in one block."""
-        w = grid_points(2, 2.0, 15)
+        w = grid_points(2, 15)
         whole = SteinSolution(self.H).g(w)
         monkeypatch.setattr(stein, "G_BLOCK_VALUES", 64 * 7)
         np.testing.assert_allclose(SteinSolution(self.H).g(w), whole,
@@ -159,7 +159,7 @@ class TestBatchMemory:
     def test_check_peak_is_capped(self):
         """At 61 grid points the checks evaluate g at 107,909 points, which
         in one block peaked at 108 MiB traced."""
-        grid = grid_points(2, 2.0, 61)
+        grid = grid_points(2, 61)
         tracemalloc.start()
         try:
             SteinSolution(self.H).run_checks(grid,

@@ -203,6 +203,20 @@ class TestParsing:
         assert parse_test_function(h.spec_string()) == h
 
 
+class TestLengthScale:
+    @pytest.mark.parametrize("h,scale", [
+        (SmoothTestFunction("gauss-radial", p=2, scale=0.01), 0.01),
+        (SmoothTestFunction("cosine", p=2, a=(0.5, -4.0)), 0.25),
+        (SmoothTestFunction("product-logistic", p=2, a=(-8.0, 2.0)), 0.125),
+        (SmoothTestFunction("cosine", p=2, a=(0.0, 0.0), b=1.0), np.inf),
+        (SmoothTestFunction("product-logistic", p=1, a=(0.0,)), np.inf),
+    ], ids=["gauss-radial", "cosine", "product-logistic", "cosine-a=0",
+            "product-logistic-a=0"])
+    def test_each_kind(self, h, scale):
+        """``scale`` for gauss-radial, ``1 / max |a_i|`` otherwise."""
+        assert h.length_scale == scale
+
+
 class TestValidation:
     def test_dimension_mismatch_on_eval(self):
         h = SmoothTestFunction("cosine", p=2, a=(1.0, 1.0))

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import SteinLabError
 from .experiment import run_experiment
+from .harness import SEED_LIMIT
 from .report import stable_json
 from .sizebias import Z_THRESHOLD, verify_characterization
 from .specs import build_model, degree_model, graph_color_model
@@ -270,11 +271,15 @@ def _run_validate(args) -> int:
             raise _UsageError(f"unknown coupler {name!r}")
         if names.count(name) > 1:
             raise _UsageError(f"--which names {name!r} more than once")
+    seeds = {name: args.seed + order.index(name) for name in names}
+    for name, seed in seeds.items():
+        if seed >= SEED_LIMIT:
+            raise _UsageError(f"--seed {args.seed}: {name} draws from seed "
+                              f"{seed}, past 2**64 - 1")
     results = {}
     for name in names:
         res = verify_characterization(build_model(COUPLERS[name]),
-                                      samples=args.samples,
-                                      seed=args.seed + order.index(name),
+                                      samples=args.samples, seed=seeds[name],
                                       chunk_size=args.chunk_size)
         results[name] = {"labels": res.labels, "zscores": res.zscores,
                          "max_abs_z": res.max_abs_z,
@@ -338,6 +343,9 @@ def main(argv=None) -> int:
         if getattr(args, "chunk_size", 1) < 1:
             raise _UsageError(f"--chunk-size must be at least 1, got "
                               f"{args.chunk_size}")
+        if not 0 <= getattr(args, "seed", 0) < SEED_LIMIT:
+            raise _UsageError(f"--seed must lie in [0, 2**64), got "
+                              f"{args.seed}")
         if args.command != "stein-check":
             # Only Monte Carlo chunks gain from a kept heap. stein-check
             # runs none, and there a kept heap only raised peak RSS.

@@ -9,7 +9,8 @@ neighborhood: everything outside it is independent. That makes the
 local-dependence bound applicable with its middle term identically zero,
 and gives closed forms for the mean and covariance. The edge list alone
 fixes every ``S_e``: sums over it are per-vertex sums at e's two
-endpoints, less e's own term counted twice.
+endpoints, less e's own term counted twice. A state of
+:class:`ColoringModel` is a batch of colourings' edge-colour indicators.
 """
 
 from __future__ import annotations
@@ -22,14 +23,9 @@ import numpy as np
 from .bounds import (LocalDepStats, bound_multivariate_local,
                      isqrt_norm_bound_check, sqrt_with_sem)
 from .errors import BadSpec, NotPositiveDefinite
-from .harness import Accumulator, StreamConfig, parallel_mc
+from .harness import Accumulator, StreamConfig, state_pass
 from .linalg import inverse_sqrt
-from .sizebias import sub_batch_sizes
 from .specs import read_spec
-
-# Edge-colour values (rows x edges x colours) in one sub-batch of colourings:
-# 16 MB for each float64 table of that shape the statistics pass keeps.
-SUB_BATCH_VALUES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -235,31 +231,28 @@ def _neighborhood_sums(g: RegularGraph, ind: np.ndarray,
     return out
 
 
-def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, sigma: np.ndarray,
-                    samples: int, seed: int = 0, chunk_size: int = 2048, *,
+def local_dep_stats(model: ColoringModel, samples: int, seed: int = 0,
+                    chunk_size: int = 2048, *,
                     score) -> tuple[LocalDepStats, Accumulator]:
     """Monte Carlo estimates of the local-dependence bound inputs, and the
-    accumulated ``score`` of the same colorings' counts W.
+    accumulated ``score`` of the same colorings' counts W, in one pass.
 
-    Each chunk draws its colorings in sub-batches of at most
-    :data:`SUB_BATCH_VALUES` edge-colour values. One indicator table per
-    sub-batch gives W (its column sums), the centered indicators and, by
+    Each state's indicator table gives W, the centered indicators and, by
     :func:`_neighborhood_sums`, their sums over each ``S_e``.
 
     ``t2`` is exactly zero: an edge's indicator is a function of its two
     endpoint colors, and every edge outside its neighborhood touches neither
     endpoint, so the conditional mean of the centered indicator given the
-    outside is zero. ``sigma`` is the exact covariance of
+    outside is zero. The model's ``sigma`` is the exact covariance of
     :func:`theoretical_moments`, valid because the neighborhoods cover all
     correlated pairs.
     """
-    p = cfg.p
-    pi = np.asarray(cfg.probs)
+    g, p, sigma = model.g, model.p, model.sigma
+    pi = np.asarray(model.cfg.probs)
 
-    def sub_batch(rng, size):
+    def per_state(ind, rng):
         """Squared centered pair sums, absolute triple products, scores."""
-        ind = _indicators(g, sample_colors(g, cfg, rng, size), p)
-        scores = score(ind.sum(axis=1))
+        scores = score(model.w(ind))
         neigh = _neighborhood_sums(g, ind, pi)
         x = ind  # centered in place: X = ind - pi^2
         x -= pi**2
@@ -270,16 +263,9 @@ def local_dep_stats(g: RegularGraph, cfg: ColoringConfig, sigma: np.ndarray,
                           axis=2)
         return sq, triple, scores
 
-    def task(rng, size):
-        accs = (Accumulator(shape=(p, p)), Accumulator(shape=(p, p, p)),
-                Accumulator())
-        for part in sub_batch_sizes(size, g.num_edges * p, SUB_BATCH_VALUES):
-            for acc, values in zip(accs, sub_batch(rng, part)):
-                acc.add(values)
-        return accs
-
-    sq_acc, triple_acc, scores = parallel_mc(
-        task, StreamConfig(seed, chunk_size), samples)
+    sq_acc, triple_acc, scores = state_pass(
+        model, per_state, StreamConfig(seed, chunk_size), samples,
+        powers=(2, 2, 2))
     t1, t1_sem = sqrt_with_sem(sq_acc.mean, sq_acc.sem)
     return LocalDepStats(p=p, t1=t1, t2=0.0, t3=triple_acc.mean,
                          t1_sem=t1_sem, t3_sem=triple_acc.sem), scores
@@ -305,7 +291,8 @@ def spectral_checks(g: RegularGraph, cfg: ColoringConfig,
 class ColoringModel:
     """Monochromatic edge counts for
     :func:`steinlab.experiment.run_experiment`, certified by the multivariate
-    local-dependence bound. A colouring whose covariance cannot be whitened
+    local-dependence bound. A state is a ``(rows, N, p)`` table of
+    edge-colour indicators. A colouring whose covariance cannot be whitened
     (one colour, or one of negligible mass) is refused here, naming the
     colour of negligible mass."""
 
@@ -327,11 +314,18 @@ class ColoringModel:
                 f"give it more mass in --colors") from exc
         self.config = {"graph": graph_name, "n": g.n, "d": g.d,
                        "edges": g.num_edges, "colors": list(cfg.probs)}
+        self.row_values = g.num_edges * cfg.p
+
+    def draw(self, rng, rows: int) -> np.ndarray:
+        return _indicators(self.g, sample_colors(self.g, self.cfg, rng, rows),
+                           self.p)
+
+    def w(self, ind: np.ndarray) -> np.ndarray:
+        return ind.sum(axis=1)
 
     def bound(self, norms, samples: int, seed: int, chunk_size: int, score):
-        stats, scores = local_dep_stats(self.g, self.cfg, self.sigma, samples,
-                                        seed=seed, chunk_size=chunk_size,
-                                        score=score)
+        stats, scores = local_dep_stats(self, samples, seed=seed,
+                                        chunk_size=chunk_size, score=score)
         return (bound_multivariate_local(stats, self.isqrt, norms.d1,
                                          norms.d2, norms.d3), stats, scores)
 

@@ -23,13 +23,11 @@ and counts each edge once in an unordered histogram of the degree pairs
 edges join; both directions of an edge are read off it. The exact
 conditional expectation is a contraction of those small tables, and the
 coupling is one vectorised edge move per graph. Time is linear in a chunk's
-edges and vertices. Memory is capped: a chunk's graphs run in sub-batches
-of at most :data:`SUB_BATCH_SLOTS` expected vertex-plus-edge slots
-(``n (1 + c/2)`` per graph), about 3 stored bytes each at c = 2 up to
-n = 2**15: they are the states :meth:`DegreeCountCoupler.draw` yields, so
-the statistics pass, which also scores each graph's W for the gap, and the
-coupling draws all run on them. Scalar reference versions live in the test
-suite.
+edges and vertices. Memory is capped: a graph counts ``n (1 + c/2) / 4``
+stored values toward a sub-batch of the statistics pass (see
+:data:`_SLOTS_PER_VALUE`), and each sub-batch is one state
+:meth:`DegreeCountCoupler.draw` returns. Scalar reference versions live in
+the test suite.
 """
 
 from __future__ import annotations
@@ -46,17 +44,15 @@ from .errors import NotPositiveDefinite
 from .harness import Accumulator
 from .linalg import PD_TOL, inverse_sqrt
 from .sizebias import (CoupledPairSampler, distinct_labels, log_binomial,
-                        rank_in_group, sub_batch_sizes)
+                        rank_in_group)
 
-# Vertex plus expected edge slots, n (1 + c/2) per graph, that one sub-batch
-# of a chunk's graphs may hold. Up to n = 2**15 a chunk stores 2 bytes per
-# vertex and 4 per edge (int16 degrees and endpoints), 3 per slot at c = 2
-# and at most 4, so a sub-batch of 2**23 slots keeps about 25 MB; above, it
-# stores twice that (int32). Its degree tables add a few floats per graph.
-# Its transients are bounded by one draw piece and one group of graphs, a
-# few MB in all, plus a one-byte-per-vertex label table for the graphs
-# that draw new neighbours while a coupling draw runs.
-SUB_BATCH_SLOTS = 1 << 23
+# Vertex-plus-edge slots per stored value of a sub-batch. Up to n = 2**15 a
+# chunk stores 2 bytes per vertex and 4 per edge (int16), 3 per slot at
+# c = 2, so a sub-batch of 2**23 slots keeps about 25 MB; above, twice that
+# (int32). Its degree tables add a few floats per graph; its transients,
+# one draw piece and one group of graphs, and a one-byte-per-vertex label
+# table while a coupling draw runs, a few MB.
+_SLOTS_PER_VALUE = 4
 # Vertices plus edges per group of graphs that tabulating a chunk and its
 # coupling draws work through at a time, so that their per-edge int64
 # transients stay small. A group's degree-pair histogram has (max degree)^2
@@ -547,12 +543,6 @@ class _GraphChunk:
 # The model
 # ---------------------------------------------------------------------------
 
-def _sub_batch_sizes(size: int, n: int, c: float) -> list[int]:
-    """Graphs per sub-batch for a chunk of ``size`` graphs: as many as
-    :data:`SUB_BATCH_SLOTS` holds at ``n (1 + c/2)`` slots per graph."""
-    return sub_batch_sizes(size, n * (1.0 + c / 2.0), SUB_BATCH_SLOTS)
-
-
 def estimate_coupling_stats(model: DegreeCountCoupler, samples: int,
                             seed: int = 0, chunk_size: int = 512, *,
                             score) -> tuple[CouplingStats, Accumulator]:
@@ -572,7 +562,7 @@ class DegreeCountCoupler(CoupledPairSampler):
     """Degree counts in G(n, pi), certified by the multivariate size-bias
     bound.
 
-    A state is one :class:`_GraphChunk` sub-batch: W counts its degrees,
+    A state is one :class:`_GraphChunk`: W counts its degrees,
     a coupling draw moves one vertex per graph, and the conditional means
     are exact. Time is linear in a batch's edges and vertices, and memory
     in a sub-batch's. A configuration whose covariance cannot be whitened
@@ -595,10 +585,10 @@ class DegreeCountCoupler(CoupledPairSampler):
                 _singular_message(cfg.degrees, self.sigma, exc)) from exc
         self.config = {"n": cfg.n, "pi": cfg.pi, "c": cfg.c,
                        "degrees": list(cfg.degrees)}
+        self.row_values = cfg.n * (1.0 + cfg.c / 2.0) / _SLOTS_PER_VALUE
 
-    def draw(self, rng, size: int):
-        for part in _sub_batch_sizes(size, self.cfg.n, self.cfg.c):
-            yield _GraphChunk(rng, part, self.cfg)
+    def draw(self, rng, rows: int) -> _GraphChunk:
+        return _GraphChunk(rng, rows, self.cfg)
 
     def w(self, chunk: _GraphChunk) -> np.ndarray:
         return chunk.degree_count_matrix()

@@ -18,13 +18,15 @@ def run_experiment(model, h, samples: int, seed: int = 0,
     which has the same interface: ``name`` (the report's ``experiment``);
     ``p``, ``lam``, ``sigma`` and ``isqrt`` (dimension, mean vector,
     covariance, and ``Sigma^{-1/2}``, made once by the model);
-    ``bound(norms, samples, seed, chunk_size, score)``, which runs the
-    model's one statistics pass and returns ``(BoundReport, stats,
-    scores)``, with ``scores`` the :class:`~steinlab.harness.Accumulator`
-    of ``score(w)`` over every batch of W that pass draws; and ``config``
-    and ``extras(stats)``, its fields of the report. A size-bias model's
-    pass is :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`,
-    and it reads the univariate or the multivariate theorem from it.
+    ``draw(rng, rows)``, ``w(state)`` and ``row_values``, with which a
+    :func:`~steinlab.harness.state_pass` draws its states; ``bound(norms,
+    samples, seed, chunk_size, score)``, which runs the model's one such
+    pass and returns ``(BoundReport, stats, scores)``, with ``scores`` the
+    :class:`~steinlab.harness.Accumulator` of ``score(w)`` over every state;
+    and ``config`` and ``extras(stats)``, its fields of the report. A
+    size-bias model's pass is
+    :meth:`~steinlab.sizebias.CoupledPairSampler.coupling_stats`, and it
+    reads the univariate or the multivariate theorem from it.
 
     The gap is ``|mean h(Sigma^{-1/2}(W - lam)) - E h(Z)|`` over the same
     draws of W as the bound, both being expectations under W's law. The run

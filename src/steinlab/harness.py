@@ -8,9 +8,9 @@ process is worker 0. On Linux :func:`parallel_mc` forks the other N - 1, N
 being :func:`worker_count` or the number of chunks if that is smaller;
 elsewhere N is 1 and every chunk runs in the calling process.
 Chunk results are merged in chunk order (never completion order) to keep
-floating-point summation canonical. An experiment makes one such pass: each
-chunk's draws of W feed both the bound's statistics and the gap's score, each
-in an :class:`Accumulator`.
+floating-point summation canonical. Every sampling pass is one
+:func:`state_pass`: an experiment's draws of W feed both the bound's
+statistics and the gap's score, each in an :class:`Accumulator`.
 """
 
 from __future__ import annotations
@@ -24,11 +24,15 @@ from functools import reduce
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+# Seeds are the first word of a 64-bit Philox key.
+SEED_LIMIT = 1 << 64
 # Auxiliary streams (pilot draws etc.) live far away from chunk indices.
 AUX_STREAM_BASE = 1 << 62
 # Fewest draws an experiment accepts; the pass rule needs usable stderrs.
 MIN_SAMPLES = 100
+# Stored values (rows x a model's row_values) in one sub-batch of a chunk:
+# 16 MB for each float64 table of that size a state or its statistics keep.
+SUB_BATCH_VALUES = 1 << 21
 
 ENV_THREADS = "STEIN_LAB_THREADS"
 # Worker processes are forked on Linux only; elsewhere a pass runs in-process.
@@ -64,28 +68,16 @@ class StreamConfig:
 
     seed: int
     chunk_size: int = 16384
-    base: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed {self.seed} does not lie in [0, 2**64)")
         if self.chunk_size < 1:
             raise ValueError("chunk size must be positive")
 
     def stream(self, chunk_index: int) -> np.random.Generator:
-        key = np.array(
-            [self.seed & _MASK64, (self.base + chunk_index) & _MASK64],
-            dtype=np.uint64,
-        )
+        key = np.array([self.seed, chunk_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def offset(self, delta: int) -> "StreamConfig":
-        """A config whose chunk streams are shifted by ``delta`` indices.
-
-        Used to give independent stream ranges to independent estimation
-        passes under one master seed.
-        """
-        return StreamConfig(self.seed, self.chunk_size, self.base + delta)
 
     def aux_stream(self, tag: int) -> np.random.Generator:
         """Stream disjoint from all chunk streams, for pilot estimates."""
@@ -179,6 +171,39 @@ def require_samples(samples: int) -> None:
     """Reject a sample count below :data:`MIN_SAMPLES`."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+
+
+def sub_batch_sizes(size: int, row_values: float) -> list[int]:
+    """Rows per sub-batch of ``size`` rows of ``row_values`` values each:
+    as many as :data:`SUB_BATCH_VALUES` holds (at least one), all full but
+    the last, whatever the worker count."""
+    per = max(1, int(SUB_BATCH_VALUES // row_values))
+    full, rest = divmod(size, per)
+    return [per] * full + ([rest] if rest else [])
+
+
+def state_pass(model, per_state, cfg: StreamConfig, samples: int,
+               powers) -> list:
+    """Accumulators of ``per_state(state, rng)``'s batches, one per
+    ``max_power`` in ``powers``, over ``samples`` draws of ``model``.
+
+    A chunk's rows run in :func:`sub_batch_sizes` sub-batches; each is one
+    state ``model.draw(rng, rows)``, released before the next is drawn.
+    """
+    def task(rng, size):
+        accs = None
+        for rows in sub_batch_sizes(size, model.row_values):
+            state = model.draw(rng, rows)
+            batches = per_state(state, rng)
+            del state
+            if accs is None:
+                accs = [Accumulator(np.shape(b)[1:], power)
+                        for b, power in zip(batches, powers)]
+            for acc, batch in zip(accs, batches):
+                acc.add(batch)
+        return accs
+
+    return parallel_mc(task, cfg, samples)
 
 
 def merge_results(a, b):

@@ -14,7 +14,7 @@ its extra balls each into a uniform other cell, so its work grows with the
 balls moved rather than with n. Both feed the univariate size-bias bound.
 The tilted Gaussian laws of the named psi and both couplers' conditional
 means ``E[W* - W | U]`` are exact, so only the draws of U are Monte Carlo.
-Both models draw in sub-batches of at most :data:`SUB_BATCH_VALUES` values.
+A state is a batch of argument rows, ``row_values = n`` values each.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .errors import (InfeasibleAdjustment, InvariantViolation,
                      NonfiniteMoment, NotPositiveDefinite)
 from .harness import Accumulator
 from .linalg import inverse_sqrt
-from .sizebias import (CoupledPairSampler, DiscreteDistribution,
-                        distinct_labels, sub_batch_sizes)
+from .sizebias import CoupledPairSampler, DiscreteDistribution, distinct_labels
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +160,6 @@ _TAIL_CUT = 8.5
 _SORT_BLOCK = 1 << 14
 _WINDOW_BLOCK = 1 << 15
 
-# Argument values (rows x n) in one sub-batch: 16 MB of U or 8 MB of int32
-# cell counts, with psi(U) and the coupled rows about as much again each.
-SUB_BATCH_VALUES = 1 << 21
-
 
 class TiltedSampler:
     """The standard normal law tilted by a named :class:`PsiFunction`,
@@ -227,9 +222,11 @@ def estimate_nonlinear_stats(model: _SumCoupler, samples: int, seed: int = 0,
 class _SumCoupler(CoupledPairSampler):
     """``W = sum psi(U_i)``, certified by the univariate size-bias bound.
 
-    A state is a batch of argument rows U. A subclass sets ``tilted``, the
-    psi-tilted marginal, and implements :meth:`draw`, :meth:`couple` (one
-    size-bias move per row) and :meth:`cond_exp` (exact ``E[W* - W | U]``).
+    A state is a batch of argument rows U: 16 MB of U or 8 MB of int32
+    cell counts in a full sub-batch, with psi(U) and the coupled rows about
+    as much again each. A subclass sets ``tilted``, the psi-tilted
+    marginal, and implements :meth:`draw`, :meth:`couple` (one size-bias
+    move per row) and :meth:`cond_exp` (exact ``E[W* - W | U]``).
     """
 
     name = "nonlinear-sum"
@@ -243,6 +240,7 @@ class _SumCoupler(CoupledPairSampler):
         self.lam = np.array([lam])
         self.sigma = np.array([[sigma_sq]])
         self.isqrt = inverse_sqrt(self.sigma)
+        self.row_values = cfg.n
 
     def w(self, u: np.ndarray) -> np.ndarray:
         return self.psi(u).sum(axis=1)[:, None]
@@ -328,7 +326,7 @@ class GaussianSumCoupler(_SumCoupler):
                        "max_row_sum": cfg.max_row_sum,
                        "offdiag_below_third": cfg.max_offdiag < 1.0 / 3.0}
 
-    def draw_u(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.standard_normal((size, self.cfg.n))
         total = u.sum(axis=1)
         u *= self._a
@@ -348,13 +346,6 @@ class GaussianSumCoupler(_SumCoupler):
         size = u.shape[0]
         idx = rng.integers(self.cfg.n, size=size)
         return self.adjust(u, idx, self.tilted.sample(rng, size))
-
-    def draw(self, rng: np.random.Generator, size: int):
-        """The chunk's argument vectors in sub-batches of at most
-        :data:`SUB_BATCH_VALUES` values, so that the U, psi(U) and coupled
-        rows a state keeps alive stay capped at any n."""
-        for part in sub_batch_sizes(size, self.cfg.n, SUB_BATCH_VALUES):
-            yield self.draw_u(rng, part)
 
     def couple(self, u: np.ndarray, i: int, rng: np.random.Generator):
         _only_coordinate_zero(i)
@@ -546,7 +537,7 @@ def multinomial_moments(cfg: MultinomialSumConfig):
     return lam, var
 
 
-# Balls thrown at a time by MultinomialSumCoupler.draw_counts: 512 KB of
+# Balls thrown at a time by MultinomialSumCoupler.draw: 512 KB of
 # int64 cell labels.
 _BALL_BLOCK = 1 << 16
 
@@ -623,7 +614,7 @@ class MultinomialSumCoupler(_SumCoupler):
                        "psi": cfg.psi.name}
         self._tables = lru_cache(maxsize=_TABLES_KEPT)(_transfer_table)
 
-    def draw_counts(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` rows of int32 cell counts: each of a row's K balls lands
         in a uniform cell, and one ``bincount`` of ``row * n + cell`` counts
         a block of whole rows of at most :data:`_BALL_BLOCK` balls (one row
@@ -638,13 +629,6 @@ class MultinomialSumCoupler(_SumCoupler):
             out[lo:lo + part] = np.bincount(
                 cells.ravel(), minlength=part * n).reshape(part, n)
         return out
-
-    def draw(self, rng: np.random.Generator, size: int):
-        """The chunk's cell counts in sub-batches of at most
-        :data:`SUB_BATCH_VALUES` counts, so that the counts, their psi and
-        the moved rows a state keeps alive stay capped at any n."""
-        for part in sub_batch_sizes(size, self.cfg.n, SUB_BATCH_VALUES):
-            yield self.draw_counts(rng, part)
 
     def couple_counts(self, counts: np.ndarray, rng: np.random.Generator):
         size = counts.shape[0]

@@ -4,19 +4,19 @@ For a nonnegative variable W with law dF and mean lambda, the size-biased
 law is ``w dF(w) / lambda``; for a vector ``W`` the law biased in
 coordinate i is ``w_i dF(w) / lambda_i``. Every size-bias model (degree
 counts, Gaussian sums and multinomial sums) is one
-:class:`CoupledPairSampler`. A subclass supplies four methods over a drawn
-state (a batch of graphs, or of argument vectors U):
+:class:`CoupledPairSampler`. A subclass supplies four methods over a
+state (a batch of graphs, or of argument vectors U), and ``row_values``,
+the values a state stores per draw:
 
-* ``draw(rng, size)`` yields the states of ``size`` independent draws, in
-  one or more batches;
+* ``draw(rng, rows)`` returns the state of ``rows`` independent draws;
 * ``w(state)`` is W, shape (b, p);
 * ``couple(state, i, rng)`` is one draw of W^i per row, (b, p), whose law
   is W's biased in coordinate i;
 * ``cond_exp(state)`` is the exact ``E[W^i_j - W_j | state]``, (b, p, p).
 
 From these the base class gives fresh draws of W (:meth:`sample_w`, for
-the validation pilot), coupled pairs (:meth:`draw_batch`) and, in one
-pass, the statistics both size-bias theorems read (:meth:`coupling_stats`):
+the validation pilot) and, in one pass, the statistics both size-bias
+theorems read (:meth:`coupling_stats`):
 ``Var E[W^i_j - W_j | state]`` and ``E |(W^i - W)_j (W^i - W)_k|``, whose
 p = 1 case is ``E (W* - W)^2``. That pass also averages a caller's score
 of each W it draws, so an experiment's distance to normality comes from
@@ -39,11 +39,9 @@ from math import lgamma
 import numpy as np
 
 from .bounds import CouplingStats
-from .harness import Accumulator, StreamConfig, parallel_mc, require_samples
+from .harness import (Accumulator, StreamConfig, require_samples,
+                      state_pass, sub_batch_sizes)
 
-# Stream-index stride separating the estimation passes for different
-# coordinates under one master seed.
-COORD_STREAM_STRIDE = 1 << 32
 Z_THRESHOLD = 4.0  # largest |z| of the identity's checks that passes
 
 
@@ -53,16 +51,6 @@ def log_binomial(n: int, k) -> np.ndarray:
     top = lgamma(n + 1.0)
     return np.array([top - lgamma(j + 1.0) - lgamma(n - j + 1.0)
                      for j in np.ravel(k).tolist()])
-
-
-def sub_batch_sizes(size: int, cost: float, budget: float) -> list[int]:
-    """Rows per sub-batch for a batch of ``size`` rows of ``cost`` stored
-    values each: as many as ``budget`` values hold (at least one), all full
-    but the last. Only the arguments enter, so a chunk's stream is used the
-    same way at any worker count."""
-    per = max(1, int(budget // cost))
-    full, rest = divmod(size, per)
-    return [per] * full + ([rest] if rest else [])
 
 
 def rank_in_group(g: np.ndarray) -> np.ndarray:
@@ -166,16 +154,17 @@ class CoupledPairSampler:
     Subclasses set ``name`` (the report's ``experiment``), ``p``, ``lam``
     (mean vector, shape (p,)), ``sigma`` (covariance, (p, p)), ``isqrt``
     (``Sigma^{-1/2}``, made once from ``sigma``), ``sigma_field`` (what
-    ``cond_exp`` conditions on) and ``config`` (their fields of the
-    report), and implement :meth:`draw`, :meth:`w`,
-    :meth:`couple`, :meth:`cond_exp`, :meth:`bound` and :meth:`extras`.
+    ``cond_exp`` conditions on), ``row_values`` (values a state stores per
+    row) and ``config`` (their fields of the report), and implement
+    :meth:`draw`, :meth:`w`, :meth:`couple`, :meth:`cond_exp`,
+    :meth:`bound` and :meth:`extras`.
     """
 
     p: int = 1
     sigma_field: str = "W"
 
-    def draw(self, rng: np.random.Generator, size: int):
-        """Yield the states of ``size`` draws, in order, from ``rng``."""
+    def draw(self, rng: np.random.Generator, rows: int):
+        """The state of ``rows`` draws from ``rng``."""
         raise NotImplementedError
 
     def w(self, state) -> np.ndarray:
@@ -190,26 +179,10 @@ class CoupledPairSampler:
         """Exact ``E[W^i_j - W_j | state]`` per draw, shape (b, p, p)."""
         raise NotImplementedError
 
-    def _over_states(self, rng: np.random.Generator, size: int, work) -> list:
-        """``work(state)`` for each state :meth:`draw` yields, in order. A
-        state is released before the next is drawn, so memory is capped by
-        one state, not by ``size``."""
-        out = []
-        for state in self.draw(rng, size):
-            out.append(work(state))
-            del state
-        return out
-
     def sample_w(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` fresh draws of W, shape (size, p)."""
-        return np.concatenate(self._over_states(rng, size, self.w))
-
-    def draw_batch(self, i: int, size: int, rng: np.random.Generator):
-        """Return ``(W, W^i)`` as ``(size, p)`` arrays."""
-        w, wi = zip(*self._over_states(
-            rng, size, lambda state: (self.w(state),
-                                      self.couple(state, i, rng))))
-        return np.concatenate(w), np.concatenate(wi)
+        return np.concatenate([self.w(self.draw(rng, rows)) for rows in
+                               sub_batch_sizes(size, self.row_values)])
 
     def coupling_stats(self, samples: int, seed: int, chunk_size: int,
                        score) -> tuple[CouplingStats, Accumulator]:
@@ -224,26 +197,19 @@ class CoupledPairSampler:
         require_samples(samples)
         p = self.p
 
-        def task(rng, size):
-            cond_acc = Accumulator(shape=(p, p), max_power=4)
-            cross_acc = Accumulator(shape=(p, p, p))
-            score_acc = Accumulator()
+        def per_state(state, rng):
+            w = self.w(state)
+            scores = score(w)
+            cond = self.cond_exp(state)
+            cross = np.empty((len(w), p, p, p))
+            for i in range(p):
+                d_w = self.couple(state, i, rng) - w
+                cross[:, i] = np.abs(d_w[:, :, None] * d_w[:, None, :])
+            return cond, cross, scores
 
-            def add(state):
-                w = self.w(state)
-                score_acc.add(score(w))
-                cond_acc.add(self.cond_exp(state))
-                cross = np.empty((len(w), p, p, p))
-                for i in range(p):
-                    d_w = self.couple(state, i, rng) - w
-                    cross[:, i] = np.abs(d_w[:, :, None] * d_w[:, None, :])
-                cross_acc.add(cross)
-
-            self._over_states(rng, size, add)
-            return cond_acc, cross_acc, score_acc
-
-        cond_acc, cross_acc, score_acc = parallel_mc(
-            task, StreamConfig(seed, chunk_size), samples)
+        cond_acc, cross_acc, score_acc = state_pass(
+            self, per_state, StreamConfig(seed, chunk_size), samples,
+            powers=(4, 2, 2))
         return CouplingStats(
             lam=self.lam, sigma=self.sigma,
             var_cond=cond_acc.variance, abs_cross=cross_acc.mean,
@@ -288,7 +254,8 @@ def verify_characterization(sampler: CoupledPairSampler,
     For every coordinate i and every G in :func:`default_g_suite`, whose
     indicator cuts at the median of a pilot draw of W, estimates the
     coupled per-draw difference ``W_i G(W) - lambda_i G(W^i)`` and reports
-    its mean over its standard error. Validation passes when all
+    its mean over its standard error. One pass draws each state once and
+    couples it in every coordinate. Validation passes when all
     ``|z| <=`` :data:`Z_THRESHOLD`.
     """
     require_samples(samples)
@@ -296,22 +263,20 @@ def verify_characterization(sampler: CoupledPairSampler,
     lam = np.asarray(sampler.lam, dtype=float)
     pilot = sampler.sample_w(cfg.aux_stream(1), 4096)
     g_suite = default_g_suite(sampler.p, float(np.median(pilot.sum(axis=1))))
-    labels = [label for label, _ in g_suite]
-    funcs = [fn for _, fn in g_suite]
-    n_g = len(funcs)
+    labels, funcs = map(list, zip(*g_suite))
 
-    z = np.empty((sampler.p, n_g))
-    for i in range(sampler.p):
-        def task(rng, size, i=i):
-            w, wi = sampler.draw_batch(i, size, rng)
-            d = np.stack(
-                [w[:, i] * fn(w) - lam[i] * fn(wi) for fn in funcs], axis=1
-            )
-            return Accumulator(shape=(n_g,)).add(d)
+    def per_state(state, rng):
+        w = sampler.w(state)
+        d = np.empty((len(w), sampler.p, len(funcs)))
+        for i in range(sampler.p):
+            wi = sampler.couple(state, i, rng)
+            d[:, i] = np.stack([w[:, i] * fn(w) - lam[i] * fn(wi)
+                                for fn in funcs], axis=1)
+        return (d,)
 
-        acc = parallel_mc(task, cfg.offset(i * COORD_STREAM_STRIDE), samples)
-        diffs, sems = acc.mean, acc.sem
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z[i] = np.where(sems > 0, diffs / np.where(sems > 0, sems, 1.0),
-                            np.where(diffs == 0.0, 0.0, np.inf))
+    (acc,) = state_pass(sampler, per_state, cfg, samples, powers=(2,))
+    diffs, sems = acc.mean, acc.sem
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(sems > 0, diffs / np.where(sems > 0, sems, 1.0),
+                     np.where(diffs == 0.0, 0.0, np.inf))
     return CharacterizationResult(labels, z)

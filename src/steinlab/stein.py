@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, QuadratureNotConverged
+from .errors import DimensionMismatch, QuadratureNotConverged, SteinLabError
 from .testfuncs import GH_NODES, SmoothTestFunction, phi_h
 
 FD_STEP_LOW_ORDER = 1e-3   # orders 1 and 2, times min(1, h.length_scale)
@@ -38,6 +38,7 @@ LEGENDRE_MAX = 512         # nodes of the last level tried
 G_BLOCK_VALUES = 1 << 18   # node-point values of one block of a g batch
 GRID_EXTENT = 2.0          # half-width of the cube the check grid covers
 CHECK_TOL = 1e-3           # largest residual or cap excess that passes
+CHECK_POINTS_MAX = 1 << 22  # g points (grid x stencil offsets) of one check
 
 
 @lru_cache(maxsize=32)
@@ -126,7 +127,9 @@ class SteinSolution:
         Orders 1 and 2 and the residual take central differences with step
         :attr:`fd_step`, order 3 with :data:`FD_STEP_THIRD`. One ``g`` batch
         covers every distinct offset point of every stencil;
-        :meth:`pde_residual` and :meth:`derivative_violation` read it.
+        :meth:`pde_residual` and :meth:`derivative_violation` read it. A
+        batch of more than :data:`CHECK_POINTS_MAX` points is refused
+        before it is built.
         """
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         m, p = grid.shape
@@ -137,6 +140,11 @@ class SteinSolution:
             for stencil in _stencils(k, step, p):
                 for off in stencil:
                     offsets.setdefault(off, len(offsets))
+        if m * len(offsets) > CHECK_POINTS_MAX:
+            raise SteinLabError(
+                f"{m} grid points times {len(offsets)} stencil offsets is "
+                f"{m * len(offsets)} points of g, more than "
+                f"{CHECK_POINTS_MAX}; use fewer grid points")
         offset_arr = np.array(list(offsets), dtype=float)
         points = (grid[:, None, :] + offset_arr[None, :, :]).reshape(-1, p)
         vals = self.g(points).reshape(m, len(offsets))
@@ -205,7 +213,12 @@ def _fd_stencil(axes, step: float, p: int):
 
 
 def grid_points(p: int, per_axis: int = 21) -> np.ndarray:
-    """Uniform ``(m, p)`` grid over ``[-GRID_EXTENT, GRID_EXTENT]^p``."""
+    """Uniform ``(m, p)`` grid over ``[-GRID_EXTENT, GRID_EXTENT]^p``; a
+    grid of more than :data:`CHECK_POINTS_MAX` points, which no check
+    runs, is refused before it is built."""
+    if per_axis**p > CHECK_POINTS_MAX:
+        raise SteinLabError(f"{per_axis}**{p} grid points is more than "
+                            f"{CHECK_POINTS_MAX}; use fewer grid points")
     axis = np.linspace(-GRID_EXTENT, GRID_EXTENT, per_axis)
     grids = np.meshgrid(*([axis] * p), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)

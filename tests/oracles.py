@@ -16,6 +16,7 @@ from math import comb, erfc, exp, fsum, sqrt
 import numpy as np
 
 from steinlab.errors import InvariantViolation
+from steinlab.harness import sub_batch_sizes
 from steinlab.testfuncs import gauss_hermite_tensor
 
 
@@ -546,8 +547,19 @@ def gaussian_cond_exp(u, corr, psi):
 
 
 # ---------------------------------------------------------------------------
-# Covariance identity, by plain Monte Carlo
+# Coupled pairs and the covariance identity, by plain Monte Carlo
 # ---------------------------------------------------------------------------
+
+def draw_batch(coupler, i, size, rng):
+    """``(W, W^i)`` as ``(size, p)`` arrays from a size-bias model: each
+    state of a pass's sub-batches is drawn, then coupled in coordinate i."""
+    w, wi = [], []
+    for rows in sub_batch_sizes(size, coupler.row_values):
+        state = coupler.draw(rng, rows)
+        w.append(coupler.w(state))
+        wi.append(coupler.couple(state, i, rng))
+    return np.concatenate(w), np.concatenate(wi)
+
 
 def covariance_identity_z(coupler, sigma, samples, rng):
     """z-scores of ``lam_i E(W^i_j - W_j)`` against ``sigma[i, j]``.
@@ -558,7 +570,7 @@ def covariance_identity_z(coupler, sigma, samples, rng):
     lam = np.asarray(coupler.lam, dtype=float)
     z = np.empty((coupler.p, coupler.p))
     for i in range(coupler.p):
-        w, wi = coupler.draw_batch(i, samples, rng)
+        w, wi = draw_batch(coupler, i, samples, rng)
         d = lam[i] * (wi - w)
         z[i] = (d.mean(axis=0) - sigma[i]) * sqrt(samples) / d.std(axis=0)
     return z

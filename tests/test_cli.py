@@ -437,7 +437,7 @@ class TestImports:
                   "                 '--grid-points', '3'])\n"
                   "print(code, sorted(m for m in sys.modules if m in {\n"
                   "    'steinlab.coloring', 'steinlab.degrees',\n"
-                  "    'steinlab.nonlinear', 'steinlab.validation'}),\n"
+                  "    'steinlab.nonlinear'}),\n"
                   "      file=sys.stderr)\n")
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
@@ -675,6 +675,42 @@ class TestUsageErrors:
         assert code == 1
         assert message in err and "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        DEGREE + ["--samples", "200", "--seed", str(2**64)],
+        ["color-match", "--graph", "regular:n=40,d=3", "--colors", "0.5,0.5",
+         "--samples", "200", "--seed", str(2**64)],
+        ["validate-couplings", "--samples", "200", "--seed", str(2**64)],
+    ], ids=["degree-count", "color-match", "validate-couplings"])
+    def test_seed_past_key_word_is_refused(self, argv, capsys):
+        """A seed is the first 64-bit word of the stream key: 2**64 would
+        alias seed 0, so it is refused, by name, before any model runs."""
+        code, out, err = _run(argv, capsys)
+        assert code == 1 and out == ""
+        assert f"--seed must lie in [0, 2**64), got {2**64}" in err
+        assert "Traceback" not in err
+
+    def test_validation_seed_past_key_word_is_refused(self, capsys):
+        """Each entry after the first draws from seed + its index, so the
+        largest seed runs none of them."""
+        code, out, err = _run(["validate-couplings", "--samples", "200",
+                               "--seed", str(2**64 - 1)], capsys)
+        assert code == 1 and out == ""
+        assert (f"--seed {2**64 - 1}: gauss-exp draws from seed {2**64}"
+                in err)
+
+    @pytest.mark.parametrize("spec,message", [
+        ("cosine:a=1,1,1,1", f"{21**4} grid points times 137 stencil offsets"),
+        ("cosine:a=1,1,1,1,1", f"{21**5} grid points times 241 stencil "
+                               "offsets"),
+        ("cosine:a=1,1,1,1,1,1", "21**6 grid points is more than 4194304")])
+    def test_check_past_point_cap_is_refused(self, spec, message, capsys):
+        """At the default 21 grid points a p = 4 or 5 check would evaluate
+        g at 27M or 984M points, and the p = 6 grid alone would take 4 GB;
+        each is refused before it is built."""
+        code, out, err = _run(["stein-check", "--h", spec], capsys)
+        assert code == 1 and out == ""
+        assert message in err
 
     @pytest.mark.parametrize("spec", ["cosine:a=1e300,1", "logistic:a=1e200",
                                       "gauss-radial:p=1:scale=1e-120",

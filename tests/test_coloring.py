@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from steinlab import coloring as cm
+from steinlab import harness
 from steinlab.bounds import isqrt_norm_bound_check
 from steinlab.errors import NotPositiveDefinite
 from steinlab.experiment import run_experiment
@@ -21,8 +22,7 @@ def _first(w):
 
 def _local_dep_stats(g, cfg, samples, seed):
     """The local-dependence statistics at the closed-form covariance."""
-    _, sigma = cm.theoretical_moments(g, cfg)
-    return cm.local_dep_stats(g, cfg, sigma, samples, seed=seed,
+    return cm.local_dep_stats(cm.ColoringModel(g, cfg), samples, seed=seed,
                               score=_first)
 
 
@@ -231,9 +231,9 @@ class TestSubBatches:
     def test_split_pass_matches_unsplit(self, monkeypatch):
         whole, whole_scores = _local_dep_stats(self.GRAPH, self.CFG,
                                                samples=1000, seed=8)
-        monkeypatch.setattr(cm, "SUB_BATCH_VALUES", self.SPLIT)
-        parts = cm.sub_batch_sizes(1000, self.GRAPH.num_edges * self.CFG.p,
-                                   cm.SUB_BATCH_VALUES)
+        monkeypatch.setattr(harness, "SUB_BATCH_VALUES", self.SPLIT)
+        parts = harness.sub_batch_sizes(
+            1000, cm.ColoringModel(self.GRAPH, self.CFG).row_values)
         assert parts[:2] == [7, 7]
         split, split_scores = _local_dep_stats(self.GRAPH, self.CFG,
                                                samples=1000, seed=8)
@@ -248,12 +248,11 @@ class TestSubBatches:
         """One 2048-colouring chunk on 2000 edges and 2 colours, drawn in
         sub-batches of 16 MiB tables, peaks at 60 MiB; a (B, N, 2d-1, p)
         gather of the centered indicators would take 459 MB alone."""
-        g = cm.random_regular_graph(1000, 4, seed=5)
-        cfg = cm.ColoringConfig((0.4, 0.6))
-        _, sigma = cm.theoretical_moments(g, cfg)
+        model = cm.ColoringModel(cm.random_regular_graph(1000, 4, seed=5),
+                                 cm.ColoringConfig((0.4, 0.6)))
         tracemalloc.start()
         try:
-            cm.local_dep_stats(g, cfg, sigma, 2048, seed=3, chunk_size=2048,
+            cm.local_dep_stats(model, 2048, seed=3, chunk_size=2048,
                                score=_first)
             _, peak = tracemalloc.get_traced_memory()
         finally:

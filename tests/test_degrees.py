@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from steinlab import degrees as dg
+from steinlab import harness
 from steinlab.bounds import (CouplingStats, bound_multivariate_size_bias,
                              isqrt_norm_bound_check)
 from steinlab.errors import InvariantViolation, NotPositiveDefinite
@@ -359,8 +360,8 @@ class TestCoupling:
         """The batch kernel's (W, W^i) agrees with the scalar reference."""
         cfg = dg.ErdosRenyiConfig(n, pi, degrees)
         m_kernel, m_oracle = 60_000, 6_000
-        w_k, wi_k = dg.DegreeCountCoupler(cfg).draw_batch(
-            i, m_kernel, StreamConfig(11).stream(0))
+        w_k, wi_k = oracles.draw_batch(dg.DegreeCountCoupler(cfg), i,
+                                       m_kernel, StreamConfig(11).stream(0))
         rng = StreamConfig(12).stream(0)
         draws = [oracles.couple_degree(oracles.sample_graph(cfg, rng), cfg,
                                        i, rng) for _ in range(m_oracle)]
@@ -380,8 +381,8 @@ class TestCoupling:
         cfg = dg.ErdosRenyiConfig(4, 0.5, degrees)
         law = oracles.degree_construction_law(4, 0.5, degrees, i)
         m = 100_000
-        _, wi = dg.DegreeCountCoupler(cfg).draw_batch(
-            i, m, StreamConfig(37).stream(0))
+        _, wi = oracles.draw_batch(dg.DegreeCountCoupler(cfg), i, m,
+                                   StreamConfig(37).stream(0))
         values, counts = np.unique(wi, axis=0, return_counts=True)
         seen = {tuple(map(float, v)): int(c) for v, c in zip(values, counts)}
         assert set(seen) <= set(law)
@@ -395,8 +396,8 @@ class TestCoupling:
         cfg = dg.ErdosRenyiConfig.from_c(400, 2, (1, 2))
         tracemalloc.start()
         try:
-            dg.DegreeCountCoupler(cfg).draw_batch(0, 1024,
-                                              StreamConfig(41).stream(0))
+            oracles.draw_batch(dg.DegreeCountCoupler(cfg), 0, 1024,
+                               StreamConfig(41).stream(0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -404,8 +405,8 @@ class TestCoupling:
 
 
 class TestSubBatches:
-    """A chunk's graphs run in sub-batches of at most ``SUB_BATCH_SLOTS``
-    vertex-plus-edge slots."""
+    """A chunk's graphs run in sub-batches of at most 4 vertex-plus-edge
+    slots per value of the harness's ``SUB_BATCH_VALUES``."""
 
     def test_default_budget(self):
         """The benchmark sizes, n = 200 and n = 5000 at the CLI's 512-graph
@@ -414,15 +415,17 @@ class TestSubBatches:
         for n, chunk, parts in [(200, 512, [512]), (5000, 512, [512]),
                                 (10**6, 512, [4] * 128),
                                 (10**6, 10, [4, 4, 2])]:
-            cfg = dg.ErdosRenyiConfig.from_c(n, 2.0, (1, 2))
-            assert dg._sub_batch_sizes(chunk, cfg.n, cfg.c) == parts
+            model = dg.DegreeCountCoupler(dg.ErdosRenyiConfig.from_c(
+                n, 2.0, (1, 2)))
+            assert harness.sub_batch_sizes(chunk, model.row_values) == parts
 
     CFG = dg.ErdosRenyiConfig.from_c(200, 2.0, (1, 2))
-    SPLIT = 3000  # 7 graphs of 400 slots each
+    SPLIT = 750  # 3000 slots: 7 graphs of 400 slots each
 
     def test_split_run_same_bytes_at_any_thread_count(self, monkeypatch):
-        monkeypatch.setattr(dg, "SUB_BATCH_SLOTS", self.SPLIT)
-        assert dg._sub_batch_sizes(512, self.CFG.n, self.CFG.c)[:2] == [7, 7]
+        monkeypatch.setattr(harness, "SUB_BATCH_VALUES", self.SPLIT)
+        row_values = dg.DegreeCountCoupler(self.CFG).row_values
+        assert harness.sub_batch_sizes(512, row_values)[:2] == [7, 7]
         h = SmoothTestFunction("cosine", p=2, a=(0.5, 0.5))
         reports = []
         for threads in ("1", "2"):
@@ -436,7 +439,7 @@ class TestSubBatches:
         model = dg.DegreeCountCoupler(self.CFG)
         whole, _ = dg.estimate_coupling_stats(model, 4000, seed=6,
                                               score=_first)
-        monkeypatch.setattr(dg, "SUB_BATCH_SLOTS", self.SPLIT)
+        monkeypatch.setattr(harness, "SUB_BATCH_VALUES", self.SPLIT)
         split, _ = dg.estimate_coupling_stats(model, 4000, seed=6,
                                               score=_first)
         assert not np.array_equal(split.var_cond, whole.var_cond)
@@ -706,7 +709,8 @@ class TestEstimatedStatistics:
         chunk = dg._GraphChunk(rng, 4000, cfg)
         cond = chunk.cond_exp().mean(axis=0)
         for i in range(2):
-            w, wi = coupler.draw_batch(i, m, StreamConfig(23 + i).stream(0))
+            w, wi = oracles.draw_batch(coupler, i, m,
+                                       StreamConfig(23 + i).stream(0))
             diff = wi - w
             se = diff.std(axis=0) / np.sqrt(m) + 1e-12
             se_cond = 4000**-0.5 * chunk.cond_exp().std(axis=0)[i]
@@ -744,6 +748,19 @@ class TestEstimatedStatistics:
         res = verify_characterization(dg.DegreeCountCoupler(cfg),
                                       samples=100_000, seed=31)
         assert res.max_abs_z <= 4.0
+
+    def test_characterization_draws_each_state_once(self, monkeypatch):
+        """Validation couples both coordinates on the same states: beside
+        the 4096-draw pilot it draws exactly ``samples`` graphs. One worker
+        runs every chunk, so every draw is counted here."""
+        monkeypatch.setenv("STEIN_LAB_THREADS", "1")
+        coupler = dg.DegreeCountCoupler(
+            dg.ErdosRenyiConfig.from_c(20, 2.0, (1, 2)))
+        rows = []
+        draw = coupler.draw
+        coupler.draw = lambda rng, size: rows.append(size) or draw(rng, size)
+        verify_characterization(coupler, samples=3000, seed=5, chunk_size=512)
+        assert sum(rows) == 4096 + 3000
 
 
 class TestExperiment:

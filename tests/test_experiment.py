@@ -32,9 +32,10 @@ class _GivenLaw(CoupledPairSampler):
         self.lam = np.asarray(lam, dtype=float)
         self.p = len(self.lam)
         self.sigma = self.isqrt = np.eye(self.p)
+        self.row_values = self.p
 
-    def draw(self, rng, size):
-        yield self.draw_w(rng, size)
+    def draw(self, rng, rows):
+        return self.draw_w(rng, rows)
 
     def w(self, state):
         return state

@@ -30,10 +30,17 @@ class TestStreams:
         assert not np.array_equal(cfg.stream(0).random(8),
                                   cfg.stream(1).random(8))
 
-    def test_offset_shifts_chunks(self):
-        cfg = StreamConfig(seed=9, chunk_size=10)
-        np.testing.assert_array_equal(cfg.offset(7).stream(0).random(4),
-                                      cfg.stream(7).random(4))
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_key_word_refused(self, seed):
+        """A seed is the first 64-bit word of the Philox key, so one outside
+        [0, 2**64) is refused rather than aliased to another seed."""
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            StreamConfig(seed)
+
+    def test_largest_seed_is_its_own_stream(self):
+        top = StreamConfig(2**64 - 1)
+        assert not np.array_equal(top.stream(0).random(4),
+                                  StreamConfig(0).stream(0).random(4))
 
     def test_chunk_sizes_cover_samples(self):
         cfg = StreamConfig(seed=0, chunk_size=1000)
@@ -98,16 +105,6 @@ class TestParallelMC:
         assert one.count == eight.count
         np.testing.assert_array_equal(one.sums[0], eight.sums[0])
         np.testing.assert_array_equal(one.sums[1], eight.sums[1])
-
-    def test_split_runs_merge_to_whole(self):
-        """Two 10-chunk halves merged equal one 20-chunk run (to rounding)."""
-        cfg = StreamConfig(seed=5, chunk_size=50)
-        whole = parallel_mc(_toy_task, cfg, 1000)
-        first = parallel_mc(_toy_task, cfg, 500)
-        second = parallel_mc(_toy_task, cfg.offset(10), 500)
-        merged = first.merge(second)
-        assert merged.count == whole.count
-        np.testing.assert_allclose(merged.sums[0], whole.sums[0], rtol=1e-12)
 
     def test_empty_task_list(self):
         """A pass over no chunks is refused, naming the sample count."""

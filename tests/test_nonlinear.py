@@ -9,6 +9,7 @@ from scipy import special
 from scipy import stats as sps
 
 import oracles
+from steinlab import harness
 from steinlab import nonlinear as nl
 from steinlab.bounds import (CouplingStats, bound_univariate_size_bias,
                              floor_mean_sq_diff)
@@ -129,7 +130,7 @@ class TestGaussianCoupler:
         cfg = nl.GaussianSumConfig(5, nl.parse_psi("square"), rho=0.0)
         coupler = nl.GaussianSumCoupler(cfg)
         rng = StreamConfig(5).stream(0)
-        u = coupler.draw_u(rng, 100)
+        u = coupler.draw(rng, 100)
         idx = rng.integers(5, size=100)
         y = coupler.tilted.sample(rng, 100)
         adjusted = coupler.adjust(u, idx, y)
@@ -146,7 +147,7 @@ class TestGaussianCoupler:
         coupler = nl.GaussianSumCoupler(cfg)
         rng = StreamConfig(6).stream(0)
         m = 200_000
-        u = coupler.draw_u(rng, m)
+        u = coupler.draw(rng, m)
         y_val = 1.3
         adjusted = coupler.adjust(u, np.zeros(m, dtype=int),
                                   np.full(m, y_val))
@@ -162,7 +163,7 @@ class TestGaussianCoupler:
         cfg = nl.GaussianSumConfig(3, nl.parse_psi("square"), rho=rho)
         coupler = nl.GaussianSumCoupler(cfg)
         m = 300_000
-        u = coupler.draw_u(StreamConfig(7).stream(0), m)
+        u = coupler.draw(StreamConfig(7).stream(0), m)
         idx = np.full(m, 1)
         adjusted = coupler.adjust(u, idx, np.full(m, y_val))
         others = adjusted[:, [0, 2]]
@@ -194,7 +195,7 @@ class TestGaussianCoupler:
         np.testing.assert_allclose([a * a + 2 * a * b + n * b * b,
                                     2 * a * b + n * b * b], [1.0, rho],
                                    rtol=0, atol=1e-12)
-        u = coupler.draw_u(StreamConfig(21).stream(0), 100_000)
+        u = coupler.draw(StreamConfig(21).stream(0), 100_000)
         cov = np.cov(u[:, :2].T) if n > 1 else np.var(u)
         want = np.array([[1.0, rho], [rho, 1.0]]) if n > 1 else 1.0
         np.testing.assert_allclose(cov, want, rtol=0, atol=0.02)
@@ -206,7 +207,7 @@ class TestGaussianCoupler:
         cfg = nl.GaussianSumConfig(4, nl.parse_psi(name), rho=0.25)
         coupler = nl.GaussianSumCoupler(cfg)
         rng = StreamConfig(8).stream(0)
-        u = coupler.draw_u(rng, 6)
+        u = coupler.draw(rng, 6)
         exact = coupler.cond_exp_given_u(u)
         inner = 400_000
         for row in range(6):
@@ -229,7 +230,7 @@ class TestGaussianCoupler:
         cfg = nl.GaussianSumConfig(n, nl.parse_psi(name), rho=rho)
         coupler = nl.GaussianSumCoupler(cfg)
         assert_matches_oracle(coupler,
-                              coupler.draw_u(StreamConfig(22).stream(n), 3))
+                              coupler.draw(StreamConfig(22).stream(n), 3))
 
     def test_indicator_sparse_window_matches_oracle(self):
         """At rho = 2/n a row's windows hold about 1 % of its pairs."""
@@ -237,7 +238,7 @@ class TestGaussianCoupler:
         cfg = nl.GaussianSumConfig(n, nl.parse_psi("indicator"), rho=2 / n)
         coupler = nl.GaussianSumCoupler(cfg)
         assert_matches_oracle(coupler,
-                              coupler.draw_u(StreamConfig(22).stream(n), 2))
+                              coupler.draw(StreamConfig(22).stream(n), 2))
 
     @pytest.mark.parametrize("rho,u,all_ones", [
         (0.1, [[2.0, -3.0, 1.5], [0.3, 0.2, -0.4]], False),
@@ -261,7 +262,7 @@ class TestGaussianCoupler:
         bytes of a single block."""
         cfg = nl.GaussianSumConfig(6, nl.parse_psi("indicator"), rho=0.4)
         coupler = nl.GaussianSumCoupler(cfg)
-        u = coupler.draw_u(StreamConfig(25).stream(0), 50)
+        u = coupler.draw(StreamConfig(25).stream(0), 50)
         whole = coupler.cond_exp_given_u(u)
         monkeypatch.setattr(nl, "_SORT_BLOCK", 1)
         monkeypatch.setattr(nl, "_WINDOW_BLOCK", 3)
@@ -283,7 +284,7 @@ class TestGaussianCoupler:
         cfg = nl.GaussianSumConfig(n, nl.parse_psi("indicator"), rho=0.0025)
         coupler = nl.GaussianSumCoupler(cfg)
         coupler.cond_exp_given_u(
-            coupler.draw_u(StreamConfig(26).stream(0), rows))
+            coupler.draw(StreamConfig(26).stream(0), rows))
         assert 0 < sum(seen) < 0.02 * n * n * rows, sum(seen)
 
     def test_cond_exp_memory_is_linear_in_n(self):
@@ -293,7 +294,7 @@ class TestGaussianCoupler:
         n^2 pairs."""
         cfg = nl.GaussianSumConfig(2000, nl.parse_psi("indicator"), rho=0.1)
         coupler = nl.GaussianSumCoupler(cfg)
-        u = coupler.draw_u(StreamConfig(23).stream(0), 1)
+        u = coupler.draw(StreamConfig(23).stream(0), 1)
         tracemalloc.start()
         try:
             coupler.cond_exp_given_u(u)
@@ -311,7 +312,7 @@ class TestGaussianCoupler:
             for name in ("square", "exp"):
                 coupler = nl.GaussianSumCoupler(
                     nl.GaussianSumConfig(n, nl.parse_psi(name), rho=0.01))
-                u = coupler.draw_u(StreamConfig(24).stream(0), 16)
+                u = coupler.draw(StreamConfig(24).stream(0), 16)
                 coupler.cond_exp_given_u(u)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -326,16 +327,15 @@ class TestGaussianCoupler:
         coupler = nl.GaussianSumCoupler(
             nl.GaussianSumConfig(n, nl.parse_psi("square"), rho=0.00067))
         rows = []
-        draw_u = coupler.draw_u
-        monkeypatch.setattr(coupler, "draw_u", lambda rng, size:
-                            rows.append(size) or draw_u(rng, size))
+        draw = coupler.draw
+        monkeypatch.setattr(coupler, "draw", lambda rng, size:
+                            rows.append(size) or draw(rng, size))
         coupler.coupling_stats(2000, seed=1, chunk_size=8192,
                                score=lambda w: w[:, 0])
         assert sum(rows) == 2000 and len(rows) > 1
-        assert max(rows) * n <= nl.SUB_BATCH_VALUES
+        assert max(rows) * n <= harness.SUB_BATCH_VALUES
         for size, width in ((4096, 64), (8192, 200)):
-            assert nl.sub_batch_sizes(size, width,
-                                      nl.SUB_BATCH_VALUES) == [size]
+            assert harness.sub_batch_sizes(size, width) == [size]
 
     def test_mean_identity(self):
         """E W* = E W^2 / lambda for the coupled pair."""
@@ -343,7 +343,7 @@ class TestGaussianCoupler:
         coupler = nl.GaussianSumCoupler(cfg)
         lam, var = nl.gaussian_moments(cfg)
         m = 400_000
-        w, ws = coupler.draw_batch(0, m, StreamConfig(9).stream(0))
+        w, ws = oracles.draw_batch(coupler, 0, m, StreamConfig(9).stream(0))
         expected = (var + lam**2) / lam
         se = ws.std() / np.sqrt(m)
         assert abs(ws.mean() - expected) <= 5 * se
@@ -356,7 +356,7 @@ class TestGaussianMoments:
         lam, var = nl.gaussian_moments(cfg)
         coupler = nl.GaussianSumCoupler(cfg)
         m = 400_000
-        w = coupler.psi(coupler.draw_u(StreamConfig(10).stream(0), m)).sum(axis=1)
+        w = coupler.psi(coupler.draw(StreamConfig(10).stream(0), m)).sum(axis=1)
         assert abs(w.mean() - lam) <= 5 * w.std() / np.sqrt(m)
         assert abs(w.var() - var) <= 5 * np.sqrt(np.mean((w - w.mean())**4) / m)
 
@@ -384,7 +384,7 @@ class TestMultinomialCoupler:
         cfg = nl.MultinomialSumConfig(5, 3, nl.parse_psi("square"))
         coupler = nl.MultinomialSumCoupler(cfg)
         rng = StreamConfig(11).stream(0)
-        counts = coupler.draw_counts(rng, 5000)
+        counts = coupler.draw(rng, 5000)
         moved = coupler.couple_counts(counts, rng)
         np.testing.assert_array_equal(moved.sum(axis=1), counts.sum(axis=1))
         assert np.all(moved >= 0)
@@ -404,7 +404,8 @@ class TestMultinomialCoupler:
         coupler.tilted = DiscreteDistribution(
             marg.values, marg.values * marg.probs / marg.mean)
         coupler.lam = np.array([2 * marg.mean])
-        w, ws = coupler.draw_batch(0, 4000, StreamConfig(12).stream(0))
+        w, ws = oracles.draw_batch(coupler, 0, 4000,
+                                   StreamConfig(12).stream(0))
         np.testing.assert_array_equal(w, 2.0)
         np.testing.assert_array_equal(ws, 2.0)
 
@@ -417,7 +418,7 @@ class TestMultinomialCoupler:
         w_law = oracles.multinomial_w_law(3, 3, psi)
         target = oracles.size_biased_law(w_law)
         m = 300_000
-        _, ws = coupler.draw_batch(0, m, StreamConfig(13).stream(0))
+        _, ws = oracles.draw_batch(coupler, 0, m, StreamConfig(13).stream(0))
         for value, prob in target.items():
             freq = float(np.mean(np.isclose(ws[:, 0], value)))
             assert abs(freq - prob) <= 4 * np.sqrt(prob * (1 - prob) / m), value
@@ -439,7 +440,7 @@ class TestMultinomialCoupler:
         relative to W."""
         psi = nl.parse_psi(name)
         coupler = nl.MultinomialSumCoupler(nl.MultinomialSumConfig(n, k, psi))
-        counts = coupler.draw_counts(StreamConfig(21).stream(n),
+        counts = coupler.draw(StreamConfig(21).stream(n),
                                      1 if n == 100 else 4)
         got = coupler.cond_exp_given_counts(counts)
         want = [oracles.multinomial_cond_exp(row, psi) for row in counts]
@@ -453,7 +454,7 @@ class TestMultinomialCoupler:
         psi = nl.parse_psi(name)
         cfg = nl.MultinomialSumConfig(515, 2, psi)
         coupler = nl.MultinomialSumCoupler(cfg)
-        counts = coupler.draw_counts(StreamConfig(21).stream(515), 1)
+        counts = coupler.draw(StreamConfig(21).stream(515), 1)
         got = coupler.cond_exp_given_counts(counts)
         want = [oracles.multinomial_cond_exp(row, psi) for row in counts]
         scale = max(1.0, float(psi(counts).sum(axis=1).max()))
@@ -479,7 +480,7 @@ class TestMultinomialCoupler:
         """Frequencies of every occupancy vector of 6 balls in 3 cells."""
         coupler = nl.MultinomialSumCoupler(
             nl.MultinomialSumConfig(3, 2, nl.parse_psi("square")))
-        counts = coupler.draw_counts(StreamConfig(22).stream(0), 200_000)
+        counts = coupler.draw(StreamConfig(22).stream(0), 200_000)
         assert_rows_follow(counts, dict(oracles.occupancy_law(3, 6)))
 
     @pytest.mark.parametrize("counts,idx,y", [

@@ -40,7 +40,7 @@ from .report import stable_json
 from .sizebias import Z_THRESHOLD, verify_characterization
 from .specs import build_model, degree_model, graph_color_model
 from .stein import CHECK_TOL, GRID_EXTENT, SteinSolution, grid_points
-from .testfuncs import GH_NODES, SmoothTestFunction, parse_test_function
+from .testfuncs import SmoothTestFunction, parse_test_function
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,6 +80,10 @@ def _list_of(kind):
     return parse
 
 
+_H_HELP = ("cosine:a=0.5,0.5[:b=0] | gauss-radial:p=2[:scale=1] | "
+           "probit:a=1,2 (prod Phi(a_i w_i)); default cosine, every a_i 0.5")
+
+
 def _add_common(sub, samples_default=100_000, chunk_default=4096):
     sub.add_argument("--samples", type=int, default=samples_default)
     sub.add_argument("--seed", type=int, default=0)
@@ -100,7 +104,7 @@ def build_parser() -> _Parser:
     group.add_argument("--c", type=float, help="pi = c / (n - 1)")
     group.add_argument("--pi", type=float)
     deg.add_argument("--degrees", type=_list_of(int), required=True)
-    deg.add_argument("--h", default=None, help="e.g. cosine:a=0.5,0.5")
+    deg.add_argument("--h", default=None, help=_H_HELP)
     _add_common(deg, chunk_default=512)
 
     col = subs.add_parser("color-match",
@@ -108,7 +112,7 @@ def build_parser() -> _Parser:
     col.add_argument("--graph", required=True,
                      help="cycle:64 | complete:8 | matching:10 | regular:n=200,d=3")
     col.add_argument("--colors", type=_list_of(float), required=True)
-    col.add_argument("--h", default=None)
+    col.add_argument("--h", default=None, help=_H_HELP)
     _add_common(col, chunk_default=2048)
 
     non = subs.add_parser("nonlinear",
@@ -119,20 +123,17 @@ def build_parser() -> _Parser:
                           "-1/(n-1) < rho < 1) | multinomial:n=100,k=2")
     non.add_argument("--psi", required=True,
                      choices=["square", "exp", "indicator"])
-    non.add_argument("--h", default=None)
+    non.add_argument("--h", default=None, help=_H_HELP)
     _add_common(non, chunk_default=8192)
 
     stn = subs.add_parser("stein-check",
                           help="verify the Stein solution's residual and "
-                               "derivative caps at a fixed grid extent and "
+                               "derivative caps for a cosine, gauss-radial "
+                               "or probit h, at a fixed grid extent and "
                                "tolerance; the step follows h's length scale")
-    stn.add_argument("--h", required=True)
+    stn.add_argument("--h", required=True, help=_H_HELP)
     stn.add_argument("--grid-points", type=int,
                      default=grid_points.__defaults__[0])
-    stn.add_argument("--gh-nodes", type=int, default=GH_NODES,
-                     help="Gauss-Hermite nodes per axis for the Gaussian "
-                          "smoothing of product-logistic; cosine and "
-                          "gauss-radial use closed forms")
     stn.add_argument("--out", default=None)
 
     val = subs.add_parser("validate-couplings",
@@ -154,7 +155,7 @@ def build_parser() -> _Parser:
                           "only); '/' separates a list")
     swp.add_argument("--n", type=_list_of(int), required=True,
                      help="comma list of sizes, one CSV row each")
-    swp.add_argument("--h", default=None)
+    swp.add_argument("--h", default=None, help=_H_HELP)
     _add_common(swp, samples_default=20_000, chunk_default=512)
     return parser
 
@@ -217,11 +218,8 @@ def _run_stein(args) -> int:
     if args.grid_points < 1:
         raise _UsageError(f"--grid-points must be at least 1, got "
                           f"{args.grid_points}")
-    if args.gh_nodes < 2:
-        raise _UsageError(f"--gh-nodes must be at least 2, got "
-                          f"{args.gh_nodes}")
-    sol = SteinSolution(h, gh_nodes=args.gh_nodes)
-    grid = grid_points(h.p, args.grid_points)
+    sol = SteinSolution(h)
+    grid = grid_points(h.p, args.grid_points, len(sol.offsets))
     norms = h.derivative_norms()
     checks = sol.run_checks(grid, norms)
     residual = checks["max_pde_residual"]
@@ -233,7 +231,7 @@ def _run_stein(args) -> int:
         "experiment": "stein-check",
         "config": {"h": h.spec_string(), "p": h.p, "extent": GRID_EXTENT,
                    "grid_points": args.grid_points, "fd_step": sol.fd_step,
-                   "gh_nodes": args.gh_nodes, "tol": CHECK_TOL},
+                   "tol": CHECK_TOL},
         "max_pde_residual": residual,
         "derivative_violations": violations,
         "norms": {"h": norms.h, "d1": norms.d1, "d2": norms.d2,

@@ -32,6 +32,7 @@ from .errors import (InfeasibleAdjustment, InvariantViolation,
 from .harness import Accumulator
 from .linalg import inverse_sqrt
 from .sizebias import CoupledPairSampler, DiscreteDistribution, distinct_labels
+from .testfuncs import _upper_tail
 
 
 # ---------------------------------------------------------------------------
@@ -87,54 +88,6 @@ def parse_psi(name: str) -> PsiFunction:
 # ---------------------------------------------------------------------------
 # Tilted marginals
 # ---------------------------------------------------------------------------
-
-# Hart's rational for the normal tail (Computer Approximations, 1968,
-# algorithm 5666, as given in West, "Better approximations to cumulative
-# normal functions", 2005): P(Z > x) = exp(-x^2 / 2) P(x) / Q(x) for x >= 0,
-# coefficients from x^0 up.
-_HART_P = (220.206867912376, 221.213596169931, 112.079291497871,
-           33.912866078383, 6.37396220353165, 0.700383064443688,
-           0.0352624965998911)
-_HART_Q = (440.413735824752, 793.826512519948, 637.333633378831,
-           296.564248779674, 86.7807322029461, 16.064177579207,
-           1.75566716318264, 0.0883883476483184)
-
-
-def _horner(coefs, x):
-    """``sum coefs[k] x^k`` in a fresh array, updated in place."""
-    out = x * coefs[-1]
-    out += coefs[-2]
-    for coef in coefs[-3::-1]:
-        out *= x
-        out += coef
-    return out
-
-
-def _upper_tail(x):
-    """``P(Z > x)`` for a fresh 1-d array of x >= 0, which it overwrites:
-    Hart's rational :data:`_HART_P` / :data:`_HART_Q` times
-    ``exp(-x^2 / 2)``, one formula for every x. Its absolute error is below
-    2e-16 on [0, 7.07] and below 1e-20 beyond; it is exactly 1/2 at x = 0,
-    and from x = 38.5 on it underflows to 0."""
-    tail = _horner(_HART_P, x)
-    tail /= _horner(_HART_Q, x)
-    x *= x
-    x *= -0.5
-    tail *= np.exp(x, out=x)
-    return tail
-
-
-def _normal_sf(t):
-    """Standard-normal survival ``P(Z > t)`` in a fresh array, numpy only,
-    with absolute error below 2e-16: :func:`_upper_tail` at ``|t|``, and
-    ``1 -`` that tail, taken in place, where t < 0."""
-    t = np.asarray(t, dtype=float)
-    tail = _upper_tail(np.abs(t.ravel())).reshape(t.shape)
-    below = t < 0
-    if below.any():
-        np.subtract(1.0, tail, out=tail, where=below)
-    return tail
-
 
 def _psi_on_support(psi, dist: DiscreteDistribution) -> np.ndarray:
     """``psi`` at each value of ``dist``, and 0 where its probability is 0:
@@ -502,24 +455,25 @@ class MultinomialSumConfig:
         return DiscreteDistribution.binomial(self.balls, 1.0 / self.n)
 
 
-def _joint_cell_pmf(balls: int, n: int):
-    """Exact joint pmf of two cell counts, as a dense (balls+1)^2 array."""
-    a = np.arange(balls + 1)
-    la = np.array([lgamma(x + 1.0) for x in a])
-    out = np.full((balls + 1, balls + 1), -np.inf)
+def _joint_cell_pmf(balls: int, n: int, lo: int, hi: int):
+    """Exact joint pmf of two cell counts, each in ``lo..hi``, as a dense
+    ``(hi - lo + 1)^2`` array."""
+    la = np.array([lgamma(x + 1.0) for x in range(balls + 1)])
+    out = np.full((hi - lo + 1, hi - lo + 1), -np.inf)
     rest = 1.0 - 2.0 / n
     logp = log(1.0 / n)
     logr = log(rest) if rest > 0 else -np.inf
-    for i in range(balls + 1):
-        j = np.arange(0, balls - i + 1)
+    for i in range(lo, min(hi, balls - lo) + 1):
+        j = np.arange(lo, min(hi, balls - i) + 1)
         terms = (lgamma(balls + 1.0) - la[i] - la[j] - la[balls - i - j]
                  + (i + j) * logp + (balls - i - j) * logr)
-        out[i, : balls - i + 1] = terms
+        out[i - lo, : len(j)] = terms
     return np.exp(out)
 
 
 def multinomial_moments(cfg: MultinomialSumConfig):
-    """Exact mean and variance of W by summing over the cell-count pmf."""
+    """Exact mean and variance of W by summing over the cell-count pmf; the
+    pair term sums over the counts of positive probability only."""
     marg = cfg.cell_marginal()
     vals = _psi_on_support(cfg.psi, marg)
     # summed as MultinomialSumCoupler sums its tilt's mass, so that lam is
@@ -531,8 +485,10 @@ def multinomial_moments(cfg: MultinomialSumConfig):
         flipped = vals[::-1]  # U_2 = balls - U_1
         pair = float(np.dot(vals * flipped, marg.probs))
     else:
-        joint = _joint_cell_pmf(cfg.balls, cfg.n)
-        pair = float(vals @ joint @ vals)
+        live = np.flatnonzero(marg.probs > 0)  # one run: the pmf is unimodal
+        lo, hi = int(live[0]), int(live[-1])
+        joint = _joint_cell_pmf(cfg.balls, cfg.n, lo, hi)
+        pair = float(vals[lo:hi + 1] @ joint @ vals[lo:hi + 1])
     var = cfg.n * (mom2 - mean1**2) + cfg.n * (cfg.n - 1) * (pair - mean1**2)
     return lam, var
 

@@ -8,10 +8,10 @@ function
 solves ``tr D^2 g(w) - w . grad g(w) = h(w) - phi`` and obeys the derivative
 bounds ``|d^k g| <= ||D^k h|| / k``. This module evaluates ``g`` as a
 one-dimensional integral over the smoothing time, whose integrand is the
-test function's Gaussian smoothing ``h.smoothed_mean`` (a closed form or a
-product of one-dimensional sums, in any dimension), and verifies both facts
-pointwise with finite differences in :meth:`SteinSolution.run_checks`,
-whose step for the residual and orders 1 and 2 follows ``h.length_scale``.
+test function's Gaussian smoothing ``h.smoothed_mean`` (a closed form for
+every built-in family, in any dimension), and verifies both facts pointwise
+with finite differences in :meth:`SteinSolution.run_checks`, whose step for
+the residual and orders 1 and 2 follows ``h.length_scale``.
 
 The substitution ``s = e^{-u}`` turns the integral into
 ``-int_0^1 [E h(w s + sqrt(1-s^2) Z) - phi] ds / s``. We integrate in the
@@ -23,12 +23,12 @@ doubled until the values stabilize.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureNotConverged, SteinLabError
-from .testfuncs import GH_NODES, SmoothTestFunction, phi_h
+from .testfuncs import SmoothTestFunction, phi_h
 
 FD_STEP_LOW_ORDER = 1e-3   # orders 1 and 2, times min(1, h.length_scale)
 FD_STEP_THIRD = 5e-3       # order 3 trades truncation against quadrature noise
@@ -50,19 +50,18 @@ def _legendre_rule(n: int):
 
 
 class SteinSolution:
-    """Evaluator for the Stein-equation solution ``g`` attached to one ``h``.
-
-    ``gh_nodes`` is the Gauss-Hermite nodes per axis of the inner Gaussian
-    expectation; only product-logistic uses it, since cosine and
-    gauss-radial smooth in closed form. ``phi`` is ``E h(Z)`` at that rule.
+    """Evaluator for the Stein-equation solution ``g`` attached to one ``h``,
+    whose Gaussian smoothing ``h.smoothed_mean`` is exact. ``phi`` is
+    ``E h(Z)``.
     """
 
-    def __init__(self, h: SmoothTestFunction, gh_nodes: int = GH_NODES):
+    def __init__(self, h: SmoothTestFunction):
         self.h = h
         self.p = h.p
-        self.gh_nodes = gh_nodes
-        self.phi = phi_h(h, gh_nodes)
+        self.phi = phi_h(h)
         self.fd_step = FD_STEP_LOW_ORDER * min(1.0, h.length_scale)
+        # the difference step of each derivative order the checks take
+        self.steps = {1: self.fd_step, 2: self.fd_step, 3: FD_STEP_THIRD}
         self.s_nodes: np.ndarray | None = None
         self.s_weights: np.ndarray | None = None
 
@@ -73,7 +72,7 @@ class SteinSolution:
         s_nodes = np.cos(ang)
         s_weights = wt * np.tan(ang)
         smooth = np.stack([
-            self.h.smoothed_mean(s * w, np.sqrt(1.0 - s**2), self.gh_nodes)
+            self.h.smoothed_mean(s * w, np.sqrt(1.0 - s**2))
             for s in s_nodes])
         # canonical node-order contraction keeps the value reproducible
         total = s_weights @ (smooth - self.phi)
@@ -120,38 +119,40 @@ class SteinSolution:
 
     # Checks ---------------------------------------------------------------
 
+    @cached_property
+    def offsets(self) -> dict:
+        """Every distinct stencil offset of the checks, zero first, mapped
+        to its column in their ``g`` batch (the residual's shifts are the
+        order-1 offsets)."""
+        offsets: dict[tuple, int] = {(0.0,) * self.p: 0}
+        for k, step in self.steps.items():
+            for stencil in _stencils(k, step, self.p):
+                for off in stencil:
+                    offsets.setdefault(off, len(offsets))
+        return offsets
+
     def run_checks(self, grid, norms) -> dict:
         """The PDE residual and the derivative caps of orders 1 to 3 on
         ``grid``, against the certified sup-norms ``norms``.
 
         Orders 1 and 2 and the residual take central differences with step
         :attr:`fd_step`, order 3 with :data:`FD_STEP_THIRD`. One ``g`` batch
-        covers every distinct offset point of every stencil;
+        covers every point of :attr:`offsets` around every grid point;
         :meth:`pde_residual` and :meth:`derivative_violation` read it. A
         batch of more than :data:`CHECK_POINTS_MAX` points is refused
         before it is built.
         """
         grid = np.atleast_2d(np.asarray(grid, dtype=float))
         m, p = grid.shape
-        steps = {1: self.fd_step, 2: self.fd_step, 3: FD_STEP_THIRD}
-        # the residual's shifts are the order-1 stencils' offsets
-        offsets: dict[tuple, int] = {(0.0,) * p: 0}
-        for k, step in steps.items():
-            for stencil in _stencils(k, step, p):
-                for off in stencil:
-                    offsets.setdefault(off, len(offsets))
-        if m * len(offsets) > CHECK_POINTS_MAX:
-            raise SteinLabError(
-                f"{m} grid points times {len(offsets)} stencil offsets is "
-                f"{m * len(offsets)} points of g, more than "
-                f"{CHECK_POINTS_MAX}; use fewer grid points")
+        offsets = self.offsets
+        _refuse_past_cap(m, len(offsets))
         offset_arr = np.array(list(offsets), dtype=float)
         points = (grid[:, None, :] + offset_arr[None, :, :]).reshape(-1, p)
         vals = self.g(points).reshape(m, len(offsets))
         g_at = {off: vals[:, col] for off, col in offsets.items()}
         out = {"max_pde_residual":
                float(np.max(self.pde_residual(grid, g_at)))}
-        for k, step in steps.items():
+        for k, step in self.steps.items():
             out[f"derivative_violation_{k}"] = self.derivative_violation(
                 g_at, k, norms.order(k), step)
         return out
@@ -212,13 +213,24 @@ def _fd_stencil(axes, step: float, p: int):
     return stencil
 
 
-def grid_points(p: int, per_axis: int = 21) -> np.ndarray:
-    """Uniform ``(m, p)`` grid over ``[-GRID_EXTENT, GRID_EXTENT]^p``; a
-    grid of more than :data:`CHECK_POINTS_MAX` points, which no check
-    runs, is refused before it is built."""
+def _refuse_past_cap(m: int, offsets: int) -> None:
+    """Refuse a check of ``m`` grid points times ``offsets`` offsets."""
+    if m * offsets > CHECK_POINTS_MAX:
+        raise SteinLabError(
+            f"{m} grid points times {offsets} stencil offsets is "
+            f"{m * offsets} points of g, more than {CHECK_POINTS_MAX}; "
+            f"use fewer grid points")
+
+
+def grid_points(p: int, per_axis: int = 21, offsets: int = 1) -> np.ndarray:
+    """Uniform ``(m, p)`` grid over ``[-GRID_EXTENT, GRID_EXTENT]^p``. A
+    grid whose check, at ``offsets`` stencil offsets per point, would take
+    more than :data:`CHECK_POINTS_MAX` points of ``g`` is refused before
+    it is built."""
     if per_axis**p > CHECK_POINTS_MAX:
         raise SteinLabError(f"{per_axis}**{p} grid points is more than "
                             f"{CHECK_POINTS_MAX}; use fewer grid points")
+    _refuse_past_cap(per_axis**p, offsets)
     axis = np.linspace(-GRID_EXTENT, GRID_EXTENT, per_axis)
     grids = np.meshgrid(*([axis] * p), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)

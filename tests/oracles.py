@@ -4,8 +4,8 @@ Everything here recomputes laws from first principles (enumerating
 outcomes), independent of the production sampling paths it checks. The
 one Monte Carlo reference, the covariance identity, is for couplers at
 sizes no enumeration reaches. Gaussian expectations are taken on the full
-``nodes^p``-point Gauss-Hermite product rule, which the factored and
-closed-form smoothings of the built-in test functions avoid.
+``nodes^p``-point Gauss-Hermite product rule, which the closed-form
+smoothings of the built-in test functions avoid.
 """
 
 import itertools
@@ -650,6 +650,10 @@ def gauss_hermite_mean(f, centers, sigma, nodes):
     return w @ f(pts.reshape(-1, p)).reshape(z.shape[0], m)
 
 
+# nodes per axis of PolynomialTestFunction's Gaussian smoothing
+POLYNOMIAL_NODES = 40
+
+
 @dataclass(frozen=True)
 class PolynomialTestFunction:
     """A polynomial test function ``f`` on ``R^p``, given as a batch
@@ -664,5 +668,5 @@ class PolynomialTestFunction:
     def evaluate(self, points):
         return self.f(np.atleast_2d(np.asarray(points, dtype=float)))
 
-    def smoothed_mean(self, centers, sigma, nodes):
-        return gauss_hermite_mean(self.f, centers, sigma, nodes)
+    def smoothed_mean(self, centers, sigma):
+        return gauss_hermite_mean(self.f, centers, sigma, POLYNOMIAL_NODES)

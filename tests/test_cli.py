@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,15 +54,24 @@ class TestSteinCheck:
 
     def test_benchmark_run_config(self, capsys):
         """The benchmark's stein-check run reports the fixed extent and
-        tolerance, the step for a length scale of 1 and the default
-        Gauss-Hermite nodes."""
+        tolerance and the step for a length scale of 1, and no setting
+        beyond those and its flags."""
         code, out, _ = _run(["stein-check", "--h", "cosine:a=1,0.5",
                              "--grid-points", "11"], capsys)
         assert code == 0
-        config = json.loads(out)["config"]
-        assert {key: config[key] for key in
-                ("extent", "fd_step", "gh_nodes", "tol")} == {
-            "extent": 2.0, "fd_step": 0.001, "gh_nodes": 40, "tol": 0.001}
+        assert json.loads(out)["config"] == {
+            "extent": 2.0, "fd_step": 0.001, "grid_points": 11,
+            "h": "cosine:a=1.0,0.5:b=0.0", "p": 2, "tol": 0.001}
+
+    @pytest.mark.parametrize("spec", ["probit:a=5", "probit:a=10",
+                                      "probit:a=50", "probit:a=5,5"])
+    def test_sharp_probit_passes(self, spec, capsys):
+        """probit smooths in closed form, so steep slopes pass at the
+        default 21 grid points; a 40-node Gauss-Hermite smoothing of the
+        logistic read residuals 6.1e-3 at a = 5 and 0.243 at a = 10."""
+        code, out, _ = _run(["stein-check", "--h", spec], capsys)
+        assert code == 0
+        assert json.loads(out)["max_pde_residual"] < 1e-5
 
 
 class TestExperiments:
@@ -194,8 +204,8 @@ class TestExperiments:
          "--samples", "2000"],
         ["stein-check", "--h", "cosine:a=0.5,0.5,0.5,0.5,0.5",
          "--grid-points", "3"],
-        ["stein-check", "--h", "logistic:a=1,1,1,1,1", "--grid-points", "3"],
-    ], ids=["degree-count", "stein-check", "stein-check-logistic"])
+        ["stein-check", "--h", "probit:a=1,1,1,1,1", "--grid-points", "3"],
+    ], ids=["degree-count", "stein-check", "stein-check-probit"])
     def test_five_dimensional_builtin_h(self, argv, capsys):
         """Built-in h smooth without a tensor rule, so p = 5 runs."""
         code, out, _ = _run(argv, capsys)
@@ -593,8 +603,8 @@ class TestUsageErrors:
          "--h: spec 'cosine:a=1:scale=3': key 'scale' is not allowed"),
         (["stein-check", "--h", "gauss-radial:p=1:a=2"],
          "--h: spec 'gauss-radial:p=1:a=2': key 'a' is not allowed"),
-        (["stein-check", "--h", "cosine:a=1", "--gh-nodes", "0"],
-         "--gh-nodes must be at least 2, got 0"),
+        (["stein-check", "--h", "cosine:a=1", "--gh-nodes", "40"],
+         "unrecognized arguments: --gh-nodes 40"),
         (["validate-couplings", "--which", "gauss-square", "--chunk-size",
           "0"], "--chunk-size must be at least 1, got 0"),
         # an empty or non-finite list names its flag
@@ -669,6 +679,13 @@ class TestUsageErrors:
          "key 'n' is also set by --n"),
         (["validate-couplings", "--which", "nope"],
          "error: unknown coupler 'nope'"),
+        # product-logistic gave way to product-probit
+        (["stein-check", "--h", "logistic:a=1"],
+         "--h: test function 'logistic:a=1': logistic is no longer built "
+         "in; use probit:a="),
+        (["degree-count", "--n", "20", "--c", "2", "--degrees", "1,2",
+          "--h", "product-logistic:a=1,1"],
+         "product-logistic is no longer built in; use probit:a="),
     ])
     def test_rejected_input_names_the_problem(self, argv, message, capsys):
         code, out, err = _run(argv, capsys)
@@ -712,7 +729,20 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert message in err
 
-    @pytest.mark.parametrize("spec", ["cosine:a=1e300,1", "logistic:a=1e200",
+    def test_refused_check_builds_no_grid(self, capsys):
+        """The p = 5 check is refused from its stencil-offset count, before
+        its 4,084,101 x 5 grid (163 MB of float64) is built."""
+        tracemalloc.start()
+        try:
+            code, _, _ = _run(["stein-check", "--h", "cosine:a=1,1,1,1,1"],
+                              capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize("spec", ["cosine:a=1e300,1", "probit:a=1e200",
                                       "gauss-radial:p=1:scale=1e-120",
                                       "gauss-radial:p=1:scale=1e-105"])
     @pytest.mark.parametrize("command", [["stein-check"], DEGREE],

@@ -9,7 +9,7 @@ from scipy import special
 from scipy import stats as sps
 
 import oracles
-from steinlab import harness
+from steinlab import harness, testfuncs
 from steinlab import nonlinear as nl
 from steinlab.bounds import (CouplingStats, bound_univariate_size_bias,
                              floor_mean_sq_diff)
@@ -34,8 +34,9 @@ def assert_matches_oracle(coupler, u):
 
 class TestTiltedSampler:
     def test_normal_sf_matches_scipy(self):
+        """The normal tail the indicator tilt's survival is built on."""
         t = np.linspace(-40.0, 40.0, 400_001)
-        np.testing.assert_allclose(nl._normal_sf(t), special.ndtr(-t),
+        np.testing.assert_allclose(testfuncs._normal_sf(t), special.ndtr(-t),
                                    rtol=0, atol=1e-15)
 
     def test_square_tilt_moments(self):
@@ -424,14 +425,33 @@ class TestMultinomialCoupler:
             assert abs(freq - prob) <= 4 * np.sqrt(prob * (1 - prob) / m), value
 
     def test_exact_moments_against_occupancy_law(self):
-        psi = nl.parse_psi("square")
-        cfg = nl.MultinomialSumConfig(3, 2, psi)
-        lam, var = nl.multinomial_moments(cfg)
-        law = oracles.multinomial_w_law(3, 6, psi)
-        mean = sum(v * p for v, p in law.items())
-        second = sum(v * v * p for v, p in law.items())
-        np.testing.assert_allclose(lam, mean, rtol=1e-10)
-        np.testing.assert_allclose(var, second - mean**2, rtol=1e-9)
+        """Every psi at two balls per cell: n = 2 takes the flipped-marginal
+        branch, n = 3 and 4 the joint pmf of two cells."""
+        for name in ("square", "exp", "indicator"):
+            psi = nl.parse_psi(name)
+            for n in (2, 3, 4):
+                lam, var = nl.multinomial_moments(
+                    nl.MultinomialSumConfig(n, 2, psi))
+                law = oracles.multinomial_w_law(n, 2 * n, psi)
+                mean = fsum(v * p for v, p in law.items())
+                second = fsum(v * v * p for v, p in law.items())
+                np.testing.assert_allclose(lam, mean, rtol=1e-10,
+                                           err_msg=f"{name}, n = {n}")
+                np.testing.assert_allclose(var, second - mean**2, rtol=1e-9,
+                                           err_msg=f"{name}, n = {n}")
+
+    def test_moments_memory_follows_the_support(self):
+        """The joint pmf of two cells spans the counts of positive
+        probability only: at 2000 balls in 1000 cells that is about 150
+        counts, where the dense (2001)^2 table took 61 MiB traced."""
+        tracemalloc.start()
+        try:
+            nl.MultinomialSumCoupler(
+                nl.MultinomialSumConfig(1000, 2, nl.parse_psi("square")))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     @pytest.mark.parametrize("n,k", [(2, 3), (3, 2), (10, 2), (100, 2)])
     @pytest.mark.parametrize("name", ["square", "exp", "indicator"])

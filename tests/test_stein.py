@@ -76,7 +76,7 @@ class TestResidual:
     @pytest.mark.parametrize("h", [
         SmoothTestFunction("cosine", p=1, a=(1.0,)),
         SmoothTestFunction("gauss-radial", p=1, scale=1.0),
-        SmoothTestFunction("product-logistic", p=1, a=(1.5,)),
+        SmoothTestFunction("product-probit", p=1, a=(1.5,)),
     ], ids=lambda h: h.spec_string())
     def test_builtin_residual_1d(self, h):
         grid = grid_points(1, 21)
@@ -85,7 +85,7 @@ class TestResidual:
     @pytest.mark.parametrize("h", [
         SmoothTestFunction("cosine", p=2, a=(1.0, 0.5)),
         SmoothTestFunction("gauss-radial", p=2, scale=1.2),
-        SmoothTestFunction("product-logistic", p=2, a=(1.0, 2.0)),
+        SmoothTestFunction("product-probit", p=2, a=(1.0, 2.0)),
     ], ids=lambda h: h.spec_string())
     def test_builtin_residual_2d(self, h):
         grid = grid_points(2, 9)

@@ -12,6 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
+from scipy import stats as sps
+
 import oracles
 from steinlab.errors import DimensionMismatch
 from steinlab.testfuncs import (SmoothTestFunction, parse_test_function,
@@ -21,12 +23,12 @@ BUILTINS_1D = [
     SmoothTestFunction("cosine", p=1, a=(1.0,)),
     SmoothTestFunction("cosine", p=1, a=(2.0,), b=0.7),
     SmoothTestFunction("gauss-radial", p=1, scale=1.0),
-    SmoothTestFunction("product-logistic", p=1, a=(1.5,)),
+    SmoothTestFunction("product-probit", p=1, a=(1.5,)),
 ]
 BUILTINS_2D = [
     SmoothTestFunction("cosine", p=2, a=(1.0, 0.5)),
     SmoothTestFunction("gauss-radial", p=2, scale=1.2),
-    SmoothTestFunction("product-logistic", p=2, a=(1.0, 2.0)),
+    SmoothTestFunction("product-probit", p=2, a=(1.0, 2.0)),
 ]
 
 
@@ -96,13 +98,28 @@ class TestCertifiedNormsAreTight:
              np.sqrt(6.0 * r) * np.exp(-r / 2.0) / s**3], rtol=1e-14)
 
     @pytest.mark.parametrize("a", [1.5, -2.0, 0.3])
-    def test_product_logistic(self, a):
-        n = SmoothTestFunction("product-logistic", p=1,
+    def test_product_probit(self, a):
+        """|a| phi(0), a^2 phi(1) and |a|^3 phi(0), phi the normal
+        density; each is the largest of the derivative on a fine grid."""
+        n = SmoothTestFunction("product-probit", p=1,
                                a=(a,)).derivative_norms()
+        pdf = sps.norm.pdf
         np.testing.assert_allclose(
             [n.h, n.d1, n.d2, n.d3],
-            [1.0, abs(a) / 4.0, np.sqrt(3.0) * a**2 / 18.0, abs(a)**3 / 8.0],
+            [1.0, abs(a) * pdf(0.0), a**2 * pdf(1.0), abs(a)**3 * pdf(0.0)],
             rtol=1e-14)
+        t = np.linspace(-8.0, 8.0, 160_001)
+        np.testing.assert_allclose(
+            [np.max(np.abs(d)) for d in (pdf(t), t * pdf(t),
+                                        (t * t - 1.0) * pdf(t))],
+            [n.d1 / abs(a), n.d2 / a**2, n.d3 / abs(a)**3], rtol=1e-9)
+
+    def test_product_probit_zero_slope(self):
+        """Phi(0 * w) is the constant 1/2."""
+        n = SmoothTestFunction("product-probit", p=2,
+                               a=(0.0, 2.0)).derivative_norms()
+        assert n.h == 0.5
+        assert n.d1 == pytest.approx(sps.norm.pdf(0.0), rel=1e-15)
 
 
 class TestPhiH:
@@ -126,7 +143,7 @@ class TestPhiH:
                              ids=lambda h: h.spec_string())
     def test_quadrature_matches_closed_form(self, h):
         """Tensor quadrature of ``h`` reproduces the built-in ``E h(Z)``."""
-        val = phi_h(h, 40)
+        val = phi_h(h)
         quad = oracles.gauss_hermite_mean(h.evaluate, np.zeros((1, h.p)),
                                           1.0, 40)
         np.testing.assert_allclose(val, quad[0], atol=1e-9)
@@ -138,13 +155,13 @@ class TestPhiH:
         funcs = [
             SmoothTestFunction("cosine", p=p, a=tuple([0.8] * p)),
             SmoothTestFunction("gauss-radial", p=p, scale=1.0),
-            SmoothTestFunction("product-logistic", p=p, a=tuple([1.0] * p)),
+            SmoothTestFunction("product-probit", p=p, a=tuple([1.0] * p)),
         ]
         center = np.array([0.3, -0.2, 0.5][:p])
         sigma = 0.8
         z = np.random.default_rng(3).standard_normal((1_000_000, p))
         for h in funcs:
-            exact = h.smoothed_mean(center, sigma, 40)[0]
+            exact = h.smoothed_mean(center, sigma)[0]
             vals = h.evaluate(center + sigma * z)
             sem = vals.std(ddof=1) / np.sqrt(vals.size)
             assert abs(exact - vals.mean()) <= 4.0 * sem
@@ -153,22 +170,24 @@ class TestPhiH:
 SMOOTHING_CASES = BUILTINS_1D + BUILTINS_2D + [
     SmoothTestFunction("cosine", p=3, a=(0.5, -1.0, 0.25), b=0.3),
     SmoothTestFunction("gauss-radial", p=3, scale=0.8),
-    SmoothTestFunction("product-logistic", p=3, a=(1.0, -0.5, 2.0)),
+    SmoothTestFunction("product-probit", p=3, a=(1.0, -0.5, 2.0)),
 ]
 
 
 class TestSmoothedMean:
-    """Closed and factored forms of ``E h(c + sigma Z)`` against the tensor
+    """The closed forms of ``E h(c + sigma Z)`` against the tensor
     Gauss-Hermite rule; with ``sigma = 0`` they return ``h(c)``."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("h", SMOOTHING_CASES,
                              ids=lambda h: h.spec_string())
     def test_matches_tensor_rule(self, h, sigma):
+        """60 nodes per axis: at 40 the rule itself is off by 1.5e-9 on
+        ``Phi(2 (c + Z))``, against 5e-13 at 60."""
         centers = np.random.default_rng(h.p).uniform(-2.5, 2.5, (7, h.p))
         centers[0] = 0.0
-        got = h.smoothed_mean(centers, sigma, 40)
-        oracle = oracles.gauss_hermite_mean(h.evaluate, centers, sigma, 40)
+        got = h.smoothed_mean(centers, sigma)
+        oracle = oracles.gauss_hermite_mean(h.evaluate, centers, sigma, 60)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-10)
         if sigma == 0.0:
             np.testing.assert_allclose(got, h.evaluate(centers),
@@ -177,7 +196,7 @@ class TestSmoothedMean:
     def test_dimension_mismatch(self):
         h = SmoothTestFunction("gauss-radial", p=2)
         with pytest.raises(DimensionMismatch):
-            h.smoothed_mean(np.zeros((3, 3)), 0.5, 40)
+            h.smoothed_mean(np.zeros((3, 3)), 0.5)
 
 
 class TestParsing:
@@ -190,9 +209,10 @@ class TestParsing:
         h = parse_test_function("gauss-radial:scale=1.5:p=2")
         assert h.kind == "gauss-radial" and h.scale == 1.5 and h.p == 2
 
-    def test_logistic_spec(self):
-        h = parse_test_function("product-logistic:a=1,2")
-        assert h.p == 2
+    def test_probit_spec(self):
+        h = parse_test_function("probit:a=1,2")
+        assert h.kind == "product-probit" and h.p == 2
+        assert parse_test_function(h.spec_string()) == h
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -207,11 +227,11 @@ class TestLengthScale:
     @pytest.mark.parametrize("h,scale", [
         (SmoothTestFunction("gauss-radial", p=2, scale=0.01), 0.01),
         (SmoothTestFunction("cosine", p=2, a=(0.5, -4.0)), 0.25),
-        (SmoothTestFunction("product-logistic", p=2, a=(-8.0, 2.0)), 0.125),
+        (SmoothTestFunction("product-probit", p=2, a=(-8.0, 2.0)), 0.125),
         (SmoothTestFunction("cosine", p=2, a=(0.0, 0.0), b=1.0), np.inf),
-        (SmoothTestFunction("product-logistic", p=1, a=(0.0,)), np.inf),
-    ], ids=["gauss-radial", "cosine", "product-logistic", "cosine-a=0",
-            "product-logistic-a=0"])
+        (SmoothTestFunction("product-probit", p=1, a=(0.0,)), np.inf),
+    ], ids=["gauss-radial", "cosine", "product-probit", "cosine-a=0",
+            "product-probit-a=0"])
     def test_each_kind(self, h, scale):
         """``scale`` for gauss-radial, ``1 / max |a_i|`` otherwise."""
         assert h.length_scale == scale

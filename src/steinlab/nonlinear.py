@@ -473,24 +473,24 @@ def _joint_cell_pmf(balls: int, n: int, lo: int, hi: int):
 
 def multinomial_moments(cfg: MultinomialSumConfig):
     """Exact mean and variance of W by summing over the cell-count pmf; the
-    pair term sums over the counts of positive probability only."""
+    pair term sums over the counts of positive probability only. Both
+    variance sums take psi less its mean, so no two large moments cancel."""
     marg = cfg.cell_marginal()
     vals = _psi_on_support(cfg.psi, marg)
     # summed as MultinomialSumCoupler sums its tilt's mass, so that lam is
     # n times the tilt's normalizer bit for bit
     mean1 = float((vals * marg.probs).sum())
-    mom2 = float(np.dot(vals**2, marg.probs))
     lam = cfg.n * mean1
     if cfg.n == 2:
-        flipped = vals[::-1]  # U_2 = balls - U_1
-        pair = float(np.dot(vals * flipped, marg.probs))
-    else:
-        live = np.flatnonzero(marg.probs > 0)  # one run: the pmf is unimodal
-        lo, hi = int(live[0]), int(live[-1])
-        joint = _joint_cell_pmf(cfg.balls, cfg.n, lo, hi)
-        pair = float(vals[lo:hi + 1] @ joint @ vals[lo:hi + 1])
-    var = cfg.n * (mom2 - mean1**2) + cfg.n * (cfg.n - 1) * (pair - mean1**2)
-    return lam, var
+        w = vals + vals[::-1]  # U_2 = balls - U_1, so W is a function of U_1
+        return lam, float(np.dot((w - lam) ** 2, marg.probs))
+    dev = vals - mean1
+    live = np.flatnonzero(marg.probs > 0)  # one run: the pmf is unimodal
+    lo, hi = int(live[0]), int(live[-1])
+    joint = _joint_cell_pmf(cfg.balls, cfg.n, lo, hi)
+    pair = float(dev[lo:hi + 1] @ joint @ dev[lo:hi + 1])
+    return lam, cfg.n * (float(np.dot(dev**2, marg.probs))
+                         + (cfg.n - 1) * pair)
 
 
 # Balls thrown at a time by MultinomialSumCoupler.draw: 512 KB of

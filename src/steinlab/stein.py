@@ -16,8 +16,8 @@ the residual and orders 1 and 2 follows ``h.length_scale``.
 The substitution ``s = e^{-u}`` turns the integral into
 ``-int_0^1 [E h(w s + sqrt(1-s^2) Z) - phi] ds / s``. We integrate in the
 angle ``phi_ang`` with ``s = cos(phi_ang)`` so the integrand is analytic on
-``[0, pi/2]`` and no node ever touches ``s = 0``; Gauss-Legendre levels are
-doubled until the values stabilize.
+``[0, pi/2]`` and no node ever touches ``s = 0``. Each block of points doubles
+its own Gauss-Legendre level until its values stabilize.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, QuadratureNotConverged, SteinLabError
-from .testfuncs import SmoothTestFunction, phi_h
+from .testfuncs import SmoothTestFunction, phi_h, tensor_grid
 
 FD_STEP_LOW_ORDER = 1e-3   # orders 1 and 2, times min(1, h.length_scale)
 FD_STEP_THIRD = 5e-3       # order 3 trades truncation against quadrature noise
 G_TOL = 1e-8               # refinement tolerance on values of g
-LEGENDRE_START = 32        # Gauss-Legendre nodes of the first level
+LEGENDRE_START = 16        # Gauss-Legendre nodes of the first level
 LEGENDRE_MAX = 512         # nodes of the last level tried
-G_BLOCK_VALUES = 1 << 18   # node-point values of one block of a g batch
+G_BLOCK_VALUES = 1 << 18   # most smoothed values one stack of g holds
 GRID_EXTENT = 2.0          # half-width of the cube the check grid covers
 CHECK_TOL = 1e-3           # largest residual or cap excess that passes
 CHECK_POINTS_MAX = 1 << 22  # g points (grid x stencil offsets) of one check
@@ -46,7 +46,7 @@ def _legendre_rule(n: int):
     x, w = np.polynomial.legendre.leggauss(n)
     # map [-1, 1] -> [0, pi/2]
     ang = (x + 1.0) * (np.pi / 4.0)
-    return ang, w * (np.pi / 4.0)
+    return np.cos(ang), w * (np.pi / 4.0) * np.tan(ang)
 
 
 class SteinSolution:
@@ -67,55 +67,53 @@ class SteinSolution:
 
     # g evaluation --------------------------------------------------------
 
-    def _g_level(self, w: np.ndarray, n_leg: int):
-        ang, wt = _legendre_rule(n_leg)
-        s_nodes = np.cos(ang)
-        s_weights = wt * np.tan(ang)
-        smooth = np.stack([
-            self.h.smoothed_mean(s * w, np.sqrt(1.0 - s**2))
-            for s in s_nodes])
-        # canonical node-order contraction keeps the value reproducible
-        total = s_weights @ (smooth - self.phi)
-        return -total, s_nodes, s_weights
+    def _g_level(self, w: np.ndarray, n_leg: int) -> np.ndarray:
+        """``g`` at the rows of ``w`` by the ``n_leg``-node rule, in slices
+        of rows whose smoothed values fit :data:`G_BLOCK_VALUES`."""
+        s_nodes, s_weights = _legendre_rule(n_leg)
+        rows = max(1, G_BLOCK_VALUES // n_leg)
+        out = np.empty(len(w))
+        for lo in range(0, len(w), rows):
+            smooth = np.stack([
+                self.h.smoothed_mean(s * w[lo:lo + rows], np.sqrt(1.0 - s**2))
+                for s in s_nodes])
+            # canonical node-order contraction keeps the value reproducible
+            out[lo:lo + rows] = -(s_weights @ (smooth - self.phi))
+        return out
 
     def g(self, w) -> np.ndarray:
         """Value of ``g`` at each row of ``w``, by adaptive quadrature.
 
-        The refinement level is chosen on a probe subsample (the error
-        varies smoothly with the evaluation point), then the full batch is
-        evaluated at the converged level, in blocks of at most
-        :data:`G_BLOCK_VALUES` node-point values.
+        Each block of ``G_BLOCK_VALUES // LEGENDRE_START`` rows doubles its
+        own Gauss-Legendre level until two levels agree within
+        :data:`G_TOL` at all its points, and keeps the finer level's values.
+        :attr:`s_nodes` and :attr:`s_weights` hold the highest level used.
         """
         w = np.atleast_2d(np.asarray(w, dtype=float))
         if w.shape[1] != self.p:
             raise DimensionMismatch(
                 f"points have dimension {w.shape[1]}, expected {self.p}"
             )
-        m = w.shape[0]
-        probe = w if m <= 96 else w[:: max(1, m // 64)]
-        n = LEGENDRE_START
-        prev = None
-        converged = None
-        while n <= LEGENDRE_MAX:
-            val, s_nodes, s_weights = self._g_level(probe, n)
-            if prev is not None and float(np.max(np.abs(val - prev))) < G_TOL:
-                converged = n
-                break
-            prev = val
-            n *= 2
-        if converged is None:
-            raise QuadratureNotConverged(
-                f"g quadrature did not reach tol {G_TOL} "
-                f"by {LEGENDRE_MAX} nodes"
-            )
-        self.s_nodes, self.s_weights = s_nodes, s_weights
-        if probe is w:
-            return val
-        # each block stacks its points' smoothed values at every node, so
-        # memory stays bounded whatever the batch size
-        rows = max(1, G_BLOCK_VALUES // converged)
-        return np.concatenate([self._g_level(w[lo:lo + rows], converged)[0]
-                               for lo in range(0, m, rows)])
+        rows = max(1, G_BLOCK_VALUES // LEGENDRE_START)
+        out = np.empty(w.shape[0])
+        top = LEGENDRE_START
+        for lo in range(0, w.shape[0], rows):
+            block = w[lo:lo + rows]
+            prev = self._g_level(block, LEGENDRE_START)
+            n = 2 * LEGENDRE_START
+            while n <= LEGENDRE_MAX:
+                val = self._g_level(block, n)
+                if float(np.max(np.abs(val - prev))) < G_TOL:
+                    break
+                prev, n = val, 2 * n
+            else:
+                raise QuadratureNotConverged(
+                    f"g quadrature did not reach tol {G_TOL} "
+                    f"by {LEGENDRE_MAX} nodes")
+            out[lo:lo + rows] = val
+            top = max(top, n)
+        self.s_nodes, self.s_weights = _legendre_rule(top)
+        return out
 
     # Checks ---------------------------------------------------------------
 
@@ -231,6 +229,4 @@ def grid_points(p: int, per_axis: int = 21, offsets: int = 1) -> np.ndarray:
         raise SteinLabError(f"{per_axis}**{p} grid points is more than "
                             f"{CHECK_POINTS_MAX}; use fewer grid points")
     _refuse_past_cap(per_axis**p, offsets)
-    axis = np.linspace(-GRID_EXTENT, GRID_EXTENT, per_axis)
-    grids = np.meshgrid(*([axis] * p), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
+    return tensor_grid(np.linspace(-GRID_EXTENT, GRID_EXTENT, per_axis), p)

@@ -32,16 +32,17 @@ from .errors import BadSpec, DimensionMismatch
 from .specs import list_of, read_spec
 
 
+def tensor_grid(axis: np.ndarray, p: int) -> np.ndarray:
+    """Every ``p``-tuple of ``axis`` values, one per row, in the order of
+    ``np.meshgrid(..., indexing="ij")``, which stops at 32 axes."""
+    n = len(axis)
+    return axis[np.arange(n**p)[:, None] // n ** np.arange(p - 1, -1, -1) % n]
+
+
 @lru_cache(maxsize=16)
 def _tensor_rule_cached(nodes: int, p: int):
     x, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / np.sqrt(2.0 * np.pi)
-    grids = np.meshgrid(*([x] * p), indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=1)
-    weights = np.ones(1)
-    for _ in range(p):
-        weights = np.outer(weights, w).reshape(-1)
-    return points, weights
+    return tensor_grid(x, p), tensor_grid(w / np.sqrt(2.0 * np.pi), p).prod(1)
 
 
 def gauss_hermite_tensor(nodes: int, p: int):

@@ -11,7 +11,8 @@ smoothings of the built-in test functions avoid.
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, erfc, exp, fsum, sqrt
+from fractions import Fraction
+from math import comb, erfc, exp, fsum, prod, sqrt
 
 import numpy as np
 
@@ -421,6 +422,25 @@ def multinomial_w_law(n_cells, balls, psi):
         w = float(fsum(float(psi(np.array([c]))[0]) for c in counts))
         law[w] = law.get(w, 0.0) + weight
     return law
+
+
+def multinomial_square_variance(n_cells, per_cell):
+    """Exact ``Var sum U_i^2`` for ``n_cells * per_cell`` balls in
+    ``n_cells`` equiprobable cells, as a Fraction, from the factorial
+    moments ``E U_1^(a) U_2^(b) = K^(a + b) / n^(a + b)`` (``x^(a)`` the
+    falling factorial) and ``U^2 = U^(2) + U``, ``U^4 = U^(4) + 6 U^(3) +
+    7 U^(2) + U``."""
+    balls = n_cells * per_cell
+
+    def moment(order):  # K^(order) / n^order
+        return Fraction(prod(range(balls - order + 1, balls + 1)),
+                        n_cells**order)
+
+    square = moment(2) + moment(1)
+    fourth = moment(4) + 6 * moment(3) + 7 * moment(2) + moment(1)
+    cross = moment(4) + 2 * moment(3) + moment(2)
+    return (n_cells * (fourth - square**2)
+            + n_cells * (n_cells - 1) * (cross - square**2))
 
 
 def moved_row_law(counts, idx, y):

@@ -1,6 +1,7 @@
 """Nonlinear sums: tilted marginals, both couplers, exact moments."""
 
 import tracemalloc
+from fractions import Fraction
 from math import comb, fsum
 
 import numpy as np
@@ -439,6 +440,22 @@ class TestMultinomialCoupler:
                                            err_msg=f"{name}, n = {n}")
                 np.testing.assert_allclose(var, second - mean**2, rtol=1e-9,
                                            err_msg=f"{name}, n = {n}")
+
+    # (n, k): relative error of the uncentred sum n (E psi^2 - m^2) +
+    # n (n - 1) (E psi_1 psi_2 - m^2), which cancelled 4 of its 16 digits
+    # at (10, 1000)
+    @pytest.mark.parametrize("n,k,uncentred", [
+        (2, 500, 0.0), (6, 2, 1.6e-14), (100, 2, 1.7e-11),
+        (1000, 2, 3.4e-9), (10, 1000, 4.5e-5)])
+    def test_square_variance_against_factorial_moments(self, n, k,
+                                                       uncentred):
+        """psi centred at its mean: no worse than the uncentred sum, past
+        the pmf's own rounding, and within 1e-7 everywhere."""
+        _, var = nl.multinomial_moments(
+            nl.MultinomialSumConfig(n, k, nl.parse_psi("square")))
+        exact = oracles.multinomial_square_variance(n, k)
+        err = abs(Fraction(var) - exact) / exact
+        assert err <= 1e-7 and err <= max(uncentred, 1e-12), float(err)
 
     def test_moments_memory_follows_the_support(self):
         """The joint pmf of two cells spans the counts of positive

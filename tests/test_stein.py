@@ -14,7 +14,7 @@ import pytest
 import oracles
 from steinlab import stein
 from steinlab.errors import QuadratureNotConverged
-from steinlab.stein import SteinSolution, grid_points
+from steinlab.stein import CHECK_TOL, SteinSolution, grid_points
 from steinlab.testfuncs import DerivativeNorms, SmoothTestFunction
 
 LINEAR = oracles.PolynomialTestFunction(lambda x: x[:, 0], p=1)
@@ -168,3 +168,54 @@ class TestBatchMemory:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestBlockLevels:
+    """Each block of a g batch converges on its own points."""
+
+    SHARP = SmoothTestFunction("gauss-radial", p=2, scale=0.001)
+
+    def test_easy_block_keeps_its_own_level(self, monkeypatch):
+        """A block far from a sharp peak stops at the level its own points
+        need, though the next block, at the peak, climbs higher: its values
+        equal those of a lone call on it."""
+        monkeypatch.setattr(stein, "G_BLOCK_VALUES", 16 * 2)
+        easy = np.array([[2.0, 2.0], [-2.0, 1.5]])
+        peak = np.array([[0.0, 0.0], [1e-3, -2e-3]])
+        lone, batch = SteinSolution(self.SHARP), SteinSolution(self.SHARP)
+        alone = lone.g(easy)
+        together = batch.g(np.vstack([easy, peak]))
+        np.testing.assert_array_equal(together[:2], alone)
+        assert len(lone.s_nodes) < len(batch.s_nodes)
+
+    @pytest.mark.parametrize("scale", [0.005, 0.002])
+    def test_sharp_gauss_radial_passes(self, scale):
+        """At the default 21 grid points a probe of every 64th point misses
+        the peak (residual 1.5e-3 and 0.034). The check's one block climbs
+        to 128 and 256 nodes, whose unsliced stacks would hold 13 and 26 MB;
+        sliced, the traced peak stays under 16 MiB."""
+        h = SmoothTestFunction("gauss-radial", p=2, scale=scale)
+        tracemalloc.start()
+        try:
+            checks = _checks(h, grid_points(2, 21))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert max(checks.values()) <= CHECK_TOL, checks
+        assert peak < 16 * 2**20
+
+
+class TestGrid:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("per_axis", [1, 2, 5])
+    def test_meshgrid_order(self, p, per_axis):
+        axis = np.linspace(-stein.GRID_EXTENT, stein.GRID_EXTENT, per_axis)
+        mesh = np.meshgrid(*([axis] * p), indexing="ij")
+        np.testing.assert_array_equal(
+            grid_points(p, per_axis),
+            np.stack([g.reshape(-1) for g in mesh], axis=1))
+
+    def test_past_32_axes(self):
+        """numpy's meshgrid takes at most 32 arrays."""
+        grid = grid_points(33, 1)
+        np.testing.assert_array_equal(grid, np.full((1, 33), -2.0))
